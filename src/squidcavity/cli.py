@@ -31,8 +31,8 @@ from .config import (
     load_config,
     with_updates,
 )
-from .decoherence import qcpg_lindblad_fidelity
-from .evolution import evolve_pure
+from .decoherence import gate_substeps, qcpg_lindblad_fidelity
+from .evolution import MAX_LINDBLAD_SUBSTEPS, evolve_pure
 from .feasibility import feasibility_report
 from .protocols import (
     chain_initial_state,
@@ -48,7 +48,7 @@ CLUSTER_FIDELITY_MIN = 1.0 - 1e-9
 CLUSTER_STABILIZER_MIN = 1.0 - 1e-9
 CLUSTER_VACUUM_MIN = 1.0 - 1e-10
 
-# sanity bounds on any Lindblad run; violations signal integrator misuse
+# sanity bounds on any Lindblad run; violations signal a propagator fault
 SWEEP_TRACE_DEFECT_MAX = 1e-6
 SWEEP_EIGENVALUE_MIN = -1e-6
 
@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sweep", choices=SWEEP_PARAMETERS, help="parameter to sweep")
     p.add_argument("--values", help="comma-separated sweep values")
-    p.add_argument("--steps-per-segment", type=int, help="integrator steps per segment")
     p.set_defaults(handler=cmd_decoherence)
     return parser
 
@@ -125,35 +124,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "cluster":
         updates["protocol"] = "cluster"
 
-    gate = config.gate
-    if getattr(args, "ratio", None) is not None:
-        gate = with_updates(gate, ratio=args.ratio)
-    scale = getattr(args, "cavity_time_scale", 1.0)
-    if scale != 1.0:
-        if scale <= 0:
-            raise ConfigError(f"--cavity-time-scale must be > 0, got {scale}")
-        gate = with_updates(gate, cavity_time=gate.resolved_cavity_time * scale)
-    if gate is not config.gate:
-        updates["gate"] = gate
-
-    sweep = config.sweep
-    if getattr(args, "sweep", None) is not None:
-        sweep = SweepSettings(parameter=args.sweep, values=sweep.values)
-    if getattr(args, "values", None) is not None:
-        try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
-        sweep = SweepSettings(parameter=sweep.parameter, values=values)
-    if sweep is not config.sweep:
-        updates["sweep"] = sweep
-
-    if getattr(args, "steps_per_segment", None) is not None:
-        updates["lindblad"] = with_updates(
-            config.lindblad, steps_per_segment=args.steps_per_segment
-        )
     try:
+        gate = config.gate
+        if getattr(args, "ratio", None) is not None:
+            gate = with_updates(gate, ratio=args.ratio)
+        scale = getattr(args, "cavity_time_scale", 1.0)
+        if scale != 1.0:
+            if not scale > 0:
+                raise ConfigError(f"--cavity-time-scale must be > 0, got {scale}")
+            gate = with_updates(gate, cavity_time=gate.resolved_cavity_time * scale)
+        if gate is not config.gate:
+            updates["gate"] = gate
+
+        parameter = getattr(args, "sweep", None)
+        values = getattr(args, "values", None)
+        if values is not None:
+            try:
+                values = tuple(float(v) for v in values.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
+        if parameter is not None or values is not None:
+            updates["sweep"] = SweepSettings(
+                parameter=parameter or config.sweep.parameter,
+                values=config.sweep.values if values is None else values,
+            )
         return with_updates(config, **updates) if updates else config
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -272,19 +269,19 @@ def cmd_feasibility(config: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _sweep_point(config: RunConfig, value: float):
-    kwargs = {
+def _point_rates(config: RunConfig, value: float) -> dict:
+    return {
         "cavity_decay_per_s": config.feasibility.cavity_decay_per_s,
         "gamma_e_per_s": config.feasibility.gamma_e_per_s,
         "branch_ratio_e_to_0": config.feasibility.branch_ratio_e_to_0,
         _SWEEP_KWARG[config.sweep.parameter]: value,
     }
+
+
+def _sweep_point(config: RunConfig, value: float):
     t0 = time.perf_counter()
     result = qcpg_lindblad_fidelity(
-        config.gate,
-        fock_cutoff=config.fock_cutoff,
-        steps_per_segment=config.lindblad.steps_per_segment,
-        **kwargs,
+        config.gate, fock_cutoff=config.fock_cutoff, **_point_rates(config, value)
     )
     return result, time.perf_counter() - t0
 
@@ -292,6 +289,16 @@ def _sweep_point(config: RunConfig, value: float):
 def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
     values = config.sweep.values
+    # refuse runaway work before any propagation starts
+    for value in values:
+        substeps = gate_substeps(
+            config.gate, fock_cutoff=config.fock_cutoff, **_point_rates(config, value)
+        )
+        if substeps > MAX_LINDBLAD_SUBSTEPS:
+            raise ConfigError(
+                f"{config.sweep.parameter} = {value:g} needs {substeps} propagator "
+                f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
+            )
     # points are independent; map() preserves the requested row order
     with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
         outcomes = list(pool.map(lambda v: _sweep_point(config, v), values))
@@ -370,13 +377,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.handler(config, args)
-    except ValueError as exc:
-        # e.g. integrator step-size refusal for a too-coarse steps_per_segment
+    except ConfigError as exc:
+        # any other exception is a fault in the program, not in the input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

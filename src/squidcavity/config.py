@@ -10,6 +10,7 @@ ignored.  Command-line flags override file values, which override defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -31,17 +32,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class LindbladSettings:
-    steps_per_segment: int = 2000
-
-    def __post_init__(self):
-        if self.steps_per_segment < 1:
-            raise ConfigError(
-                f"steps_per_segment must be >= 1, got {self.steps_per_segment}"
-            )
-
-
-@dataclass(frozen=True)
 class SweepSettings:
     parameter: str = "k"
     values: tuple = DEFAULT_SWEEP_VALUES
@@ -56,6 +46,8 @@ class SweepSettings:
         if not values:
             raise ConfigError("sweep values must be nonempty")
         for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"sweep values must be finite, got {v}")
             if not v >= 0:
                 raise ConfigError(f"sweep values must be >= 0, got {v}")
             if self.parameter == "branch_ratio" and v > 1:
@@ -72,7 +64,6 @@ class RunConfig:
     out_dir: str = "out"
     gate: GateParams = field(default_factory=GateParams)
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
-    lindblad: LindbladSettings = field(default_factory=LindbladSettings)
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
     def __post_init__(self):
@@ -107,10 +98,9 @@ _FEASIBILITY_KEYS = {
     "omega_drive_per_s": "omega_drive_per_s",
     "branch_ratio_e_to_0": "branch_ratio_e_to_0",
 }
-_LINDBLAD_KEYS = {"steps_per_segment": "steps_per_segment"}
 _SWEEP_KEYS = {"parameter": "parameter", "values": "values"}
 _TOP_SCALARS = ("protocol", "n_qubits", "fock_cutoff", "seed", "out_dir")
-_TOP_SECTIONS = ("gate", "feasibility", "lindblad", "sweep")
+_TOP_SECTIONS = ("gate", "feasibility", "sweep")
 
 
 def _section(data: dict, name: str, key_map: dict, cls):
@@ -120,12 +110,15 @@ def _section(data: dict, name: str, key_map: dict, cls):
     unknown = sorted(set(raw) - set(key_map))
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
+    for key, value in raw.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}.{key} must be finite, got {value}")
     kwargs = {key_map[k]: v for k, v in raw.items()}
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {name!r}: {exc}") from exc
 
 
@@ -138,7 +131,6 @@ def config_from_dict(data: dict) -> RunConfig:
     kwargs = {k: data[k] for k in _TOP_SCALARS if k in data}
     kwargs["gate"] = _section(data, "gate", _GATE_KEYS, GateParams)
     kwargs["feasibility"] = _section(data, "feasibility", _FEASIBILITY_KEYS, FeasibilityParams)
-    kwargs["lindblad"] = _section(data, "lindblad", _LINDBLAD_KEYS, LindbladSettings)
     kwargs["sweep"] = _section(data, "sweep", _SWEEP_KEYS, SweepSettings)
     return RunConfig(**kwargs)
 
@@ -173,7 +165,6 @@ def config_to_dict(config: RunConfig) -> dict:
             "pulse_duration_s": gate.pulse_duration,
         },
         "feasibility": asdict(config.feasibility),
-        "lindblad": asdict(config.lindblad),
         "sweep": {"parameter": config.sweep.parameter, "values": list(config.sweep.values)},
     }
 

@@ -12,10 +12,11 @@ with s = (1, 1, 1, -1) the diagonal of U, and convert to the average gate
 fidelity over Haar-random pure inputs, F_avg = (4 F_pro + 1) / 5.
 
 Matrix units with i != j are not density matrices, but the generator is
-linear so integrating them is legitimate; Hermiticity of the channel keeps
-F_pro real up to integrator rounding.  All 16 units ride a leading batch
-axis through one RK4 integration per segment.  Trace and positivity
-diagnostics come from the four diagonal units, which are honest states.
+linear so propagating them is legitimate; Hermiticity of the channel keeps
+F_pro real up to rounding.  All 16 units ride a leading batch axis through
+one exact exponential exp(L t) per segment (``evolution.exp_lindblad``), so
+the score carries no integrator error.  Trace and positivity diagnostics
+come from the four diagonal units, which are honest states.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    DEFAULT_STEPS_PER_SEGMENT,
-    _check_step_size,
-    _rk4_lindblad,
-    segment_hamiltonian,
-)
+from .evolution import exp_lindblad, lindblad_substeps, segment_hamiltonian
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
 from .hilbert import SpaceLayout, basis_index, embedded_matrix
 from .protocols import GateParams, qcpg_schedule
@@ -53,24 +49,8 @@ class GateProcessResult:
     gate_duration_s: float
 
 
-def qcpg_lindblad_fidelity(
-    gate: GateParams = GateParams(),
-    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
-    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
-    branch_ratio_e_to_0: float = 0.5,
-    fock_cutoff: int = 2,
-    steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
-) -> GateProcessResult:
-    """Average gate fidelity of the controlled-phase gate under decay.
-
-    Decay acts through the whole schedule: cavity photon loss at
-    ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
-    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  With all rates
-    zero this reproduces the unitary gate to integrator accuracy, which
-    bounds the method error of the fidelity itself.
-    """
-    if steps_per_segment < 1:
-        raise ValueError(f"steps_per_segment must be >= 1, got {steps_per_segment}")
+def _noisy_gate(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
+    """Layout, schedule, per-segment (H, duration) and collapse operators."""
     layout = SpaceLayout(2, fock_cutoff)
     schedule = qcpg_schedule(0, 1, gate)
     collapse = collapse_operators_from_rates(
@@ -81,6 +61,48 @@ def qcpg_lindblad_fidelity(
         squids=(0, 1),
     )
     l_full = [embedded_matrix(op, layout) for op in collapse]
+    segments = [
+        (embedded_matrix(segment_hamiltonian(seg, fock_cutoff), layout), seg.duration)
+        for seg in schedule
+    ]
+    return layout, schedule, segments, l_full
+
+
+def gate_substeps(
+    gate: GateParams = GateParams(),
+    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
+    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
+    branch_ratio_e_to_0: float = 0.5,
+    fock_cutoff: int = 2,
+) -> int:
+    """Most propagator sub-steps any one segment of the noisy gate needs.
+
+    Cheap (no propagation); lets a caller check the work against
+    ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
+    """
+    _, _, segments, l_full = _noisy_gate(
+        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
+    )
+    return max(lindblad_substeps(h_full, l_full, t) for h_full, t in segments)
+
+
+def qcpg_lindblad_fidelity(
+    gate: GateParams = GateParams(),
+    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
+    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
+    branch_ratio_e_to_0: float = 0.5,
+    fock_cutoff: int = 2,
+) -> GateProcessResult:
+    """Average gate fidelity of the controlled-phase gate under decay.
+
+    Decay acts through the whole schedule: cavity photon loss at
+    ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
+    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  With all rates
+    zero this reproduces the unitary gate to rounding.
+    """
+    layout, schedule, segments, l_full = _noisy_gate(
+        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
+    )
 
     indices = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
     dim = layout.total_dim
@@ -88,11 +110,8 @@ def qcpg_lindblad_fidelity(
     for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
         batch[m, indices[i], indices[j]] = 1.0
 
-    for segment in schedule:
-        h_full = embedded_matrix(segment_hamiltonian(segment, fock_cutoff), layout)
-        dt = segment.duration / steps_per_segment
-        _check_step_size(h_full, dt)
-        batch = _rk4_lindblad(batch, h_full, l_full, segment.duration, dt)
+    for h_full, duration in segments:
+        batch = exp_lindblad(batch, h_full, l_full, duration)
 
     f_pro = 0.0
     for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
@@ -124,7 +143,6 @@ def fidelity_sweep(
     gate: GateParams = GateParams(),
     base: FeasibilityParams = FeasibilityParams(),
     fock_cutoff: int = 2,
-    steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
 ) -> list[GateProcessResult]:
     """Score the gate at each value of one decay parameter, others held at base.
 
@@ -149,12 +167,5 @@ def fidelity_sweep(
             "branch_ratio": "branch_ratio_e_to_0",
         }[parameter]
         kwargs[key] = float(value)
-        results.append(
-            qcpg_lindblad_fidelity(
-                gate,
-                fock_cutoff=fock_cutoff,
-                steps_per_segment=steps_per_segment,
-                **kwargs,
-            )
-        )
+        results.append(qcpg_lindblad_fidelity(gate, fock_cutoff=fock_cutoff, **kwargs))
     return results

@@ -40,7 +40,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,10 +110,20 @@ class GateParams:
     pulse_duration: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.omega_1 <= 0:
             raise ValueError(f"omega_1 must be > 0, got {self.omega_1}")
+        if self.ratio <= 0:
+            raise ValueError(f"coupling ratio must be > 0, got {self.ratio}")
         if self.drive_rabi <= 0:
             raise ValueError(f"drive_rabi must be > 0, got {self.drive_rabi}")
+        for name in ("cavity_time", "pulse_duration"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def omega_2(self) -> float:
@@ -172,8 +182,6 @@ def qcpg_schedule(
     """Three-step controlled-phase gate; diag(1, 1, 1, -1) on (control, target)."""
     if control_squid == target_squid:
         raise ValueError("control and target must be distinct SQUIDs")
-    if params.ratio <= 0:
-        raise ValueError(f"coupling ratio must be > 0, got {params.ratio}")
     phase_res, mod_res = gate_condition_residuals(params)
     if phase_res > _GATE_CONDITION_TOL or mod_res > _GATE_CONDITION_TOL:
         warnings.warn(

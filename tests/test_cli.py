@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from squidcavity import cli
 from squidcavity.cli import main
 
 
@@ -88,17 +89,7 @@ def test_feasibility_reports_anchors(tmp_path, capsys):
 
 
 def test_decoherence_rows_and_determinism(tmp_path):
-    code = main(
-        [
-            "decoherence",
-            "--values",
-            "5e4,5e4",
-            "--steps-per-segment",
-            "600",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+    code = main(["decoherence", "--values", "5e4,5e4", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "decoherence.csv").read_text().splitlines()
     assert lines[0] == (
@@ -113,27 +104,57 @@ def test_decoherence_rows_and_determinism(tmp_path):
     assert payload["rows"][0] == payload["rows"][1]
     assert payload["rows"][0]["sane"] is True
     assert 0.98 <= payload["rows"][0]["average_fidelity"] <= 1 - 1e-4
+    assert "lindblad" not in payload["config"]
 
 
-def test_decoherence_refuses_too_coarse_steps(tmp_path, capsys):
-    code = main(
-        [
-            "decoherence",
-            "--values",
-            "5e4",
-            "--steps-per-segment",
-            "100",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+def test_decoherence_branch_ratio_sweep(tmp_path):
+    # the sweep is validated against its own values, not the default k values
+    argv = ["decoherence", "--sweep", "branch_ratio", "--values", "0.5,0.7"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    payload = _read_json(tmp_path / "decoherence.json")
+    assert payload["parameter"] == "branch_ratio"
+    assert [row["value"] for row in payload["rows"]] == [0.5, 0.7]
+
+
+def test_decoherence_refuses_runaway_work(tmp_path, capsys):
+    assert main(["decoherence", "--values", "5e4,1e15", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "k = 1e+15" in err and "sub-steps" in err
+    # refused before any point ran
+    assert not (tmp_path / "decoherence.csv").exists()
+
+
+def test_decoherence_rejects_non_finite_values(tmp_path, capsys):
+    for bad in ("inf", "nan", "5e4,-inf"):
+        assert main(["decoherence", f"--values={bad}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("sweep values must be finite") == 3
+    assert not (tmp_path / "decoherence.csv").exists()
 
 
 def test_decoherence_rejects_bad_values(tmp_path, capsys):
     assert main(["decoherence", "--values", "5e4,oops", "--out", str(tmp_path)]) == 2
     assert "comma-separated" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_names_its_key(tmp_path, capsys):
+    config_path = tmp_path / "nan.json"
+    config_path.write_text('{"gate": {"omega_1_per_s": NaN}}')
+    assert main(["truth-table", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "gate.omega_1_per_s must be finite" in capsys.readouterr().err
+    assert main(["truth-table", "--ratio", "inf", "--out", str(tmp_path)]) == 2
+    assert "ratio must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "truth_table.json").exists()
+
+
+def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "feasibility_report", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["feasibility", "--out", str(tmp_path)])
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -168,4 +189,6 @@ def test_usage_errors_and_help(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     assert main(["truth-table", "--bogus"]) == 2
+    # the RK4 step count is no longer a setting
+    assert main(["decoherence", "--steps-per-segment", "600"]) == 2
     capsys.readouterr()

@@ -20,7 +20,6 @@ def test_defaults():
     assert config.n_qubits == 4
     assert config.fock_cutoff == 2
     assert config.seed == 0
-    assert config.lindblad.steps_per_segment == 2000
     assert config.sweep.parameter == "k"
     assert config.sweep.values == (5e4, 5e5, 5e6, 5e7)
 
@@ -51,6 +50,9 @@ def test_sweep_validation():
         SweepSettings("k", (-1.0,))
     with pytest.raises(ConfigError):
         SweepSettings("branch_ratio", (1.5,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSettings("k", (5e4, bad))
 
 
 def test_from_dict_minimal_and_full():
@@ -63,7 +65,6 @@ def test_from_dict_minimal_and_full():
         "out_dir": "results",
         "gate": {"omega_1_per_s": 2e8, "ratio": 1.7320508075688772},
         "feasibility": {"q_factor": 2e6},
-        "lindblad": {"steps_per_segment": 800},
         "sweep": {"parameter": "gamma_e", "values": [1e5, 1e6]},
     }
     config = config_from_dict(data)
@@ -72,7 +73,6 @@ def test_from_dict_minimal_and_full():
     assert config.gate.omega_1 == 2e8
     assert config.gate.omega_2 == pytest.approx(2e8 * math.sqrt(3))
     assert config.feasibility.q_factor == 2e6
-    assert config.lindblad.steps_per_segment == 800
     assert config.sweep.values == (1e5, 1e6)
 
 
@@ -87,6 +87,9 @@ def test_from_dict_rejects_unknown_keys():
         config_from_dict({"gate": [1, 2]})
     with pytest.raises(ConfigError, match="object"):
         config_from_dict([1, 2])
+    # the RK4 step count is no longer a setting
+    with pytest.raises(ConfigError, match="top-level"):
+        config_from_dict({"lindblad": {"steps_per_segment": 800}})
 
 
 def test_from_dict_wraps_value_errors():
@@ -94,6 +97,18 @@ def test_from_dict_wraps_value_errors():
         config_from_dict({"gate": {"omega_1_per_s": -1.0}})
     with pytest.raises(ConfigError, match="feasibility"):
         config_from_dict({"feasibility": {"q_factor": 0.0}})
+    with pytest.raises(ConfigError, match="gate"):
+        config_from_dict({"gate": {"ratio": "fast"}})
+
+
+def test_from_dict_rejects_non_finite_values():
+    data = json.loads('{"gate": {"omega_1_per_s": NaN}}')
+    with pytest.raises(ConfigError, match="gate.omega_1_per_s must be finite"):
+        config_from_dict(data)
+    with pytest.raises(ConfigError, match="feasibility.gamma_e_per_s must be finite"):
+        config_from_dict({"feasibility": {"gamma_e_per_s": math.inf}})
+    with pytest.raises(ConfigError, match="sweep values must be finite"):
+        config_from_dict({"sweep": {"values": [5e4, math.nan]}})
 
 
 def test_round_trip_through_dict():

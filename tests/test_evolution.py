@@ -11,6 +11,7 @@ from squidcavity import (
     DriveSpec,
     DriveSegment,
     LocalOperator,
+    MAX_LINDBLAD_SUBSTEPS,
     PulseSchedule,
     SpaceLayout,
     apply_local,
@@ -19,10 +20,13 @@ from squidcavity import (
     cavity_coupling_hamiltonian,
     collapse_operators_from_rates,
     drive_hamiltonian,
+    embedded_matrix,
     evolve_lindblad,
     evolve_pure,
     excitation_number,
+    exp_lindblad,
     expectation,
+    lindblad_substeps,
     propagator,
     single_excitation_closed_form,
     state_fidelity,
@@ -225,3 +229,64 @@ def test_lindblad_zero_duration_returns_copy():
     out = evolve_lindblad(rho0, _zero_cavity_hamiltonian(1), [], 0.0, dt=1.0)
     np.testing.assert_array_equal(out.matrix, rho0.matrix)
     assert out.matrix is not rho0.matrix
+
+
+def test_exp_lindblad_photon_decay_matches_exponential():
+    k = 5e4
+    layout = SpaceLayout(1, fock_cutoff=2)
+    rho0 = DensityMatrix.from_pure(basis_state(layout, (0,), photons=1))
+    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2, squids=())
+    l_full = [embedded_matrix(op, layout) for op in ops]
+    h_full = embedded_matrix(_zero_cavity_hamiltonian(2), layout)
+    t = 2e-5  # one cavity lifetime
+    out = exp_lindblad(rho0.matrix, h_full, l_full, t)
+    diag = np.real(np.diag(out)).reshape(3, 3)
+    np.testing.assert_allclose(diag[:, 0].sum(), 1 - math.exp(-k * t), atol=1e-14)
+    np.testing.assert_allclose(diag[:, 1].sum(), math.exp(-k * t), atol=1e-14)
+    assert abs(np.trace(out) - 1.0) <= 1e-14
+
+
+def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
+    layout = SpaceLayout(2, fock_cutoff=2)
+    seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
+    h = cavity_coupling_hamiltonian(seg.spec, 2)
+    h_full = embedded_matrix(h, layout)
+    u = propagator(h, seg.duration).unitary.matrix
+    rng = np.random.default_rng(3)
+    batch = rng.normal(size=(2, 27, 27)) + 1j * rng.normal(size=(2, 27, 27))
+    out = exp_lindblad(batch, h_full, [], seg.duration)
+    want = u @ batch @ u.conj().T
+    assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
+    layout = SpaceLayout(2, fock_cutoff=2)
+    h_full = embedded_matrix(
+        cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 2), layout
+    )
+    shifted = h_full + 7e9 * np.eye(27)
+    ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
+    l_full = [embedded_matrix(op, layout) for op in ops]
+    t = 1.7e-8
+    assert lindblad_substeps(shifted, l_full, t) == lindblad_substeps(h_full, l_full, t)
+    rho0 = DensityMatrix.from_pure(basis_state(layout, (1, 0))).matrix
+    out = exp_lindblad(rho0, shifted, l_full, t)
+    want = exp_lindblad(rho0, h_full, l_full, t)
+    assert np.max(np.abs(out - want)) <= 1e-13
+
+
+def test_exp_lindblad_guards():
+    layout = SpaceLayout(1, fock_cutoff=1)
+    rho0 = DensityMatrix.from_pure(basis_state(layout, (1,))).matrix
+    h_full = embedded_matrix(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), layout)
+    with pytest.raises(ValueError, match="duration"):
+        exp_lindblad(rho0, h_full, [], -1.0)
+    out = exp_lindblad(rho0, h_full, [], 0.0)
+    np.testing.assert_array_equal(out, rho0)
+    assert out is not rho0
+    # sub-steps grow with ||L|| t, and runaway work is refused up front
+    assert lindblad_substeps(h_full, [], 2.0) <= lindblad_substeps(h_full, [], 4.0)
+    too_long = 6.0 * (MAX_LINDBLAD_SUBSTEPS + 1)
+    assert lindblad_substeps(h_full, [], too_long) > MAX_LINDBLAD_SUBSTEPS
+    with pytest.raises(ValueError, match="sub-steps"):
+        exp_lindblad(rho0, h_full, [], too_long)

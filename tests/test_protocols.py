@@ -63,6 +63,14 @@ def test_gate_params_validation():
         GateParams(omega_1=0.0)
     with pytest.raises(ValueError):
         GateParams(drive_rabi=-1.0)
+    with pytest.raises(ValueError, match="ratio"):
+        GateParams(ratio=0.0)
+    with pytest.raises(ValueError, match="cavity_time"):
+        GateParams(cavity_time=-1e-9)
+    for name in ("omega_1", "ratio", "drive_rabi", "cavity_time", "pulse_duration"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GateParams(**{name: bad})
 
 
 def test_gate_conditions_detect_bad_ratio():

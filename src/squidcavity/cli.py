@@ -17,7 +17,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .config import (
     load_config,
     with_updates,
 )
-from .decoherence import gate_substeps, qcpg_lindblad_fidelity
+from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import MAX_LINDBLAD_SUBSTEPS, evolve_pure
 from .feasibility import feasibility_report
 from .protocols import (
@@ -278,34 +277,30 @@ def _point_rates(config: RunConfig, value: float) -> dict:
     }
 
 
-def _sweep_point(config: RunConfig, value: float):
-    t0 = time.perf_counter()
-    result = qcpg_lindblad_fidelity(
-        config.gate, fock_cutoff=config.fock_cutoff, **_point_rates(config, value)
-    )
-    return result, time.perf_counter() - t0
-
-
 def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
     values = config.sweep.values
-    # refuse runaway work before any propagation starts
+    # build each point's generators once, and refuse runaway work before any
+    # propagation starts
+    prepared = []
     for value in values:
-        substeps = gate_substeps(
+        t0 = time.perf_counter()
+        noisy = noisy_gate(
             config.gate, fock_cutoff=config.fock_cutoff, **_point_rates(config, value)
         )
-        if substeps > MAX_LINDBLAD_SUBSTEPS:
+        if noisy.substeps > MAX_LINDBLAD_SUBSTEPS:
             raise ConfigError(
-                f"{config.sweep.parameter} = {value:g} needs {substeps} propagator "
+                f"{config.sweep.parameter} = {value:g} needs {noisy.substeps} propagator "
                 f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
             )
-    # points are independent; map() preserves the requested row order
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        outcomes = list(pool.map(lambda v: _sweep_point(config, v), values))
+        prepared.append((noisy, time.perf_counter() - t0))
     rows = []
     json_rows = []
     passed = True
-    for value, (result, runtime) in zip(values, outcomes):
+    for value, (noisy, build_s) in zip(values, prepared):
+        t0 = time.perf_counter()
+        result = qcpg_lindblad_fidelity(noisy)
+        runtime = build_s + time.perf_counter() - t0
         sane = (
             result.trace_defect <= SWEEP_TRACE_DEFECT_MAX
             and result.min_eigenvalue >= SWEEP_EIGENVALUE_MIN

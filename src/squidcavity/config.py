@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams
+from .hilbert import SQUID_DIM
 from .protocols import GateParams
 
 PROTOCOLS = ("qcpg", "cluster")
@@ -26,9 +27,23 @@ MAX_CHAIN = 10
 # default sweep: cavity decay from the base point up three decades
 DEFAULT_SWEEP_VALUES = (5e4, 5e5, 5e6, 5e7)
 
+# budget for the largest single complex array a command may allocate
+MAX_ARRAY_BYTES = 2**24
+
 
 class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
+
+
+def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
+    """Bytes of the largest array a command builds at these sizes.
+
+    That is the chain state of ``cluster`` (3^n (cutoff + 1) amplitudes) or
+    one full-space generator of the noisy gate in ``decoherence``, a square
+    matrix of dimension 9 (cutoff + 1); complex entries take 16 bytes.
+    """
+    levels = fock_cutoff + 1
+    return 16 * max(SQUID_DIM**n_qubits * levels, (SQUID_DIM**2 * levels) ** 2)
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,13 @@ class RunConfig:
             )
         if self.fock_cutoff < 1:
             raise ConfigError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
+        need = _largest_array_bytes(self.n_qubits, self.fock_cutoff)
+        if need > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"fock_cutoff = {self.fock_cutoff} with n_qubits = {self.n_qubits} needs "
+                f"a {need / 2**20:.4g} MiB array, above the budget of "
+                f"{MAX_ARRAY_BYTES / 2**20:g} MiB"
+            )
 
 
 # JSON key -> dataclass field, with unit suffixes on the JSON side

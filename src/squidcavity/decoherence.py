@@ -17,6 +17,21 @@ F_pro real up to rounding.  All 16 units ride a leading batch axis through
 one exact exponential exp(L t) per segment (``evolution.exp_lindblad``), so
 the score carries no integrator error.  Trace and positivity diagnostics
 come from the four diagonal units, which are honest states.
+
+The run never leaves a small subspace, and is carried out on it exactly.
+Let S be the smallest set of basis states that contains the four
+computational states and that every segment Hamiltonian H, every collapse
+operator L_k and every L_k^dag L_k maps into itself, read off the exact
+zero pattern of those matrices.  If rho is supported on S x S, so are
+H rho, rho H, L_k rho L_k^dag and the anticommutator terms (H and
+L_k^dag L_k are Hermitian, so they keep S from the right as well): each
+product only sums over entries inside S, and the entries outside stay
+exactly 0.  The segment channels therefore keep every matrix unit on
+S x S, and slicing the generators to S changes no product except by
+dropping terms that are exactly zero.  S holds 11 states at every cutoff
+>= 2: the drive only couples |1> and |e> of the target, the exchange
+conserves the excitation number, and decay only lowers it, so no more than
+two photons are ever present.
 """
 
 from __future__ import annotations
@@ -49,7 +64,29 @@ class GateProcessResult:
     gate_duration_s: float
 
 
-def _noisy_gate(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
+@dataclass(frozen=True)
+class NoisyGate:
+    """Generators of one noisy gate, sliced to its invariant subspace.
+
+    ``kept`` lists the full-space basis indices of the subspace in ascending
+    order and ``computational`` the positions of the four computational
+    states within it.  ``segments`` holds each segment's (H, duration) and
+    ``collapse`` the collapse operators, all as matrices on the subspace;
+    ``substeps`` is the most propagator sub-steps any one segment needs.
+    """
+
+    kept: tuple[int, ...]
+    computational: tuple[int, ...]
+    segments: tuple[tuple[np.ndarray, float], ...]
+    collapse: tuple[np.ndarray, ...]
+    substeps: int
+    cavity_decay_per_s: float
+    gamma_e_per_s: float
+    branch_ratio_e_to_0: float
+    gate_duration_s: float
+
+
+def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
     """Layout, schedule, per-segment (H, duration) and collapse operators."""
     layout = SpaceLayout(2, fock_cutoff)
     schedule = qcpg_schedule(0, 1, gate)
@@ -68,6 +105,55 @@ def _noisy_gate(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fo
     return layout, schedule, segments, l_full
 
 
+def _closure(generators, seeds) -> tuple[int, ...]:
+    """Smallest index set holding ``seeds`` that every generator maps into itself."""
+    reach = np.zeros(generators[0].shape, dtype=bool)
+    for g in generators:
+        reach |= g != 0
+    kept = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        for i in np.flatnonzero(reach[:, frontier.pop()]):
+            if int(i) not in kept:
+                kept.add(int(i))
+                frontier.append(int(i))
+    return tuple(sorted(kept))
+
+
+def noisy_gate(
+    gate: GateParams = GateParams(),
+    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
+    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
+    branch_ratio_e_to_0: float = 0.5,
+    fock_cutoff: int = 2,
+) -> NoisyGate:
+    """Build the noisy gate's generators on its invariant subspace; no propagation.
+
+    ``substeps`` on the result lets a caller check the work against
+    ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
+    """
+    layout, schedule, segments, l_full = _full_generators(
+        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
+    )
+    seeds = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
+    generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]
+    kept = _closure(generators, seeds)
+    cut = np.ix_(kept, kept)
+    reduced = tuple((h[cut], duration) for h, duration in segments)
+    collapse = tuple(l[cut] for l in l_full)
+    return NoisyGate(
+        kept=kept,
+        computational=tuple(kept.index(s) for s in seeds),
+        segments=reduced,
+        collapse=collapse,
+        substeps=max(lindblad_substeps(h, collapse, t) for h, t in reduced),
+        cavity_decay_per_s=float(cavity_decay_per_s),
+        gamma_e_per_s=float(gamma_e_per_s),
+        branch_ratio_e_to_0=float(branch_ratio_e_to_0),
+        gate_duration_s=float(schedule.total_duration),
+    )
+
+
 def gate_substeps(
     gate: GateParams = GateParams(),
     cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
@@ -80,14 +166,13 @@ def gate_substeps(
     Cheap (no propagation); lets a caller check the work against
     ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
     """
-    _, _, segments, l_full = _noisy_gate(
+    return noisy_gate(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
-    )
-    return max(lindblad_substeps(h_full, l_full, t) for h_full, t in segments)
+    ).substeps
 
 
 def qcpg_lindblad_fidelity(
-    gate: GateParams = GateParams(),
+    gate: GateParams | NoisyGate = GateParams(),
     cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
     gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
     branch_ratio_e_to_0: float = 0.5,
@@ -98,20 +183,21 @@ def qcpg_lindblad_fidelity(
     Decay acts through the whole schedule: cavity photon loss at
     ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
     SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  With all rates
-    zero this reproduces the unitary gate to rounding.
+    zero this reproduces the unitary gate to rounding.  ``gate`` may also be
+    a ``NoisyGate`` from ``noisy_gate``, which already fixes the rates and
+    the cutoff; the other arguments are then not read.
     """
-    layout, schedule, segments, l_full = _noisy_gate(
+    noisy = gate if isinstance(gate, NoisyGate) else noisy_gate(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
     )
-
-    indices = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
-    dim = layout.total_dim
+    indices = noisy.computational
+    dim = len(noisy.kept)
     batch = np.zeros((16, dim, dim), dtype=complex)
     for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
         batch[m, indices[i], indices[j]] = 1.0
 
-    for h_full, duration in segments:
-        batch = exp_lindblad(batch, h_full, l_full, duration)
+    for h, duration in noisy.segments:
+        batch = exp_lindblad(batch, h, noisy.collapse, duration)
 
     f_pro = 0.0
     for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
@@ -130,10 +216,10 @@ def qcpg_lindblad_fidelity(
         process_fidelity=float(f_pro),
         trace_defect=float(trace_defect),
         min_eigenvalue=min_eig,
-        cavity_decay_per_s=float(cavity_decay_per_s),
-        gamma_e_per_s=float(gamma_e_per_s),
-        branch_ratio_e_to_0=float(branch_ratio_e_to_0),
-        gate_duration_s=float(schedule.total_duration),
+        cavity_decay_per_s=noisy.cavity_decay_per_s,
+        gamma_e_per_s=noisy.gamma_e_per_s,
+        branch_ratio_e_to_0=noisy.branch_ratio_e_to_0,
+        gate_duration_s=noisy.gate_duration_s,
     )
 
 

@@ -11,11 +11,14 @@ Open-system segments follow the Lindblad master equation
 whose generator is constant within a segment, so the segment's channel is
 exactly exp(L t).  ``exp_lindblad`` applies it to a batch of matrices with a
 truncated Taylor series on equal sub-steps (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33:488, 2011), never forming the d^2 x d^2 superoperator.  The
-sub-step count follows from a norm bound on L t before any work is done and
-is refused above ``MAX_LINDBLAD_SUBSTEPS``.  Density matrix runs are
-restricted to small composites (two SQUIDs and the cavity); chain generation
-is pure-state only.
+Comput. 33:488, 2011).  It forms the d^2 x d^2 superoperator once per call,
+so each Taylor term is one matrix product on the whole batch; since that
+matrix takes 16 d^4 bytes, dimensions above ``SUPEROPERATOR_DIM_LIMIT`` are
+refused before anything is allocated.  The sub-step count follows from a
+norm bound on L t before any work is done and is refused above
+``MAX_LINDBLAD_SUBSTEPS``.  Density matrix runs are restricted to small
+spaces: the noisy gate runs on its 11-state invariant subspace
+(``decoherence``); chain generation is pure-state only.
 
 ``evolve_lindblad`` integrates the same equation with fixed-step classical
 RK4.  It is kept as an independent second route that the exact propagator
@@ -56,6 +59,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # each sub-step costs up to _TAYLOR_DEGREE generator applications; at the cap
 # one segment costs about what 10 000 RK4 steps would
 MAX_LINDBLAD_SUBSTEPS = 1000
+# the formed superoperator takes 16 d^4 bytes: 16.8 MB at this dimension
+SUPEROPERATOR_DIM_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,6 @@ class SegmentPropagator:
 
     unitary: LocalOperator
     duration: float
-    segment: object | None = None
 
 
 def propagator(hamiltonian: LocalOperator, t: float) -> SegmentPropagator:
@@ -195,50 +199,69 @@ def _exact_parts(h_full, l_ops, t: float):
     # keeps the norm bound, and the cancellation in the series, small
     d = h_full.shape[0]
     h = h_full - (np.trace(h_full).real / d) * np.eye(d)
-    drift, drift_dag, l_dags = _lindblad_parts(h, l_ops)
+    drift, drift_dag, _ = _lindblad_parts(h, l_ops)
     # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F
     bound = 2.0 * np.linalg.norm(drift, 2) + sum(np.linalg.norm(l, 2) ** 2 for l in l_ops)
     substeps = max(1, math.ceil(bound * t / _TAYLOR_THETA))
-    return drift, drift_dag, l_dags, substeps
+    return drift, drift_dag, substeps
 
 
 def lindblad_substeps(h_full, l_ops, t: float) -> int:
     """Sub-steps ``exp_lindblad`` takes for duration ``t``; no propagation."""
-    return _exact_parts(h_full, l_ops, t)[3]
+    return _exact_parts(h_full, l_ops, t)[2]
+
+
+def _superoperator(drift, drift_dag, l_ops) -> np.ndarray:
+    """Matrix of L on row-major vec(rho), using vec(A rho B) = kron(A, B^T) vec(rho)."""
+    eye = np.eye(drift.shape[0])
+    sup = np.kron(drift, eye) + np.kron(eye, drift_dag.T)
+    for l_op in l_ops:
+        sup += np.kron(l_op, l_op.conj())
+    return sup
 
 
 def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
     """Apply exp(L t) to ``rho`` to rounding; rho may carry leading batch axes.
 
     L is the Lindbladian of Hamiltonian ``h_full`` and collapse operators
-    ``l_ops`` (full-space matrices).  Each of ``lindblad_substeps`` equal
-    sub-steps sums the Taylor series of exp(L h) until the largest entries
-    of two consecutive terms fall below unit roundoff relative to the sum's.
-    Trace and Hermiticity are not renormalized, so any drift stays visible
-    to the caller.
+    ``l_ops``, all d x d matrices on the space ``rho`` lives on, with d at
+    most ``SUPEROPERATOR_DIM_LIMIT``.  The d^2 x d^2 superoperator is formed
+    once; each of ``lindblad_substeps`` equal sub-steps then sums the Taylor
+    series of exp(L h), one matrix product on the whole batch per term,
+    until the largest entries of two consecutive terms fall below unit
+    roundoff relative to the sum's.  Trace and Hermiticity are not
+    renormalized, so any drift stays visible to the caller.
     """
+    d = h_full.shape[0]
+    if d > SUPEROPERATOR_DIM_LIMIT:
+        raise ValueError(
+            f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
+            f"(it would take {16 * d**4 / 1e6:.3g} MB)"
+        )
     if t < 0:
         raise ValueError(f"duration must be >= 0, got {t}")
-    drift, drift_dag, l_dags, n_sub = _exact_parts(h_full, l_ops, t)
+    drift, drift_dag, n_sub = _exact_parts(h_full, l_ops, t)
     if n_sub > MAX_LINDBLAD_SUBSTEPS:
         raise ValueError(
             f"exp(L t) needs {n_sub} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
         )
     h = t / n_sub
     rho = np.array(rho, dtype=complex)
+    # rows of the (batch, d^2) view are row-major vec(rho), so L acts from the right
+    sup_t = _superoperator(drift, drift_dag, l_ops).T
+    flat = rho.reshape(-1, d * d)
     for _ in range(n_sub):
-        term = rho
-        # largest-entry sizes: a BLAS norm here runs multithreaded and stalls
-        # concurrent sweep points
+        term = flat
+        # largest-entry sizes: a BLAS norm here runs multithreaded
         last = np.abs(term).max()
         for k in range(1, _TAYLOR_DEGREE + 1):
-            term = _lindblad_rhs(term, drift, drift_dag, l_ops, l_dags) * (h / k)
-            rho = rho + term
+            term = (term @ sup_t) * (h / k)
+            flat = flat + term
             size = np.abs(term).max()
-            if last + size <= _UNIT_ROUNDOFF * np.abs(rho).max():
+            if last + size <= _UNIT_ROUNDOFF * np.abs(flat).max():
                 break
             last = size
-    return rho
+    return flat.reshape(rho.shape)
 
 
 def evolve_lindblad(

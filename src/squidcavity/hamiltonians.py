@@ -246,15 +246,3 @@ def collapse_operators_from_rates(
                 )
     return ops
 
-
-def collapse_operators(
-    params: FeasibilityParams, n_max: int, squids: tuple[int, ...] = (0, 1)
-) -> list[LocalOperator]:
-    """Collapse operators at the operating point described by ``params``."""
-    return collapse_operators_from_rates(
-        cavity_decay=params.cavity_decay_per_s,
-        gamma_e=params.gamma_e_per_s,
-        branch_ratio_e_to_0=params.branch_ratio_e_to_0,
-        n_max=n_max,
-        squids=squids,
-    )

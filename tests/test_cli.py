@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from squidcavity import cli
+from squidcavity import cli, decoherence
 from squidcavity.cli import main
 
 
@@ -123,6 +123,30 @@ def test_decoherence_refuses_runaway_work(tmp_path, capsys):
     assert "k = 1e+15" in err and "sub-steps" in err
     # refused before any point ran
     assert not (tmp_path / "decoherence.csv").exists()
+
+
+def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):
+    calls = []
+    original = decoherence.embedded_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "embedded_matrix", counted)
+    assert main(["decoherence", "--values", "5e4,5e5", "--out", str(tmp_path)]) == 0
+    # three segment Hamiltonians and five collapse operators per point
+    assert len(calls) == 2 * 8
+
+
+def test_oversized_cutoff_is_refused_before_allocating(tmp_path, capsys):
+    for command in ("cluster", "decoherence"):
+        argv = [command, "--fock-cutoff", "1000000000", "--out", str(tmp_path)]
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 2
+    assert err.count("budget") == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_decoherence_rejects_non_finite_values(tmp_path, capsys):

@@ -36,6 +36,11 @@ def test_scalar_validation():
         RunConfig(n_qubits=4.5)
     with pytest.raises(ConfigError, match="fock_cutoff"):
         RunConfig(fock_cutoff=0)
+    # memory budget: refused from the sizes alone, before anything is built
+    with pytest.raises(ConfigError, match="budget"):
+        RunConfig(fock_cutoff=10**9)
+    with pytest.raises(ConfigError, match="budget"):
+        RunConfig(n_qubits=10, fock_cutoff=17)
     with pytest.raises(ConfigError, match="integer"):
         RunConfig(seed="0")
 

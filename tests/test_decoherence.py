@@ -1,13 +1,31 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from squidcavity import (
     MAX_LINDBLAD_SUBSTEPS,
+    GateParams,
+    basis_index,
     decoherence,
+    exp_lindblad,
     fidelity_sweep,
     gate_substeps,
     qcpg_lindblad_fidelity,
 )
+from squidcavity.decoherence import CZ_SIGNS, noisy_gate
 from squidcavity.evolution import _check_step_size, _rk4_lindblad
+from squidcavity.verification import COMPUTATIONAL_BASIS
+
+# points off the default one: heavy cavity loss, heavy |e> decay, all |e>
+# decay into |1>, and the smallest cutoff the exchange allows
+POINTS = [
+    {"cavity_decay_per_s": 5e4},
+    {"cavity_decay_per_s": 5e7},
+    {"gamma_e_per_s": 4e8},
+    {"branch_ratio_e_to_0": 0.0},
+    {"fock_cutoff": 1},
+]
 
 # module-scoped fixtures share runs across tests
 
@@ -95,3 +113,73 @@ def test_work_bound_leaves_room_and_refuses_runaway_rates():
     assert gate_substeps(cavity_decay_per_s=1e15) > MAX_LINDBLAD_SUBSTEPS
     with pytest.raises(ValueError, match="sub-steps"):
         qcpg_lindblad_fidelity(cavity_decay_per_s=1e15)
+
+
+def _point_args(point):
+    args = {
+        "cavity_decay_per_s": 5e4,
+        "gamma_e_per_s": 4e5,
+        "branch_ratio_e_to_0": 0.5,
+        "fock_cutoff": 2,
+    }
+    args.update(point)
+    return args
+
+
+@pytest.mark.parametrize("point", [*POINTS, {"fock_cutoff": 3}])
+def test_kept_states_are_closed_under_every_generator(point):
+    args = _point_args(point)
+    layout, _, segments, l_full = decoherence._full_generators(GateParams(), **args)
+    kept = list(noisy_gate(**args).kept)
+    outside = [i for i in range(layout.total_dim) if i not in kept]
+    generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]
+    for g in generators:
+        assert not np.any(g[np.ix_(outside, kept)])
+    assert len(kept) == (10 if args["fock_cutoff"] == 1 else 11)
+
+
+def _full_space_scores(args):
+    # the same tomography on the full 9 (cutoff + 1)-dim space, no cut
+    layout, _, segments, l_full = decoherence._full_generators(GateParams(), **args)
+    idx = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
+    units = list(itertools.product(range(4), repeat=2))
+    d = layout.total_dim
+    batch = np.zeros((16, d, d), dtype=complex)
+    for m, (i, j) in enumerate(units):
+        batch[m, idx[i], idx[j]] = 1.0
+    for h, t in segments:
+        batch = exp_lindblad(batch, h, l_full, t)
+    f_pro = sum(
+        CZ_SIGNS[i] * CZ_SIGNS[j] * batch[m, idx[i], idx[j]].real
+        for m, (i, j) in enumerate(units)
+    ) / 16.0
+    trace_defect = max(
+        abs(np.trace(batch[m]).real - 1.0) for m, (i, j) in enumerate(units) if i == j
+    )
+    return (4.0 * f_pro + 1.0) / 5.0, f_pro, trace_defect
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_reduced_run_matches_the_full_space(point):
+    args = _point_args(point)
+    f_avg, f_pro, trace_defect = _full_space_scores(args)
+    result = qcpg_lindblad_fidelity(**args)
+    assert abs(result.average_fidelity - f_avg) <= 1e-13
+    assert abs(result.process_fidelity - f_pro) <= 1e-13
+    assert abs(result.trace_defect - trace_defect) <= 1e-13
+
+
+def test_cutoff_two_is_converged():
+    f = {c: qcpg_lindblad_fidelity(fock_cutoff=c).average_fidelity for c in (1, 2, 3, 6)}
+    assert abs(f[3] - f[2]) <= 1e-15
+    assert abs(f[6] - f[2]) <= 1e-15
+    # one photon is too few: it cuts the two-photon state |0,0,2>, which |1,1,0>
+    # reaches in the exchange once |e> decay has spoiled the first pulse
+    assert f[1] == pytest.approx(0.99435719, abs=1e-8)
+    assert abs(f[1] - f[2]) > 1e-7
+
+
+def test_prepared_gate_scores_like_its_parameters():
+    noisy = noisy_gate(cavity_decay_per_s=5e6)
+    assert qcpg_lindblad_fidelity(noisy) == qcpg_lindblad_fidelity(cavity_decay_per_s=5e6)
+    assert noisy.substeps == gate_substeps(cavity_decay_per_s=5e6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from squidcavity import (
     single_excitation_closed_form,
     state_fidelity,
     tensor_state,
+)
+from squidcavity.evolution import (
+    SUPEROPERATOR_DIM_LIMIT,
+    _lindblad_parts,
+    _lindblad_rhs,
+    _superoperator,
 )
 
 
@@ -290,3 +297,37 @@ def test_exp_lindblad_guards():
     assert lindblad_substeps(h_full, [], too_long) > MAX_LINDBLAD_SUBSTEPS
     with pytest.raises(ValueError, match="sub-steps"):
         exp_lindblad(rho0, h_full, [], too_long)
+
+
+def test_superoperator_matches_the_matrix_form_of_the_generator():
+    rng = np.random.default_rng(7)
+    d, batch = 6, 5
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = cplx(d, d)
+    h = h + h.conj().T
+    l_ops = [cplx(d, d) for _ in range(3)]
+    drift, drift_dag, l_dags = _lindblad_parts(h, l_ops)
+    rho = cplx(batch, d, d)
+    want = _lindblad_rhs(rho, drift, drift_dag, l_ops, l_dags)
+    sup = _superoperator(drift, drift_dag, l_ops)
+    got = (rho.reshape(batch, d * d) @ sup.T).reshape(rho.shape)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_exp_lindblad_refuses_large_dimensions_before_allocating():
+    # zero-stride views: a (d, d) operand that takes no memory of its own
+    for d in (SUPEROPERATOR_DIM_LIMIT + 1, 1024):
+        h = np.broadcast_to(np.zeros((), dtype=complex), (d, d))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="superoperator limit"):
+                exp_lindblad(h, h, [h], 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+    eye = np.eye(SUPEROPERATOR_DIM_LIMIT, dtype=complex)
+    np.testing.assert_array_equal(exp_lindblad(eye, 0 * eye, [], 0.0), eye)

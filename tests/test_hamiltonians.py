@@ -11,7 +11,6 @@ from squidcavity import (
     annihilation,
     basis_index,
     cavity_coupling_hamiltonian,
-    collapse_operators,
     collapse_operators_from_rates,
     drive_hamiltonian,
     excitation_number,
@@ -145,6 +144,9 @@ def test_collapse_operators_drop_zero_rates():
 
 
 def test_collapse_operators_from_params():
-    ops = collapse_operators(FeasibilityParams(), n_max=2)
+    params = FeasibilityParams()
+    ops = collapse_operators_from_rates(
+        params.cavity_decay_per_s, params.gamma_e_per_s, params.branch_ratio_e_to_0, n_max=2
+    )
     assert len(ops) == 5
     np.testing.assert_allclose(np.max(np.abs(ops[0].matrix)), math.sqrt(5e4 * 2))

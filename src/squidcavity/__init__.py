@@ -13,32 +13,17 @@ from .config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    with_updates,
 )
-from .decoherence import (
-    GateProcessResult,
-    fidelity_sweep,
-    gate_substeps,
-    qcpg_lindblad_fidelity,
-)
+from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import (
     MAX_LINDBLAD_SUBSTEPS,
-    SegmentPropagator,
-    SingleExcitationAmplitudes,
-    evolve_lindblad,
     evolve_pure,
     exp_lindblad,
     lindblad_substeps,
     propagator,
-    segment_hamiltonian,
     single_excitation_closed_form,
 )
-from .feasibility import (
-    ANCHORS,
-    FeasibilityReport,
-    feasibility_report,
-    round_to_sig_figures,
-)
+from .feasibility import ANCHORS, feasibility_report, round_to_sig_figures
 from .hamiltonians import (
     CavityCouplingSpec,
     DriveSpec,
@@ -50,12 +35,7 @@ from .hamiltonians import (
     excitation_number,
 )
 from .hilbert import (
-    LEVEL_0,
-    LEVEL_1,
-    LEVEL_E,
-    SQUID_DIM,
     CompositeState,
-    DensityMatrix,
     LocalOperator,
     SpaceLayout,
     apply_local,
@@ -63,11 +43,9 @@ from .hilbert import (
     basis_state,
     embedded_matrix,
     expectation,
-    reduced_density,
     tensor_state,
 )
 from .protocols import (
-    DEFAULT_DRIVE_RABI,
     CavitySegment,
     DriveSegment,
     GateParams,
@@ -85,8 +63,6 @@ from .protocols import (
 )
 from .verification import (
     CZ_DIAG,
-    StabilizerReport,
-    TruthTableReport,
     average_gate_fidelity,
     cavity_vacuum_population,
     chain_stabilizer,
@@ -97,80 +73,3 @@ from .verification import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANCHORS",
-    "CZ_DIAG",
-    "CavityCouplingSpec",
-    "CavitySegment",
-    "CompositeState",
-    "ConfigError",
-    "DEFAULT_DRIVE_RABI",
-    "DensityMatrix",
-    "DriveSegment",
-    "DriveSpec",
-    "FeasibilityParams",
-    "FeasibilityReport",
-    "GateParams",
-    "GateProcessResult",
-    "LEVEL_0",
-    "LEVEL_1",
-    "LEVEL_E",
-    "LocalOperator",
-    "MAX_LINDBLAD_SUBSTEPS",
-    "PulseSchedule",
-    "RunConfig",
-    "SQUID_DIM",
-    "SegmentPropagator",
-    "SingleExcitationAmplitudes",
-    "SpaceLayout",
-    "StabilizerReport",
-    "SweepSettings",
-    "TruthTableReport",
-    "annihilation",
-    "apply_local",
-    "average_gate_fidelity",
-    "basis_index",
-    "basis_state",
-    "cavity_coupling_hamiltonian",
-    "cavity_vacuum_population",
-    "chain_initial_state",
-    "chain_stabilizer",
-    "cluster_chain_schedule",
-    "cluster_state_oracle",
-    "collapse_operators_from_rates",
-    "computational_propagator",
-    "config_from_dict",
-    "config_to_dict",
-    "drive_hamiltonian",
-    "embedded_matrix",
-    "evolve_lindblad",
-    "evolve_pure",
-    "exp_lindblad",
-    "excitation_number",
-    "expectation",
-    "feasibility_report",
-    "fidelity_sweep",
-    "gate_condition_residuals",
-    "gate_substeps",
-    "lindblad_substeps",
-    "load_config",
-    "prepare_superposition",
-    "propagator",
-    "qcpg_lindblad_fidelity",
-    "qcpg_schedule",
-    "reduced_density",
-    "rotation_pulse",
-    "round_to_sig_figures",
-    "schedule_to_dicts",
-    "schedule_to_json",
-    "segment_hamiltonian",
-    "segment_to_dict",
-    "single_excitation_closed_form",
-    "stabilizer_expectations",
-    "state_fidelity",
-    "tensor_state",
-    "truth_table",
-    "with_updates",
-    "__version__",
-]

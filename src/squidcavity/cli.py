@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from .config import (
     SweepSettings,
     config_to_dict,
     load_config,
-    with_updates,
 )
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import MAX_LINDBLAD_SUBSTEPS, evolve_pure
@@ -126,12 +126,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     try:
         gate = config.gate
         if getattr(args, "ratio", None) is not None:
-            gate = with_updates(gate, ratio=args.ratio)
+            gate = replace(gate, ratio=args.ratio)
         scale = getattr(args, "cavity_time_scale", 1.0)
         if scale != 1.0:
             if not scale > 0:
                 raise ConfigError(f"--cavity-time-scale must be > 0, got {scale}")
-            gate = with_updates(gate, cavity_time=gate.resolved_cavity_time * scale)
+            gate = replace(gate, cavity_time=gate.resolved_cavity_time * scale)
         if gate is not config.gate:
             updates["gate"] = gate
 
@@ -147,7 +147,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 parameter=parameter or config.sweep.parameter,
                 values=config.sweep.values if values is None else values,
             )
-        return with_updates(config, **updates) if updates else config
+        return replace(config, **updates) if updates else config
     except ConfigError:
         raise
     except ValueError as exc:

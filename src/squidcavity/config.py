@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams
@@ -190,7 +190,3 @@ def config_to_dict(config: RunConfig) -> dict:
         "sweep": {"parameter": config.sweep.parameter, "values": list(config.sweep.values)},
     }
 
-
-def with_updates(config: RunConfig, **updates) -> RunConfig:
-    """``dataclasses.replace`` wrapper so callers need not import dataclasses."""
-    return replace(config, **updates)

@@ -129,7 +129,10 @@ def noisy_gate(
 ) -> NoisyGate:
     """Build the noisy gate's generators on its invariant subspace; no propagation.
 
-    ``substeps`` on the result lets a caller check the work against
+    Decay acts through the whole schedule: cavity photon loss at
+    ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
+    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  ``substeps`` on
+    the result lets a caller check the work against
     ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
     """
     layout, schedule, segments, l_full = _full_generators(
@@ -154,42 +157,13 @@ def noisy_gate(
     )
 
 
-def gate_substeps(
-    gate: GateParams = GateParams(),
-    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
-    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
-    branch_ratio_e_to_0: float = 0.5,
-    fock_cutoff: int = 2,
-) -> int:
-    """Most propagator sub-steps any one segment of the noisy gate needs.
-
-    Cheap (no propagation); lets a caller check the work against
-    ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
-    """
-    return noisy_gate(
-        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
-    ).substeps
-
-
-def qcpg_lindblad_fidelity(
-    gate: GateParams | NoisyGate = GateParams(),
-    cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
-    gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
-    branch_ratio_e_to_0: float = 0.5,
-    fock_cutoff: int = 2,
-) -> GateProcessResult:
+def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
     """Average gate fidelity of the controlled-phase gate under decay.
 
-    Decay acts through the whole schedule: cavity photon loss at
-    ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
-    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  With all rates
-    zero this reproduces the unitary gate to rounding.  ``gate`` may also be
-    a ``NoisyGate`` from ``noisy_gate``, which already fixes the rates and
-    the cutoff; the other arguments are then not read.
+    ``noisy`` comes from ``noisy_gate``, which fixes the gate, the decay
+    rates and the cutoff.  With all rates zero this reproduces the unitary
+    gate to rounding.
     """
-    noisy = gate if isinstance(gate, NoisyGate) else noisy_gate(
-        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
-    )
     indices = noisy.computational
     dim = len(noisy.kept)
     batch = np.zeros((16, dim, dim), dtype=complex)
@@ -222,36 +196,3 @@ def qcpg_lindblad_fidelity(
         gate_duration_s=noisy.gate_duration_s,
     )
 
-
-def fidelity_sweep(
-    parameter: str,
-    values,
-    gate: GateParams = GateParams(),
-    base: FeasibilityParams = FeasibilityParams(),
-    fock_cutoff: int = 2,
-) -> list[GateProcessResult]:
-    """Score the gate at each value of one decay parameter, others held at base.
-
-    ``parameter`` is one of ``cavity_decay``, ``gamma_e``, ``branch_ratio``.
-    Results come back in the order of ``values``.
-    """
-    if parameter not in ("cavity_decay", "gamma_e", "branch_ratio"):
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; expected cavity_decay, "
-            "gamma_e, or branch_ratio"
-        )
-    results = []
-    for value in values:
-        kwargs = {
-            "cavity_decay_per_s": base.cavity_decay_per_s,
-            "gamma_e_per_s": base.gamma_e_per_s,
-            "branch_ratio_e_to_0": base.branch_ratio_e_to_0,
-        }
-        key = {
-            "cavity_decay": "cavity_decay_per_s",
-            "gamma_e": "gamma_e_per_s",
-            "branch_ratio": "branch_ratio_e_to_0",
-        }[parameter]
-        kwargs[key] = float(value)
-        results.append(qcpg_lindblad_fidelity(gate, fock_cutoff=fock_cutoff, **kwargs))
-    return results

@@ -20,9 +20,10 @@ norm bound on L t before any work is done and is refused above
 spaces: the noisy gate runs on its 11-state invariant subspace
 (``decoherence``); chain generation is pure-state only.
 
-``evolve_lindblad`` integrates the same equation with fixed-step classical
-RK4.  It is kept as an independent second route that the exact propagator
-is tested against.
+``_rk4_lindblad`` integrates the same equation with fixed-step classical
+RK4, and ``_check_step_size`` guards its step.  No program path runs them:
+they are the independent second route that tests check the exact
+propagator against.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import cavity_coupling_hamiltonian, drive_hamiltonian
-from .hilbert import (
-    CompositeState,
-    DensityMatrix,
-    LocalOperator,
-    apply_local,
-    embedded_matrix,
-)
+from .hilbert import CompositeState, LocalOperator, apply_local
 from .protocols import CavitySegment, DriveSegment, PulseSchedule
 
 UNITARITY_TOL = 1e-12
@@ -47,8 +42,6 @@ NORM_TOL = 1e-10
 
 # step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
 _MAX_PHASE_PER_STEP = 1.0 / 50.0
-
-_LINDBLAD_DIM_LIMIT = 1000
 
 # Taylor degree and the largest ||L h|| per sub-step it covers: a degree-40
 # series meets unit-roundoff backward error for norms up to 6.0 (Al-Mohy &
@@ -63,15 +56,7 @@ MAX_LINDBLAD_SUBSTEPS = 1000
 SUPEROPERATOR_DIM_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class SegmentPropagator:
-    """Local unitary exp(-iHt) for one schedule segment."""
-
-    unitary: LocalOperator
-    duration: float
-
-
-def propagator(hamiltonian: LocalOperator, t: float) -> SegmentPropagator:
+def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     """exp(-iHt) on H's sites, via Hermitian eigendecomposition."""
     if not hamiltonian.hermitian:
         raise ValueError("propagator requires a Hermitian generator")
@@ -82,10 +67,7 @@ def propagator(hamiltonian: LocalOperator, t: float) -> SegmentPropagator:
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
     if defect > UNITARITY_TOL:
         raise ValueError(f"propagator failed unitarity check ({defect:.3e})")
-    return SegmentPropagator(
-        unitary=LocalOperator(hamiltonian.sites, hamiltonian.local_dims, mat),
-        duration=t,
-    )
+    return LocalOperator(hamiltonian.sites, hamiltonian.local_dims, mat)
 
 
 def segment_hamiltonian(segment, fock_cutoff: int) -> LocalOperator:
@@ -102,8 +84,7 @@ def evolve_pure(state: CompositeState, schedule: PulseSchedule) -> CompositeStat
     current = state
     for segment in schedule:
         h = segment_hamiltonian(segment, current.layout.fock_cutoff)
-        prop = propagator(h, segment.duration)
-        current = apply_local(current, prop.unitary)
+        current = apply_local(current, propagator(h, segment.duration))
         norm = current.norm()
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
@@ -149,10 +130,6 @@ def single_excitation_closed_form(
     )
 
 
-def _lindblad_step_count(t_total: float, dt: float) -> int:
-    return max(1, math.ceil(t_total / dt))
-
-
 def _check_step_size(h_full: np.ndarray, dt: float) -> None:
     scale = float(np.max(np.abs(np.linalg.eigvalsh(h_full)))) if h_full.size else 0.0
     if scale > 0 and dt > _MAX_PHASE_PER_STEP / scale:
@@ -180,7 +157,7 @@ def _lindblad_rhs(rho, drift, drift_dag, l_ops, l_dags):
 
 def _rk4_lindblad(rho, h_full, l_ops, t_total: float, dt: float) -> np.ndarray:
     """Fixed-step RK4 Lindblad integration; rho may carry leading batch axes."""
-    n_steps = _lindblad_step_count(t_total, dt)
+    n_steps = max(1, math.ceil(t_total / dt))
     step = t_total / n_steps
     drift, drift_dag, l_dags = _lindblad_parts(h_full, l_ops)
     rho = np.array(rho, dtype=complex)
@@ -263,37 +240,3 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
             last = size
     return flat.reshape(rho.shape)
 
-
-def evolve_lindblad(
-    rho0: DensityMatrix,
-    hamiltonian: LocalOperator,
-    collapse_ops,
-    t_total: float,
-    dt: float,
-) -> DensityMatrix:
-    """Integrate the master equation for ``t_total`` with fixed step ``dt``.
-
-    ``rho0`` must live on a full composite layout of dimension <= 1000.  The
-    step size must resolve the fastest Hamiltonian phase (dt <= 1/(50 * max
-    |eigenvalue|)); trace and Hermiticity are preserved up to integrator
-    rounding, not renormalized, so drift is visible to the caller.
-    """
-    if rho0.layout is None:
-        raise ValueError("evolve_lindblad needs a density matrix with a full layout")
-    if rho0.dim > _LINDBLAD_DIM_LIMIT:
-        raise ValueError(
-            f"composite dimension {rho0.dim} exceeds the density-matrix "
-            f"limit {_LINDBLAD_DIM_LIMIT}"
-        )
-    if t_total < 0:
-        raise ValueError(f"t_total must be >= 0, got {t_total}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    layout = rho0.layout
-    h_full = embedded_matrix(hamiltonian, layout)
-    _check_step_size(h_full, dt)
-    l_full = [embedded_matrix(op, layout) for op in collapse_ops]
-    if t_total == 0:
-        return DensityMatrix(layout.dims, rho0.matrix.copy(), layout=layout)
-    out = _rk4_lindblad(rho0.matrix, h_full, l_full, t_total, dt)
-    return DensityMatrix(layout.dims, out, layout=layout)

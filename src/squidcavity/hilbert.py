@@ -243,56 +243,3 @@ def embedded_matrix(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
     full = np.transpose(full, list(inv) + [n + i for i in inv])
     return full.reshape(layout.total_dim, layout.total_dim)
 
-
-@dataclass
-class DensityMatrix:
-    """Density matrix over a (possibly reduced) list of tensor factors."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-    layout: SpaceLayout | None = None
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = math.prod(self.dims)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match dims {self.dims}"
-            )
-        self.matrix = mat
-
-    @classmethod
-    def from_pure(cls, state: CompositeState) -> "DensityMatrix":
-        amp = state.amplitudes
-        return cls(state.layout.dims, np.outer(amp, amp.conj()), layout=state.layout)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
-
-
-def reduced_density(state: CompositeState, keep_sites) -> DensityMatrix:
-    """Partial trace down to the listed factors (in the listed order)."""
-    layout = state.layout
-    keep = layout.resolve_sites(keep_sites)
-    if not keep:
-        raise ValueError("keep_sites must be nonempty")
-    psi = state.amplitudes.reshape(layout.dims)
-    psi = np.moveaxis(psi, keep, tuple(range(len(keep))))
-    keep_dim = math.prod(layout.dims[s] for s in keep)
-    mat = psi.reshape(keep_dim, -1)
-    rho = mat @ mat.conj().T
-    return DensityMatrix(tuple(layout.dims[s] for s in keep), rho)

@@ -124,6 +124,11 @@ class GateParams:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        # finite inputs can still overflow in the values derived from them
+        for name in ("omega_2", "resolved_cavity_time", "resolved_pulse_duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} overflows to {value}")
 
     @property
     def omega_2(self) -> float:

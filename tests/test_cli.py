@@ -169,6 +169,9 @@ def test_non_finite_config_value_names_its_key(tmp_path, capsys):
     assert "gate.omega_1_per_s must be finite" in capsys.readouterr().err
     assert main(["truth-table", "--ratio", "inf", "--out", str(tmp_path)]) == 2
     assert "ratio must be finite" in capsys.readouterr().err
+    # a finite ratio whose coupling omega_2 = ratio * omega_1 overflows
+    assert main(["truth-table", "--ratio", "1e300", "--out", str(tmp_path)]) == 2
+    assert "omega_2 overflows" in capsys.readouterr().err
     assert not (tmp_path / "truth_table.json").exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from squidcavity import (
     config_from_dict,
     config_to_dict,
     load_config,
-    with_updates,
 )
 
 
@@ -142,11 +142,12 @@ def test_load_config(tmp_path):
         load_config(bad)
 
 
-def test_with_updates_replaces_fields():
+def test_replace_revalidates_fields():
+    # the command line applies its flags with dataclasses.replace
     config = RunConfig()
-    updated = with_updates(config, n_qubits=8, protocol="cluster")
+    updated = replace(config, n_qubits=8, protocol="cluster")
     assert updated.n_qubits == 8
     assert updated.protocol == "cluster"
     assert config.n_qubits == 4
     with pytest.raises(ConfigError):
-        with_updates(config, n_qubits=1)
+        replace(config, n_qubits=1)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from squidcavity import (
     basis_index,
     decoherence,
     exp_lindblad,
-    fidelity_sweep,
-    gate_substeps,
+    noisy_gate,
     qcpg_lindblad_fidelity,
 )
-from squidcavity.decoherence import CZ_SIGNS, noisy_gate
+from squidcavity.cli import main
+from squidcavity.decoherence import CZ_SIGNS
 from squidcavity.evolution import _check_step_size, _rk4_lindblad
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
@@ -32,17 +33,17 @@ POINTS = [
 
 @pytest.fixture(scope="module")
 def baseline_result():
-    return qcpg_lindblad_fidelity()
+    return qcpg_lindblad_fidelity(noisy_gate())
 
 
 @pytest.fixture(scope="module")
 def lossless_result():
-    return qcpg_lindblad_fidelity(cavity_decay_per_s=0.0, gamma_e_per_s=0.0)
+    return qcpg_lindblad_fidelity(noisy_gate(cavity_decay_per_s=0.0, gamma_e_per_s=0.0))
 
 
 @pytest.fixture(scope="module")
 def heavy_loss_result():
-    return qcpg_lindblad_fidelity(cavity_decay_per_s=5e7)
+    return qcpg_lindblad_fidelity(noisy_gate(cavity_decay_per_s=5e7))
 
 
 def test_lossless_gate_is_nearly_perfect(lossless_result):
@@ -67,7 +68,7 @@ def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
         return _rk4_lindblad(rho, h_full, l_ops, t, dt)
 
     monkeypatch.setattr(decoherence, "exp_lindblad", rk4)
-    reference = qcpg_lindblad_fidelity()
+    reference = qcpg_lindblad_fidelity(noisy_gate())
     assert abs(baseline_result.average_fidelity - reference.average_fidelity) <= 1e-12
     assert abs(baseline_result.process_fidelity - reference.process_fidelity) <= 1e-12
 
@@ -86,33 +87,37 @@ def test_result_diagnostics_are_physical(baseline_result):
     assert baseline_result.branch_ratio_e_to_0 == 0.5
 
 
-def test_sweep_preserves_order_and_overrides_one_parameter():
-    values = [5e6, 5e4]
-    results = fidelity_sweep("cavity_decay", values)
-    assert [r.cavity_decay_per_s for r in results] == values
-    assert all(r.gamma_e_per_s == 4e5 for r in results)
+def test_sweep_preserves_order_and_overrides_one_parameter(tmp_path, capsys):
+    assert main(["decoherence", "--values", "5e6,5e4", "--out", str(tmp_path / "k")]) == 0
+    k_rows = json.loads((tmp_path / "k" / "decoherence.json").read_text())["rows"]
+    assert [row["value"] for row in k_rows] == [5e6, 5e4]
     # larger decay rate scores worse, whatever the list order
-    assert results[0].average_fidelity < results[1].average_fidelity
-
-
-def test_sweep_rejects_unknown_parameter():
-    with pytest.raises(ValueError, match="sweep parameter"):
-        fidelity_sweep("q_factor", [1.0])
+    assert k_rows[0]["average_fidelity"] < k_rows[1]["average_fidelity"]
+    # sweeping gamma_e at its base value leaves k at its base: the default point
+    argv = ["decoherence", "--sweep", "gamma_e", "--values", "4e5"]
+    assert main([*argv, "--out", str(tmp_path / "gamma_e")]) == 0
+    gamma_rows = json.loads((tmp_path / "gamma_e" / "decoherence.json").read_text())["rows"]
+    assert gamma_rows[0]["average_fidelity"] == k_rows[1]["average_fidelity"]
+    capsys.readouterr()
 
 
 def test_rejects_invalid_rates():
     with pytest.raises(ValueError):
-        qcpg_lindblad_fidelity(cavity_decay_per_s=-1.0)
+        noisy_gate(cavity_decay_per_s=-1.0)
     with pytest.raises(ValueError):
-        qcpg_lindblad_fidelity(branch_ratio_e_to_0=1.5)
+        noisy_gate(branch_ratio_e_to_0=1.5)
+    # the rates belong to the prepared gate; the scorer takes nothing else
+    with pytest.raises(TypeError):
+        qcpg_lindblad_fidelity(noisy_gate(), cavity_decay_per_s=5e7)
 
 
 def test_work_bound_leaves_room_and_refuses_runaway_rates():
     # the default sweep's top rate sits far below the sub-step cap
-    assert gate_substeps(cavity_decay_per_s=5e7) * 100 <= MAX_LINDBLAD_SUBSTEPS
-    assert gate_substeps(cavity_decay_per_s=1e15) > MAX_LINDBLAD_SUBSTEPS
+    assert noisy_gate(cavity_decay_per_s=5e7).substeps * 100 <= MAX_LINDBLAD_SUBSTEPS
+    runaway = noisy_gate(cavity_decay_per_s=1e15)
+    assert runaway.substeps > MAX_LINDBLAD_SUBSTEPS
     with pytest.raises(ValueError, match="sub-steps"):
-        qcpg_lindblad_fidelity(cavity_decay_per_s=1e15)
+        qcpg_lindblad_fidelity(runaway)
 
 
 def _point_args(point):
@@ -163,14 +168,17 @@ def _full_space_scores(args):
 def test_reduced_run_matches_the_full_space(point):
     args = _point_args(point)
     f_avg, f_pro, trace_defect = _full_space_scores(args)
-    result = qcpg_lindblad_fidelity(**args)
+    result = qcpg_lindblad_fidelity(noisy_gate(**args))
     assert abs(result.average_fidelity - f_avg) <= 1e-13
     assert abs(result.process_fidelity - f_pro) <= 1e-13
     assert abs(result.trace_defect - trace_defect) <= 1e-13
 
 
 def test_cutoff_two_is_converged():
-    f = {c: qcpg_lindblad_fidelity(fock_cutoff=c).average_fidelity for c in (1, 2, 3, 6)}
+    f = {
+        c: qcpg_lindblad_fidelity(noisy_gate(fock_cutoff=c)).average_fidelity
+        for c in (1, 2, 3, 6)
+    }
     assert abs(f[3] - f[2]) <= 1e-15
     assert abs(f[6] - f[2]) <= 1e-15
     # one photon is too few: it cuts the two-photon state |0,0,2>, which |1,1,0>
@@ -178,8 +186,3 @@ def test_cutoff_two_is_converged():
     assert f[1] == pytest.approx(0.99435719, abs=1e-8)
     assert abs(f[1] - f[2]) > 1e-7
 
-
-def test_prepared_gate_scores_like_its_parameters():
-    noisy = noisy_gate(cavity_decay_per_s=5e6)
-    assert qcpg_lindblad_fidelity(noisy) == qcpg_lindblad_fidelity(cavity_decay_per_s=5e6)
-    assert noisy.substeps == gate_substeps(cavity_decay_per_s=5e6)

@@ -4,7 +4,6 @@ import pytest
 from conftest import oracle_apply, oracle_embedded, random_state, random_unitary
 from squidcavity import (
     CompositeState,
-    DensityMatrix,
     LocalOperator,
     SpaceLayout,
     apply_local,
@@ -12,7 +11,6 @@ from squidcavity import (
     basis_state,
     embedded_matrix,
     expectation,
-    reduced_density,
     tensor_state,
 )
 
@@ -211,42 +209,3 @@ def test_expectation_real_for_hermitian():
     op = LocalOperator((0, 1), (3, 3), (m + m.conj().T) / 2, hermitian=True)
     assert abs(expectation(state, op).imag) <= 1e-12
 
-
-def test_density_matrix_from_pure():
-    layout = SpaceLayout(1, fock_cutoff=1)
-    rho = DensityMatrix.from_pure(basis_state(layout, (1,)))
-    assert rho.trace() == 1.0
-    assert rho.purity() == 1.0
-    assert rho.hermiticity_defect() == 0.0
-    assert rho.min_eigenvalue() >= -1e-15
-
-
-def test_reduced_density_product_state_cavity():
-    state = tensor_state([(0, 1, 0), (1, 0, 0), (1, 0, 0)])
-    rho = reduced_density(state, (-1,))
-    np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0, 0]), atol=1e-15)
-    np.testing.assert_allclose(rho.purity(), 1.0, atol=1e-12)
-
-
-def test_reduced_density_bell_state_half_purity():
-    layout = SpaceLayout(2, fock_cutoff=1)
-    amp = np.zeros(layout.total_dim, dtype=complex)
-    amp[basis_index(layout, (0, 0))] = 1 / np.sqrt(2)
-    amp[basis_index(layout, (1, 1))] = 1 / np.sqrt(2)
-    state = CompositeState(layout, amp)
-    rho = reduced_density(state, (0,))
-    np.testing.assert_allclose(rho.trace(), 1.0, atol=1e-12)
-    np.testing.assert_allclose(rho.purity(), 0.5, atol=1e-10)
-    assert rho.hermiticity_defect() <= 1e-14
-
-
-def test_reduced_density_trace_and_hermiticity_random():
-    rng = np.random.default_rng(9)
-    layout = SpaceLayout(3, fock_cutoff=2)
-    for keep in [(0,), (1, 2), (-1, 0)]:
-        state = random_state(rng, layout)
-        rho = reduced_density(state, keep)
-        np.testing.assert_allclose(rho.trace(), 1.0, atol=1e-12)
-        assert rho.hermiticity_defect() <= 1e-14
-    with pytest.raises(ValueError):
-        reduced_density(state, ())

@@ -71,6 +71,13 @@ def test_gate_params_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 GateParams(**{name: bad})
+    # finite inputs whose derived values overflow
+    with pytest.raises(ValueError, match="omega_2 overflows"):
+        GateParams(ratio=1e300)
+    with pytest.raises(ValueError, match="resolved_cavity_time overflows"):
+        GateParams(omega_1=1e-310)
+    with pytest.raises(ValueError, match="resolved_pulse_duration overflows"):
+        GateParams(drive_rabi=1e-310)
 
 
 def test_gate_conditions_detect_bad_ratio():

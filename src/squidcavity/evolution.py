@@ -65,7 +65,8 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     w, v = np.linalg.eigh(hamiltonian.matrix)
     mat = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if defect > UNITARITY_TOL:
+    # written so that a NaN defect fails too
+    if not defect <= UNITARITY_TOL:
         raise ValueError(f"propagator failed unitarity check ({defect:.3e})")
     return LocalOperator(hamiltonian.sites, hamiltonian.local_dims, mat)
 
@@ -81,16 +82,17 @@ def segment_hamiltonian(segment, fock_cutoff: int) -> LocalOperator:
 
 def evolve_pure(state: CompositeState, schedule: PulseSchedule) -> CompositeState:
     """Run a schedule segment by segment on a pure state."""
-    current = state
+    # rebinding ``state`` drops this frame's hold on the initial state, so a
+    # caller that keeps no reference frees it after the first segment
     for segment in schedule:
-        h = segment_hamiltonian(segment, current.layout.fock_cutoff)
-        current = apply_local(current, propagator(h, segment.duration))
-        norm = current.norm()
-        if abs(norm - 1.0) > NORM_TOL:
+        h = segment_hamiltonian(segment, state.layout.fock_cutoff)
+        state = apply_local(state, propagator(h, segment.duration))
+        norm = state.norm()
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"norm drifted to {norm!r} after a unitary segment"
             )
-    return current
+    return state
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,15 @@ Conventions fixed here and relied on everywhere else in the package:
 * Operators address factors through site indices.  Negative indices count
   from the end of the factor list, so site ``-1`` is always the cavity.
 
+``apply_local`` never forms a global matrix.  When an operator's sites are
+one ascending run of neighbouring factors (every single-SQUID pulse, every
+chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1, cavity)), the
+factors before the run, the run and the factors after it are three
+contiguous digit groups of the C-ordered amplitude vector.  Its reshape to
+(left, D, right) is then a view, and the operator is applied with no copy of
+the state.  Any other site set, such as the gate's (a, a+1, cavity) with
+a < N-2 or a descending order, needs one transposing copy each way.
+
 Layouts and operators are immutable after construction and safe to share
 between threads.  A CompositeState is owned by whichever evolution is
 currently producing it; independent runs can proceed concurrently on their
@@ -31,6 +40,13 @@ SQUID_DIM = 3
 LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
 
 HERMITICITY_TOL = 1e-12
+
+# A single-run operator of dimension D with ``right`` amplitudes after it is
+# applied either as ``left`` stacked (D x D)(D x right) products or as one
+# gemm against kron(M, I_right), which does ``right`` times the arithmetic.
+# The single gemm wins while its extra D^2 right (right - 1) multiply-adds
+# per block stay below the cost of a separate small product.
+_KRON_EXTRA_MACS = 5000
 
 
 @dataclass(frozen=True)
@@ -198,7 +214,17 @@ def tensor_state(local_factors) -> CompositeState:
 
 
 def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
-    """Apply a local operator, embedding it with identities elsewhere."""
+    """Apply a local operator, embedding it with identities elsewhere.
+
+    The operator's sites split, in the operator's own order, into runs of
+    ascending neighbours; on three SQUIDs (1, 2, -1) is one run and
+    (0, 1, -1) is two.  A single run is contracted on a reshape view
+    (left, D, right) of the amplitude vector, so no copy of the state is made
+    before or after the one matrix product.  Any other site set is
+    contracted over its runs, with the untouched factors between them merged
+    into single axes, so the one transposing copy each way moves as few axes
+    as the site order allows.
+    """
     layout = state.layout
     sites = layout.resolve_sites(op.sites)
     for s, d in zip(sites, op.local_dims):
@@ -206,11 +232,40 @@ def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
             raise ValueError(
                 f"operator expects dimension {d} at site {s}, layout has {layout.dims[s]}"
             )
-    k = len(sites)
-    psi = state.amplitudes.reshape(layout.dims)
-    mat = op.matrix.reshape(op.local_dims + op.local_dims)
-    out = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), sites))
-    out = np.moveaxis(out, tuple(range(k)), sites)
+    # split the sites, in operator order, into runs of ascending neighbours
+    runs = []
+    for s in sites:
+        if runs and s == runs[-1][-1] + 1:
+            runs[-1].append(s)
+        else:
+            runs.append([s])
+    # merged tensor shape: one axis per run, one per stretch of other factors
+    run_of = {s: i for i, run in enumerate(runs) for s in run}
+    shape, axes, prev = [], [0] * len(runs), None
+    for f, d in enumerate(layout.dims):
+        key = run_of.get(f)
+        if shape and key == prev:
+            shape[-1] *= d
+        else:
+            if key is not None:
+                axes[key] = len(shape)
+            shape.append(d)
+        prev = key
+    if len(runs) == 1:
+        left = math.prod(shape[: axes[0]])
+        right = math.prod(shape[axes[0] + 1 :])
+        psi = state.amplitudes.reshape(left, op.dim, right)
+        if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
+            out = psi.reshape(left, -1) @ np.kron(op.matrix, np.eye(right)).T
+        else:
+            out = np.matmul(op.matrix, psi)
+        return CompositeState(layout, out.reshape(-1))
+    k = len(runs)
+    run_dims = tuple(shape[a] for a in axes)
+    mat = op.matrix.reshape(run_dims + run_dims)
+    psi = state.amplitudes.reshape(shape)
+    out = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), tuple(axes)))
+    out = np.moveaxis(out, tuple(range(k)), axes)
     return CompositeState(layout, out.reshape(-1))
 
 

@@ -36,7 +36,6 @@ is applied to each neighbouring pair in turn.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -45,7 +44,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hamiltonians import CavityCouplingSpec, DriveSpec
-from .hilbert import LEVEL_0, LEVEL_1, LEVEL_E, CompositeState, SpaceLayout, basis_index
+from .hilbert import (
+    LEVEL_0,
+    LEVEL_1,
+    LEVEL_E,
+    SQUID_DIM,
+    CompositeState,
+    SpaceLayout,
+    basis_index,
+)
 
 # operating-point default for classical pulses (rad/s)
 DEFAULT_DRIVE_RABI = 8.5e7
@@ -127,6 +134,15 @@ class GateParams:
         # finite inputs can still overflow in the values derived from them
         for name in ("omega_2", "resolved_cavity_time", "resolved_pulse_duration"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} overflows to {value}")
+        # and so can the phases the propagators and gate conditions take
+        t_c = self.resolved_cavity_time
+        for name, value in (
+            ("omega_1 * cavity_time", self.omega_1 * t_c),
+            ("omega * cavity_time", math.hypot(self.omega_1, self.omega_2) * t_c),
+            ("drive_rabi * pulse_duration", self.drive_rabi * self.resolved_pulse_duration),
+        ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} overflows to {value}")
 
@@ -246,9 +262,12 @@ def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     layout = SpaceLayout(n_qubits, fock_cutoff)
     amp = np.zeros(layout.total_dim, dtype=complex)
     scale = 2.0 ** (-n_qubits / 2.0)
-    for bits in itertools.product((0, 1), repeat=n_qubits):
-        sign = (-1) ** sum(bits[i] * bits[i + 1] for i in range(n_qubits - 1))
-        amp[basis_index(layout, bits, 0)] = sign * scale
+    # row b holds the bits of b, first SQUID first
+    powers = np.arange(n_qubits - 1, -1, -1)
+    bits = (np.arange(2**n_qubits)[:, None] >> powers) & 1
+    index = bits @ SQUID_DIM**powers * (fock_cutoff + 1)
+    odd = (bits[:, :-1] & bits[:, 1:]).sum(axis=1) & 1
+    amp[index] = np.where(odd, -scale, scale)
     return CompositeState(layout, amp)
 
 

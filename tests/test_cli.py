@@ -59,7 +59,11 @@ def test_truth_table_doubled_window_loses_phase(tmp_path):
 
 def test_cluster_chain_passes(tmp_path, capsys):
     assert main(["cluster", "--n", "4", "--out", str(tmp_path)]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    # each phase of the run is timed on stdout
+    assert "wall time:" in out
+    assert "evolve" in out and "oracle" in out and "stabilizers" in out
     payload = _read_json(tmp_path / "cluster.json")
     assert payload["passed"] is True
     assert payload["n_qubits"] == 4
@@ -173,6 +177,20 @@ def test_non_finite_config_value_names_its_key(tmp_path, capsys):
     assert main(["truth-table", "--ratio", "1e300", "--out", str(tmp_path)]) == 2
     assert "omega_2 overflows" in capsys.readouterr().err
     assert not (tmp_path / "truth_table.json").exists()
+
+
+def test_overflowing_gate_phases_are_configuration_errors(tmp_path, capsys):
+    # finite settings whose products overflow used to die inside the numerics
+    out = tmp_path / "out"
+    for gate, message in (
+        ({"ratio": 1e10, "cavity_time_s": 1e300}, "omega_1 * cavity_time overflows"),
+        ({"drive_rabi_per_s": 1e10, "pulse_duration_s": 1e300}, "drive_rabi * pulse_duration overflows"),
+    ):
+        config_path = tmp_path / "gate.json"
+        config_path.write_text(json.dumps({"gate": gate}))
+        assert main(["truth-table", "--config", str(config_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monkeypatch):

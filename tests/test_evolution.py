@@ -59,6 +59,13 @@ def test_propagator_rejects_non_hermitian():
         propagator(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), -1.0)
 
 
+def test_propagator_rejects_nan_generator():
+    # NaN passes the Hermiticity flag; the unitarity check must not let it through
+    h = LocalOperator((0,), (3,), np.diag([1.0, np.nan, 0.0]), hermitian=True)
+    with pytest.raises(ValueError, match="unitarity"):
+        propagator(h, 1.0)
+
+
 def test_propagator_unitary_and_composes():
     h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.3, 0.7), n_max=2)
     u1 = propagator(h, 0.4).matrix

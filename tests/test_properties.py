@@ -1,13 +1,24 @@
-"""Property tests over the paper's gate family and the noisy gate's channel."""
+"""Property tests: the gate family, the noisy gate's channel and apply_local's routes."""
 
 import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squidcavity import GateParams, exp_lindblad, noisy_gate, qcpg_schedule, truth_table
+from squidcavity import (
+    CompositeState,
+    GateParams,
+    LocalOperator,
+    SpaceLayout,
+    apply_local,
+    embedded_matrix,
+    exp_lindblad,
+    noisy_gate,
+    qcpg_schedule,
+    truth_table,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=12)
 
@@ -56,3 +67,76 @@ def test_noisy_gate_channel_is_cptp(cavity_decay, gamma_e, branch_ratio):
     assert choi.shape == (44, 44)
     assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] >= -1e-12
+
+
+# largest layout drawn, and largest tail of it the dense reference is built on
+APPLY_LOCAL_MAX_DIM = 20000
+DENSE_TAIL_MAX_DIM = 729
+
+
+@st.composite
+def local_operator_cases(draw):
+    """(n_squids, fock_cutoff, sites, seed) over every contraction route.
+
+    Sites are drawn as an ascending run (start, middle or end of the factor
+    list, cavity-last included), as the gate's (a, a+1, cavity), or in any
+    order; each may be written as a negative index.  They stay within the
+    tail of the layout that the dense reference is built on.
+    """
+    n_squids = draw(st.integers(1, 9))
+    fock = draw(st.integers(0, 2 if n_squids < 9 else 0))
+    layout = SpaceLayout(n_squids, fock)
+    n = layout.n_factors
+    lowest = next(
+        f for f in range(n) if math.prod(layout.dims[f:]) <= DENSE_TAIL_MAX_DIM
+    )
+    kind = draw(st.sampled_from(("run", "gate", "any")))
+    if kind == "gate" and n_squids - lowest >= 2:
+        a = draw(st.integers(lowest, n_squids - 2))
+        sites = [a, a + 1, n - 1]
+    elif kind == "run":
+        start = draw(st.integers(lowest, n - 1))
+        length = draw(st.integers(1, min(3, n - start)))
+        sites = list(range(start, start + length))
+    else:
+        order = draw(st.permutations(range(lowest, n)))
+        sites = list(order[: draw(st.integers(1, min(3, n - lowest)))])
+    sites = tuple(s - n if draw(st.booleans()) else s for s in sites)
+    return n_squids, fock, sites, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(local_operator_cases())
+# one gemm against kron(M, I_9) on 3^7 left blocks
+@example((8, 2, (7,), 1))
+# stacked products, (3 x 3)(3 x 81) over 81 blocks
+@example((8, 2, (4,), 2))
+# the last gate's (N-2, N-1, cavity) and a stabilizer's (i-1, i, i+1), small right
+@example((8, 2, (6, 7, -1), 3))
+@example((8, 2, (5, 6, 7), 4))
+# a stabilizer with right = 9: stacked products
+@example((8, 2, (4, 5, 6), 5))
+# the gate's non-adjacent (a, a+1, cavity); descending and scattered sets
+@example((8, 2, (5, 6, -1), 6))
+@example((8, 2, (7, 6), 7))
+@example((9, 0, (-1, 6, -2), 8))
+def test_apply_local_matches_embedded_matrix(case):
+    n_squids, fock, sites, seed = case
+    layout = SpaceLayout(n_squids, fock)
+    assert layout.total_dim <= APPLY_LOCAL_MAX_DIM
+    rng = np.random.default_rng(seed)
+    local_dims = tuple(layout.dims[s] for s in sites)
+    d = math.prod(local_dims)
+    op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    psi = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    got = apply_local(CompositeState(layout, psi), op).amplitudes
+    # factors before the first site are untouched, so each block of the
+    # leading digits is one state on the layout's tail (which keeps at
+    # least one SQUID when the cavity is the only site)
+    first = min(min(layout.resolve_sites(sites)), n_squids - 1)
+    tail = SpaceLayout(n_squids - first, fock)
+    shifted = tuple(layout.resolve_site(s) - first for s in sites)
+    dense = embedded_matrix(LocalOperator(shifted, local_dims, op.matrix), tail)
+    assert tail.total_dim <= DENSE_TAIL_MAX_DIM
+    want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), case

@@ -78,6 +78,13 @@ def test_gate_params_validation():
         GateParams(omega_1=1e-310)
     with pytest.raises(ValueError, match="resolved_pulse_duration overflows"):
         GateParams(drive_rabi=1e-310)
+    # finite inputs and derived values whose phases overflow
+    with pytest.raises(ValueError, match="omega_1 \\* cavity_time overflows"):
+        GateParams(omega_1=1e300, cavity_time=1e10)
+    with pytest.raises(ValueError, match="omega \\* cavity_time overflows"):
+        GateParams(ratio=1e10, cavity_time=1e291)
+    with pytest.raises(ValueError, match="drive_rabi \\* pulse_duration overflows"):
+        GateParams(drive_rabi=1e10, pulse_duration=1e300)
 
 
 def test_gate_conditions_detect_bad_ratio():
@@ -207,6 +214,20 @@ def test_cluster_oracle_three_qubit_signs():
         assert amp == pytest.approx(sign * scale)
     with pytest.raises(ValueError):
         cluster_state_oracle(1)
+
+
+def test_cluster_oracle_matches_direct_loop():
+    # the vectorized oracle must stay bit-identical to one basis_index per bit string
+    cases = [(n, 2) for n in range(2, 11)] + [(3, 0), (3, 4)]
+    for n_qubits, cutoff in cases:
+        layout = SpaceLayout(n_qubits, cutoff)
+        want = np.zeros(layout.total_dim, dtype=complex)
+        scale = 2.0 ** (-n_qubits / 2.0)
+        for bits in itertools.product((0, 1), repeat=n_qubits):
+            sign = (-1) ** sum(bits[i] * bits[i + 1] for i in range(n_qubits - 1))
+            want[basis_index(layout, bits, 0)] = sign * scale
+        got = cluster_state_oracle(n_qubits, cutoff).amplitudes
+        assert got.tobytes() == want.tobytes(), (n_qubits, cutoff)
 
 
 def test_cluster_generation_matches_oracle():

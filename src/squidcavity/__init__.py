@@ -63,7 +63,6 @@ from .protocols import (
 )
 from .verification import (
     CZ_DIAG,
-    average_gate_fidelity,
     cavity_vacuum_population,
     chain_stabilizer,
     computational_propagator,

@@ -3,6 +3,8 @@
 Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
+``propagate`` runs pure states, alone or as a block; ``evolve_pure`` wraps it
+for a ``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import cavity_coupling_hamiltonian, drive_hamiltonian
-from .hilbert import CompositeState, LocalOperator, apply_local
+from .hilbert import CompositeState, LocalOperator, SpaceLayout, contract
 from .protocols import CavitySegment, DriveSegment, PulseSchedule
 
 UNITARITY_TOL = 1e-12
@@ -80,19 +82,32 @@ def segment_hamiltonian(segment, fock_cutoff: int) -> LocalOperator:
     raise TypeError(f"unknown segment type {type(segment).__name__}")
 
 
+def propagate(layout: SpaceLayout, schedule: PulseSchedule, psi: np.ndarray) -> np.ndarray:
+    """Run a schedule on raw amplitudes, one state or a (total_dim, batch) block.
+
+    Each segment's propagator is built once for the whole block; every
+    state's norm is then checked, which also catches NaN and Inf.
+    """
+    # rebinding ``psi`` drops this frame's hold on the initial amplitudes
+    for segment in schedule:
+        h = segment_hamiltonian(segment, layout.fock_cutoff)
+        psi = contract(layout, propagator(h, segment.duration), psi)
+        for column in psi.reshape(len(psi), -1).T:
+            norm = float(np.linalg.norm(column))
+            if not abs(norm - 1.0) <= NORM_TOL:
+                raise ValueError(
+                    f"norm drifted to {norm!r} after a unitary segment"
+                )
+    return psi
+
+
 def evolve_pure(state: CompositeState, schedule: PulseSchedule) -> CompositeState:
     """Run a schedule segment by segment on a pure state."""
-    # rebinding ``state`` drops this frame's hold on the initial state, so a
-    # caller that keeps no reference frees it after the first segment
-    for segment in schedule:
-        h = segment_hamiltonian(segment, state.layout.fock_cutoff)
-        state = apply_local(state, propagator(h, segment.duration))
-        norm = state.norm()
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(
-                f"norm drifted to {norm!r} after a unitary segment"
-            )
-    return state
+    # hand the amplitudes over with no name left in this frame, so that a
+    # caller that keeps no reference frees them after the first segment
+    layout, amplitudes = state.layout, [state.amplitudes]
+    del state
+    return CompositeState(layout, propagate(layout, schedule, amplitudes.pop()))
 
 
 @dataclass(frozen=True)

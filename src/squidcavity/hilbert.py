@@ -14,14 +14,16 @@ Conventions fixed here and relied on everywhere else in the package:
 * Operators address factors through site indices.  Negative indices count
   from the end of the factor list, so site ``-1`` is always the cavity.
 
-``apply_local`` never forms a global matrix.  When an operator's sites are
+``CompositeState`` is where a state enters: it checks the length and
+finiteness of the amplitudes once.  The kernel ``contract`` applies an
+operator to raw amplitudes, one vector or a block of states along a trailing
+batch axis, and never forms a global matrix.  When an operator's sites are
 one ascending run of neighbouring factors (every single-SQUID pulse, every
 chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1, cavity)), the
-factors before the run, the run and the factors after it are three
-contiguous digit groups of the C-ordered amplitude vector.  Its reshape to
-(left, D, right) is then a view, and the operator is applied with no copy of
-the state.  Any other site set, such as the gate's (a, a+1, cavity) with
-a < N-2 or a descending order, needs one transposing copy each way.
+amplitudes reshape to a (left, D, right) view, the batch axis joining right,
+and the operator is applied with no copy.  Any other site set, such as the
+gate's (a, a+1, cavity) with a < N-2 or a descending order, needs one
+transposing copy each way.
 
 Layouts and operators are immutable after construction and safe to share
 between threads.  A CompositeState is owned by whichever evolution is
@@ -41,11 +43,11 @@ LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
 
 HERMITICITY_TOL = 1e-12
 
-# A single-run operator of dimension D with ``right`` amplitudes after it is
-# applied either as ``left`` stacked (D x D)(D x right) products or as one
-# gemm against kron(M, I_right), which does ``right`` times the arithmetic.
-# The single gemm wins while its extra D^2 right (right - 1) multiply-adds
-# per block stay below the cost of a separate small product.
+# A single-run operator of dimension D with ``right`` amplitudes after it,
+# batch axis included, is applied either as ``left`` stacked (D x D)(D x right)
+# products or as one gemm against kron(M, I_right), which does ``right`` times
+# the arithmetic.  The single gemm wins while its extra D^2 right (right - 1)
+# multiply-adds per block stay below the cost of a separate small product.
 _KRON_EXTRA_MACS = 5000
 
 
@@ -95,7 +97,10 @@ class SpaceLayout:
 
 @dataclass
 class CompositeState:
-    """Complex amplitude vector over the full register, in layout order."""
+    """Complex amplitude vector over the full register, in layout order.
+
+    Construction checks length and finiteness: the one check a state gets.
+    """
 
     layout: SpaceLayout
     amplitudes: np.ndarray
@@ -113,9 +118,6 @@ class CompositeState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "CompositeState":
-        return CompositeState(self.layout, self.amplitudes.copy())
 
 
 def basis_index(layout: SpaceLayout, levels, photons: int = 0) -> int:
@@ -177,7 +179,8 @@ class LocalOperator:
             )
         if self.hermitian:
             defect = np.max(np.abs(mat - mat.conj().T)) if dim else 0.0
-            if defect > HERMITICITY_TOL:
+            # written so that a NaN defect fails too
+            if not defect <= HERMITICITY_TOL:
                 raise ValueError(
                     f"operator flagged hermitian but max |M - M^dag| = {defect:.3e}"
                 )
@@ -213,19 +216,17 @@ def tensor_state(local_factors) -> CompositeState:
     return CompositeState(layout, amp)
 
 
-def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
-    """Apply a local operator, embedding it with identities elsewhere.
+def contract(layout: SpaceLayout, op: LocalOperator, psi: np.ndarray) -> np.ndarray:
+    """Apply a local operator to raw amplitudes, the pure-state kernel.
 
-    The operator's sites split, in the operator's own order, into runs of
-    ascending neighbours; on three SQUIDs (1, 2, -1) is one run and
-    (0, 1, -1) is two.  A single run is contracted on a reshape view
-    (left, D, right) of the amplitude vector, so no copy of the state is made
-    before or after the one matrix product.  Any other site set is
-    contracted over its runs, with the untouched factors between them merged
-    into single axes, so the one transposing copy each way moves as few axes
-    as the site order allows.
+    ``psi`` is one amplitude vector or a block of states as columns, shape
+    (total_dim, batch); the result has its shape.  The sites split, in the
+    operator's order, into runs of ascending neighbours: on three SQUIDs
+    (1, 2, -1) is one run and (0, 1, -1) is two.  One run is applied on the
+    view (left, D, right); otherwise the untouched factors between runs are
+    merged into single axes, so the one transposing copy each way moves as
+    few axes as the site order allows.
     """
-    layout = state.layout
     sites = layout.resolve_sites(op.sites)
     for s, d in zip(sites, op.local_dims):
         if layout.dims[s] != d:
@@ -252,33 +253,35 @@ def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
             shape.append(d)
         prev = key
     if len(runs) == 1:
-        left = math.prod(shape[: axes[0]])
-        right = math.prod(shape[axes[0] + 1 :])
-        psi = state.amplitudes.reshape(left, op.dim, right)
+        view = psi.reshape(math.prod(shape[: axes[0]]), op.dim, -1)
+        right = view.shape[2]
         if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
-            out = psi.reshape(left, -1) @ np.kron(op.matrix, np.eye(right)).T
+            out = view.reshape(view.shape[0], -1) @ np.kron(op.matrix, np.eye(right)).T
         else:
-            out = np.matmul(op.matrix, psi)
-        return CompositeState(layout, out.reshape(-1))
+            out = np.matmul(op.matrix, view)
+        return out.reshape(psi.shape)
     k = len(runs)
     run_dims = tuple(shape[a] for a in axes)
     mat = op.matrix.reshape(run_dims + run_dims)
-    psi = state.amplitudes.reshape(shape)
-    out = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    out = np.moveaxis(out, tuple(range(k)), axes)
-    return CompositeState(layout, out.reshape(-1))
+    out = np.tensordot(mat, psi.reshape(shape + [-1]), axes=(tuple(range(k, 2 * k)), tuple(axes)))
+    return np.moveaxis(out, tuple(range(k)), axes).reshape(psi.shape)
+
+
+def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
+    """Apply a local operator, embedding it with identities elsewhere."""
+    return CompositeState(state.layout, contract(state.layout, op, state.amplitudes))
 
 
 def expectation(state: CompositeState, op: LocalOperator) -> complex:
     """<psi| O |psi> with O embedded on its declared sites."""
-    return complex(np.vdot(state.amplitudes, apply_local(state, op).amplitudes))
+    return complex(np.vdot(state.amplitudes, contract(state.layout, op, state.amplitudes)))
 
 
 def embedded_matrix(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
     """Full-space dense matrix of a local operator (identity on other factors).
 
     Only used where a global matrix is genuinely needed (Lindblad runs on
-    small composites); state evolution goes through apply_local instead.
+    small composites); state evolution goes through ``contract`` instead.
     """
     sites = layout.resolve_sites(op.sites)
     for s, d in zip(sites, op.local_dims):

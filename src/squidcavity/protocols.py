@@ -51,7 +51,7 @@ from .hilbert import (
     SQUID_DIM,
     CompositeState,
     SpaceLayout,
-    basis_index,
+    basis_state,
 )
 
 # operating-point default for classical pulses (rad/s)
@@ -247,7 +247,7 @@ def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> 
 def chain_initial_state(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     """All SQUIDs in |1>, cavity in vacuum: the declared chain starting point."""
     layout = SpaceLayout(n_qubits, fock_cutoff)
-    return _basis(layout, (LEVEL_1,) * n_qubits)
+    return basis_state(layout, (LEVEL_1,) * n_qubits)
 
 
 def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
@@ -268,12 +268,6 @@ def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     index = bits @ SQUID_DIM**powers * (fock_cutoff + 1)
     odd = (bits[:, :-1] & bits[:, 1:]).sum(axis=1) & 1
     amp[index] = np.where(odd, -scale, scale)
-    return CompositeState(layout, amp)
-
-
-def _basis(layout: SpaceLayout, levels) -> CompositeState:
-    amp = np.zeros(layout.total_dim, dtype=complex)
-    amp[basis_index(layout, levels, 0)] = 1.0
     return CompositeState(layout, amp)
 
 

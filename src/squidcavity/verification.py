@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import evolve_pure
+from .evolution import propagate
 from .hilbert import (
     SQUID_DIM,
     CompositeState,
     LocalOperator,
     SpaceLayout,
     basis_index,
-    basis_state,
     expectation,
 )
 from .protocols import CavitySegment, DriveSegment, PulseSchedule
@@ -55,6 +54,9 @@ def computational_propagator(
     evolved j-th basis input |b1 b2> x |vac>, ordered 00, 01, 10, 11 over
     (first, second) of ``squid_pair``.  Returns (matrix, per-column leakage),
     leakage being the probability that escaped the projected subspace.
+
+    The inputs go through ``evolution.propagate`` as one (total_dim, 4)
+    block, so each segment's propagator is built once.
     """
     touched = _schedule_squids(schedule)
     if not touched <= set(squid_pair):
@@ -63,21 +65,16 @@ def computational_propagator(
             f"outside the pair {squid_pair}"
         )
     layout = SpaceLayout(max(squid_pair) + 1, fock_cutoff)
-    out_indices = []
+    indices = []
     for bits in COMPUTATIONAL_BASIS:
         levels = [0] * layout.n_squids
         levels[squid_pair[0]], levels[squid_pair[1]] = bits
-        out_indices.append(basis_index(layout, levels, 0))
-    matrix = np.zeros((4, 4), dtype=complex)
-    leakage = np.zeros(4)
-    for j, bits in enumerate(COMPUTATIONAL_BASIS):
-        levels = [0] * layout.n_squids
-        levels[squid_pair[0]], levels[squid_pair[1]] = bits
-        final = evolve_pure(basis_state(layout, levels, 0), schedule)
-        column = final.amplitudes[out_indices]
-        matrix[:, j] = column
-        # clamp rounding-level negatives; leakage is a probability
-        leakage[j] = max(0.0, 1.0 - float(np.sum(np.abs(column) ** 2)))
+        indices.append(basis_index(layout, levels, 0))
+    inputs = np.zeros((layout.total_dim, 4), dtype=complex)
+    inputs[indices, range(4)] = 1.0
+    matrix = propagate(layout, schedule, inputs)[indices]
+    # clamp rounding-level negatives; leakage is a probability
+    leakage = np.maximum(0.0, 1.0 - np.sum(np.abs(matrix) ** 2, axis=0))
     return matrix, leakage
 
 
@@ -131,19 +128,6 @@ def truth_table(
         leakage_tol=leakage_tol,
         passed=passed,
     )
-
-
-def average_gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray) -> float:
-    """(|Tr(U_ideal^dag U_actual)|^2 + d) / (d(d+1)); 1 iff equal up to phase."""
-    u_actual = np.asarray(u_actual, dtype=complex)
-    u_ideal = np.asarray(u_ideal, dtype=complex)
-    if u_actual.shape != u_ideal.shape or u_actual.ndim != 2 or u_actual.shape[0] != u_actual.shape[1]:
-        raise ValueError(
-            f"need two square matrices of equal shape, got {u_actual.shape} and {u_ideal.shape}"
-        )
-    d = u_actual.shape[0]
-    overlap = abs(np.trace(u_ideal.conj().T @ u_actual)) ** 2
-    return float((overlap + d) / (d * (d + 1)))
 
 
 def state_fidelity(psi: CompositeState, phi: CompositeState) -> float:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from squidcavity import cli, decoherence
+from squidcavity import cli, decoherence, evolution
 from squidcavity.cli import main
 
 
@@ -15,6 +15,9 @@ def test_truth_table_default_passes(tmp_path, capsys):
     assert main(["truth-table", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # each phase of the run is timed on stdout
+    assert "wall time:" in out
+    assert "propagate" in out and "report" in out
     payload = _read_json(tmp_path / "truth_table.json")
     assert payload["passed"] is True
     assert payload["phases_rad"] == pytest.approx([0.0, 0.0, 0.0, math.pi], abs=1e-9)
@@ -141,6 +144,24 @@ def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):
     assert main(["decoherence", "--values", "5e4,5e5", "--out", str(tmp_path)]) == 0
     # three segment Hamiltonians and five collapse operators per point
     assert len(calls) == 2 * 8
+
+
+def test_each_segment_builds_one_propagator(tmp_path, monkeypatch):
+    calls = []
+    original = evolution.propagator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "propagator", counted)
+    # the four computational inputs share each of the gate's three segments
+    assert main(["truth-table", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
+    # ten superposition pulses, then nine gates of three segments each
+    calls.clear()
+    assert main(["cluster", "--n", "10", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 37
 
 
 def test_oversized_cutoff_is_refused_before_allocating(tmp_path, capsys):

@@ -31,6 +31,7 @@ from squidcavity import (
     state_fidelity,
     tensor_state,
 )
+from squidcavity import evolution
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
     _check_step_size,
@@ -38,6 +39,7 @@ from squidcavity.evolution import (
     _lindblad_rhs,
     _rk4_lindblad,
     _superoperator,
+    propagate,
 )
 
 
@@ -60,8 +62,10 @@ def test_propagator_rejects_non_hermitian():
 
 
 def test_propagator_rejects_nan_generator():
-    # NaN passes the Hermiticity flag; the unitarity check must not let it through
-    h = LocalOperator((0,), (3,), np.diag([1.0, np.nan, 0.0]), hermitian=True)
+    # the Hermiticity flag refuses NaN at construction, but the matrix stays
+    # writable; the unitarity check must not let a NaN written later through
+    h = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0]), hermitian=True)
+    h.matrix[1, 1] = np.nan
     with pytest.raises(ValueError, match="unitarity"):
         propagator(h, 1.0)
 
@@ -112,6 +116,26 @@ def test_evolve_pure_pi_over_4_prepares_superposition():
     out = evolve_pure(basis_state(layout, (1,)), PulseSchedule((seg,)))
     plus = tensor_state([np.array([1, 1, 0]) / math.sqrt(2), (1, 0)])
     assert state_fidelity(out, plus) >= 1 - 1e-12
+
+
+def test_propagate_checks_every_state_after_every_segment(monkeypatch):
+    # a propagator that is not unitary on |1> only: a block whose second
+    # state has weight there must fail, its first state alone must not
+    layout = SpaceLayout(1, fock_cutoff=1)
+    schedule = PulseSchedule((DriveSegment(DriveSpec(0, (0, 1), 1.0), 1.0),))
+    block = np.zeros((layout.total_dim, 2), dtype=complex)
+    block[basis_index(layout, (0,)), 0] = 1.0
+    block[basis_index(layout, (1,)), 1] = 1.0
+    leaky = LocalOperator((0,), (3,), np.diag([1.0, 1.5, 1.0]))
+    monkeypatch.setattr(evolution, "propagator", lambda h, t: leaky)
+    assert propagate(layout, schedule, block[:, :1]).shape == (layout.total_dim, 1)
+    with pytest.raises(ValueError, match="norm drifted"):
+        propagate(layout, schedule, block)
+    # NaN (0 * NaN spreads it to every amplitude) fails the same check
+    broken = LocalOperator((0,), (3,), np.diag([1.0, np.nan, 1.0]))
+    monkeypatch.setattr(evolution, "propagator", lambda h, t: broken)
+    with pytest.raises(ValueError, match="norm drifted to nan"):
+        evolve_pure(CompositeState(layout, block[:, 0]), schedule)
 
 
 def test_single_excitation_closed_form_anchors():

@@ -118,6 +118,9 @@ def test_local_operator_validation():
     with pytest.raises(ValueError, match="hermitian"):
         LocalOperator((0,), (3,), almost, hermitian=True)
     LocalOperator((0,), (3,), almost)  # fine without the flag
+    # a NaN defect compares false against any bound; it must fail too
+    with pytest.raises(ValueError, match="hermitian"):
+        LocalOperator((0,), (3,), np.diag([1.0, np.nan, 0.0]), hermitian=True)
 
 
 def test_apply_local_identity():

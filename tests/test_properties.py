@@ -1,4 +1,8 @@
-"""Property tests: the gate family, the noisy gate's channel and apply_local's routes."""
+"""Property tests: the gate family, the noisy gate's channel and apply_local's routes.
+
+The routes are checked one state at a time and on blocks of states along
+the kernel's trailing batch axis.
+"""
 
 import itertools
 import math
@@ -19,6 +23,7 @@ from squidcavity import (
     qcpg_schedule,
     truth_table,
 )
+from squidcavity.hilbert import contract
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=12)
 
@@ -106,21 +111,24 @@ def local_operator_cases(draw):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
-@given(local_operator_cases())
-# one gemm against kron(M, I_9) on 3^7 left blocks
-@example((8, 2, (7,), 1))
+@given(local_operator_cases(), st.integers(1, 3))
+# one gemm against kron(M, I_9) on 3^7 left blocks; with a batch of two,
+# against kron(M, I_18)
+@example((8, 2, (7,), 1), 1)
+@example((8, 2, (7,), 1), 2)
 # stacked products, (3 x 3)(3 x 81) over 81 blocks
-@example((8, 2, (4,), 2))
+@example((8, 2, (4,), 2), 1)
 # the last gate's (N-2, N-1, cavity) and a stabilizer's (i-1, i, i+1), small right
-@example((8, 2, (6, 7, -1), 3))
-@example((8, 2, (5, 6, 7), 4))
+@example((8, 2, (6, 7, -1), 3), 1)
+@example((8, 2, (5, 6, 7), 4), 1)
 # a stabilizer with right = 9: stacked products
-@example((8, 2, (4, 5, 6), 5))
+@example((8, 2, (4, 5, 6), 5), 1)
 # the gate's non-adjacent (a, a+1, cavity); descending and scattered sets
-@example((8, 2, (5, 6, -1), 6))
-@example((8, 2, (7, 6), 7))
-@example((9, 0, (-1, 6, -2), 8))
-def test_apply_local_matches_embedded_matrix(case):
+@example((8, 2, (5, 6, -1), 6), 1)
+@example((8, 2, (5, 6, -1), 6), 3)
+@example((8, 2, (7, 6), 7), 1)
+@example((9, 0, (-1, 6, -2), 8), 1)
+def test_apply_local_matches_embedded_matrix(case, width):
     n_squids, fock, sites, seed = case
     layout = SpaceLayout(n_squids, fock)
     assert layout.total_dim <= APPLY_LOCAL_MAX_DIM
@@ -128,8 +136,14 @@ def test_apply_local_matches_embedded_matrix(case):
     local_dims = tuple(layout.dims[s] for s in sites)
     d = math.prod(local_dims)
     op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    psi = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
-    got = apply_local(CompositeState(layout, psi), op).amplitudes
+    shape = (layout.total_dim, width)
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # one state through the public call, then the block through the kernel
+    # with its batch axis
+    got = [apply_local(CompositeState(layout, block[:, 0]), op).amplitudes]
+    batched = contract(layout, op, block)
+    assert batched.shape == shape
+    got += list(batched.T)
     # factors before the first site are untouched, so each block of the
     # leading digits is one state on the layout's tail (which keeps at
     # least one SQUID when the cavity is the only site)
@@ -138,5 +152,6 @@ def test_apply_local_matches_embedded_matrix(case):
     shifted = tuple(layout.resolve_site(s) - first for s in sites)
     dense = embedded_matrix(LocalOperator(shifted, local_dims, op.matrix), tail)
     assert tail.total_dim <= DENSE_TAIL_MAX_DIM
-    want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), case
+    for column, psi in zip(got, [block[:, 0], *block.T]):
+        want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
+        assert np.max(np.abs(column - want)) <= 1e-13 * np.max(np.abs(want)), case

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from squidcavity import (
     GateParams,
     PulseSchedule,
     SpaceLayout,
-    average_gate_fidelity,
     basis_index,
     basis_state,
     cavity_vacuum_population,
@@ -21,12 +21,15 @@ from squidcavity import (
     cluster_state_oracle,
     computational_propagator,
     evolve_pure,
+    prepare_superposition,
     qcpg_schedule,
     stabilizer_expectations,
     state_fidelity,
     tensor_state,
     truth_table,
 )
+
+from squidcavity.verification import COMPUTATIONAL_BASIS
 
 from conftest import oracle_apply
 
@@ -67,19 +70,37 @@ def test_truth_table_reversed_pair():
     assert report.passed
 
 
-def test_average_gate_fidelity_examples():
-    eye = np.eye(4)
-    assert average_gate_fidelity(eye, eye) == pytest.approx(1.0)
-    # global phase is invisible
-    assert average_gate_fidelity(np.exp(1j * math.pi / 7) * eye, eye) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    # identity against the controlled-phase target: (|2|^2 + 4) / 20
-    assert average_gate_fidelity(eye, CZ_DIAG) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        average_gate_fidelity(np.eye(4), np.eye(3))
-    with pytest.raises(ValueError):
-        average_gate_fidelity(np.ones((2, 3)), np.ones((2, 3)))
+def _gate_cases():
+    detuned = GateParams(cavity_time=1.3 * GateParams().resolved_cavity_time)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        broken = qcpg_schedule(0, 1, GateParams(ratio=1.0))
+        return {
+            "default": qcpg_schedule(0, 1),
+            "ratio1": broken,
+            "detuned": qcpg_schedule(0, 1, detuned),
+            # a rotation first mixes the inputs, so that the matrix is not
+            # diagonal and its row and column leakages differ
+            "rotated": prepare_superposition(0) + broken,
+        }
+
+
+GATE_CASES = _gate_cases()
+
+
+@pytest.mark.parametrize("fock_cutoff", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_batched_truth_table_matches_single_state_runs(name, fock_cutoff):
+    # the four inputs go through the schedule as one block; each column must
+    # be what evolving that input alone gives
+    schedule = GATE_CASES[name]
+    matrix, leakage = computational_propagator(schedule, fock_cutoff=fock_cutoff)
+    layout = SpaceLayout(2, fock_cutoff)
+    outputs = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
+    for j, bits in enumerate(COMPUTATIONAL_BASIS):
+        single = evolve_pure(basis_state(layout, bits, 0), schedule).amplitudes[outputs]
+        assert np.max(np.abs(matrix[:, j] - single)) <= 1e-15
+        assert abs(leakage[j] - max(0.0, 1.0 - np.sum(np.abs(single) ** 2))) <= 1e-15
 
 
 def test_state_fidelity_examples():

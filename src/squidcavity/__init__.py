@@ -43,7 +43,6 @@ from .hilbert import (
     basis_state,
     embedded_matrix,
     expectation,
-    tensor_state,
 )
 from .protocols import (
     CavitySegment,

@@ -290,6 +290,7 @@ def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
     values = config.sweep.values
     # build each point's generators once, and refuse runaway work before any
     # propagation starts
+    t_start = time.perf_counter()
     prepared = []
     for value in values:
         t0 = time.perf_counter()
@@ -302,6 +303,7 @@ def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
                 f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
             )
         prepared.append((noisy, time.perf_counter() - t0))
+    t_build = time.perf_counter()
     rows = []
     json_rows = []
     passed = True
@@ -343,6 +345,7 @@ def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
             f"trace defect {result.trace_defect:.2e}, "
             f"runtime {runtime:.2f} s"
         )
+    t_score = time.perf_counter()
     _write_csv(
         out_dir,
         "decoherence.csv",
@@ -366,6 +369,12 @@ def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
             "rows": json_rows,
             "passed": passed,
         },
+    )
+    t_report = time.perf_counter()
+    print(f"wall time: {t_report - t_start:.3f} s")
+    print(
+        f"  build {t_build - t_start:.4f} s, score {t_score - t_build:.4f} s, "
+        f"report {t_report - t_score:.4f} s"
     )
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1

@@ -12,9 +12,11 @@ with s = (1, 1, 1, -1) the diagonal of U, and convert to the average gate
 fidelity over Haar-random pure inputs, F_avg = (4 F_pro + 1) / 5.
 
 Matrix units with i != j are not density matrices, but the generator is
-linear so propagating them is legitimate; Hermiticity of the channel keeps
-F_pro real up to rounding.  All 16 units ride a leading batch axis through
-one exact exponential exp(L t) per segment (``evolution.exp_lindblad``), so
+linear so propagating them is legitimate.  The channel preserves
+Hermiticity, so E(|p_j><p_i|) = E(|p_i><p_j|)^dag: only the 10 units with
+i <= j are propagated, and the other six are their adjoints.  The 10 ride
+a leading batch axis through one exact exponential exp(L t) per segment
+(``evolution.exp_lindblad``, which runs in real Hermitian coordinates), so
 the score carries no integrator error.  Trace and positivity diagnostics
 come from the four diagonal units, which are honest states.
 
@@ -166,21 +168,28 @@ def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
     """
     indices = noisy.computational
     dim = len(noisy.kept)
-    batch = np.zeros((16, dim, dim), dtype=complex)
-    for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
+    units = list(itertools.product(range(4), repeat=2))
+    # E(|p_j><p_i|) = E(|p_i><p_j|)^dag, so only the units with i <= j run
+    upper = [(i, j) for i, j in units if i <= j]
+    batch = np.zeros((len(upper), dim, dim), dtype=complex)
+    for m, (i, j) in enumerate(upper):
         batch[m, indices[i], indices[j]] = 1.0
 
     for h, duration in noisy.segments:
         batch = exp_lindblad(batch, h, noisy.collapse, duration)
 
+    channel = dict(zip(upper, batch))
+    for i, j in upper:
+        if i < j:
+            channel[j, i] = channel[i, j].conj().T
+
     f_pro = 0.0
-    for m, (i, j) in enumerate(itertools.product(range(4), repeat=2)):
-        f_pro += CZ_SIGNS[i] * CZ_SIGNS[j] * batch[m, indices[i], indices[j]].real
+    for i, j in units:
+        f_pro += CZ_SIGNS[i] * CZ_SIGNS[j] * channel[i, j][indices[i], indices[j]].real
     f_pro /= 16.0
     f_avg = (4.0 * f_pro + 1.0) / 5.0
 
-    diag_units = [batch[m] for m, (i, j) in
-                  enumerate(itertools.product(range(4), repeat=2)) if i == j]
+    diag_units = [channel[i, i] for i in range(4)]
     trace_defect = max(abs(np.trace(rho).real - 1.0) for rho in diag_units)
     min_eig = min(
         float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) for rho in diag_units

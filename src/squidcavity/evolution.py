@@ -13,14 +13,20 @@ Open-system segments follow the Lindblad master equation
 whose generator is constant within a segment, so the segment's channel is
 exactly exp(L t).  ``exp_lindblad`` applies it to a batch of matrices with a
 truncated Taylor series on equal sub-steps (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33:488, 2011).  It forms the d^2 x d^2 superoperator once per call,
-so each Taylor term is one matrix product on the whole batch; since that
-matrix takes 16 d^4 bytes, dimensions above ``SUPEROPERATOR_DIM_LIMIT`` are
-refused before anything is allocated.  The sub-step count follows from a
-norm bound on L t before any work is done and is refused above
-``MAX_LINDBLAD_SUBSTEPS``.  Density matrix runs are restricted to small
-spaces: the noisy gate runs on its 11-state invariant subspace
-(``decoherence``); chain generation is pure-state only.
+Comput. 33:488, 2011).  L maps Hermitian matrices to Hermitian matrices, so
+the series runs in real arithmetic: each input X = A + iB is split into
+Hermitian parts, each part A is carried as the real vector
+y = Re vec(A) + Im vec(A) (an isometry, with A = ((1+i) Y + (1-i) Y^T) / 2),
+and L as the real d^2 x d^2 matrix L_y = Re(S) + Im(S P), where S is the
+complex superoperator and P the transpose permutation on vec.  L_y is
+formed once per call, so each Taylor term is one real matrix product on
+all the coordinate rows; since S takes 16 d^4 bytes while it is formed,
+dimensions above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything
+is allocated.  The sub-step count follows from a norm bound on L t before
+any work is done and is refused above ``MAX_LINDBLAD_SUBSTEPS``.  Density
+matrix runs are restricted to small spaces: the noisy gate runs on its
+11-state invariant subspace (``decoherence``); chain generation is
+pure-state only.
 
 ``_rk4_lindblad`` integrates the same equation with fixed-step classical
 RK4, and ``_check_step_size`` guards its step.  No program path runs them:
@@ -54,7 +60,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # each sub-step costs up to _TAYLOR_DEGREE generator applications; at the cap
 # one segment costs about what 10 000 RK4 steps would
 MAX_LINDBLAD_SUBSTEPS = 1000
-# the formed superoperator takes 16 d^4 bytes: 16.8 MB at this dimension
+# the complex superoperator takes 16 d^4 bytes while it is formed (16.8 MB
+# at this dimension) and its real form L_y 8 d^4 bytes for the whole run
 SUPEROPERATOR_DIM_LIMIT = 32
 
 
@@ -194,8 +201,10 @@ def _exact_parts(h_full, l_ops, t: float):
     d = h_full.shape[0]
     h = h_full - (np.trace(h_full).real / d) * np.eye(d)
     drift, drift_dag, _ = _lindblad_parts(h, l_ops)
-    # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F
-    bound = 2.0 * np.linalg.norm(drift, 2) + sum(np.linalg.norm(l, 2) ** 2 for l in l_ops)
+    # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F, the spectral
+    # norms from one batched singular-value call
+    norms = np.linalg.svd(np.stack([drift, *l_ops]), compute_uv=False).max(axis=-1)
+    bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
     substeps = max(1, math.ceil(bound * t / _TAYLOR_THETA))
     return drift, drift_dag, substeps
 
@@ -205,13 +214,51 @@ def lindblad_substeps(h_full, l_ops, t: float) -> int:
     return _exact_parts(h_full, l_ops, t)[2]
 
 
+def _kron(a, b) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without its per-call overhead."""
+    n, m = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 def _superoperator(drift, drift_dag, l_ops) -> np.ndarray:
     """Matrix of L on row-major vec(rho), using vec(A rho B) = kron(A, B^T) vec(rho)."""
     eye = np.eye(drift.shape[0])
-    sup = np.kron(drift, eye) + np.kron(eye, drift_dag.T)
+    sup = _kron(drift, eye) + _kron(eye, drift_dag.T)
     for l_op in l_ops:
-        sup += np.kron(l_op, l_op.conj())
+        sup += _kron(l_op, l_op.conj())
     return sup
+
+
+def _real_superoperator(drift, drift_dag, l_ops) -> np.ndarray:
+    """Matrix of L on the real coordinates y = Re vec(A) + Im vec(A) of a Hermitian A.
+
+    A = Q y with Q = ((1+i) I + (1-i) P) / 2 and P the transpose permutation
+    on vec, and L keeps A Hermitian, so L_y = Re(S Q) + Im(S Q), which
+    works out to Re(S) + Im(S P): S P only permutes the columns of S.
+    """
+    d = drift.shape[0]
+    sup = _superoperator(drift, drift_dag, l_ops)
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    real = sup.imag[:, transpose]
+    real += sup.real
+    return real
+
+
+def _to_coordinates(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real coordinates of the Hermitian parts A, B of X = A + iB.
+
+    y = Re vec(A) + Im vec(A) keeps the Frobenius norm: ||y|| = ||A||_F.
+    """
+    x_dag = np.swapaxes(x, -1, -2).conj()
+    a = (x + x_dag) / 2
+    b = (x - x_dag) * -0.5j
+    return a.real + a.imag, b.real + b.imag
+
+
+def _from_coordinates(y: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix ((1+i) Y + (1-i) Y^T) / 2 with real coordinates Y."""
+    y_t = np.swapaxes(y, -1, -2)
+    return (y + y_t) / 2 + 1j * ((y - y_t) / 2)
 
 
 def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
@@ -219,12 +266,16 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
 
     L is the Lindbladian of Hamiltonian ``h_full`` and collapse operators
     ``l_ops``, all d x d matrices on the space ``rho`` lives on, with d at
-    most ``SUPEROPERATOR_DIM_LIMIT``.  The d^2 x d^2 superoperator is formed
-    once; each of ``lindblad_substeps`` equal sub-steps then sums the Taylor
-    series of exp(L h), one matrix product on the whole batch per term,
+    most ``SUPEROPERATOR_DIM_LIMIT``.  L maps Hermitian matrices to
+    Hermitian matrices, so each input X = A + iB runs as the real
+    coordinates of its Hermitian parts A and B, and L as the real
+    d^2 x d^2 matrix ``_real_superoperator``, formed once.  Each of
+    ``lindblad_substeps`` equal sub-steps then sums the Taylor series of
+    exp(L h), one real matrix product on all the coordinate rows per term,
     until the largest entries of two consecutive terms fall below unit
-    roundoff relative to the sum's.  Trace and Hermiticity are not
-    renormalized, so any drift stays visible to the caller.
+    roundoff relative to the sum's.  A Hermitian input comes back exactly
+    Hermitian.  Trace is not renormalized, so any drift stays visible to
+    the caller.
     """
     d = h_full.shape[0]
     if d > SUPEROPERATOR_DIM_LIMIT:
@@ -240,10 +291,10 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
             f"exp(L t) needs {n_sub} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
         )
     h = t / n_sub
-    rho = np.array(rho, dtype=complex)
-    # rows of the (batch, d^2) view are row-major vec(rho), so L acts from the right
-    sup_t = _superoperator(drift, drift_dag, l_ops).T
-    flat = rho.reshape(-1, d * d)
+    rho = np.asarray(rho, dtype=complex)
+    # rows are the coordinates of every A, then of every B, so L acts from the right
+    sup_t = _real_superoperator(drift, drift_dag, l_ops).T
+    flat = np.concatenate([part.reshape(-1, d * d) for part in _to_coordinates(rho)])
     for _ in range(n_sub):
         term = flat
         # largest-entry sizes: a BLAS norm here runs multithreaded
@@ -255,5 +306,5 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
             if last + size <= _UNIT_ROUNDOFF * np.abs(flat).max():
                 break
             last = size
-    return flat.reshape(rho.shape)
-
+    a, b = _from_coordinates(flat.reshape(2, *rho.shape))
+    return a + 1j * b

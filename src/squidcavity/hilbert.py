@@ -26,7 +26,8 @@ gate's (a, a+1, cavity) with a < N-2 or a descending order, needs one
 transposing copy each way.
 
 Layouts and operators are immutable after construction and safe to share
-between threads.  A CompositeState is owned by whichever evolution is
+between threads; an operator's matrix and a state's amplitudes are
+read-only views.  A CompositeState is owned by whichever evolution is
 currently producing it; independent runs can proceed concurrently on their
 own states.
 """
@@ -100,6 +101,10 @@ class CompositeState:
     """Complex amplitude vector over the full register, in layout order.
 
     Construction checks length and finiteness: the one check a state gets.
+    ``amplitudes`` is then a read-only view, so nothing written through the
+    state can undo the check.  The view shares memory with a complex array
+    the caller passed in; that array stays writable, and a write into it
+    shows through.
     """
 
     layout: SpaceLayout
@@ -114,6 +119,8 @@ class CompositeState:
             )
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes contain NaN or Inf")
+        amp = amp.view()
+        amp.flags.writeable = False
         self.amplitudes = amp
 
     def norm(self) -> float:
@@ -158,6 +165,10 @@ class LocalOperator:
     the slowest digit).  ``local_dims`` gives the corresponding factor
     dimensions; the matrix must be square with dimension equal to their
     product.  Setting ``hermitian`` asserts Hermiticity at construction.
+    ``matrix`` is then a read-only view, so nothing written through the
+    operator can undo the checks.  It shares memory with a complex array the
+    caller passed in; that array stays writable, and a write into it shows
+    through.
     """
 
     sites: tuple[int, ...]
@@ -184,36 +195,13 @@ class LocalOperator:
                 raise ValueError(
                     f"operator flagged hermitian but max |M - M^dag| = {defect:.3e}"
                 )
+        mat = mat.view()
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def tensor_state(local_factors) -> CompositeState:
-    """Assemble a product state from per-factor amplitude vectors.
-
-    The factor list follows layout order: one length-3 vector per SQUID, then
-    the cavity vector last (its length fixes the Fock cutoff).  The amplitude
-    of each mixed-radix basis index is the product of the local amplitudes.
-    """
-    factors = [np.asarray(f, dtype=complex).reshape(-1) for f in local_factors]
-    if len(factors) < 2:
-        raise ValueError("need at least one SQUID factor plus the cavity factor")
-    for i, f in enumerate(factors[:-1]):
-        if f.size != SQUID_DIM:
-            raise ValueError(
-                f"factor {i} has dimension {f.size}, expected {SQUID_DIM} for a SQUID"
-            )
-    cavity = factors[-1]
-    if cavity.size < 1:
-        raise ValueError(f"factor {len(factors) - 1} (cavity) is empty")
-    layout = SpaceLayout(n_squids=len(factors) - 1, fock_cutoff=cavity.size - 1)
-    amp = factors[0]
-    for f in factors[1:]:
-        amp = np.kron(amp, f)
-    return CompositeState(layout, amp)
 
 
 def contract(layout: SpaceLayout, op: LocalOperator, psi: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared helpers: an independent dense-embedding oracle and random inputs.
+"""Shared helpers: an independent dense-embedding oracle, random inputs and
+product states.
 
 The oracle builds embedded operators elementwise from mixed-radix digit
 comparisons, deliberately avoiding the library's kron/transpose and
@@ -8,6 +9,7 @@ tensordot code paths so agreement between the two is meaningful.
 import numpy as np
 
 from squidcavity import CompositeState, LocalOperator, SpaceLayout
+from squidcavity.hilbert import SQUID_DIM
 
 
 def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
@@ -46,3 +48,28 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2
+
+
+def tensor_state(local_factors) -> CompositeState:
+    """Assemble a product state from per-factor amplitude vectors.
+
+    The factor list follows layout order: one length-3 vector per SQUID, then
+    the cavity vector last (its length fixes the Fock cutoff).  The amplitude
+    of each mixed-radix basis index is the product of the local amplitudes.
+    """
+    factors = [np.asarray(f, dtype=complex).reshape(-1) for f in local_factors]
+    if len(factors) < 2:
+        raise ValueError("need at least one SQUID factor plus the cavity factor")
+    for i, f in enumerate(factors[:-1]):
+        if f.size != SQUID_DIM:
+            raise ValueError(
+                f"factor {i} has dimension {f.size}, expected {SQUID_DIM} for a SQUID"
+            )
+    cavity = factors[-1]
+    if cavity.size < 1:
+        raise ValueError(f"factor {len(factors) - 1} (cavity) is empty")
+    layout = SpaceLayout(n_squids=len(factors) - 1, fock_cutoff=cavity.size - 1)
+    amp = factors[0]
+    for f in factors[1:]:
+        amp = np.kron(amp, f)
+    return CompositeState(layout, amp)

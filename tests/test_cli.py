@@ -95,9 +95,13 @@ def test_feasibility_reports_anchors(tmp_path, capsys):
     assert payload["cavity_lifetime_s"] == pytest.approx(2e-5)
 
 
-def test_decoherence_rows_and_determinism(tmp_path):
+def test_decoherence_rows_and_determinism(tmp_path, capsys):
     code = main(["decoherence", "--values", "5e4,5e4", "--out", str(tmp_path)])
     assert code == 0
+    # phase timings go to stdout only
+    out = capsys.readouterr().out
+    assert "wall time:" in out
+    assert "build" in out and "score" in out and "report" in out
     lines = (tmp_path / "decoherence.csv").read_text().splitlines()
     assert lines[0] == (
         "parameter,value,average_fidelity,process_fidelity,"
@@ -112,6 +116,7 @@ def test_decoherence_rows_and_determinism(tmp_path):
     assert payload["rows"][0]["sane"] is True
     assert 0.98 <= payload["rows"][0]["average_fidelity"] <= 1 - 1e-4
     assert "lindblad" not in payload["config"]
+    assert set(payload) == {"config", "parameter", "rows", "passed"}
 
 
 def test_decoherence_branch_ratio_sweep(tmp_path):

@@ -62,13 +62,18 @@ def test_physical_rates_give_high_but_imperfect_fidelity(baseline_result):
 def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
     # the same tomography with every segment integrated by fixed-step RK4 at
     # 2000 steps per segment, an independent route to the same channel
+    calls = []
+
     def rk4(rho, h_full, l_ops, t):
+        calls.append(rho.shape)
         dt = t / 2000
         _check_step_size(h_full, dt)
         return _rk4_lindblad(rho, h_full, l_ops, t, dt)
 
     monkeypatch.setattr(decoherence, "exp_lindblad", rk4)
     reference = qcpg_lindblad_fidelity(noisy_gate())
+    # one call per segment replaces the whole propagation of the ten units
+    assert calls == [(10, 11, 11)] * 3
     assert abs(baseline_result.average_fidelity - reference.average_fidelity) <= 1e-12
     assert abs(baseline_result.process_fidelity - reference.process_fidelity) <= 1e-12
 
@@ -147,13 +152,18 @@ def _full_space_scores(args):
     # the same tomography on the full 9 (cutoff + 1)-dim space, no cut
     layout, _, segments, l_full = decoherence._full_generators(GateParams(), **args)
     idx = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
+    return _sixteen_unit_scores(segments, l_full, idx)
+
+
+def _sixteen_unit_scores(segments, l_ops, idx):
+    # all 16 matrix units propagated, none taken as another's adjoint
     units = list(itertools.product(range(4), repeat=2))
-    d = layout.total_dim
+    d = segments[0][0].shape[0]
     batch = np.zeros((16, d, d), dtype=complex)
     for m, (i, j) in enumerate(units):
         batch[m, idx[i], idx[j]] = 1.0
     for h, t in segments:
-        batch = exp_lindblad(batch, h, l_full, t)
+        batch = exp_lindblad(batch, h, l_ops, t)
     f_pro = sum(
         CZ_SIGNS[i] * CZ_SIGNS[j] * batch[m, idx[i], idx[j]].real
         for m, (i, j) in enumerate(units)
@@ -172,6 +182,18 @@ def test_reduced_run_matches_the_full_space(point):
     assert abs(result.average_fidelity - f_avg) <= 1e-13
     assert abs(result.process_fidelity - f_pro) <= 1e-13
     assert abs(result.trace_defect - trace_defect) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [5e4, 5e7])
+def test_ten_units_score_like_sixteen(k):
+    noisy = noisy_gate(cavity_decay_per_s=k)
+    f_avg, f_pro, trace_defect = _sixteen_unit_scores(
+        noisy.segments, noisy.collapse, noisy.computational
+    )
+    result = qcpg_lindblad_fidelity(noisy)
+    assert abs(result.average_fidelity - f_avg) <= 1e-15
+    assert abs(result.process_fidelity - f_pro) <= 1e-15
+    assert abs(result.trace_defect - trace_defect) <= 1e-15
 
 
 def test_cutoff_two_is_converged():

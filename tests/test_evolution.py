@@ -29,18 +29,22 @@ from squidcavity import (
     propagator,
     single_excitation_closed_form,
     state_fidelity,
-    tensor_state,
 )
 from squidcavity import evolution
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
     _check_step_size,
+    _from_coordinates,
     _lindblad_parts,
     _lindblad_rhs,
+    _real_superoperator,
     _rk4_lindblad,
     _superoperator,
+    _to_coordinates,
     propagate,
 )
+
+from conftest import tensor_state
 
 
 def _coupling_segment(omega_1, omega_2, duration):
@@ -62,10 +66,13 @@ def test_propagator_rejects_non_hermitian():
 
 
 def test_propagator_rejects_nan_generator():
-    # the Hermiticity flag refuses NaN at construction, but the matrix stays
-    # writable; the unitarity check must not let a NaN written later through
+    # the Hermiticity flag refuses NaN at construction and the matrix is
+    # read-only, so only bypassing the frozen dataclass puts a NaN in; the
+    # unitarity check must still not let it through
     h = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0]), hermitian=True)
-    h.matrix[1, 1] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        h.matrix[1, 1] = np.nan
+    object.__setattr__(h, "matrix", np.diag([1.0, np.nan, 0.0]).astype(complex))
     with pytest.raises(ValueError, match="unitarity"):
         propagator(h, 1.0)
 
@@ -332,6 +339,74 @@ def test_superoperator_matches_the_matrix_form_of_the_generator():
     sup = _superoperator(drift, drift_dag, l_ops)
     got = (rho.reshape(batch, d * d) @ sup.T).reshape(rho.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _adjoint(x):
+    return np.swapaxes(x, -1, -2).conj()
+
+
+def test_real_superoperator_matches_the_complex_one():
+    # L applied through the real coordinates of the Hermitian parts equals
+    # the complex superoperator, on Hermitian and on non-Hermitian batches
+    rng = np.random.default_rng(11)
+    d, batch = 6, 5
+    h = _cplx(rng, d, d)
+    l_ops = [_cplx(rng, d, d) for _ in range(3)]
+    drift, drift_dag, _ = _lindblad_parts(h + _adjoint(h), l_ops)
+    sup = _superoperator(drift, drift_dag, l_ops)
+    real = _real_superoperator(drift, drift_dag, l_ops)
+    assert real.dtype == np.float64 and real.shape == (d * d, d * d)
+    x = _cplx(rng, batch, d, d)
+    for rho in (x, x + _adjoint(x)):
+        want = (rho.reshape(batch, d * d) @ sup.T).reshape(rho.shape)
+        a, b = (
+            _from_coordinates((y.reshape(batch, d * d) @ real.T).reshape(rho.shape))
+            for y in _to_coordinates(rho)
+        )
+        assert np.max(np.abs(a + 1j * b - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_real_coordinates_are_an_isometry_and_invert():
+    rng = np.random.default_rng(12)
+    x = _cplx(rng, 4, 7, 7)
+    herm = x + _adjoint(x)
+    y_a, y_b = _to_coordinates(herm)
+    assert not np.any(y_b)
+    norms = np.linalg.norm(y_a.reshape(4, -1), axis=1)
+    np.testing.assert_allclose(norms, np.linalg.norm(herm, axis=(1, 2)), rtol=1e-15)
+    # Re + Im and Re - Im round once, so the way back holds to an ulp in
+    # general and exactly where neither sum rounds, as for small integers
+    back = _from_coordinates(y_a)
+    assert np.max(np.abs(back - herm)) <= 2.0**-52 * np.max(np.abs(herm))
+    ints = np.round(4 * herm)
+    np.testing.assert_array_equal(_from_coordinates(_to_coordinates(ints)[0]), ints)
+    # X = A + iB for any X, and A, B come back Hermitian
+    a, b = (_from_coordinates(y) for y in _to_coordinates(x))
+    assert np.max(np.abs(a + 1j * b - x)) <= 2.0**-51 * np.max(np.abs(x))
+    for part in (a, b):
+        np.testing.assert_array_equal(part, _adjoint(part))
+
+
+def test_exp_lindblad_keeps_hermitian_inputs_exactly_hermitian():
+    layout = SpaceLayout(2, fock_cutoff=1)
+    h_full = embedded_matrix(
+        cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 1), layout
+    )
+    ops = collapse_operators_from_rates(5e6, 4e7, 0.5, n_max=1)
+    l_full = [embedded_matrix(op, layout) for op in ops]
+    rng = np.random.default_rng(13)
+    x = _cplx(rng, 3, 18, 18)
+    out = exp_lindblad(x + _adjoint(x), h_full, l_full, 1.7e-8)
+    np.testing.assert_array_equal(out, _adjoint(out))
+    # a non-Hermitian input is the sum of its parts' images
+    a, b = (x + _adjoint(x)) / 2, (x - _adjoint(x)) / 2j
+    whole = exp_lindblad(x, h_full, l_full, 1.7e-8)
+    parts = exp_lindblad(a, h_full, l_full, 1.7e-8) + 1j * exp_lindblad(b, h_full, l_full, 1.7e-8)
+    assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(whole))
 
 
 def test_exp_lindblad_refuses_large_dimensions_before_allocating():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_apply, oracle_embedded, random_state, random_unitary
+from conftest import (
+    oracle_apply,
+    oracle_embedded,
+    random_state,
+    random_unitary,
+    tensor_state,
+)
 from squidcavity import (
     CompositeState,
     LocalOperator,
@@ -11,7 +17,6 @@ from squidcavity import (
     basis_state,
     embedded_matrix,
     expectation,
-    tensor_state,
 )
 
 SWAP01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -121,6 +126,25 @@ def test_local_operator_validation():
     # a NaN defect compares false against any bound; it must fail too
     with pytest.raises(ValueError, match="hermitian"):
         LocalOperator((0,), (3,), np.diag([1.0, np.nan, 0.0]), hermitian=True)
+
+
+def test_checked_arrays_are_read_only_views():
+    # nothing written through the operator or the state can undo its checks
+    mat = np.diag([1.0, 2.0, 0.0]).astype(complex)
+    op = LocalOperator((0,), (3,), mat, hermitian=True)
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[1, 1] = np.nan
+    amp = np.zeros(9, dtype=complex)
+    amp[0] = 1.0
+    state = CompositeState(SpaceLayout(1), amp)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = np.nan
+    # views, not copies: the caller's arrays stay writable and shared
+    assert np.shares_memory(op.matrix, mat) and mat.flags.writeable
+    assert np.shares_memory(state.amplitudes, amp) and amp.flags.writeable
+    # every constructed state is frozen, the kernel's results included
+    out = apply_local(state, op)
+    assert not out.amplitudes.flags.writeable
 
 
 def test_apply_local_identity():

@@ -28,8 +28,9 @@ from squidcavity import (
     schedule_to_json,
     segment_to_dict,
     state_fidelity,
-    tensor_state,
 )
+
+from conftest import tensor_state
 
 
 def test_schedule_concatenation_and_duration():

@@ -25,13 +25,12 @@ from squidcavity import (
     qcpg_schedule,
     stabilizer_expectations,
     state_fidelity,
-    tensor_state,
     truth_table,
 )
 
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
-from conftest import oracle_apply
+from conftest import oracle_apply, tensor_state
 
 
 def test_empty_schedule_gives_identity_table():

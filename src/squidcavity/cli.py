@@ -5,9 +5,9 @@ the resolved configuration into its JSON report, and writes outputs under the
 chosen directory.  Exit codes: 0 all checks passed, 1 a physics check failed,
 2 configuration or usage error.
 
-Output files are byte-identical across runs with the same configuration and
-seed, with one documented exception: the ``runtime_s`` column of the
-decoherence CSV and the wall-clock lines on stdout measure the actual run.
+Output files are byte-identical across runs with the same configuration,
+with one documented exception: the ``runtime_s`` column of the decoherence
+CSV and the wall-clock lines on stdout measure the actual run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file; flags override it")
     common.add_argument("--out", type=Path, help="output directory (default: out)")
-    common.add_argument("--seed", type=int, help="seed recorded in every report")
     common.add_argument("--fock-cutoff", type=int, help="cavity truncation photon number")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,15 +112,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     updates = {}
     if args.out is not None:
         updates["out_dir"] = str(args.out)
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.fock_cutoff is not None:
         updates["fock_cutoff"] = args.fock_cutoff
-
     if getattr(args, "n", None) is not None:
         updates["n_qubits"] = args.n
-    if args.command == "cluster":
-        updates["protocol"] = "cluster"
 
     try:
         gate = config.gate
@@ -260,8 +254,8 @@ def cmd_cluster(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_feasibility(config: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
-    report = feasibility_report(config.feasibility)
-    payload = {"config": config_to_dict(config), **report.to_dict()}
+    report = feasibility_report(config.feasibility, config.gate)
+    payload = {"config": config_to_dict(config), **asdict(report)}
     _write_json(out_dir, "feasibility.json", payload)
     print(f"cavity decay rate:      {report.cavity_decay_per_s:.4e} 1/s")
     print(f"cavity lifetime:        {report.cavity_lifetime_s:.4e} s")

@@ -4,21 +4,23 @@ Every rate or duration key carries its unit in the name (``_per_s``, ``_hz``,
 ``_s``) because the operating point mixes Hz, microseconds, and dimensionless
 quality factors; a silent unit slip is the likeliest way to get plausible but
 wrong numbers.  Unknown keys are rejected with their full path rather than
-ignored.  Command-line flags override file values, which override defaults.
+ignored, and so is a value of the wrong JSON type (a boolean is not a
+number).  Command-line flags override file values, which override defaults.
+The key maps below are the one JSON-key <-> field table: the parser reads
+through them and the report echo is written from them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams
 from .hilbert import SQUID_DIM
 from .protocols import GateParams
 
-PROTOCOLS = ("qcpg", "cluster")
 SWEEP_PARAMETERS = ("k", "gamma_e", "branch_ratio")
 
 MIN_CHAIN = 2
@@ -57,6 +59,10 @@ class SweepSettings:
                 f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
                 f"got {self.parameter!r}"
             )
+        if not isinstance(self.values, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.values
+        ):
+            raise ConfigError(f"sweep values must be an array of numbers, got {self.values!r}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ConfigError("sweep values must be nonempty")
@@ -72,23 +78,20 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    protocol: str = "qcpg"
     n_qubits: int = 4
     fock_cutoff: int = 2
-    seed: int = 0
     out_dir: str = "out"
     gate: GateParams = field(default_factory=GateParams)
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(
-                f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"
-            )
-        for name in ("n_qubits", "fock_cutoff", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("n_qubits", "fock_cutoff"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not MIN_CHAIN <= self.n_qubits <= MAX_CHAIN:
             raise ConfigError(
                 f"n_qubits must lie in {MIN_CHAIN}..{MAX_CHAIN}, got {self.n_qubits}"
@@ -116,13 +119,15 @@ _FEASIBILITY_KEYS = {
     "q_factor": "q_factor",
     "omega_c_hz": "omega_c_hz",
     "gamma_e_per_s": "gamma_e_per_s",
-    "g_per_s": "g_per_s",
-    "omega_drive_per_s": "omega_drive_per_s",
     "branch_ratio_e_to_0": "branch_ratio_e_to_0",
 }
 _SWEEP_KEYS = {"parameter": "parameter", "values": "values"}
-_TOP_SCALARS = ("protocol", "n_qubits", "fock_cutoff", "seed", "out_dir")
-_TOP_SECTIONS = ("gate", "feasibility", "sweep")
+_TOP_SCALARS = ("n_qubits", "fock_cutoff", "out_dir")
+_SECTIONS = {
+    "gate": (_GATE_KEYS, GateParams),
+    "feasibility": (_FEASIBILITY_KEYS, FeasibilityParams),
+    "sweep": (_SWEEP_KEYS, SweepSettings),
+}
 
 
 def _section(data: dict, name: str, key_map: dict, cls):
@@ -133,6 +138,8 @@ def _section(data: dict, name: str, key_map: dict, cls):
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
     for key, value in raw.items():
+        if isinstance(value, bool):
+            raise ConfigError(f"{name}.{key} must not be a boolean, got {str(value).lower()}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name}.{key} must be finite, got {value}")
     kwargs = {key_map[k]: v for k, v in raw.items()}
@@ -147,13 +154,12 @@ def _section(data: dict, name: str, key_map: dict, cls):
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(_TOP_SCALARS) - set(_TOP_SECTIONS))
+    unknown = sorted(set(data) - set(_TOP_SCALARS) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
     kwargs = {k: data[k] for k in _TOP_SCALARS if k in data}
-    kwargs["gate"] = _section(data, "gate", _GATE_KEYS, GateParams)
-    kwargs["feasibility"] = _section(data, "feasibility", _FEASIBILITY_KEYS, FeasibilityParams)
-    kwargs["sweep"] = _section(data, "sweep", _SWEEP_KEYS, SweepSettings)
+    for name, (key_map, cls) in _SECTIONS.items():
+        kwargs[name] = _section(data, name, key_map, cls)
     return RunConfig(**kwargs)
 
 
@@ -172,21 +178,8 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(config: RunConfig) -> dict:
     """Inverse of ``config_from_dict``; suitable for a deterministic JSON echo."""
-    gate = config.gate
-    return {
-        "protocol": config.protocol,
-        "n_qubits": config.n_qubits,
-        "fock_cutoff": config.fock_cutoff,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "gate": {
-            "omega_1_per_s": gate.omega_1,
-            "ratio": gate.ratio,
-            "drive_rabi_per_s": gate.drive_rabi,
-            "cavity_time_s": gate.cavity_time,
-            "pulse_duration_s": gate.pulse_duration,
-        },
-        "feasibility": asdict(config.feasibility),
-        "sweep": {"parameter": config.sweep.parameter, "values": list(config.sweep.values)},
-    }
-
+    data = {key: getattr(config, key) for key in _TOP_SCALARS}
+    for name, (key_map, _) in _SECTIONS.items():
+        section = getattr(config, name)
+        data[name] = {key: getattr(section, attr) for key, attr in key_map.items()}
+    return data

@@ -1,13 +1,16 @@
 """Operating-point timescales: are the gate windows short enough to survive?
 
-Everything here is recomputed from ``FeasibilityParams``; the only constants
-are two-significant-figure anchor values for the default operating point,
-kept as regression guards against unit or formula slips.  The quantities:
+The decay times come from ``FeasibilityParams`` and the windows from the
+gate's ``GateParams``: they are the segment durations ``qcpg_schedule``
+builds, so this report and the ``decoherence`` simulation always describe
+the same gate.  The only constants are two-significant-figure anchor values
+for the default operating point, kept as regression guards against unit or
+formula slips.  The quantities:
 
     cavity_lifetime_s     1/k        with k = omega_c / Q
-    exchange_window_s     pi / g     duration of the cavity-coupling segment
-    pulse_window_s        pi / (2 * omega_drive)   duration of one pulse
-    cooperativity         g^2 / (gamma_e * k)      strong-coupling figure
+    exchange_window_s     t_c        the cavity-coupling segment (pi / omega_1 by default)
+    pulse_window_s        t_p        one pulse (pi / (2 * drive_rabi) by default)
+    cooperativity         omega_1^2 / (gamma_e * k)   strong-coupling figure
 
 The gate works when both windows are tiny fractions of the decay times,
 i.e. ``exchange_per_cavity_decay`` = T_r * k and ``exchange_per_e_decay`` =
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .hamiltonians import FeasibilityParams
+from .protocols import GateParams
 
 # two-significant-figure values at the default operating point
 ANCHORS = {
@@ -54,21 +58,10 @@ class FeasibilityReport:
     anchors_matched: dict
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "cavity_decay_per_s": self.cavity_decay_per_s,
-            "cavity_lifetime_s": self.cavity_lifetime_s,
-            "exchange_window_s": self.exchange_window_s,
-            "pulse_window_s": self.pulse_window_s,
-            "cooperativity": self.cooperativity,
-            "exchange_per_cavity_decay": self.exchange_per_cavity_decay,
-            "exchange_per_e_decay": self.exchange_per_e_decay,
-            "anchors_matched": dict(self.anchors_matched),
-            "passed": self.passed,
-        }
 
-
-def feasibility_report(params: FeasibilityParams = FeasibilityParams()) -> FeasibilityReport:
+def feasibility_report(
+    params: FeasibilityParams = FeasibilityParams(), gate: GateParams = GateParams()
+) -> FeasibilityReport:
     """Recompute every derived quantity and flag each against its anchor.
 
     The anchors describe the default operating point; a report built from
@@ -76,12 +69,15 @@ def feasibility_report(params: FeasibilityParams = FeasibilityParams()) -> Feasi
     """
     k = params.cavity_decay_per_s
     gamma_e = params.gamma_e_per_s
+    omega_1 = gate.omega_1
     values = {
         "cavity_lifetime_s": 1.0 / k,
-        "exchange_window_s": math.pi / params.g_per_s,
-        "pulse_window_s": math.pi / (2.0 * params.omega_drive_per_s),
-        # gamma_e = 0 is a legal lossless point; report infinite cooperativity
-        "cooperativity": params.g_per_s**2 / (gamma_e * k) if gamma_e > 0 else math.inf,
+        "exchange_window_s": gate.resolved_cavity_time,
+        "pulse_window_s": gate.resolved_pulse_duration,
+        # gamma_e = 0 is a legal lossless point; report infinite cooperativity.
+        # A product, not **2: a huge omega_1 the gate accepts then reads inf
+        # instead of raising OverflowError
+        "cooperativity": omega_1 * omega_1 / (gamma_e * k) if gamma_e > 0 else math.inf,
     }
     matched = {
         name: math.isclose(

@@ -91,19 +91,18 @@ class CavityCouplingSpec:
 
 @dataclass(frozen=True)
 class FeasibilityParams:
-    """Physical operating point used by the decoherence and feasibility studies.
+    """Decay side of the operating point, for the decoherence and feasibility studies.
 
     Units: ``omega_c_hz`` is the cavity frequency in Hz, ``gamma_e_per_s`` the
-    upper-level relaxation rate in 1/s, ``g_per_s`` and ``omega_drive_per_s``
-    angular coupling/Rabi rates in rad/s (conventionally quoted in Hz).
-    Defaults are a conservative superconducting-cavity operating point.
+    upper-level relaxation rate in 1/s.  The coupling and drive rates are not
+    here: they belong to the gate (``protocols.GateParams``), the one place
+    both studies read them from.  Defaults are a conservative
+    superconducting-cavity operating point.
     """
 
     q_factor: float = 1e6
     omega_c_hz: float = 5e10
     gamma_e_per_s: float = 4e5
-    g_per_s: float = 1.8e8
-    omega_drive_per_s: float = 8.5e7
     branch_ratio_e_to_0: float = 0.5
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class FeasibilityParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("q_factor", "omega_c_hz", "g_per_s", "omega_drive_per_s"):
+        for name in ("q_factor", "omega_c_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.gamma_e_per_s < 0:

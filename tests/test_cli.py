@@ -23,13 +23,16 @@ def test_truth_table_default_passes(tmp_path, capsys):
     assert payload["phases_rad"] == pytest.approx([0.0, 0.0, 0.0, math.pi], abs=1e-9)
     assert payload["max_entry_error"] <= 1e-9
     assert payload["leakage"] <= 1e-10
-    assert payload["config"]["seed"] == 0
+    # the echo holds only the values the program reads
+    assert set(payload["config"]) == {
+        "n_qubits", "fock_cutoff", "out_dir", "gate", "feasibility", "sweep"
+    }
     schedule = _read_json(tmp_path / "schedule.json")
     assert [seg["kind"] for seg in schedule] == ["drive", "cavity", "drive"]
 
 
 def test_truth_table_outputs_are_byte_identical(tmp_path):
-    argv = ["truth-table", "--out", str(tmp_path), "--seed", "5"]
+    argv = ["truth-table", "--out", str(tmp_path)]
     assert main(argv) == 0
     first = {
         name: (tmp_path / name).read_bytes() for name in ("truth_table.json", "schedule.json")
@@ -93,6 +96,25 @@ def test_feasibility_reports_anchors(tmp_path, capsys):
     assert payload["passed"] is True
     assert all(payload["anchors_matched"].values())
     assert payload["cavity_lifetime_s"] == pytest.approx(2e-5)
+
+
+def test_feasibility_and_decoherence_read_one_gate(tmp_path, capsys):
+    # omega_1 is set once, in the gate; both commands see the same gate
+    config_path = tmp_path / "fast.json"
+    config_path.write_text(json.dumps({"gate": {"omega_1_per_s": 3.6e8}}))
+    out = tmp_path / "out"
+    assert main(["feasibility", "--config", str(config_path), "--out", str(out)]) == 1
+    assert "anchor exchange_window_s: MISMATCH" in capsys.readouterr().out
+    report = _read_json(out / "feasibility.json")
+    assert report["exchange_window_s"] == math.pi / 3.6e8
+    assert report["anchors_matched"]["exchange_window_s"] is False
+    argv = ["decoherence", "--config", str(config_path), "--values", "5e4", "--out", str(out)]
+    assert main(argv) == 0
+    row = _read_json(out / "decoherence.json")["rows"][0]
+    assert row["gate_duration_s"] == pytest.approx(
+        report["exchange_window_s"] + 2 * report["pulse_window_s"], rel=1e-15
+    )
+    capsys.readouterr()
 
 
 def test_decoherence_rows_and_determinism(tmp_path, capsys):
@@ -230,16 +252,15 @@ def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monk
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps({"seed": 9, "out_dir": str(tmp_path / "from_file")}))
+    config_path.write_text(json.dumps({"fock_cutoff": 3, "out_dir": str(tmp_path / "from_file")}))
     assert main(["feasibility", "--config", str(config_path)]) == 0
     payload = _read_json(tmp_path / "from_file" / "feasibility.json")
-    assert payload["config"]["seed"] == 9
+    assert payload["config"]["fock_cutoff"] == 3
     # flags beat the file
-    assert main(
-        ["feasibility", "--config", str(config_path), "--seed", "11", "--out", str(tmp_path / "o")]
-    ) == 0
+    argv = ["feasibility", "--config", str(config_path), "--fock-cutoff", "4"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
     payload = _read_json(tmp_path / "o" / "feasibility.json")
-    assert payload["config"]["seed"] == 11
+    assert payload["config"]["fock_cutoff"] == 4
     capsys.readouterr()
 
 
@@ -252,14 +273,20 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"qubits": 4}))
     assert main(["feasibility", "--config", str(unknown)]) == 2
+    # a number where a path belongs used to die in Path() with a traceback
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps({"out_dir": 5}))
+    assert main(["feasibility", "--config", str(typed)]) == 2
     err = capsys.readouterr().err
-    assert err.count("configuration error") == 3
+    assert err.count("configuration error") == 4
+    assert "out_dir must be a string" in err
 
 
 def test_usage_errors_and_help(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     assert main(["truth-table", "--bogus"]) == 2
-    # the RK4 step count is no longer a setting
+    # the RK4 step count is no longer a setting, and nothing is random
     assert main(["decoherence", "--steps-per-segment", "600"]) == 2
+    assert main(["truth-table", "--seed", "5"]) == 2
     capsys.readouterr()

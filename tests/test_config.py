@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,17 +17,13 @@ from squidcavity import (
 
 def test_defaults():
     config = RunConfig()
-    assert config.protocol == "qcpg"
     assert config.n_qubits == 4
     assert config.fock_cutoff == 2
-    assert config.seed == 0
     assert config.sweep.parameter == "k"
     assert config.sweep.values == (5e4, 5e5, 5e6, 5e7)
 
 
 def test_scalar_validation():
-    with pytest.raises(ConfigError, match="protocol"):
-        RunConfig(protocol="teleport")
     with pytest.raises(ConfigError, match="n_qubits"):
         RunConfig(n_qubits=1)
     with pytest.raises(ConfigError, match="n_qubits"):
@@ -41,8 +38,6 @@ def test_scalar_validation():
         RunConfig(fock_cutoff=10**9)
     with pytest.raises(ConfigError, match="budget"):
         RunConfig(n_qubits=10, fock_cutoff=17)
-    with pytest.raises(ConfigError, match="integer"):
-        RunConfig(seed="0")
 
 
 def test_sweep_validation():
@@ -63,17 +58,14 @@ def test_sweep_validation():
 def test_from_dict_minimal_and_full():
     assert config_from_dict({}) == RunConfig()
     data = {
-        "protocol": "cluster",
         "n_qubits": 6,
         "fock_cutoff": 2,
-        "seed": 7,
         "out_dir": "results",
         "gate": {"omega_1_per_s": 2e8, "ratio": 1.7320508075688772},
         "feasibility": {"q_factor": 2e6},
         "sweep": {"parameter": "gamma_e", "values": [1e5, 1e6]},
     }
     config = config_from_dict(data)
-    assert config.protocol == "cluster"
     assert config.n_qubits == 6
     assert config.gate.omega_1 == 2e8
     assert config.gate.omega_2 == pytest.approx(2e8 * math.sqrt(3))
@@ -95,6 +87,16 @@ def test_from_dict_rejects_unknown_keys():
     # the RK4 step count is no longer a setting
     with pytest.raises(ConfigError, match="top-level"):
         config_from_dict({"lindblad": {"steps_per_segment": 800}})
+    # nothing is random and the subcommand names the protocol; the gate's
+    # omega_1_per_s and drive_rabi_per_s are the one coupling and drive rate
+    for data, key in (
+        ({"seed": 0}, "seed"),
+        ({"protocol": "qcpg"}, "protocol"),
+        ({"feasibility": {"g_per_s": 1.8e8}}, "g_per_s"),
+        ({"feasibility": {"omega_drive_per_s": 8.5e7}}, "omega_drive_per_s"),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown .*: {key}$"):
+            config_from_dict(data)
 
 
 def test_from_dict_wraps_value_errors():
@@ -117,9 +119,7 @@ def test_from_dict_rejects_non_finite_values():
 
 
 def test_round_trip_through_dict():
-    config = config_from_dict(
-        {"protocol": "cluster", "n_qubits": 3, "gate": {"cavity_time_s": 1.7e-8}}
-    )
+    config = config_from_dict({"n_qubits": 3, "gate": {"cavity_time_s": 1.7e-8}})
     echoed = config_to_dict(config)
     assert config_from_dict(echoed) == config
     # the echo carries explicit unit-suffixed keys
@@ -128,11 +128,80 @@ def test_round_trip_through_dict():
     assert "gamma_e_per_s" in echoed["feasibility"]
 
 
+def test_round_trip_sets_every_key():
+    data = {
+        "n_qubits": 3,
+        "fock_cutoff": 3,
+        "out_dir": "results",
+        "gate": {
+            "omega_1_per_s": 2e8,
+            "ratio": 1.7,
+            "drive_rabi_per_s": 9e7,
+            "cavity_time_s": 1.6e-8,
+            "pulse_duration_s": 1.7e-8,
+        },
+        "feasibility": {
+            "q_factor": 2e6,
+            "omega_c_hz": 6e10,
+            "gamma_e_per_s": 3e5,
+            "branch_ratio_e_to_0": 0.25,
+        },
+        "sweep": {"parameter": "gamma_e", "values": [1e5, 1e6]},
+    }
+    config = config_from_dict(data)
+    echoed = config_to_dict(config)
+    assert config_from_dict(echoed) == config
+    # every key is set away from its default, and the echo carries each back
+    assert json.loads(json.dumps(echoed)) == data
+    assert config != RunConfig()
+
+
+def _key_tree(data: dict) -> dict:
+    return {k: _key_tree(v) if isinstance(v, dict) else None for k, v in data.items()}
+
+
+def test_readme_config_block_is_the_schema():
+    # the JSON block under README's "Config file" heading lists every key
+    # at its default; a key added to or removed from the schema shows here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    data = json.loads(block)
+    assert config_from_dict(data) == RunConfig()
+    assert _key_tree(config_to_dict(RunConfig())) == _key_tree(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a string is not an array: it used to be iterated into k = 5, 5
+        pytest.param({"sweep": {"values": "55"}}, "array of numbers", id="values-string"),
+        pytest.param({"sweep": {"values": ["5e4"]}}, "array of numbers", id="values-of-strings"),
+        pytest.param({"sweep": {"values": [5e4, True]}}, "array of numbers", id="values-bool"),
+        # a boolean is not a number, although Python counts it as the integer 1
+        pytest.param({"fock_cutoff": True}, "fock_cutoff must be an integer", id="cutoff-bool"),
+        pytest.param({"n_qubits": False}, "n_qubits must be an integer", id="n-bool"),
+        pytest.param(
+            {"gate": {"ratio": True}}, "gate.ratio must not be a boolean", id="gate-bool"
+        ),
+        pytest.param(
+            {"feasibility": {"q_factor": True}},
+            "feasibility.q_factor must not be a boolean",
+            id="feasibility-bool",
+        ),
+        pytest.param({"out_dir": 5}, "out_dir must be a string", id="out_dir-number"),
+    ],
+)
+def test_wrong_json_types_are_refused(data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"seed": 3, "out_dir": "x"}))
+    path.write_text(json.dumps({"fock_cutoff": 3, "out_dir": "x"}))
     config = load_config(path)
-    assert config.seed == 3
+    assert config.fock_cutoff == 3
     assert config.out_dir == "x"
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -145,9 +214,8 @@ def test_load_config(tmp_path):
 def test_replace_revalidates_fields():
     # the command line applies its flags with dataclasses.replace
     config = RunConfig()
-    updated = replace(config, n_qubits=8, protocol="cluster")
+    updated = replace(config, n_qubits=8)
     assert updated.n_qubits == 8
-    assert updated.protocol == "cluster"
     assert config.n_qubits == 4
     with pytest.raises(ConfigError):
         replace(config, n_qubits=1)

@@ -114,7 +114,7 @@ def test_feasibility_params_defaults_and_validation():
         FeasibilityParams(gamma_e_per_s=-1)
     with pytest.raises(ValueError):
         FeasibilityParams(branch_ratio_e_to_0=1.5)
-    for name in ("q_factor", "omega_c_hz", "gamma_e_per_s", "g_per_s", "branch_ratio_e_to_0"):
+    for name in ("q_factor", "omega_c_hz", "gamma_e_per_s", "branch_ratio_e_to_0"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 FeasibilityParams(**{name: bad})

@@ -15,7 +15,6 @@ import numpy as np
 from squidcavity import (
     CavityCouplingSpec,
     CavitySegment,
-    PulseSchedule,
     SpaceLayout,
     basis_index,
     basis_state,
@@ -35,7 +34,7 @@ indices = [
 
 def simulate(ratio: float, t: float) -> np.ndarray:
     seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, ratio * omega_1), t)
-    out = evolve_pure(start, PulseSchedule((seg,)))
+    out = evolve_pure(start, (seg,))
     return out.amplitudes[indices]
 
 

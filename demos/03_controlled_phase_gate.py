@@ -11,11 +11,11 @@ import warnings
 
 import numpy as np
 
-from squidcavity import GateParams, qcpg_schedule, schedule_to_dicts, truth_table
+from squidcavity import GateParams, qcpg_schedule, truth_table
 
 schedule = qcpg_schedule(0, 1)
 print("schedule:")
-for row in schedule_to_dicts(schedule):
+for row in (segment.to_dict() for segment in schedule):
     if row["kind"] == "drive":
         print(
             f"  drive  SQUID {row['sites'][0]}, {row['transition']}, "
@@ -27,7 +27,7 @@ for row in schedule_to_dicts(schedule):
             f"{row['omega_1_per_s']:.2e}/s, ratio "
             f"{row['omega_2_per_s'] / row['omega_1_per_s']:.4f}, {row['duration_s']:.3e} s"
         )
-print(f"  total duration {schedule.total_duration:.3e} s")
+print(f"  total duration {sum(segment.duration for segment in schedule):.3e} s")
 
 report = truth_table(schedule)
 print()

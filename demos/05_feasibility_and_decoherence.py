@@ -34,9 +34,9 @@ t0 = time.perf_counter()
 results = [qcpg_lindblad_fidelity(noisy_gate(cavity_decay_per_s=k)) for k in values]
 elapsed = time.perf_counter() - t0
 print(f"{'k (1/s)':>12} {'avg fidelity':>13} {'trace defect':>13}")
-for result in results:
+for k, result in zip(values, results):
     print(
-        f"{result.cavity_decay_per_s:>12.3e} {result.average_fidelity:>13.6f} "
+        f"{k:>12.3e} {result.average_fidelity:>13.6f} "
         f"{result.trace_defect:>13.2e}"
     )
 print(f"({elapsed:.1f} s for {len(values)} master-equation runs)")

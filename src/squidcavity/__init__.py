@@ -48,7 +48,6 @@ from .protocols import (
     CavitySegment,
     DriveSegment,
     GateParams,
-    PulseSchedule,
     chain_initial_state,
     cluster_chain_schedule,
     cluster_state_oracle,
@@ -56,9 +55,7 @@ from .protocols import (
     prepare_superposition,
     qcpg_schedule,
     rotation_pulse,
-    schedule_to_dicts,
     schedule_to_json,
-    segment_to_dict,
 )
 from .verification import (
     CZ_DIAG,

@@ -51,13 +51,6 @@ CLUSTER_VACUUM_MIN = 1.0 - 1e-10
 SWEEP_TRACE_DEFECT_MAX = 1e-6
 SWEEP_EIGENVALUE_MIN = -1e-6
 
-_SWEEP_KWARG = {
-    "k": "cavity_decay_per_s",
-    "gamma_e": "gamma_e_per_s",
-    "branch_ratio": "branch_ratio_e_to_0",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squidcavity",
@@ -148,22 +141,27 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory of every command, before any work runs."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def _write_text(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(text if text.endswith("\n") else text + "\n")
     return path
 
 
 def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -275,7 +273,7 @@ def _point_rates(config: RunConfig, value: float) -> dict:
         "cavity_decay_per_s": config.feasibility.cavity_decay_per_s,
         "gamma_e_per_s": config.feasibility.gamma_e_per_s,
         "branch_ratio_e_to_0": config.feasibility.branch_ratio_e_to_0,
-        _SWEEP_KWARG[config.sweep.parameter]: value,
+        SWEEP_PARAMETERS[config.sweep.parameter]: value,
     }
 
 
@@ -383,6 +381,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _resolve_config(args)
+        _make_out_dir(Path(config.out_dir))
         return args.handler(config, args)
     except ConfigError as exc:
         # any other exception is a fault in the program, not in the input

@@ -21,7 +21,12 @@ from .hamiltonians import FeasibilityParams
 from .hilbert import SQUID_DIM
 from .protocols import GateParams
 
-SWEEP_PARAMETERS = ("k", "gamma_e", "branch_ratio")
+# sweep name -> the rate keyword of ``decoherence.noisy_gate`` it sets
+SWEEP_PARAMETERS = {
+    "k": "cavity_decay_per_s",
+    "gamma_e": "gamma_e_per_s",
+    "branch_ratio": "branch_ratio_e_to_0",
+}
 
 MIN_CHAIN = 2
 MAX_CHAIN = 10
@@ -56,7 +61,7 @@ class SweepSettings:
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(
-                f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
+                f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}, "
                 f"got {self.parameter!r}"
             )
         if not isinstance(self.values, (list, tuple)) or not all(

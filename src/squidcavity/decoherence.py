@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import exp_lindblad, lindblad_substeps, segment_hamiltonian
+from .evolution import exp_lindblad, lindblad_substeps
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
 from .hilbert import SpaceLayout, basis_index, embedded_matrix
 from .protocols import GateParams, qcpg_schedule
@@ -60,9 +60,6 @@ class GateProcessResult:
     process_fidelity: float
     trace_defect: float
     min_eigenvalue: float
-    cavity_decay_per_s: float
-    gamma_e_per_s: float
-    branch_ratio_e_to_0: float
     gate_duration_s: float
 
 
@@ -82,9 +79,6 @@ class NoisyGate:
     segments: tuple[tuple[np.ndarray, float], ...]
     collapse: tuple[np.ndarray, ...]
     substeps: int
-    cavity_decay_per_s: float
-    gamma_e_per_s: float
-    branch_ratio_e_to_0: float
     gate_duration_s: float
 
 
@@ -101,7 +95,7 @@ def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_
     )
     l_full = [embedded_matrix(op, layout) for op in collapse]
     segments = [
-        (embedded_matrix(segment_hamiltonian(seg, fock_cutoff), layout), seg.duration)
+        (embedded_matrix(seg.hamiltonian(fock_cutoff), layout), seg.duration)
         for seg in schedule
     ]
     return layout, schedule, segments, l_full
@@ -152,10 +146,7 @@ def noisy_gate(
         segments=reduced,
         collapse=collapse,
         substeps=max(lindblad_substeps(h, collapse, t) for h, t in reduced),
-        cavity_decay_per_s=float(cavity_decay_per_s),
-        gamma_e_per_s=float(gamma_e_per_s),
-        branch_ratio_e_to_0=float(branch_ratio_e_to_0),
-        gate_duration_s=float(schedule.total_duration),
+        gate_duration_s=float(sum(seg.duration for seg in schedule)),
     )
 
 
@@ -199,9 +190,6 @@ def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
         process_fidelity=float(f_pro),
         trace_defect=float(trace_defect),
         min_eigenvalue=min_eig,
-        cavity_decay_per_s=noisy.cavity_decay_per_s,
-        gamma_e_per_s=noisy.gamma_e_per_s,
-        branch_ratio_e_to_0=noisy.branch_ratio_e_to_0,
         gate_duration_s=noisy.gate_duration_s,
     )
 

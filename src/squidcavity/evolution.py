@@ -3,7 +3,8 @@
 Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
-``propagate`` runs pure states, alone or as a block; ``evolve_pure`` wraps it
+``propagate`` runs a schedule (a tuple of segments, each of which builds its
+own generator) on pure states, alone or as a block; ``evolve_pure`` wraps it
 for a ``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
@@ -41,9 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import cavity_coupling_hamiltonian, drive_hamiltonian
 from .hilbert import CompositeState, LocalOperator, SpaceLayout, contract
-from .protocols import CavitySegment, DriveSegment, PulseSchedule
 
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -80,24 +79,16 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     return LocalOperator(hamiltonian.sites, hamiltonian.local_dims, mat)
 
 
-def segment_hamiltonian(segment, fock_cutoff: int) -> LocalOperator:
-    """Generator of a schedule segment, built for the given cavity cutoff."""
-    if isinstance(segment, DriveSegment):
-        return drive_hamiltonian(segment.spec)
-    if isinstance(segment, CavitySegment):
-        return cavity_coupling_hamiltonian(segment.spec, fock_cutoff)
-    raise TypeError(f"unknown segment type {type(segment).__name__}")
-
-
-def propagate(layout: SpaceLayout, schedule: PulseSchedule, psi: np.ndarray) -> np.ndarray:
+def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarray:
     """Run a schedule on raw amplitudes, one state or a (total_dim, batch) block.
 
-    Each segment's propagator is built once for the whole block; every
-    state's norm is then checked, which also catches NaN and Inf.
+    Each segment's propagator is built once, from the segment's own
+    generator, for the whole block; every state's norm is then checked,
+    which also catches NaN and Inf.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
     for segment in schedule:
-        h = segment_hamiltonian(segment, layout.fock_cutoff)
+        h = segment.hamiltonian(layout.fock_cutoff)
         psi = contract(layout, propagator(h, segment.duration), psi)
         for column in psi.reshape(len(psi), -1).T:
             norm = float(np.linalg.norm(column))
@@ -108,7 +99,7 @@ def propagate(layout: SpaceLayout, schedule: PulseSchedule, psi: np.ndarray) -> 
     return psi
 
 
-def evolve_pure(state: CompositeState, schedule: PulseSchedule) -> CompositeState:
+def evolve_pure(state: CompositeState, schedule: tuple) -> CompositeState:
     """Run a schedule segment by segment on a pure state."""
     # hand the amplitudes over with no name left in this frame, so that a
     # caller that keeps no reference frees them after the first segment

@@ -36,8 +36,6 @@ import numpy as np
 
 from .hilbert import LEVEL_E, SQUID_DIM, LocalOperator
 
-LEVEL_NAMES = {0: "0", 1: "1", 2: "e"}
-
 
 def _check_level(value: int, what: str) -> int:
     value = int(value)
@@ -118,6 +116,12 @@ class FeasibilityParams:
         if not 0.0 <= self.branch_ratio_e_to_0 <= 1.0:
             raise ValueError(
                 f"branch_ratio_e_to_0 must lie in [0, 1], got {self.branch_ratio_e_to_0}"
+            )
+        # finite inputs can still overflow or underflow in the derived rate
+        if not 0.0 < self.cavity_decay_per_s < math.inf:
+            raise ValueError(
+                "cavity_decay_per_s = omega_c_hz / q_factor must be finite and > 0, "
+                f"got {self.cavity_decay_per_s}"
             )
 
     @property

@@ -1,5 +1,12 @@
 """Pulse schedules: rotations, the three-step controlled-phase gate, chains.
 
+A schedule is a plain tuple of segments, run strictly in sequence.  Each
+segment refuses a negative or NaN duration when it is built, and answers for
+itself what the other modules need: the SQUIDs it acts on (``squids``), its
+generator at a given cavity cutoff (``hamiltonian``) and its row in
+``schedule.json`` (``to_dict``).  No other module asks which kind of segment
+it holds.
+
 The controlled-phase gate between a control and a target SQUID is a sandwich
 of three sequential segments:
 
@@ -43,13 +50,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hamiltonians import CavityCouplingSpec, DriveSpec
+from .hamiltonians import (
+    CavityCouplingSpec,
+    DriveSpec,
+    cavity_coupling_hamiltonian,
+    drive_hamiltonian,
+)
 from .hilbert import (
     LEVEL_0,
     LEVEL_1,
     LEVEL_E,
     SQUID_DIM,
     CompositeState,
+    LocalOperator,
     SpaceLayout,
     basis_state,
 )
@@ -63,42 +76,67 @@ STEP3_PHASE = 0.0
 _GATE_CONDITION_TOL = 1e-6
 
 
+class _Segment:
+    """The duration check both segment kinds share."""
+
+    def __post_init__(self):
+        # written so that a NaN duration is refused too
+        if not self.duration >= 0:
+            raise ValueError(f"segment duration must be >= 0, got {self.duration}")
+
+
 @dataclass(frozen=True)
-class DriveSegment:
+class DriveSegment(_Segment):
+    """A classical pulse on one SQUID."""
+
     spec: DriveSpec
     duration: float
 
+    @property
+    def squids(self) -> tuple[int, ...]:
+        return (self.spec.target_squid,)
+
+    def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
+        """Generator on the target SQUID; the cavity cutoff does not enter."""
+        return drive_hamiltonian(self.spec)
+
+    def to_dict(self) -> dict:
+        """The segment's ``schedule.json`` row."""
+        a, b = self.spec.transition
+        return {
+            "kind": "drive",
+            "sites": list(self.squids),
+            "transition": f"{'01e'[a]}-{'01e'[b]}",
+            "rabi_per_s": self.spec.rabi,
+            "phase_rad": self.spec.phase,
+            "duration_s": self.duration,
+        }
+
 
 @dataclass(frozen=True)
-class CavitySegment:
+class CavitySegment(_Segment):
+    """Two SQUIDs coupled resonantly to the cavity."""
+
     spec: CavityCouplingSpec
     duration: float
 
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Strictly sequential list of timed segments."""
-
-    segments: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        for seg in self.segments:
-            if seg.duration < 0:
-                raise ValueError(f"segment duration must be >= 0, got {seg.duration}")
-
     @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
+    def squids(self) -> tuple[int, ...]:
+        return (self.spec.squid_a, self.spec.squid_b)
 
-    def __add__(self, other: "PulseSchedule") -> "PulseSchedule":
-        return PulseSchedule(self.segments + other.segments)
+    def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
+        """Generator on both SQUIDs and the cavity truncated at ``fock_cutoff``."""
+        return cavity_coupling_hamiltonian(self.spec, fock_cutoff)
 
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
+    def to_dict(self) -> dict:
+        """The segment's ``schedule.json`` row."""
+        return {
+            "kind": "cavity",
+            "sites": [*self.squids, "cavity"],
+            "omega_1_per_s": self.spec.omega_1,
+            "omega_2_per_s": self.spec.omega_2,
+            "duration_s": self.duration,
+        }
 
 
 @dataclass(frozen=True)
@@ -180,15 +218,15 @@ def rotation_pulse(
     angle: float,
     phase: float = 0.0,
     rabi: float = DEFAULT_DRIVE_RABI,
-) -> PulseSchedule:
+) -> tuple:
     """Single-segment schedule rotating the given transition by ``angle``."""
     if not 0.0 <= angle < 2.0 * math.pi:
         raise ValueError(f"angle must lie in [0, 2*pi), got {angle}")
     spec = DriveSpec(target_squid=site, transition=transition, rabi=rabi, phase=phase)
-    return PulseSchedule((DriveSegment(spec, duration=angle / rabi),))
+    return (DriveSegment(spec, duration=angle / rabi),)
 
 
-def prepare_superposition(site: int, rabi: float = DEFAULT_DRIVE_RABI) -> PulseSchedule:
+def prepare_superposition(site: int, rabi: float = DEFAULT_DRIVE_RABI) -> tuple:
     """Pulse taking |1> to (|0> + |1>)/sqrt(2) exactly.
 
     Chain preparation declares |1> as the initial level; from |0> the same
@@ -199,7 +237,7 @@ def prepare_superposition(site: int, rabi: float = DEFAULT_DRIVE_RABI) -> PulseS
 
 def qcpg_schedule(
     control_squid: int, target_squid: int, params: GateParams = GateParams()
-) -> PulseSchedule:
+) -> tuple:
     """Three-step controlled-phase gate; diag(1, 1, 1, -1) on (control, target)."""
     if control_squid == target_squid:
         raise ValueError("control and target must be distinct SQUIDs")
@@ -229,18 +267,18 @@ def qcpg_schedule(
         DriveSpec(target_squid, (LEVEL_1, LEVEL_E), params.drive_rabi, STEP3_PHASE),
         duration=pulse_t,
     )
-    return PulseSchedule((up, exchange, down))
+    return (up, exchange, down)
 
 
-def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> PulseSchedule:
+def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> tuple:
     """Superposition pulses on every site, then a gate on each adjacent pair."""
     if n_qubits < 2:
         raise ValueError(f"cluster chain needs at least 2 qubits, got {n_qubits}")
-    schedule = PulseSchedule()
+    schedule = ()
     for site in range(n_qubits):
-        schedule = schedule + prepare_superposition(site, params.drive_rabi)
+        schedule += prepare_superposition(site, params.drive_rabi)
     for site in range(n_qubits - 1):
-        schedule = schedule + qcpg_schedule(site, site + 1, params)
+        schedule += qcpg_schedule(site, site + 1, params)
     return schedule
 
 
@@ -271,32 +309,5 @@ def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     return CompositeState(layout, amp)
 
 
-def segment_to_dict(segment) -> dict:
-    """One serializable row per segment: kind, sites, rates, duration."""
-    if isinstance(segment, DriveSegment):
-        a, b = segment.spec.transition
-        return {
-            "kind": "drive",
-            "sites": [segment.spec.target_squid],
-            "transition": f"{'01e'[a]}-{'01e'[b]}",
-            "rabi_per_s": segment.spec.rabi,
-            "phase_rad": segment.spec.phase,
-            "duration_s": segment.duration,
-        }
-    if isinstance(segment, CavitySegment):
-        return {
-            "kind": "cavity",
-            "sites": [segment.spec.squid_a, segment.spec.squid_b, "cavity"],
-            "omega_1_per_s": segment.spec.omega_1,
-            "omega_2_per_s": segment.spec.omega_2,
-            "duration_s": segment.duration,
-        }
-    raise TypeError(f"unknown segment type {type(segment).__name__}")
-
-
-def schedule_to_dicts(schedule: PulseSchedule) -> list[dict]:
-    return [segment_to_dict(seg) for seg in schedule]
-
-
-def schedule_to_json(schedule: PulseSchedule) -> str:
-    return json.dumps(schedule_to_dicts(schedule), indent=2, sort_keys=True)
+def schedule_to_json(schedule: tuple) -> str:
+    return json.dumps([seg.to_dict() for seg in schedule], indent=2, sort_keys=True)

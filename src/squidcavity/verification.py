@@ -1,4 +1,9 @@
-"""Gate truth tables, fidelities, and cluster-state stabilizer checks."""
+"""Gate truth tables, fidelities, and cluster-state stabilizer checks.
+
+A schedule here is any tuple of ``protocols`` segments: the checks read
+each segment's ``squids`` and hand the schedule to ``evolution.propagate``,
+so this module never asks which kind of segment it holds.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from .hilbert import (
     basis_index,
     expectation,
 )
-from .protocols import CavitySegment, DriveSegment, PulseSchedule
 
 COMPUTATIONAL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CZ_DIAG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -33,18 +37,8 @@ _E_POPULATION_WARN = 1e-8
 _VACUUM_WARN = 1e-8
 
 
-def _schedule_squids(schedule: PulseSchedule) -> set[int]:
-    squids: set[int] = set()
-    for seg in schedule:
-        if isinstance(seg, DriveSegment):
-            squids.add(seg.spec.target_squid)
-        elif isinstance(seg, CavitySegment):
-            squids.update((seg.spec.squid_a, seg.spec.squid_b))
-    return squids
-
-
 def computational_propagator(
-    schedule: PulseSchedule,
+    schedule: tuple,
     squid_pair: tuple[int, int] = (0, 1),
     fock_cutoff: int = 2,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +52,7 @@ def computational_propagator(
     The inputs go through ``evolution.propagate`` as one (total_dim, 4)
     block, so each segment's propagator is built once.
     """
-    touched = _schedule_squids(schedule)
+    touched = {squid for segment in schedule for squid in segment.squids}
     if not touched <= set(squid_pair):
         raise ValueError(
             f"schedule touches SQUIDs {sorted(touched - set(squid_pair))} "
@@ -93,7 +87,7 @@ class TruthTableReport:
 
 
 def truth_table(
-    schedule: PulseSchedule,
+    schedule: tuple,
     squid_pair: tuple[int, int] = (0, 1),
     fock_cutoff: int = 2,
     entry_tol: float = DEFAULT_ENTRY_TOL,

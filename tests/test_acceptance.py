@@ -18,7 +18,6 @@ from squidcavity import (
     DriveSpec,
     DriveSegment,
     GateParams,
-    PulseSchedule,
     SpaceLayout,
     basis_index,
     basis_state,
@@ -97,7 +96,7 @@ def test_a2_closed_form_matches_numerics(capsys):
         omega = math.hypot(omega_1, omega_2)
         for t in np.linspace(0.0, 6 * math.pi / omega, 100):
             seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), t)
-            out = evolve_pure(start, PulseSchedule((seg,)))
+            out = evolve_pure(start, (seg,))
             want = single_excitation_closed_form(omega_1, omega_2, t).as_array()
             worst = max(worst, float(np.max(np.abs(out.amplitudes[indices] - want))))
     elapsed = time.perf_counter() - t0
@@ -227,7 +226,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     state = CompositeState(layout, amp / np.linalg.norm(amp))
     schedule = (
         prepare_superposition(0)
-        + PulseSchedule((CavitySegment(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 3e-9),))
+        + (CavitySegment(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 3e-9),)
         + prepare_superposition(1)
     )
     out = evolve_pure(state, schedule)
@@ -250,7 +249,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     amp[basis_index(layout, (0, 1), 0)] = -omega_1 / omega
     dark = CompositeState(layout, amp)
     seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), 2.7)
-    out = evolve_pure(dark, PulseSchedule((seg,)))
+    out = evolve_pure(dark, (seg,))
     checks["dark state"] = state_fidelity(out, dark) >= 1 - 1e-10
 
     # total excitation number is conserved by the exchange
@@ -258,12 +257,12 @@ def test_a6_invariants_and_negative_checks(capsys):
     state = CompositeState(layout, amp / np.linalg.norm(amp))
     n_op = excitation_number(2)
     before = expectation(state, n_op).real
-    out = evolve_pure(state, PulseSchedule((seg,)))
+    out = evolve_pure(state, (seg,))
     checks["excitation conservation"] = abs(expectation(out, n_op).real - before) <= 1e-10
 
     # gates on different pairs commute: permuted chain builds agree
     n_qubits = 4
-    prep = PulseSchedule()
+    prep = ()
     for site in range(n_qubits):
         prep = prep + prepare_superposition(site)
     orders = [[(0, 1), (1, 2), (2, 3)], [(2, 3), (0, 1), (1, 2)]]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,21 @@ def test_truth_table_outputs_are_byte_identical(tmp_path):
     assert main(argv) == 0
     for name, content in first.items():
         assert (tmp_path / name).read_bytes() == content
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["truth-table"], "schedule_truth_table.json"),
+        (["cluster", "--n", "3"], "schedule_cluster_3.json"),
+    ],
+)
+def test_schedule_json_matches_pinned_bytes(tmp_path, argv, fixture):
+    # the rows each segment writes are pinned across versions, not only
+    # between two runs of the same version
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    pinned = (Path(__file__).parent / "data" / fixture).read_bytes()
+    assert (tmp_path / "schedule.json").read_bytes() == pinned
 
 
 def test_truth_table_wrong_ratio_fails(tmp_path, capsys):
@@ -277,9 +293,29 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     typed = tmp_path / "typed.json"
     typed.write_text(json.dumps({"out_dir": 5}))
     assert main(["feasibility", "--config", str(typed)]) == 2
+    # finite settings whose cavity decay rate k = omega_c / Q overflows to
+    # inf (which used to reach the numerics) or underflows to 0 (which used
+    # to divide by zero)
+    rates = tmp_path / "rates.json"
+    for feasibility in ({"q_factor": 1e-300}, {"q_factor": 1e300, "omega_c_hz": 1e-300}):
+        rates.write_text(json.dumps({"feasibility": feasibility}))
+        for command in ("feasibility", "decoherence"):
+            argv = [command, "--config", str(rates), "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("configuration error") == 4
+    assert err.count("configuration error") == 8
     assert "out_dir must be a string" in err
+    assert err.count("cavity_decay_per_s = omega_c_hz / q_factor must be finite and > 0") == 4
+
+
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for command in ("truth-table", "cluster", "feasibility", "decoherence"):
+        assert main([command, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error: cannot create output directory") == 4
+    assert taken.read_text() == "keep me\n"
 
 
 def test_usage_errors_and_help(capsys):

@@ -106,6 +106,14 @@ def test_from_dict_wraps_value_errors():
         config_from_dict({"feasibility": {"q_factor": 0.0}})
     with pytest.raises(ConfigError, match="gate"):
         config_from_dict({"gate": {"ratio": "fast"}})
+    # finite settings whose derived cavity decay rate k = omega_c / Q
+    # overflows to inf or underflows to 0
+    for feasibility in (
+        {"q_factor": 1e-300},
+        {"q_factor": 1e300, "omega_c_hz": 1e-300},
+    ):
+        with pytest.raises(ConfigError, match="cavity_decay_per_s .* must be finite and > 0"):
+            config_from_dict({"feasibility": feasibility})
 
 
 def test_from_dict_rejects_non_finite_values():

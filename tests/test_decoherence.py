@@ -80,7 +80,6 @@ def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
 
 def test_more_cavity_loss_means_lower_fidelity(baseline_result, heavy_loss_result):
     assert heavy_loss_result.average_fidelity < baseline_result.average_fidelity
-    assert heavy_loss_result.cavity_decay_per_s == 5e7
 
 
 def test_result_diagnostics_are_physical(baseline_result):
@@ -88,8 +87,6 @@ def test_result_diagnostics_are_physical(baseline_result):
     assert abs(baseline_result.trace_defect) <= 1e-12
     assert baseline_result.min_eigenvalue >= -1e-12
     assert baseline_result.gate_duration_s > 0
-    assert baseline_result.gamma_e_per_s == 4e5
-    assert baseline_result.branch_ratio_e_to_0 == 0.5
 
 
 def test_sweep_preserves_order_and_overrides_one_parameter(tmp_path, capsys):

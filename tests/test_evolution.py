@@ -12,7 +12,6 @@ from squidcavity import (
     DriveSegment,
     LocalOperator,
     MAX_LINDBLAD_SUBSTEPS,
-    PulseSchedule,
     SpaceLayout,
     apply_local,
     basis_index,
@@ -112,7 +111,7 @@ def test_coupling_window_returns_input_at_default_point():
 def test_evolve_pure_empty_schedule_is_identity():
     layout = SpaceLayout(2)
     state = basis_state(layout, (1, 1))
-    out = evolve_pure(state, PulseSchedule())
+    out = evolve_pure(state, ())
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -120,7 +119,7 @@ def test_evolve_pure_pi_over_4_prepares_superposition():
     rabi = 3.0
     seg = DriveSegment(DriveSpec(0, (0, 1), rabi), (math.pi / 4) / rabi)
     layout = SpaceLayout(1, fock_cutoff=1)
-    out = evolve_pure(basis_state(layout, (1,)), PulseSchedule((seg,)))
+    out = evolve_pure(basis_state(layout, (1,)), (seg,))
     plus = tensor_state([np.array([1, 1, 0]) / math.sqrt(2), (1, 0)])
     assert state_fidelity(out, plus) >= 1 - 1e-12
 
@@ -129,7 +128,7 @@ def test_propagate_checks_every_state_after_every_segment(monkeypatch):
     # a propagator that is not unitary on |1> only: a block whose second
     # state has weight there must fail, its first state alone must not
     layout = SpaceLayout(1, fock_cutoff=1)
-    schedule = PulseSchedule((DriveSegment(DriveSpec(0, (0, 1), 1.0), 1.0),))
+    schedule = (DriveSegment(DriveSpec(0, (0, 1), 1.0), 1.0),)
     block = np.zeros((layout.total_dim, 2), dtype=complex)
     block[basis_index(layout, (0,)), 0] = 1.0
     block[basis_index(layout, (1,)), 1] = 1.0
@@ -183,7 +182,7 @@ def test_closed_form_matches_numerical_evolution():
         omega = math.hypot(omega_1, omega_2)
         for t in np.linspace(0.0, 4 * math.pi / omega, 40):
             seg = _coupling_segment(omega_1, omega_2, t)
-            out = evolve_pure(start, PulseSchedule((seg,)))
+            out = evolve_pure(start, (seg,))
             want = single_excitation_closed_form(omega_1, omega_2, t).as_array()
             assert np.max(np.abs(out.amplitudes[indices] - want)) <= 1e-8
 
@@ -197,7 +196,7 @@ def test_dark_state_is_stationary():
     amp[basis_index(layout, (0, 1), 0)] = -omega_1 / omega
     dark = CompositeState(layout, amp)
     for t in (0.37, 1.0, 8.5):
-        out = evolve_pure(dark, PulseSchedule((_coupling_segment(omega_1, omega_2, t),)))
+        out = evolve_pure(dark, (_coupling_segment(omega_1, omega_2, t),))
         assert state_fidelity(out, dark) >= 1 - 1e-10
 
 
@@ -208,7 +207,7 @@ def test_excitation_number_conserved():
     state = CompositeState(layout, amp / np.linalg.norm(amp))
     n_op = excitation_number(2)
     before = expectation(state, n_op).real
-    out = evolve_pure(state, PulseSchedule((_coupling_segment(0.9, 1.7, 2.2),)))
+    out = evolve_pure(state, (_coupling_segment(0.9, 1.7, 2.2),))
     after = expectation(out, n_op).real
     assert abs(after - before) <= 1e-10
 
@@ -242,7 +241,7 @@ def test_lindblad_zero_rates_matches_pure_evolution():
     layout = SpaceLayout(2, fock_cutoff=2)
     seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
     state = basis_state(layout, (1, 0), 0)
-    pure = evolve_pure(state, PulseSchedule((seg,)))
+    pure = evolve_pure(state, (seg,))
     h_full = embedded_matrix(cavity_coupling_hamiltonian(seg.spec, 2), layout)
     dt = seg.duration / 2000
     _check_step_size(h_full, dt)

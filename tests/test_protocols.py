@@ -11,7 +11,6 @@ from squidcavity import (
     DriveSegment,
     DriveSpec,
     GateParams,
-    PulseSchedule,
     SpaceLayout,
     basis_index,
     basis_state,
@@ -24,9 +23,7 @@ from squidcavity import (
     prepare_superposition,
     qcpg_schedule,
     rotation_pulse,
-    schedule_to_dicts,
     schedule_to_json,
-    segment_to_dict,
     state_fidelity,
 )
 
@@ -36,17 +33,19 @@ from conftest import tensor_state
 def test_schedule_concatenation_and_duration():
     seg_a = DriveSegment(DriveSpec(0, (0, 1), 1.0), 0.5)
     seg_b = DriveSegment(DriveSpec(1, (1, 2), 2.0), 0.25)
-    sched = PulseSchedule((seg_a,)) + PulseSchedule((seg_b,))
+    sched = (seg_a,) + (seg_b,)
     assert len(sched) == 2
     assert list(sched) == [seg_a, seg_b]
-    assert sched.total_duration == pytest.approx(0.75)
-    assert PulseSchedule().total_duration == 0.0
+    assert sum(seg.duration for seg in sched) == pytest.approx(0.75)
 
 
 def test_schedule_rejects_negative_duration():
-    seg = DriveSegment(DriveSpec(0, (0, 1), 1.0), -1e-9)
-    with pytest.raises(ValueError):
-        PulseSchedule((seg,))
+    # a segment refuses a bad duration when it is built, NaN included
+    for duration in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            DriveSegment(DriveSpec(0, (0, 1), 1.0), duration)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            CavitySegment(CavityCouplingSpec(0, 1, 1.0, 1.0), duration)
 
 
 def test_gate_params_defaults_satisfy_conditions():
@@ -98,7 +97,7 @@ def test_gate_conditions_detect_bad_ratio():
 def test_rotation_pulse_duration_and_range():
     sched = rotation_pulse(0, (0, 1), math.pi / 3, rabi=2.0)
     assert len(sched) == 1
-    assert sched.segments[0].duration == pytest.approx(math.pi / 6)
+    assert sched[0].duration == pytest.approx(math.pi / 6)
     with pytest.raises(ValueError):
         rotation_pulse(0, (0, 1), -0.1)
     with pytest.raises(ValueError):
@@ -129,7 +128,7 @@ def test_prepare_superposition_from_level_0_flips_sign():
 def test_qcpg_schedule_structure():
     sched = qcpg_schedule(0, 1)
     assert len(sched) == 3
-    up, exchange, down = sched.segments
+    up, exchange, down = sched
     assert isinstance(up, DriveSegment)
     assert isinstance(exchange, CavitySegment)
     assert isinstance(down, DriveSegment)
@@ -247,7 +246,7 @@ def test_gate_order_is_interchangeable():
     # adjacent gates share only the cavity bus, which each gate restores, so
     # applying them in any order yields the same chain state
     n_qubits = 4
-    prep = PulseSchedule()
+    prep = ()
     for site in range(n_qubits):
         prep = prep + prepare_superposition(site)
     pair_lists = [
@@ -267,7 +266,7 @@ def test_gate_order_is_interchangeable():
 
 def test_segment_serialization_keys():
     drive = DriveSegment(DriveSpec(1, (1, 2), 8.5e7, math.pi), 1.8e-8)
-    row = segment_to_dict(drive)
+    row = drive.to_dict()
     assert row == {
         "kind": "drive",
         "sites": [1],
@@ -277,16 +276,14 @@ def test_segment_serialization_keys():
         "duration_s": 1.8e-8,
     }
     cavity = CavitySegment(CavityCouplingSpec(0, 1, 1.8e8, 2.0e8), 1.7e-8)
-    row = segment_to_dict(cavity)
+    row = cavity.to_dict()
     assert row["kind"] == "cavity"
     assert row["sites"] == [0, 1, "cavity"]
     assert row["omega_1_per_s"] == 1.8e8
-    with pytest.raises(TypeError):
-        segment_to_dict(object())
 
 
 def test_schedule_json_round_trip():
     sched = qcpg_schedule(0, 1)
-    rows = schedule_to_dicts(sched)
+    rows = [seg.to_dict() for seg in sched]
     assert [row["kind"] for row in rows] == ["drive", "cavity", "drive"]
     assert json.loads(schedule_to_json(sched)) == rows

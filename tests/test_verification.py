@@ -12,7 +12,6 @@ from squidcavity import (
     DriveSegment,
     DriveSpec,
     GateParams,
-    PulseSchedule,
     SpaceLayout,
     basis_index,
     basis_state,
@@ -34,7 +33,7 @@ from conftest import oracle_apply, tensor_state
 
 
 def test_empty_schedule_gives_identity_table():
-    matrix, leakage = computational_propagator(PulseSchedule())
+    matrix, leakage = computational_propagator(())
     np.testing.assert_allclose(matrix, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(leakage, 0.0, atol=1e-12)
 
@@ -42,7 +41,7 @@ def test_empty_schedule_gives_identity_table():
 def test_propagator_rejects_outside_squids():
     seg = DriveSegment(DriveSpec(2, (0, 1), 1.0), 1.0)
     with pytest.raises(ValueError, match="outside the pair"):
-        computational_propagator(PulseSchedule((seg,)), squid_pair=(0, 1), fock_cutoff=1)
+        computational_propagator((seg,), squid_pair=(0, 1), fock_cutoff=1)
 
 
 def test_truth_table_of_default_gate():
@@ -128,7 +127,7 @@ def test_cavity_vacuum_population_mid_exchange():
     omega = math.hypot(omega_1, omega_2)
     seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), t)
     layout = SpaceLayout(2, fock_cutoff=2)
-    out = evolve_pure(basis_state(layout, (1, 0), 0), PulseSchedule((seg,)))
+    out = evolve_pure(basis_state(layout, (1, 0), 0), (seg,))
     want = 1.0 - (omega_1 / omega) ** 2 * math.sin(omega * t) ** 2
     assert cavity_vacuum_population(out) == pytest.approx(want, abs=1e-10)
 

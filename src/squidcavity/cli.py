@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -151,7 +152,8 @@ def _make_out_dir(out_dir: Path) -> None:
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     path = out_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON: a report carrying one is a program fault
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -212,6 +214,8 @@ def cmd_cluster(config: RunConfig, args: argparse.Namespace) -> int:
     t_evolve = time.perf_counter()
     oracle = cluster_state_oracle(n, config.fock_cutoff)
     fidelity = state_fidelity(state, oracle)
+    # free the oracle's amplitudes before the stabilizers allocate theirs
+    del oracle
     t_oracle = time.perf_counter()
     stab = stabilizer_expectations(state, n)
     t_stab = time.perf_counter()
@@ -253,7 +257,13 @@ def cmd_cluster(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_feasibility(config: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(config.out_dir)
     report = feasibility_report(config.feasibility, config.gate)
-    payload = {"config": config_to_dict(config), **asdict(report)}
+    # JSON cannot write infinity: a value that overflows to it, such as the
+    # cooperativity of a lossless point (gamma_e = 0), is written as null
+    payload = {
+        name: None if isinstance(value, float) and not math.isfinite(value) else value
+        for name, value in asdict(report).items()
+    }
+    payload["config"] = config_to_dict(config)
     _write_json(out_dir, "feasibility.json", payload)
     print(f"cavity decay rate:      {report.cavity_decay_per_s:.4e} 1/s")
     print(f"cavity lifetime:        {report.cavity_lifetime_s:.4e} s")

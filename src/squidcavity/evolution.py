@@ -82,16 +82,21 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
 def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarray:
     """Run a schedule on raw amplitudes, one state or a (total_dim, batch) block.
 
+    The run owns two state-sized buffers shaped like the input: a copy of
+    it, and one more.  Each segment reads one buffer and writes the other,
+    so the caller's array is only read and no segment allocates a state.
     Each segment's propagator is built once, from the segment's own
     generator, for the whole block; every state's norm is then checked,
     which also catches NaN and Inf.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
+    psi = np.array(psi, dtype=complex)
+    spare = np.empty_like(psi)
     for segment in schedule:
         h = segment.hamiltonian(layout.fock_cutoff)
-        psi = contract(layout, propagator(h, segment.duration), psi)
+        psi, spare = contract(layout, propagator(h, segment.duration), psi, out=spare), psi
         for column in psi.reshape(len(psi), -1).T:
-            norm = float(np.linalg.norm(column))
+            norm = math.sqrt(np.vdot(column, column).real)
             if not abs(norm - 1.0) <= NORM_TOL:
                 raise ValueError(
                     f"norm drifted to {norm!r} after a unitary segment"
@@ -102,7 +107,7 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
 def evolve_pure(state: CompositeState, schedule: tuple) -> CompositeState:
     """Run a schedule segment by segment on a pure state."""
     # hand the amplitudes over with no name left in this frame, so that a
-    # caller that keeps no reference frees them after the first segment
+    # caller that keeps no reference frees them once propagate has copied them
     layout, amplitudes = state.layout, [state.amplitudes]
     del state
     return CompositeState(layout, propagate(layout, schedule, amplitudes.pop()))

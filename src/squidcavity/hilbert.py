@@ -22,8 +22,12 @@ one ascending run of neighbouring factors (every single-SQUID pulse, every
 chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1, cavity)), the
 amplitudes reshape to a (left, D, right) view, the batch axis joining right,
 and the operator is applied with no copy.  Any other site set, such as the
-gate's (a, a+1, cavity) with a < N-2 or a descending order, needs one
-transposing copy each way.
+gate's (a, a+1, cavity) with a < N-2 or a descending order, takes one
+gather-gemm-scatter route: the touched axes are gathered last into the
+result buffer, one gemm against the transposed matrix writes into a second
+buffer, and one scatter puts the product back in layout order.  Given an
+``out`` array, ``contract`` writes there and uses its input as that second
+buffer, so a schedule runs in two state-sized buffers.
 
 Layouts and operators are immutable after construction and safe to share
 between threads; an operator's matrix and a state's amplitudes are
@@ -204,16 +208,23 @@ class LocalOperator:
         return self.matrix.shape[0]
 
 
-def contract(layout: SpaceLayout, op: LocalOperator, psi: np.ndarray) -> np.ndarray:
+def contract(
+    layout: SpaceLayout, op: LocalOperator, psi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply a local operator to raw amplitudes, the pure-state kernel.
 
     ``psi`` is one amplitude vector or a block of states as columns, shape
     (total_dim, batch); the result has its shape.  The sites split, in the
     operator's order, into runs of ascending neighbours: on three SQUIDs
     (1, 2, -1) is one run and (0, 1, -1) is two.  One run is applied on the
-    view (left, D, right); otherwise the untouched factors between runs are
-    merged into single axes, so the one transposing copy each way moves as
-    few axes as the site order allows.
+    view (left, D, right).  Otherwise the untouched factors between runs are
+    merged into single axes, gathered with the batch axis in front of the
+    runs, multiplied in one gemm and scattered back.
+
+    Without ``out`` the result is a new array and ``psi`` is only read.
+    ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
+    it, receives the result and is returned; ``psi`` is then scratch, and
+    its contents afterwards are undefined.
     """
     sites = layout.resolve_sites(op.sites)
     for s, d in zip(sites, op.local_dims):
@@ -221,6 +232,17 @@ def contract(layout: SpaceLayout, op: LocalOperator, psi: np.ndarray) -> np.ndar
             raise ValueError(
                 f"operator expects dimension {d} at site {s}, layout has {layout.dims[s]}"
             )
+    if out is None:
+        out, scratch = np.empty(psi.shape, dtype=complex), None
+    elif (
+        out.shape != psi.shape
+        or out.dtype != complex
+        or not out.flags.c_contiguous
+        or np.may_share_memory(out, psi)
+    ):
+        raise ValueError("out must be a C-contiguous complex array shaped like psi, apart from it")
+    else:
+        scratch = psi
     # split the sites, in operator order, into runs of ascending neighbours
     runs = []
     for s in sites:
@@ -244,15 +266,23 @@ def contract(layout: SpaceLayout, op: LocalOperator, psi: np.ndarray) -> np.ndar
         view = psi.reshape(math.prod(shape[: axes[0]]), op.dim, -1)
         right = view.shape[2]
         if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
-            out = view.reshape(view.shape[0], -1) @ np.kron(op.matrix, np.eye(right)).T
+            kron = np.kron(op.matrix, np.eye(right))
+            np.matmul(view.reshape(view.shape[0], -1), kron.T, out=out.reshape(view.shape[0], -1))
         else:
-            out = np.matmul(op.matrix, view)
-        return out.reshape(psi.shape)
-    k = len(runs)
-    run_dims = tuple(shape[a] for a in axes)
-    mat = op.matrix.reshape(run_dims + run_dims)
-    out = np.tensordot(mat, psi.reshape(shape + [-1]), axes=(tuple(range(k, 2 * k)), tuple(axes)))
-    return np.moveaxis(out, tuple(range(k)), axes).reshape(psi.shape)
+            np.matmul(op.matrix, view, out=out.reshape(view.shape))
+        return out
+    # gather the run axes last, in operator order, after the batch axis
+    tensor = psi.reshape(shape + [-1])
+    order = [a for a in range(tensor.ndim) if a not in axes] + axes
+    gathered = out.reshape([tensor.shape[a] for a in order])
+    np.copyto(gathered, tensor.transpose(order))
+    if scratch is None:
+        scratch = np.empty_like(out)
+    product = np.matmul(
+        gathered.reshape(-1, op.dim), op.matrix.T, out=scratch.reshape(-1, op.dim)
+    )
+    np.copyto(out.reshape(tensor.shape).transpose(order), product.reshape(gathered.shape))
+    return out
 
 
 def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:

@@ -3,7 +3,7 @@ product states.
 
 The oracle builds embedded operators elementwise from mixed-radix digit
 comparisons, deliberately avoiding the library's kron/transpose and
-tensordot code paths so agreement between the two is meaningful.
+gather-gemm-scatter code paths so agreement between the two is meaningful.
 """
 
 import numpy as np

@@ -114,6 +114,44 @@ def test_feasibility_reports_anchors(tmp_path, capsys):
     assert payload["cavity_lifetime_s"] == pytest.approx(2e-5)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"feasibility": {"gamma_e_per_s": 0}}, {"gate": {"omega_1_per_s": 1e200}}],
+)
+def test_reports_parse_as_strict_json(tmp_path, capsys, config):
+    # both points have infinite cooperativity, which feasibility.json writes as null
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    for command in ("truth-table", "cluster", "feasibility", "decoherence"):
+        # feasibility exits 1: an infinite cooperativity misses its anchor
+        assert main([command, "--config", str(config_path), "--out", str(out)]) in (0, 1)
+    reports = sorted(out.glob("*.json"))
+    assert [p.name for p in reports] == [
+        "cluster.json", "decoherence.json", "feasibility.json", "schedule.json", "truth_table.json"
+    ]
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert _read_json(out / "feasibility.json")["cooperativity"] is None
+    capsys.readouterr()
+
+
+def test_feasibility_writes_every_infinite_value_as_null(tmp_path, capsys):
+    # omega_1 * t_c = 1 is a legal phase, but t_c * k and t_c * gamma_e overflow
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"gate": {"cavity_time_s": 1e305, "omega_1_per_s": 1e-305}}))
+    assert main(["feasibility", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "feasibility.json").read_text(), parse_constant=_refuse_constant)
+    assert report["exchange_per_cavity_decay"] is None
+    assert report["exchange_per_e_decay"] is None
+    assert report["exchange_window_s"] == 1e305
+    capsys.readouterr()
+
+
 def test_feasibility_and_decoherence_read_one_gate(tmp_path, capsys):
     # omega_1 is set once, in the gate; both commands see the same gate
     config_path = tmp_path / "fast.json"

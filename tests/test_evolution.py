@@ -17,6 +17,8 @@ from squidcavity import (
     basis_index,
     basis_state,
     cavity_coupling_hamiltonian,
+    chain_initial_state,
+    cluster_chain_schedule,
     collapse_operators_from_rates,
     drive_hamiltonian,
     embedded_matrix,
@@ -142,6 +144,30 @@ def test_propagate_checks_every_state_after_every_segment(monkeypatch):
     monkeypatch.setattr(evolution, "propagator", lambda h, t: broken)
     with pytest.raises(ValueError, match="norm drifted to nan"):
         evolve_pure(CompositeState(layout, block[:, 0]), schedule)
+    # so does a squared norm that overflows to Inf
+    huge = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 1.0]))
+    monkeypatch.setattr(evolution, "propagator", lambda h, t: huge)
+    with pytest.raises(ValueError, match="norm drifted to inf"):
+        propagate(layout, schedule, block)
+
+
+def test_propagate_runs_the_chain_in_two_state_buffers():
+    # the N=10 chain's 37 segments ping-pong between two buffers; a fresh
+    # state per segment, or a temporary left alive across one, shows here
+    n = 10
+    state = chain_initial_state(n)
+    psi = np.array(state.amplitudes)
+    schedule = cluster_chain_schedule(n)
+    tracemalloc.start()
+    try:
+        out = propagate(state.layout, schedule, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * psi.nbytes
+    # the caller's array is only read
+    np.testing.assert_array_equal(psi, state.amplitudes)
+    assert out.shape == psi.shape and not np.shares_memory(out, psi)
 
 
 def test_single_excitation_closed_form_anchors():

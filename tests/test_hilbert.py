@@ -18,6 +18,7 @@ from squidcavity import (
     embedded_matrix,
     expectation,
 )
+from squidcavity.hilbert import contract
 
 SWAP01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
@@ -236,3 +237,18 @@ def test_expectation_real_for_hermitian():
     op = LocalOperator((0, 1), (3, 3), (m + m.conj().T) / 2, hermitian=True)
     assert abs(expectation(state, op).imag) <= 1e-12
 
+
+def test_contract_refuses_an_unusable_out():
+    # the result must land in the caller's buffer, never in a silent copy
+    # of it or in the amplitudes it is computed from
+    layout = SpaceLayout(2)
+    psi = np.zeros((layout.total_dim, 2), dtype=complex)
+    op = LocalOperator((0, -1), (3, 3), np.eye(9))
+    for out in (
+        psi,
+        np.empty(layout.total_dim, dtype=complex),
+        np.empty((2, layout.total_dim), dtype=complex).T,
+        np.empty(psi.shape),
+    ):
+        with pytest.raises(ValueError, match="out must be"):
+            contract(layout, op, psi, out=out)

@@ -1,7 +1,7 @@
 """Property tests: the gate family, the noisy gate's channel and apply_local's routes.
 
 The routes are checked one state at a time and on blocks of states along
-the kernel's trailing batch axis.
+the kernel's trailing batch axis, into a new array and into a given one.
 """
 
 import itertools
@@ -139,11 +139,15 @@ def test_apply_local_matches_embedded_matrix(case, width):
     shape = (layout.total_dim, width)
     block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # one state through the public call, then the block through the kernel
-    # with its batch axis
+    # with its batch axis, into a fresh result and then into a given buffer
+    # (which takes a copy of the block as its scratch)
     got = [apply_local(CompositeState(layout, block[:, 0]), op).amplitudes]
     batched = contract(layout, op, block)
     assert batched.shape == shape
     got += list(batched.T)
+    buffer = np.empty_like(block)
+    assert contract(layout, op, block.copy(), out=buffer) is buffer
+    got += list(buffer.T)
     # factors before the first site are untouched, so each block of the
     # leading digits is one state on the layout's tail (which keeps at
     # least one SQUID when the cavity is the only site)
@@ -152,6 +156,6 @@ def test_apply_local_matches_embedded_matrix(case, width):
     shifted = tuple(layout.resolve_site(s) - first for s in sites)
     dense = embedded_matrix(LocalOperator(shifted, local_dims, op.matrix), tail)
     assert tail.total_dim <= DENSE_TAIL_MAX_DIM
-    for column, psi in zip(got, [block[:, 0], *block.T]):
+    for column, psi in zip(got, [block[:, 0], *block.T, *block.T], strict=True):
         want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
         assert np.max(np.abs(column - want)) <= 1e-13 * np.max(np.abs(want)), case

@@ -301,7 +301,7 @@ def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
         )
         if noisy.substeps > MAX_LINDBLAD_SUBSTEPS:
             raise ConfigError(
-                f"{config.sweep.parameter} = {value:g} needs {noisy.substeps} propagator "
+                f"{config.sweep.parameter} = {value:g} needs {noisy.substeps:.3g} propagator "
                 f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
             )
         prepared.append((noisy, time.perf_counter() - t0))

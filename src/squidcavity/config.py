@@ -46,8 +46,9 @@ def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
     """Bytes of the largest array a command builds at these sizes.
 
     That is the chain state of ``cluster`` (3^n (cutoff + 1) amplitudes) or
-    one full-space generator of the noisy gate in ``decoherence``, a square
-    matrix of dimension 9 (cutoff + 1); complex entries take 16 bytes.
+    one full-space generator of the noisy gate in ``decoherence`` (or the
+    identity block the generators are built from), a square matrix of
+    dimension 9 (cutoff + 1); complex entries take 16 bytes.
     """
     levels = fock_cutoff + 1
     return 16 * max(SQUID_DIM**n_qubits * levels, (SQUID_DIM**2 * levels) ** 2)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .evolution import exp_lindblad, lindblad_substeps
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
-from .hilbert import SpaceLayout, basis_index, embedded_matrix
+from .hilbert import SpaceLayout, basis_index, contract
 from .protocols import GateParams, qcpg_schedule
 from .verification import COMPUTATIONAL_BASIS
 
@@ -71,14 +71,15 @@ class NoisyGate:
     order and ``computational`` the positions of the four computational
     states within it.  ``segments`` holds each segment's (H, duration) and
     ``collapse`` the collapse operators, all as matrices on the subspace;
-    ``substeps`` is the most propagator sub-steps any one segment needs.
+    ``substeps`` is the most propagator sub-steps any one segment needs, a
+    float when it is above ``evolution.MAX_LINDBLAD_SUBSTEPS``.
     """
 
     kept: tuple[int, ...]
     computational: tuple[int, ...]
     segments: tuple[tuple[np.ndarray, float], ...]
     collapse: tuple[np.ndarray, ...]
-    substeps: int
+    substeps: int | float
     gate_duration_s: float
 
 
@@ -93,9 +94,11 @@ def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_
         n_max=fock_cutoff,
         squids=(0, 1),
     )
-    l_full = [embedded_matrix(op, layout) for op in collapse]
+    # each full-space matrix is the operator applied to the identity block
+    eye = np.eye(layout.total_dim, dtype=complex)
+    l_full = [contract(layout, op, eye) for op in collapse]
     segments = [
-        (embedded_matrix(seg.hamiltonian(fock_cutoff), layout), seg.duration)
+        (contract(layout, seg.hamiltonian(fock_cutoff), eye), seg.duration)
         for seg in schedule
     ]
     return layout, schedule, segments, l_full

@@ -24,15 +24,12 @@ formed once per call, so each Taylor term is one real matrix product on
 all the coordinate rows; since S takes 16 d^4 bytes while it is formed,
 dimensions above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything
 is allocated.  The sub-step count follows from a norm bound on L t before
-any work is done and is refused above ``MAX_LINDBLAD_SUBSTEPS``.  Density
+any work is done and is refused above ``MAX_LINDBLAD_SUBSTEPS``; a
+generator or a count that overflows is over that limit too.  Density
 matrix runs are restricted to small spaces: the noisy gate runs on its
 11-state invariant subspace (``decoherence``); chain generation is
-pure-state only.
-
-``_rk4_lindblad`` integrates the same equation with fixed-step classical
-RK4, and ``_check_step_size`` guards its step.  No program path runs them:
-they are the independent second route that tests check the exact
-propagator against.
+pure-state only.  The tests check ``exp_lindblad`` against their own
+fixed-step RK4 integration of the same equation.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ from .hilbert import CompositeState, LocalOperator, SpaceLayout, contract
 
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-10
-
-# step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
-_MAX_PHASE_PER_STEP = 1.0 / 50.0
 
 # Taylor degree and the largest ||L h|| per sub-step it covers: a degree-40
 # series meets unit-roundoff backward error for norms up to 6.0 (Al-Mohy &
@@ -150,15 +144,6 @@ def single_excitation_closed_form(
     )
 
 
-def _check_step_size(h_full: np.ndarray, dt: float) -> None:
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(h_full)))) if h_full.size else 0.0
-    if scale > 0 and dt > _MAX_PHASE_PER_STEP / scale:
-        raise ValueError(
-            f"step size {dt:.3e} too large for Hamiltonian scale {scale:.3e} "
-            f"(need dt <= {_MAX_PHASE_PER_STEP / scale:.3e})"
-        )
-
-
 def _lindblad_parts(h_full, l_ops):
     # drift = -iH - (1/2) sum L^dag L folds the anticommutator into two
     # matmuls; only the jump terms remain explicit.
@@ -168,28 +153,6 @@ def _lindblad_parts(h_full, l_ops):
     return drift, drift.conj().T, l_dags
 
 
-def _lindblad_rhs(rho, drift, drift_dag, l_ops, l_dags):
-    out = drift @ rho + rho @ drift_dag
-    for l_op, l_dag in zip(l_ops, l_dags):
-        out = out + l_op @ rho @ l_dag
-    return out
-
-
-def _rk4_lindblad(rho, h_full, l_ops, t_total: float, dt: float) -> np.ndarray:
-    """Fixed-step RK4 Lindblad integration; rho may carry leading batch axes."""
-    n_steps = max(1, math.ceil(t_total / dt))
-    step = t_total / n_steps
-    drift, drift_dag, l_dags = _lindblad_parts(h_full, l_ops)
-    rho = np.array(rho, dtype=complex)
-    for _ in range(n_steps):
-        k1 = _lindblad_rhs(rho, drift, drift_dag, l_ops, l_dags)
-        k2 = _lindblad_rhs(rho + 0.5 * step * k1, drift, drift_dag, l_ops, l_dags)
-        k3 = _lindblad_rhs(rho + 0.5 * step * k2, drift, drift_dag, l_ops, l_dags)
-        k4 = _lindblad_rhs(rho + step * k3, drift, drift_dag, l_ops, l_dags)
-        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
-
-
 def _exact_parts(h_full, l_ops, t: float):
     """Generator pieces for ``exp_lindblad`` and its sub-step count."""
     # a multiple of the identity in H drops out of [H, rho]; removing it
@@ -197,16 +160,28 @@ def _exact_parts(h_full, l_ops, t: float):
     d = h_full.shape[0]
     h = h_full - (np.trace(h_full).real / d) * np.eye(d)
     drift, drift_dag, _ = _lindblad_parts(h, l_ops)
+    # a generator that overflowed is over the limit, and an SVD of it need
+    # not converge
+    if not np.isfinite(drift).all():
+        return drift, drift_dag, math.inf
     # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F, the spectral
     # norms from one batched singular-value call
     norms = np.linalg.svd(np.stack([drift, *l_ops]), compute_uv=False).max(axis=-1)
     bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
-    substeps = max(1, math.ceil(bound * t / _TAYLOR_THETA))
-    return drift, drift_dag, substeps
+    count = bound * t / _TAYLOR_THETA
+    # written so that a NaN count is over the limit too; a count over it
+    # stays a float, which may be too large for an integer
+    if not count <= MAX_LINDBLAD_SUBSTEPS:
+        return drift, drift_dag, math.inf if math.isnan(count) else count
+    return drift, drift_dag, max(1, math.ceil(count))
 
 
-def lindblad_substeps(h_full, l_ops, t: float) -> int:
-    """Sub-steps ``exp_lindblad`` takes for duration ``t``; no propagation."""
+def lindblad_substeps(h_full, l_ops, t: float) -> int | float:
+    """Sub-steps ``exp_lindblad`` takes for duration ``t``; no propagation.
+
+    A count above ``MAX_LINDBLAD_SUBSTEPS`` comes back as a float, infinite
+    where the generator or the count overflowed.
+    """
     return _exact_parts(h_full, l_ops, t)[2]
 
 
@@ -284,7 +259,7 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
     drift, drift_dag, n_sub = _exact_parts(h_full, l_ops, t)
     if n_sub > MAX_LINDBLAD_SUBSTEPS:
         raise ValueError(
-            f"exp(L t) needs {n_sub} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
+            f"exp(L t) needs {n_sub:.3g} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
         )
     h = t / n_sub
     rho = np.asarray(rho, dtype=complex)

@@ -21,7 +21,9 @@ The upper level |e> couples to nothing here: any basis state with a SQUID in
 |e> sees only the other SQUID's single Jaynes-Cummings exchange.  The total
 excitation number |1><1|_a + |1><1|_b + adag*a commutes with H, and the
 combination (W2*|1,0,0> - W1*|0,1,0|)/W is a dark state with eigenvalue 0,
-where W = sqrt(W1^2 + W2^2).
+where W = sqrt(W1^2 + W2^2).  No command reads the excitation number, so
+the module builds no operator for it; the tests build their own to check
+that it is conserved.
 
 All builders are pure: they return immutable LocalOperators that can be
 shared freely.
@@ -171,24 +173,6 @@ def cavity_coupling_hamiltonian(spec: CavityCouplingSpec, n_max: int) -> LocalOp
     mat += spec.omega_2 * (_kron3(eye3, s01, adag) + _kron3(eye3, s10, a_op))
     return LocalOperator(
         sites=(spec.squid_a, spec.squid_b, -1),
-        local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
-        matrix=mat,
-        hermitian=True,
-    )
-
-
-def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:
-    """|1><1|_a + |1><1|_b + adag*a; commutes with every cavity coupling."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    p1 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
-    p1[1, 1] = 1.0
-    eye3 = np.eye(SQUID_DIM, dtype=complex)
-    number = np.diag(np.arange(n_max + 1, dtype=float)).astype(complex)
-    eye_c = np.eye(n_max + 1, dtype=complex)
-    mat = _kron3(p1, eye3, eye_c) + _kron3(eye3, p1, eye_c) + _kron3(eye3, eye3, number)
-    return LocalOperator(
-        sites=(squids[0], squids[1], -1),
         local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
         matrix=mat,
         hermitian=True,

@@ -15,19 +15,21 @@ Conventions fixed here and relied on everywhere else in the package:
   from the end of the factor list, so site ``-1`` is always the cavity.
 
 ``CompositeState`` is where a state enters: it checks the length and
-finiteness of the amplitudes once.  The kernel ``contract`` applies an
-operator to raw amplitudes, one vector or a block of states along a trailing
-batch axis, and never forms a global matrix.  When an operator's sites are
-one ascending run of neighbouring factors (every single-SQUID pulse, every
-chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1, cavity)), the
-amplitudes reshape to a (left, D, right) view, the batch axis joining right,
-and the operator is applied with no copy.  Any other site set, such as the
-gate's (a, a+1, cavity) with a < N-2 or a descending order, takes one
-gather-gemm-scatter route: the touched axes are gathered last into the
-result buffer, one gemm against the transposed matrix writes into a second
-buffer, and one scatter puts the product back in layout order.  Given an
-``out`` array, ``contract`` writes there and uses its input as that second
-buffer, so a schedule runs in two state-sized buffers.
+finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
+operator is embedded: it applies the operator to raw amplitudes, one vector
+or a block of states along a trailing batch axis, and never forms a global
+matrix of it.  Where a full-space matrix is needed (the noisy gate's
+generators), it is ``contract`` on the identity block.  When an operator's
+sites are one ascending run of neighbouring factors (every single-SQUID
+pulse, every chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1,
+cavity)), the amplitudes reshape to a (left, D, right) view, the batch axis
+joining right, and the operator is applied with no copy.  Any other site set,
+such as the gate's (a, a+1, cavity) with a < N-2 or a descending order,
+takes one gather-gemm-scatter route: the touched axes are gathered last into
+the result buffer, one gemm against the transposed matrix writes into a
+second buffer, and one scatter puts the product back in layout order.  Given
+an ``out`` array, ``contract`` writes there and uses its input as that
+second buffer, so a schedule runs in two state-sized buffers.
 
 Layouts and operators are immutable after construction and safe to share
 between threads; an operator's matrix and a state's amplitudes are
@@ -211,7 +213,7 @@ class LocalOperator:
 def contract(
     layout: SpaceLayout, op: LocalOperator, psi: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply a local operator to raw amplitudes, the pure-state kernel.
+    """Apply a local operator to raw amplitudes, the one operator kernel.
 
     ``psi`` is one amplitude vector or a block of states as columns, shape
     (total_dim, batch); the result has its shape.  The sites split, in the
@@ -285,37 +287,7 @@ def contract(
     return out
 
 
-def apply_local(state: CompositeState, op: LocalOperator) -> CompositeState:
-    """Apply a local operator, embedding it with identities elsewhere."""
-    return CompositeState(state.layout, contract(state.layout, op, state.amplitudes))
-
-
 def expectation(state: CompositeState, op: LocalOperator) -> complex:
     """<psi| O |psi> with O embedded on its declared sites."""
     return complex(np.vdot(state.amplitudes, contract(state.layout, op, state.amplitudes)))
-
-
-def embedded_matrix(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
-    """Full-space dense matrix of a local operator (identity on other factors).
-
-    Only used where a global matrix is genuinely needed (Lindblad runs on
-    small composites); state evolution goes through ``contract`` instead.
-    """
-    sites = layout.resolve_sites(op.sites)
-    for s, d in zip(sites, op.local_dims):
-        if layout.dims[s] != d:
-            raise ValueError(
-                f"operator expects dimension {d} at site {s}, layout has {layout.dims[s]}"
-            )
-    rest = [f for f in range(layout.n_factors) if f not in sites]
-    rest_dim = math.prod(layout.dims[f] for f in rest) if rest else 1
-    full = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
-    # reorder from (sites..., rest...) digit order to layout order
-    order = list(sites) + rest
-    inv = np.argsort(order)
-    tensor_dims = [layout.dims[f] for f in order]
-    full = full.reshape(tensor_dims + tensor_dims)
-    n = layout.n_factors
-    full = np.transpose(full, list(inv) + [n + i for i in inv])
-    return full.reshape(layout.total_dim, layout.total_dim)
 

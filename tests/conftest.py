@@ -1,15 +1,26 @@
-"""Shared helpers: an independent dense-embedding oracle, random inputs and
-product states.
+"""Shared helpers: an independent dense-embedding oracle, random inputs,
+product states, the excitation-number operator and the RK4 Lindblad
+reference.
 
 The oracle builds embedded operators elementwise from mixed-radix digit
-comparisons, deliberately avoiding the library's kron/transpose and
+comparisons, deliberately avoiding the library's ``contract`` kernel and its
 gather-gemm-scatter code paths so agreement between the two is meaningful.
+
+``rk4_lindblad`` integrates the Lindblad master equation with fixed-step
+classical RK4 from its textbook right-hand side, and ``check_step_size``
+guards its step.  It shares no code with the library's exact propagator
+``evolution.exp_lindblad``, which the tests check against it.
 """
+
+import math
 
 import numpy as np
 
 from squidcavity import CompositeState, LocalOperator, SpaceLayout
 from squidcavity.hilbert import SQUID_DIM
+
+# step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
+MAX_PHASE_PER_STEP = 1.0 / 50.0
 
 
 def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
@@ -73,3 +84,58 @@ def tensor_state(local_factors) -> CompositeState:
     for f in factors[1:]:
         amp = np.kron(amp, f)
     return CompositeState(layout, amp)
+
+
+def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:
+    """|1><1|_a + |1><1|_b + adag*a; commutes with every cavity coupling."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    p1 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
+    p1[1, 1] = 1.0
+    eye3 = np.eye(SQUID_DIM, dtype=complex)
+    number = np.diag(np.arange(n_max + 1, dtype=float)).astype(complex)
+    eye_c = np.eye(n_max + 1, dtype=complex)
+    mat = (
+        np.kron(np.kron(p1, eye3), eye_c)
+        + np.kron(np.kron(eye3, p1), eye_c)
+        + np.kron(np.kron(eye3, eye3), number)
+    )
+    return LocalOperator(
+        sites=(squids[0], squids[1], -1),
+        local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
+        matrix=mat,
+        hermitian=True,
+    )
+
+
+def check_step_size(h_full: np.ndarray, dt: float) -> None:
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(h_full)))) if h_full.size else 0.0
+    if scale > 0 and dt > MAX_PHASE_PER_STEP / scale:
+        raise ValueError(
+            f"step size {dt:.3e} too large for Hamiltonian scale {scale:.3e} "
+            f"(need dt <= {MAX_PHASE_PER_STEP / scale:.3e})"
+        )
+
+
+def lindblad_rhs(rho, h_full, l_ops):
+    """-i[H, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2); rho may carry batch axes."""
+    # the anticommutator is linear in L_k^dag L_k, so its terms are summed first
+    sink = sum((l_op.conj().T @ l_op for l_op in l_ops), np.zeros_like(h_full))
+    out = -1j * (h_full @ rho - rho @ h_full) - 0.5 * (sink @ rho + rho @ sink)
+    for l_op in l_ops:
+        out = out + l_op @ rho @ l_op.conj().T
+    return out
+
+
+def rk4_lindblad(rho, h_full, l_ops, t_total: float, dt: float) -> np.ndarray:
+    """Fixed-step RK4 Lindblad integration; rho may carry leading batch axes."""
+    n_steps = max(1, math.ceil(t_total / dt))
+    step = t_total / n_steps
+    rho = np.array(rho, dtype=complex)
+    for _ in range(n_steps):
+        k1 = lindblad_rhs(rho, h_full, l_ops)
+        k2 = lindblad_rhs(rho + 0.5 * step * k1, h_full, l_ops)
+        k3 = lindblad_rhs(rho + 0.5 * step * k2, h_full, l_ops)
+        k4 = lindblad_rhs(rho + step * k3, h_full, l_ops)
+        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho

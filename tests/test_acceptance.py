@@ -21,30 +21,32 @@ from squidcavity import (
     SpaceLayout,
     basis_index,
     basis_state,
-    cavity_coupling_hamiltonian,
     chain_initial_state,
     cluster_chain_schedule,
     cluster_state_oracle,
-    collapse_operators_from_rates,
-    drive_hamiltonian,
-    embedded_matrix,
     evolve_pure,
     exp_lindblad,
-    excitation_number,
     expectation,
     feasibility_report,
     noisy_gate,
     prepare_superposition,
-    propagator,
     qcpg_lindblad_fidelity,
     qcpg_schedule,
-    round_to_sig_figures,
     single_excitation_closed_form,
     stabilizer_expectations,
     state_fidelity,
     truth_table,
 )
 from squidcavity.cli import main
+from squidcavity.evolution import propagator
+from squidcavity.feasibility import round_to_sig_figures
+from squidcavity.hamiltonians import (
+    cavity_coupling_hamiltonian,
+    collapse_operators_from_rates,
+    drive_hamiltonian,
+)
+
+from conftest import excitation_number, oracle_embedded
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -202,12 +204,12 @@ def test_a6_invariants_and_negative_checks(capsys):
         h = drive_hamiltonian(
             DriveSpec(0, (int(a), int(b)), rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi))
         )
-        full = embedded_matrix(h, layout)
+        full = oracle_embedded(h, layout)
         defect = max(defect, float(np.max(np.abs(full - full.conj().T))))
         h = cavity_coupling_hamiltonian(
             CavityCouplingSpec(0, 1, rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)), 2
         )
-        full = embedded_matrix(h, layout)
+        full = oracle_embedded(h, layout)
         defect = max(defect, float(np.max(np.abs(full - full.conj().T))))
     checks["hermiticity"] = defect <= 1e-12
 
@@ -236,8 +238,8 @@ def test_a6_invariants_and_negative_checks(capsys):
     cavity_layout = SpaceLayout(1, fock_cutoff=2)
     amp = basis_state(cavity_layout, (0,), 1).amplitudes
     ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2, squids=())
-    l_full = [embedded_matrix(op, cavity_layout) for op in ops]
-    zero_h = embedded_matrix(drive_hamiltonian(DriveSpec(0, (0, 1), 0.0)), cavity_layout)
+    l_full = [oracle_embedded(op, cavity_layout) for op in ops]
+    zero_h = oracle_embedded(drive_hamiltonian(DriveSpec(0, (0, 1), 0.0)), cavity_layout)
     rho = exp_lindblad(np.outer(amp, amp.conj()), zero_h, l_full, 2e-5)
     checks["trace preservation"] = abs(np.trace(rho).real - 1.0) <= 1e-8
 

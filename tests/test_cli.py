@@ -213,15 +213,42 @@ def test_decoherence_refuses_runaway_work(tmp_path, capsys):
     assert not (tmp_path / "decoherence.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--sweep", "gamma_e", "--values", "1.7e308"], None),
+        (["--sweep", "k", "--values", "1.7e308"], None),
+        ([], {"gate": {"drive_rabi_per_s": 1.7e308}}),
+        ([], {"feasibility": {"gamma_e_per_s": 1.7e308}}),
+        ([], {"gate": {"cavity_time_s": 1e305, "omega_1_per_s": 1e-305}}),
+    ],
+    ids=["gamma_e", "k", "drive_rabi", "config_gamma_e", "cavity_time"],
+)
+# the overflow itself raises numpy warnings on the way to the refusal
+@pytest.mark.filterwarnings("ignore")
+def test_decoherence_refuses_overflowing_work(tmp_path, capsys, argv, config):
+    # finite settings whose generator or sub-step count overflows used to
+    # die in the sub-step sizing with a traceback
+    if config is not None:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main(["decoherence", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "sub-steps" in err
+    assert not (out / "decoherence.csv").exists()
+
+
 def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):
     calls = []
-    original = decoherence.embedded_matrix
+    original = decoherence.contract
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(decoherence, "embedded_matrix", counted)
+    monkeypatch.setattr(decoherence, "contract", counted)
     assert main(["decoherence", "--values", "5e4,5e5", "--out", str(tmp_path)]) == 0
     # three segment Hamiltonians and five collapse operators per point
     assert len(calls) == 2 * 8

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from squidcavity import (
+from squidcavity.config import (
     ConfigError,
     RunConfig,
     SweepSettings,

@@ -15,8 +15,9 @@ from squidcavity import (
 )
 from squidcavity.cli import main
 from squidcavity.decoherence import CZ_SIGNS
-from squidcavity.evolution import _check_step_size, _rk4_lindblad
 from squidcavity.verification import COMPUTATIONAL_BASIS
+
+from conftest import check_step_size, rk4_lindblad
 
 # points off the default one: heavy cavity loss, heavy |e> decay, all |e>
 # decay into |1>, and the smallest cutoff the exchange allows
@@ -67,8 +68,8 @@ def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
     def rk4(rho, h_full, l_ops, t):
         calls.append(rho.shape)
         dt = t / 2000
-        _check_step_size(h_full, dt)
-        return _rk4_lindblad(rho, h_full, l_ops, t, dt)
+        check_step_size(h_full, dt)
+        return rk4_lindblad(rho, h_full, l_ops, t, dt)
 
     monkeypatch.setattr(decoherence, "exp_lindblad", rk4)
     reference = qcpg_lindblad_fidelity(noisy_gate())

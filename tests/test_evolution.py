@@ -13,39 +13,43 @@ from squidcavity import (
     LocalOperator,
     MAX_LINDBLAD_SUBSTEPS,
     SpaceLayout,
-    apply_local,
     basis_index,
     basis_state,
-    cavity_coupling_hamiltonian,
     chain_initial_state,
     cluster_chain_schedule,
-    collapse_operators_from_rates,
-    drive_hamiltonian,
-    embedded_matrix,
     evolve_pure,
-    excitation_number,
     exp_lindblad,
     expectation,
-    lindblad_substeps,
-    propagator,
     single_excitation_closed_form,
     state_fidelity,
 )
 from squidcavity import evolution
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
-    _check_step_size,
     _from_coordinates,
     _lindblad_parts,
-    _lindblad_rhs,
     _real_superoperator,
-    _rk4_lindblad,
     _superoperator,
     _to_coordinates,
+    lindblad_substeps,
     propagate,
+    propagator,
 )
+from squidcavity.hamiltonians import (
+    cavity_coupling_hamiltonian,
+    collapse_operators_from_rates,
+    drive_hamiltonian,
+)
+from squidcavity.hilbert import contract
 
-from conftest import tensor_state
+from conftest import (
+    check_step_size,
+    excitation_number,
+    lindblad_rhs,
+    oracle_embedded,
+    rk4_lindblad,
+    tensor_state,
+)
 
 
 def _coupling_segment(omega_1, omega_2, duration):
@@ -105,9 +109,9 @@ def test_coupling_window_returns_input_at_default_point():
     )
     layout = SpaceLayout(2, fock_cutoff=2)
     state = basis_state(layout, (1, 0), 0)
-    out = apply_local(state, propagator(h, math.pi / omega_1))
+    out = contract(layout, propagator(h, math.pi / omega_1), state.amplitudes)
     i100 = basis_index(layout, (1, 0), 0)
-    np.testing.assert_allclose(out.amplitudes[i100], 1.0, atol=1e-12)
+    np.testing.assert_allclose(out[i100], 1.0, atol=1e-12)
 
 
 def test_evolve_pure_empty_schedule_is_identity():
@@ -251,10 +255,10 @@ def test_lindblad_photon_decay_matches_exponential():
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
     ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2, squids=())
-    l_full = [embedded_matrix(op, layout) for op in ops]
-    h_full = embedded_matrix(_zero_cavity_hamiltonian(2), layout)
+    l_full = [oracle_embedded(op, layout) for op in ops]
+    h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
-    rho = _rk4_lindblad(rho0, h_full, l_full, t, dt=t / 500)
+    rho = rk4_lindblad(rho0, h_full, l_full, t, dt=t / 500)
     diag = np.real(np.diag(rho)).reshape(3, 3)
     vacuum = diag[:, 0].sum()
     np.testing.assert_allclose(vacuum, 1 - math.exp(-k * t), atol=1e-6)
@@ -268,10 +272,10 @@ def test_lindblad_zero_rates_matches_pure_evolution():
     seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
     state = basis_state(layout, (1, 0), 0)
     pure = evolve_pure(state, (seg,))
-    h_full = embedded_matrix(cavity_coupling_hamiltonian(seg.spec, 2), layout)
+    h_full = oracle_embedded(cavity_coupling_hamiltonian(seg.spec, 2), layout)
     dt = seg.duration / 2000
-    _check_step_size(h_full, dt)
-    rho = _rk4_lindblad(_pure_density(state), h_full, [], seg.duration, dt)
+    check_step_size(h_full, dt)
+    rho = rk4_lindblad(_pure_density(state), h_full, [], seg.duration, dt)
     overlap = np.real(np.vdot(pure.amplitudes, rho @ pure.amplitudes))
     assert overlap >= 1 - 1e-8
     assert abs(np.trace(rho).real - 1.0) <= 1e-8
@@ -280,11 +284,11 @@ def test_lindblad_zero_rates_matches_pure_evolution():
 def test_lindblad_guards():
     layout = SpaceLayout(2, fock_cutoff=2)
     h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.8e8), 2)
-    h_full = embedded_matrix(h, layout)
+    h_full = oracle_embedded(h, layout)
     # step too coarse for the Hamiltonian scale
     with pytest.raises(ValueError, match="step size"):
-        _check_step_size(h_full, 1e-9)
-    _check_step_size(h_full, 1e-12)
+        check_step_size(h_full, 1e-9)
+    check_step_size(h_full, 1e-12)
 
 
 def test_exp_lindblad_photon_decay_matches_exponential():
@@ -292,8 +296,8 @@ def test_exp_lindblad_photon_decay_matches_exponential():
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
     ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2, squids=())
-    l_full = [embedded_matrix(op, layout) for op in ops]
-    h_full = embedded_matrix(_zero_cavity_hamiltonian(2), layout)
+    l_full = [oracle_embedded(op, layout) for op in ops]
+    h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
     out = exp_lindblad(rho0, h_full, l_full, t)
     diag = np.real(np.diag(out)).reshape(3, 3)
@@ -306,7 +310,7 @@ def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
     layout = SpaceLayout(2, fock_cutoff=2)
     seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
     h = cavity_coupling_hamiltonian(seg.spec, 2)
-    h_full = embedded_matrix(h, layout)
+    h_full = oracle_embedded(h, layout)
     u = propagator(h, seg.duration).matrix
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(2, 27, 27)) + 1j * rng.normal(size=(2, 27, 27))
@@ -317,12 +321,12 @@ def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
 
 def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
     layout = SpaceLayout(2, fock_cutoff=2)
-    h_full = embedded_matrix(
+    h_full = oracle_embedded(
         cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 2), layout
     )
     shifted = h_full + 7e9 * np.eye(27)
     ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
-    l_full = [embedded_matrix(op, layout) for op in ops]
+    l_full = [oracle_embedded(op, layout) for op in ops]
     t = 1.7e-8
     assert lindblad_substeps(shifted, l_full, t) == lindblad_substeps(h_full, l_full, t)
     rho0 = _pure_density(basis_state(layout, (1, 0)))
@@ -334,7 +338,7 @@ def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
 def test_exp_lindblad_guards():
     layout = SpaceLayout(1, fock_cutoff=1)
     rho0 = _pure_density(basis_state(layout, (1,)))
-    h_full = embedded_matrix(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), layout)
+    h_full = oracle_embedded(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), layout)
     with pytest.raises(ValueError, match="duration"):
         exp_lindblad(rho0, h_full, [], -1.0)
     out = exp_lindblad(rho0, h_full, [], 0.0)
@@ -358,9 +362,9 @@ def test_superoperator_matches_the_matrix_form_of_the_generator():
     h = cplx(d, d)
     h = h + h.conj().T
     l_ops = [cplx(d, d) for _ in range(3)]
-    drift, drift_dag, l_dags = _lindblad_parts(h, l_ops)
+    drift, drift_dag, _ = _lindblad_parts(h, l_ops)
     rho = cplx(batch, d, d)
-    want = _lindblad_rhs(rho, drift, drift_dag, l_ops, l_dags)
+    want = lindblad_rhs(rho, h, l_ops)
     sup = _superoperator(drift, drift_dag, l_ops)
     got = (rho.reshape(batch, d * d) @ sup.T).reshape(rho.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -418,11 +422,11 @@ def test_real_coordinates_are_an_isometry_and_invert():
 
 def test_exp_lindblad_keeps_hermitian_inputs_exactly_hermitian():
     layout = SpaceLayout(2, fock_cutoff=1)
-    h_full = embedded_matrix(
+    h_full = oracle_embedded(
         cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 1), layout
     )
     ops = collapse_operators_from_rates(5e6, 4e7, 0.5, n_max=1)
-    l_full = [embedded_matrix(op, layout) for op in ops]
+    l_full = [oracle_embedded(op, layout) for op in ops]
     rng = np.random.default_rng(13)
     x = _cplx(rng, 3, 18, 18)
     out = exp_lindblad(x + _adjoint(x), h_full, l_full, 1.7e-8)

@@ -3,13 +3,8 @@ from dataclasses import asdict
 
 import pytest
 
-from squidcavity import (
-    ANCHORS,
-    FeasibilityParams,
-    GateParams,
-    feasibility_report,
-    round_to_sig_figures,
-)
+from squidcavity import FeasibilityParams, GateParams, feasibility_report
+from squidcavity.feasibility import ANCHORS, round_to_sig_figures
 
 
 def test_round_to_sig_figures():

@@ -8,13 +8,16 @@ from squidcavity import (
     DriveSpec,
     FeasibilityParams,
     SpaceLayout,
-    annihilation,
     basis_index,
+)
+from squidcavity.hamiltonians import (
+    annihilation,
     cavity_coupling_hamiltonian,
     collapse_operators_from_rates,
     drive_hamiltonian,
-    excitation_number,
 )
+
+from conftest import excitation_number
 
 
 def test_drive_spec_validation():

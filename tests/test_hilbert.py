@@ -12,11 +12,11 @@ from squidcavity import (
     CompositeState,
     LocalOperator,
     SpaceLayout,
-    apply_local,
     basis_index,
     basis_state,
-    embedded_matrix,
+    evolve_pure,
     expectation,
+    prepare_superposition,
 )
 from squidcavity.hilbert import contract
 
@@ -143,8 +143,8 @@ def test_checked_arrays_are_read_only_views():
     # views, not copies: the caller's arrays stay writable and shared
     assert np.shares_memory(op.matrix, mat) and mat.flags.writeable
     assert np.shares_memory(state.amplitudes, amp) and amp.flags.writeable
-    # every constructed state is frozen, the kernel's results included
-    out = apply_local(state, op)
+    # every constructed state is frozen, an evolution's result included
+    out = evolve_pure(state, prepare_superposition(0))
     assert not out.amplitudes.flags.writeable
 
 
@@ -153,27 +153,27 @@ def test_apply_local_identity():
     rng = np.random.default_rng(0)
     state = random_state(rng, layout)
     op = LocalOperator((0, -1), (3, 3), np.eye(9), hermitian=True)
-    out = apply_local(state, op)
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+    out = contract(layout, op, state.amplitudes)
+    np.testing.assert_array_equal(out, state.amplitudes)
 
 
 def test_apply_local_swap_on_second_squid():
     layout = SpaceLayout(2)
     state = basis_state(layout, (0, 0))
-    out = apply_local(state, LocalOperator((1,), (3,), SWAP01, hermitian=True))
-    assert out.amplitudes[basis_index(layout, (0, 1))] == 1.0
+    out = contract(layout, LocalOperator((1,), (3,), SWAP01, hermitian=True), state.amplitudes)
+    assert out[basis_index(layout, (0, 1))] == 1.0
 
 
 def test_apply_local_site_errors():
     layout = SpaceLayout(1)
     state = basis_state(layout, (0,))
     with pytest.raises(ValueError):
-        apply_local(state, LocalOperator((5,), (3,), np.eye(3)))
+        contract(layout, LocalOperator((5,), (3,), np.eye(3)), state.amplitudes)
     with pytest.raises(ValueError):
-        apply_local(state, LocalOperator((0, 0), (3, 3), np.eye(9)))
+        contract(layout, LocalOperator((0, 0), (3, 3), np.eye(9)), state.amplitudes)
     with pytest.raises(ValueError):
         # wrong local dimension for the cavity factor
-        apply_local(state, LocalOperator((-1,), (4,), np.eye(4)))
+        contract(layout, LocalOperator((-1,), (4,), np.eye(4)), state.amplitudes)
 
 
 def test_apply_local_matches_dense_oracle():
@@ -192,7 +192,7 @@ def test_apply_local_matches_dense_oracle():
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         op = LocalOperator(sites, local_dims, mat)
         state = random_state(rng, layout)
-        got = apply_local(state, op).amplitudes
+        got = contract(layout, op, state.amplitudes)
         want = oracle_apply(state, op)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -205,9 +205,10 @@ def test_embedded_matrix_matches_dense_oracle():
         d = int(np.prod(local_dims))
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         op = LocalOperator(sites, local_dims, mat)
-        np.testing.assert_allclose(
-            embedded_matrix(op, layout), oracle_embedded(op, layout), atol=1e-13
-        )
+        # every entry is one product with 1 plus exact zeros, so the
+        # kernel on the identity block is the embedded matrix exactly
+        eye = np.eye(layout.total_dim, dtype=complex)
+        assert np.array_equal(contract(layout, op, eye), oracle_embedded(op, layout)), sites
 
 
 def test_apply_local_unitary_preserves_norm():
@@ -216,8 +217,8 @@ def test_apply_local_unitary_preserves_norm():
     for _ in range(10):
         state = random_state(rng, layout)
         op = LocalOperator((1, -1), (3, 3), random_unitary(rng, 9))
-        out = apply_local(state, op)
-        assert abs(out.norm() - 1.0) <= 1e-10
+        out = contract(layout, op, state.amplitudes)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
 def test_expectation_projector_and_parity():

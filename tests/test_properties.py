@@ -1,4 +1,4 @@
-"""Property tests: the gate family, the noisy gate's channel and apply_local's routes.
+"""Property tests: the gate family, the noisy gate's channel and contract's routes.
 
 The routes are checked one state at a time and on blocks of states along
 the kernel's trailing batch axis, into a new array and into a given one.
@@ -12,18 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squidcavity import (
-    CompositeState,
     GateParams,
     LocalOperator,
     SpaceLayout,
-    apply_local,
-    embedded_matrix,
     exp_lindblad,
     noisy_gate,
     qcpg_schedule,
     truth_table,
 )
 from squidcavity.hilbert import contract
+
+from conftest import oracle_embedded
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=12)
 
@@ -75,7 +74,7 @@ def test_noisy_gate_channel_is_cptp(cavity_decay, gamma_e, branch_ratio):
 
 
 # largest layout drawn, and largest tail of it the dense reference is built on
-APPLY_LOCAL_MAX_DIM = 20000
+CONTRACT_MAX_DIM = 20000
 DENSE_TAIL_MAX_DIM = 729
 
 
@@ -128,20 +127,19 @@ def local_operator_cases(draw):
 @example((8, 2, (5, 6, -1), 6), 3)
 @example((8, 2, (7, 6), 7), 1)
 @example((9, 0, (-1, 6, -2), 8), 1)
-def test_apply_local_matches_embedded_matrix(case, width):
+def test_contract_matches_dense_oracle(case, width):
     n_squids, fock, sites, seed = case
     layout = SpaceLayout(n_squids, fock)
-    assert layout.total_dim <= APPLY_LOCAL_MAX_DIM
+    assert layout.total_dim <= CONTRACT_MAX_DIM
     rng = np.random.default_rng(seed)
     local_dims = tuple(layout.dims[s] for s in sites)
     d = math.prod(local_dims)
     op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     shape = (layout.total_dim, width)
     block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # one state through the public call, then the block through the kernel
-    # with its batch axis, into a fresh result and then into a given buffer
-    # (which takes a copy of the block as its scratch)
-    got = [apply_local(CompositeState(layout, block[:, 0]), op).amplitudes]
+    # one state, then the block with its batch axis, into a fresh result and
+    # then into a given buffer (which takes a copy of the block as its scratch)
+    got = [contract(layout, op, block[:, 0])]
     batched = contract(layout, op, block)
     assert batched.shape == shape
     got += list(batched.T)
@@ -154,7 +152,7 @@ def test_apply_local_matches_embedded_matrix(case, width):
     first = min(min(layout.resolve_sites(sites)), n_squids - 1)
     tail = SpaceLayout(n_squids - first, fock)
     shifted = tuple(layout.resolve_site(s) - first for s in sites)
-    dense = embedded_matrix(LocalOperator(shifted, local_dims, op.matrix), tail)
+    dense = oracle_embedded(LocalOperator(shifted, local_dims, op.matrix), tail)
     assert tail.total_dim <= DENSE_TAIL_MAX_DIM
     for column, psi in zip(got, [block[:, 0], *block.T, *block.T], strict=True):
         want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)

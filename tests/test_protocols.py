@@ -14,7 +14,6 @@ from squidcavity import (
     SpaceLayout,
     basis_index,
     basis_state,
-    cavity_vacuum_population,
     chain_initial_state,
     cluster_chain_schedule,
     cluster_state_oracle,
@@ -26,6 +25,7 @@ from squidcavity import (
     schedule_to_json,
     state_fidelity,
 )
+from squidcavity.verification import cavity_vacuum_population
 
 from conftest import tensor_state
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from squidcavity import (
-    CZ_DIAG,
     CavityCouplingSpec,
     CavitySegment,
     CompositeState,
@@ -15,10 +14,7 @@ from squidcavity import (
     SpaceLayout,
     basis_index,
     basis_state,
-    cavity_vacuum_population,
-    chain_stabilizer,
     cluster_state_oracle,
-    computational_propagator,
     evolve_pure,
     prepare_superposition,
     qcpg_schedule,
@@ -27,7 +23,13 @@ from squidcavity import (
     truth_table,
 )
 
-from squidcavity.verification import COMPUTATIONAL_BASIS
+from squidcavity.verification import (
+    COMPUTATIONAL_BASIS,
+    CZ_DIAG,
+    cavity_vacuum_population,
+    chain_stabilizer,
+    computational_propagator,
+)
 
 from conftest import oracle_apply, tensor_state
 

@@ -37,6 +37,13 @@ DEFAULT_SWEEP_VALUES = (5e4, 5e5, 5e6, 5e7)
 # budget for the largest single complex array a command may allocate
 MAX_ARRAY_BYTES = 2**24
 
+# ``decoherence`` builds every sweep point before it scores any, and one
+# built point holds about 25 kB (tracemalloc over 200 points at the
+# default cutoff); rounded up to 32 KiB, the sweep length is capped so
+# that the built points stay within the same budget
+PREPARED_POINT_BYTES = 2**15
+MAX_SWEEP_VALUES = MAX_ARRAY_BYTES // PREPARED_POINT_BYTES
+
 
 class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
@@ -72,6 +79,10 @@ class SweepSettings:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ConfigError("sweep values must be nonempty")
+        if len(values) > MAX_SWEEP_VALUES:
+            raise ConfigError(
+                f"sweep has {len(values)} values, above the limit of {MAX_SWEEP_VALUES}"
+            )
         for v in values:
             if not math.isfinite(v):
                 raise ConfigError(f"sweep values must be finite, got {v}")

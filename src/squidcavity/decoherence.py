@@ -16,9 +16,13 @@ linear so propagating them is legitimate.  The channel preserves
 Hermiticity, so E(|p_j><p_i|) = E(|p_i><p_j|)^dag: only the 10 units with
 i <= j are propagated, and the other six are their adjoints.  The 10 ride
 a leading batch axis through one exact exponential exp(L t) per segment
-(``evolution.exp_lindblad``, which runs in real Hermitian coordinates), so
-the score carries no integrator error.  Trace and positivity diagnostics
-come from the four diagonal units, which are honest states.
+(``evolution.exp_segment``, which runs in real Hermitian coordinates), so
+the score carries no integrator error.  ``noisy_gate`` sizes each segment
+once with ``evolution.lindblad_segment``; the sweep's work check and the
+run read the same sizing.  The four diagonal units are Hermitian, so the
+run leaves out the coordinate rows of their zero anti-Hermitian parts.
+Trace and positivity diagnostics come from the four diagonal units, which
+are honest states.
 
 The run never leaves a small subspace, and is carried out on it exactly.
 Let S be the smallest set of basis states that contains the four
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import exp_lindblad, lindblad_substeps
+from .evolution import LindbladSegment, exp_segment, lindblad_segment
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
 from .hilbert import SpaceLayout, basis_index, contract
 from .protocols import GateParams, qcpg_schedule
@@ -69,18 +73,21 @@ class NoisyGate:
 
     ``kept`` lists the full-space basis indices of the subspace in ascending
     order and ``computational`` the positions of the four computational
-    states within it.  ``segments`` holds each segment's (H, duration) and
-    ``collapse`` the collapse operators, all as matrices on the subspace;
-    ``substeps`` is the most propagator sub-steps any one segment needs, a
-    float when it is above ``evolution.MAX_LINDBLAD_SUBSTEPS``.
+    states within it.  ``segments`` holds each segment's Hamiltonian,
+    collapse operators and duration, as matrices on the subspace, sized
+    once by ``evolution.lindblad_segment``; the run and the work check
+    both read that sizing.
     """
 
     kept: tuple[int, ...]
     computational: tuple[int, ...]
-    segments: tuple[tuple[np.ndarray, float], ...]
-    collapse: tuple[np.ndarray, ...]
-    substeps: int | float
+    segments: tuple[LindbladSegment, ...]
     gate_duration_s: float
+
+    @property
+    def substeps(self) -> int | float:
+        """The most sub-steps any one segment needs; a float above ``MAX_LINDBLAD_SUBSTEPS``."""
+        return max(segment.substeps for segment in self.segments)
 
 
 def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
@@ -138,17 +145,17 @@ def noisy_gate(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
     )
     seeds = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
-    generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]
-    kept = _closure(generators, seeds)
+    # only the zero pattern of l^dag l is read, so an overflow is harmless
+    # here; an overflowing generator is over the sub-step limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinks = [l.conj().T @ l for l in l_full]
+    kept = _closure([h for h, _ in segments] + l_full + sinks, seeds)
     cut = np.ix_(kept, kept)
-    reduced = tuple((h[cut], duration) for h, duration in segments)
     collapse = tuple(l[cut] for l in l_full)
     return NoisyGate(
         kept=kept,
         computational=tuple(kept.index(s) for s in seeds),
-        segments=reduced,
-        collapse=collapse,
-        substeps=max(lindblad_substeps(h, collapse, t) for h, t in reduced),
+        segments=tuple(lindblad_segment(h[cut], collapse, t) for h, t in segments),
         gate_duration_s=float(sum(seg.duration for seg in schedule)),
     )
 
@@ -169,8 +176,8 @@ def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
     for m, (i, j) in enumerate(upper):
         batch[m, indices[i], indices[j]] = 1.0
 
-    for h, duration in noisy.segments:
-        batch = exp_lindblad(batch, h, noisy.collapse, duration)
+    for segment in noisy.segments:
+        batch = exp_segment(batch, segment)
 
     channel = dict(zip(upper, batch))
     for i, j in upper:

@@ -19,13 +19,20 @@ the series runs in real arithmetic: each input X = A + iB is split into
 Hermitian parts, each part A is carried as the real vector
 y = Re vec(A) + Im vec(A) (an isometry, with A = ((1+i) Y + (1-i) Y^T) / 2),
 and L as the real d^2 x d^2 matrix L_y = Re(S) + Im(S P), where S is the
-complex superoperator and P the transpose permutation on vec.  L_y is
-formed once per call, so each Taylor term is one real matrix product on
-all the coordinate rows; since S takes 16 d^4 bytes while it is formed,
-dimensions above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything
-is allocated.  The sub-step count follows from a norm bound on L t before
-any work is done and is refused above ``MAX_LINDBLAD_SUBSTEPS``; a
-generator or a count that overflows is over that limit too.  Density
+complex superoperator and P the transpose permutation on vec.
+
+A segment is sized once by ``lindblad_segment``: its drift and its
+sub-step count, which follows from a norm bound on L t, so a caller can
+check the work before running anything.  A count above
+``MAX_LINDBLAD_SUBSTEPS`` is refused when the segment runs; a generator or
+a count that overflows is over that limit too.  ``exp_segment`` runs a
+sized segment.  It forms L_y once per run, writing each Kronecker term of S
+onto that term's own non-zeros, so no d^4 temporary is formed besides S
+and L_y themselves.  Each Taylor term is then one real matrix product on
+the coordinate rows that are not identically zero, into buffers allocated
+once per run.  S takes 16 d^4 bytes while it is formed, so dimensions
+above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything is
+allocated.  ``exp_lindblad`` is the two steps in one call.  Density
 matrix runs are restricted to small spaces: the noisy gate runs on its
 11-state invariant subspace (``decoherence``); chain generation is
 pure-state only.  The tests check ``exp_lindblad`` against their own
@@ -54,7 +61,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 # one segment costs about what 10 000 RK4 steps would
 MAX_LINDBLAD_SUBSTEPS = 1000
 # the complex superoperator takes 16 d^4 bytes while it is formed (16.8 MB
-# at this dimension) and its real form L_y 8 d^4 bytes for the whole run
+# at this dimension) and its real form L_y 8 d^4 bytes for the whole run;
+# the Kronecker terms are written in place, with no temporaries of that size
 SUPEROPERATOR_DIM_LIMIT = 32
 
 
@@ -144,63 +152,100 @@ def single_excitation_closed_form(
     )
 
 
-def _lindblad_parts(h_full, l_ops):
-    # drift = -iH - (1/2) sum L^dag L folds the anticommutator into two
-    # matmuls; only the jump terms remain explicit.
-    l_dags = [l.conj().T for l in l_ops]
-    sink = sum((ld @ l for l, ld in zip(l_ops, l_dags)), np.zeros_like(h_full))
-    drift = -1j * h_full - 0.5 * sink
-    return drift, drift.conj().T, l_dags
+def _drift(h_full, l_ops) -> np.ndarray:
+    """drift = -iH - (1/2) sum_k L_k^dag L_k, so L(rho) = drift rho + rho drift^dag + jumps."""
+    # a generator that overflows here is refused by the caller's finiteness
+    # check, so the overflow itself is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sink = sum((l.conj().T @ l for l in l_ops), np.zeros_like(h_full))
+        return -1j * h_full - 0.5 * sink
 
 
 def _exact_parts(h_full, l_ops, t: float):
-    """Generator pieces for ``exp_lindblad`` and its sub-step count."""
+    """The drift of the Taylor series' generator and its sub-step count."""
     # a multiple of the identity in H drops out of [H, rho]; removing it
     # keeps the norm bound, and the cancellation in the series, small
     d = h_full.shape[0]
     h = h_full - (np.trace(h_full).real / d) * np.eye(d)
-    drift, drift_dag, _ = _lindblad_parts(h, l_ops)
+    drift = _drift(h, l_ops)
     # a generator that overflowed is over the limit, and an SVD of it need
     # not converge
     if not np.isfinite(drift).all():
-        return drift, drift_dag, math.inf
+        return drift, math.inf
     # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F, the spectral
     # norms from one batched singular-value call
     norms = np.linalg.svd(np.stack([drift, *l_ops]), compute_uv=False).max(axis=-1)
-    bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
-    count = bound * t / _TAYLOR_THETA
+    # an overflowing bound or count is caught by the limit check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
+        count = bound * t / _TAYLOR_THETA
     # written so that a NaN count is over the limit too; a count over it
     # stays a float, which may be too large for an integer
     if not count <= MAX_LINDBLAD_SUBSTEPS:
-        return drift, drift_dag, math.inf if math.isnan(count) else count
-    return drift, drift_dag, max(1, math.ceil(count))
+        return drift, math.inf if math.isnan(count) else count
+    return drift, max(1, math.ceil(count))
 
 
-def lindblad_substeps(h_full, l_ops, t: float) -> int | float:
-    """Sub-steps ``exp_lindblad`` takes for duration ``t``; no propagation.
+@dataclass(frozen=True)
+class LindbladSegment:
+    """A stretch of constant Lindbladian, sized once for ``exp_segment``.
 
-    A count above ``MAX_LINDBLAD_SUBSTEPS`` comes back as a float, infinite
-    where the generator or the count overflowed.
+    ``h_full``, ``l_ops`` and ``t`` are the arguments of ``exp_lindblad``;
+    ``drift`` = -iH' - (1/2) sum_k L_k^dag L_k, with H' the traceless part
+    of H.  ``substeps`` is the number of equal Taylor sub-steps over ``t``,
+    a float when it is above ``MAX_LINDBLAD_SUBSTEPS`` (infinite where the
+    generator or the count overflowed), so a caller can check the work
+    before any run.  Nothing here is of size d^4: each run forms its own
+    superoperator.
     """
-    return _exact_parts(h_full, l_ops, t)[2]
+
+    h_full: np.ndarray
+    l_ops: tuple[np.ndarray, ...]
+    t: float
+    drift: np.ndarray
+    substeps: int | float
 
 
-def _kron(a, b) -> np.ndarray:
-    """np.kron of two square matrices: the same products, without its per-call overhead."""
-    n, m = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+def lindblad_segment(h_full, l_ops, t: float) -> LindbladSegment:
+    """Size the Lindbladian of ``h_full`` and ``l_ops`` over duration ``t``; no propagation.
+
+    Dimensions above ``SUPEROPERATOR_DIM_LIMIT`` and negative durations are
+    refused here, before anything is allocated.
+    """
+    d = h_full.shape[0]
+    if d > SUPEROPERATOR_DIM_LIMIT:
+        raise ValueError(
+            f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
+            f"(it would take {16 * d**4 / 1e6:.3g} MB)"
+        )
+    if t < 0:
+        raise ValueError(f"duration must be >= 0, got {t}")
+    return LindbladSegment(h_full, tuple(l_ops), t, *_exact_parts(h_full, l_ops, t))
 
 
-def _superoperator(drift, drift_dag, l_ops) -> np.ndarray:
-    """Matrix of L on row-major vec(rho), using vec(A rho B) = kron(A, B^T) vec(rho)."""
-    eye = np.eye(drift.shape[0])
-    sup = _kron(drift, eye) + _kron(eye, drift_dag.T)
+def _superoperator(drift, l_ops) -> np.ndarray:
+    """Matrix of L on row-major vec(rho), using vec(A rho B) = kron(A, B^T) vec(rho).
+
+    L's matrix is kron(drift, I) + kron(I, drift^*) + sum_k kron(L_k, L_k^*).
+    Each Kronecker product is written onto its own non-zeros only, d^3 for
+    the first two and nnz(L_k)^2 for a jump term, and added in that order,
+    so every entry is the same sum of the same products as with full
+    Kronecker products, and no d^4 temporary is formed.
+    """
+    d = drift.shape[0]
+    # axes (a, b, c, e): row a d + b, column c d + e
+    sup = np.zeros((d, d, d, d), dtype=complex)
+    diag = np.arange(d)
+    sup[:, diag, :, diag] = drift
+    sup[diag, :, diag, :] += drift.conj()
     for l_op in l_ops:
-        sup += _kron(l_op, l_op.conj())
-    return sup
+        rows, cols = np.nonzero(l_op)
+        values = l_op[rows, cols]
+        sup[rows[:, None], rows, cols[:, None], cols] += values[:, None] * values.conj()
+    return sup.reshape(d * d, d * d)
 
 
-def _real_superoperator(drift, drift_dag, l_ops) -> np.ndarray:
+def _real_superoperator(drift, l_ops) -> np.ndarray:
     """Matrix of L on the real coordinates y = Re vec(A) + Im vec(A) of a Hermitian A.
 
     A = Q y with Q = ((1+i) I + (1-i) P) / 2 and P the transpose permutation
@@ -208,7 +253,7 @@ def _real_superoperator(drift, drift_dag, l_ops) -> np.ndarray:
     works out to Re(S) + Im(S P): S P only permutes the columns of S.
     """
     d = drift.shape[0]
-    sup = _superoperator(drift, drift_dag, l_ops)
+    sup = _superoperator(drift, l_ops)
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
     real = sup.imag[:, transpose]
     real += sup.real
@@ -232,6 +277,62 @@ def _from_coordinates(y: np.ndarray) -> np.ndarray:
     return (y + y_t) / 2 + 1j * ((y - y_t) / 2)
 
 
+def _taylor_substeps(flat: np.ndarray, sup_t: np.ndarray, n_sub: int, h: float) -> None:
+    """Overwrite the coordinate rows ``flat`` with exp(L h)^n_sub applied to them.
+
+    Each term is one product with ``sup_t``, then a scale and an add, all
+    into buffers allocated once.  A sub-step ends when the largest entries
+    of two consecutive terms fall below unit roundoff relative to the
+    sum's.  ``bound`` runs as fl(bound + size) from the sum's largest
+    entry: rounding is monotone, so it never falls below the largest entry
+    of the sum, and that entry is read only when the test could pass
+    against the bound; every stopping decision is the same as with the
+    exact maximum after every term.
+    """
+    term = np.empty_like(flat)
+    product = np.empty_like(flat)
+    magnitude = np.empty_like(flat)
+    for _ in range(n_sub):
+        np.copyto(term, flat)
+        # largest-entry sizes: a BLAS norm here runs multithreaded
+        last = bound = np.abs(term, out=magnitude).max()
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            np.matmul(term, sup_t, out=product)
+            np.multiply(product, h / k, out=term)
+            np.add(flat, term, out=flat)
+            size = np.abs(term, out=magnitude).max()
+            bound = bound + size
+            if last + size <= _UNIT_ROUNDOFF * bound:
+                bound = np.abs(flat, out=magnitude).max()
+                if last + size <= _UNIT_ROUNDOFF * bound:
+                    break
+            last = size
+
+
+def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
+    """Apply exp(L t) of a sized ``segment`` to ``rho`` to rounding; see ``exp_lindblad``."""
+    n_sub = segment.substeps
+    if n_sub > MAX_LINDBLAD_SUBSTEPS:
+        raise ValueError(
+            f"exp(L t) needs {n_sub:.3g} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
+        )
+    d = segment.h_full.shape[0]
+    rho = np.asarray(rho, dtype=complex)
+    # rows are the coordinates of every A, then of every B, so L acts from the right
+    coords = np.concatenate([part.reshape(-1, d * d) for part in _to_coordinates(rho)])
+    # a row of zeros, such as the B part of a Hermitian input, adds nothing
+    # to any largest entry, and the series leaves it +0
+    live = coords.any(axis=1)
+    if live.any():
+        sup_t = _real_superoperator(segment.drift, segment.l_ops).T
+        flat = coords[live]
+        _taylor_substeps(flat, sup_t, n_sub, segment.t / n_sub)
+        coords[live] = flat
+    coords[~live] = 0.0
+    a, b = _from_coordinates(coords.reshape(2, *rho.shape))
+    return a + 1j * b
+
+
 def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
     """Apply exp(L t) to ``rho`` to rounding; rho may carry leading batch axes.
 
@@ -240,42 +341,14 @@ def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
     most ``SUPEROPERATOR_DIM_LIMIT``.  L maps Hermitian matrices to
     Hermitian matrices, so each input X = A + iB runs as the real
     coordinates of its Hermitian parts A and B, and L as the real
-    d^2 x d^2 matrix ``_real_superoperator``, formed once.  Each of
-    ``lindblad_substeps`` equal sub-steps then sums the Taylor series of
-    exp(L h), one real matrix product on all the coordinate rows per term,
-    until the largest entries of two consecutive terms fall below unit
-    roundoff relative to the sum's.  A Hermitian input comes back exactly
-    Hermitian.  Trace is not renormalized, so any drift stays visible to
-    the caller.
+    d^2 x d^2 matrix ``_real_superoperator``, formed once per call.  Each
+    of ``lindblad_segment``'s equal sub-steps then sums the Taylor series
+    of exp(L h), one real matrix product on the non-zero coordinate rows
+    per term, until the largest entries of two consecutive terms fall
+    below unit roundoff relative to the sum's.  A Hermitian input comes
+    back exactly Hermitian.  Trace is not renormalized, so any drift stays
+    visible to the caller.  This is ``exp_segment`` of
+    ``lindblad_segment``; a caller that checks the work first sizes the
+    segment once and runs that.
     """
-    d = h_full.shape[0]
-    if d > SUPEROPERATOR_DIM_LIMIT:
-        raise ValueError(
-            f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
-            f"(it would take {16 * d**4 / 1e6:.3g} MB)"
-        )
-    if t < 0:
-        raise ValueError(f"duration must be >= 0, got {t}")
-    drift, drift_dag, n_sub = _exact_parts(h_full, l_ops, t)
-    if n_sub > MAX_LINDBLAD_SUBSTEPS:
-        raise ValueError(
-            f"exp(L t) needs {n_sub:.3g} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
-        )
-    h = t / n_sub
-    rho = np.asarray(rho, dtype=complex)
-    # rows are the coordinates of every A, then of every B, so L acts from the right
-    sup_t = _real_superoperator(drift, drift_dag, l_ops).T
-    flat = np.concatenate([part.reshape(-1, d * d) for part in _to_coordinates(rho)])
-    for _ in range(n_sub):
-        term = flat
-        # largest-entry sizes: a BLAS norm here runs multithreaded
-        last = np.abs(term).max()
-        for k in range(1, _TAYLOR_DEGREE + 1):
-            term = (term @ sup_t) * (h / k)
-            flat = flat + term
-            size = np.abs(term).max()
-            if last + size <= _UNIT_ROUNDOFF * np.abs(flat).max():
-                break
-            last = size
-    a, b = _from_coordinates(flat.reshape(2, *rho.shape))
-    return a + 1j * b
+    return exp_segment(rho, lindblad_segment(h_full, l_ops, t))

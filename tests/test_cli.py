@@ -6,6 +6,7 @@ import pytest
 
 from squidcavity import cli, decoherence, evolution
 from squidcavity.cli import main
+from squidcavity.config import MAX_SWEEP_VALUES
 
 
 def _read_json(path):
@@ -56,6 +57,26 @@ def test_schedule_json_matches_pinned_bytes(tmp_path, argv, fixture):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     pinned = (Path(__file__).parent / "data" / fixture).read_bytes()
     assert (tmp_path / "schedule.json").read_bytes() == pinned
+
+
+@pytest.mark.parametrize(
+    "parameter, values",
+    # 1/4/1 sub-steps per segment at the base rates, 3/5/3 at the top gamma_e
+    [("gamma_e", "4e5,3.08e8"), ("k", "5e4,5.03e7")],
+)
+def test_decoherence_reports_match_pinned_bytes(tmp_path, capsys, parameter, values):
+    # the scores are pinned to the last bit across versions; only the
+    # runtime column may vary
+    argv = ["decoherence", "--sweep", parameter, "--values", values, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    data = Path(__file__).parent / "data"
+    rows = _read_json(tmp_path / "decoherence.json")["rows"]
+    got = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert got == (data / f"decoherence_{parameter}_rows.json").read_text()
+    lines = (tmp_path / "decoherence.csv").read_text().splitlines()
+    got = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    assert got == (data / f"decoherence_{parameter}.csv").read_text()
 
 
 def test_truth_table_wrong_ratio_fails(tmp_path, capsys):
@@ -220,12 +241,15 @@ def test_decoherence_refuses_runaway_work(tmp_path, capsys):
         (["--sweep", "k", "--values", "1.7e308"], None),
         ([], {"gate": {"drive_rabi_per_s": 1.7e308}}),
         ([], {"feasibility": {"gamma_e_per_s": 1.7e308}}),
-        ([], {"gate": {"cavity_time_s": 1e305, "omega_1_per_s": 1e-305}}),
+        pytest.param(
+            [],
+            {"gate": {"cavity_time_s": 1e305, "omega_1_per_s": 1e-305}},
+            # this gate also misses its phase conditions, and says so
+            marks=pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning"),
+        ),
     ],
     ids=["gamma_e", "k", "drive_rabi", "config_gamma_e", "cavity_time"],
 )
-# the overflow itself raises numpy warnings on the way to the refusal
-@pytest.mark.filterwarnings("ignore")
 def test_decoherence_refuses_overflowing_work(tmp_path, capsys, argv, config):
     # finite settings whose generator or sub-step count overflows used to
     # die in the sub-step sizing with a traceback
@@ -237,7 +261,28 @@ def test_decoherence_refuses_overflowing_work(tmp_path, capsys, argv, config):
     assert main(["decoherence", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "sub-steps" in err
+    # the overflow is the refusal's business, not a numerical fault to report
+    assert "RuntimeWarning" not in err
     assert not (out / "decoherence.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["values", "config"])
+def test_decoherence_refuses_an_oversized_sweep(tmp_path, capsys, monkeypatch, route):
+    built = []
+    monkeypatch.setattr(cli, "noisy_gate", lambda *args, **kwargs: built.append(1))
+    values = [5e4] * (MAX_SWEEP_VALUES + 1)
+    if route == "values":
+        argv = ["--values", ",".join(map(repr, values))]
+    else:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"sweep": {"values": values}}))
+        argv = ["--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main(["decoherence", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"limit of {MAX_SWEEP_VALUES}" in err
+    assert built == []
+    assert not out.exists()
 
 
 def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from squidcavity.config import (
+    MAX_SWEEP_VALUES,
     ConfigError,
     RunConfig,
     SweepSettings,
@@ -227,3 +228,12 @@ def test_replace_revalidates_fields():
     assert config.n_qubits == 4
     with pytest.raises(ConfigError):
         replace(config, n_qubits=1)
+
+
+def test_sweep_length_is_capped():
+    assert len(SweepSettings("k", (5e4,) * MAX_SWEEP_VALUES).values) == MAX_SWEEP_VALUES
+    too_many = [5e4] * (MAX_SWEEP_VALUES + 1)
+    with pytest.raises(ConfigError, match=f"{MAX_SWEEP_VALUES + 1} values"):
+        SweepSettings("k", too_many)
+    with pytest.raises(ConfigError, match="limit"):
+        config_from_dict({"sweep": {"values": too_many}})

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from squidcavity import (
     GateParams,
     basis_index,
     decoherence,
+    evolution,
     exp_lindblad,
     noisy_gate,
     qcpg_lindblad_fidelity,
 )
 from squidcavity.cli import main
+from squidcavity.config import PREPARED_POINT_BYTES
 from squidcavity.decoherence import CZ_SIGNS
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
@@ -65,18 +68,46 @@ def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
     # 2000 steps per segment, an independent route to the same channel
     calls = []
 
-    def rk4(rho, h_full, l_ops, t):
+    def rk4(rho, segment):
         calls.append(rho.shape)
-        dt = t / 2000
-        check_step_size(h_full, dt)
-        return rk4_lindblad(rho, h_full, l_ops, t, dt)
+        dt = segment.t / 2000
+        check_step_size(segment.h_full, dt)
+        return rk4_lindblad(rho, segment.h_full, segment.l_ops, segment.t, dt)
 
-    monkeypatch.setattr(decoherence, "exp_lindblad", rk4)
+    monkeypatch.setattr(decoherence, "exp_segment", rk4)
     reference = qcpg_lindblad_fidelity(noisy_gate())
     # one call per segment replaces the whole propagation of the ten units
     assert calls == [(10, 11, 11)] * 3
     assert abs(baseline_result.average_fidelity - reference.average_fidelity) <= 1e-12
     assert abs(baseline_result.process_fidelity - reference.process_fidelity) <= 1e-12
+
+
+def test_each_segment_is_sized_once(monkeypatch):
+    # the work check and the run share one sizing per segment
+    calls = []
+    original = evolution._exact_parts
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "_exact_parts", counted)
+    qcpg_lindblad_fidelity(noisy_gate())
+    assert len(calls) == 3
+
+
+def test_a_prepared_point_fits_its_budget():
+    # the sweep cap assumes at most PREPARED_POINT_BYTES per built point
+    noisy_gate()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [noisy_gate(cavity_decay_per_s=5e4 * (1 + i)) for i in range(20)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 20
+    assert held / 20 <= PREPARED_POINT_BYTES
 
 
 def test_more_cavity_loss_means_lower_fidelity(baseline_result, heavy_loss_result):
@@ -185,8 +216,9 @@ def test_reduced_run_matches_the_full_space(point):
 @pytest.mark.parametrize("k", [5e4, 5e7])
 def test_ten_units_score_like_sixteen(k):
     noisy = noisy_gate(cavity_decay_per_s=k)
+    segments = [(seg.h_full, seg.t) for seg in noisy.segments]
     f_avg, f_pro, trace_defect = _sixteen_unit_scores(
-        noisy.segments, noisy.collapse, noisy.computational
+        segments, noisy.segments[0].l_ops, noisy.computational
     )
     result = qcpg_lindblad_fidelity(noisy)
     assert abs(result.average_fidelity - f_avg) <= 1e-15

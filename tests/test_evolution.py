@@ -20,18 +20,22 @@ from squidcavity import (
     evolve_pure,
     exp_lindblad,
     expectation,
+    noisy_gate,
     single_excitation_closed_form,
     state_fidelity,
 )
 from squidcavity import evolution
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
+    _TAYLOR_DEGREE,
+    _UNIT_ROUNDOFF,
     _from_coordinates,
-    _lindblad_parts,
+    _drift,
     _real_superoperator,
     _superoperator,
     _to_coordinates,
-    lindblad_substeps,
+    exp_segment,
+    lindblad_segment,
     propagate,
     propagator,
 )
@@ -328,7 +332,8 @@ def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
     ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     t = 1.7e-8
-    assert lindblad_substeps(shifted, l_full, t) == lindblad_substeps(h_full, l_full, t)
+    substeps = [lindblad_segment(h, l_full, t).substeps for h in (shifted, h_full)]
+    assert substeps[0] == substeps[1]
     rho0 = _pure_density(basis_state(layout, (1, 0)))
     out = exp_lindblad(rho0, shifted, l_full, t)
     want = exp_lindblad(rho0, h_full, l_full, t)
@@ -345,9 +350,9 @@ def test_exp_lindblad_guards():
     np.testing.assert_array_equal(out, rho0)
     assert out is not rho0
     # sub-steps grow with ||L|| t, and runaway work is refused up front
-    assert lindblad_substeps(h_full, [], 2.0) <= lindblad_substeps(h_full, [], 4.0)
+    assert lindblad_segment(h_full, [], 2.0).substeps <= lindblad_segment(h_full, [], 4.0).substeps
     too_long = 6.0 * (MAX_LINDBLAD_SUBSTEPS + 1)
-    assert lindblad_substeps(h_full, [], too_long) > MAX_LINDBLAD_SUBSTEPS
+    assert lindblad_segment(h_full, [], too_long).substeps > MAX_LINDBLAD_SUBSTEPS
     with pytest.raises(ValueError, match="sub-steps"):
         exp_lindblad(rho0, h_full, [], too_long)
 
@@ -362,12 +367,77 @@ def test_superoperator_matches_the_matrix_form_of_the_generator():
     h = cplx(d, d)
     h = h + h.conj().T
     l_ops = [cplx(d, d) for _ in range(3)]
-    drift, drift_dag, _ = _lindblad_parts(h, l_ops)
+    drift = _drift(h, l_ops)
     rho = cplx(batch, d, d)
     want = lindblad_rhs(rho, h, l_ops)
-    sup = _superoperator(drift, drift_dag, l_ops)
+    sup = _superoperator(drift, l_ops)
     got = (rho.reshape(batch, d * d) @ sup.T).reshape(rho.shape)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [{}, {"gamma_e_per_s": 3.08e8}, {"cavity_decay_per_s": 5.03e7}],
+    ids=["base", "gamma_e", "k"],
+)
+def test_scattered_superoperator_equals_the_kronecker_sum(rates):
+    # the scatter build adds the same products in the same order as the
+    # full Kronecker products it replaces, on the noisy gate's generators
+    for segment in noisy_gate(**rates).segments:
+        drift, l_ops = segment.drift, segment.l_ops
+        eye = np.eye(drift.shape[0])
+        want = np.kron(drift, eye) + np.kron(eye, drift.conj())
+        for l_op in l_ops:
+            want += np.kron(l_op, l_op.conj())
+        got = _superoperator(drift, l_ops)
+        assert np.array_equal(got, want)
+        d = drift.shape[0]
+        transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        real = _real_superoperator(drift, l_ops)
+        want_real = want.imag[:, transpose] + want.real
+        # the real form, which the series multiplies by, matches to the sign of zero
+        assert real.tobytes() == want_real.tobytes()
+
+
+def _plain_series(flat, sup_t, n_sub, h):
+    # the Taylor sub-steps as plainly written: every row, fresh arrays, and
+    # both largest entries read after every term
+    for _ in range(n_sub):
+        term = flat
+        last = np.abs(term).max()
+        for k in range(1, _TAYLOR_DEGREE + 1):
+            term = (term @ sup_t) * (h / k)
+            flat = flat + term
+            size = np.abs(term).max()
+            if last + size <= _UNIT_ROUNDOFF * np.abs(flat).max():
+                break
+            last = size
+    return flat
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [{}, {"gamma_e_per_s": 3.08e8}, {"cavity_decay_per_s": 5.03e7}],
+    ids=["base", "gamma_e", "k"],
+)
+def test_buffered_series_matches_the_plain_one_bit_for_bit(rates):
+    # on the noisy gate's ten units the zero rows left out, the reused
+    # buffers and the running bound change no bit of any segment's output
+    noisy = noisy_gate(**rates)
+    d, idx = len(noisy.kept), noisy.computational
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    batch = np.zeros((len(upper), d, d), dtype=complex)
+    for m, (i, j) in enumerate(upper):
+        batch[m, idx[i], idx[j]] = 1.0
+    for segment in noisy.segments:
+        flat = np.concatenate([y.reshape(-1, d * d) for y in _to_coordinates(batch)])
+        sup_t = _real_superoperator(segment.drift, segment.l_ops).T
+        n_sub = segment.substeps
+        a, b = _from_coordinates(
+            _plain_series(flat, sup_t, n_sub, segment.t / n_sub).reshape(2, *batch.shape)
+        )
+        batch = exp_segment(batch, segment)
+        assert batch.tobytes() == (a + 1j * b).tobytes()
 
 
 def _cplx(rng, *shape):
@@ -385,9 +455,9 @@ def test_real_superoperator_matches_the_complex_one():
     d, batch = 6, 5
     h = _cplx(rng, d, d)
     l_ops = [_cplx(rng, d, d) for _ in range(3)]
-    drift, drift_dag, _ = _lindblad_parts(h + _adjoint(h), l_ops)
-    sup = _superoperator(drift, drift_dag, l_ops)
-    real = _real_superoperator(drift, drift_dag, l_ops)
+    drift = _drift(h + _adjoint(h), l_ops)
+    sup = _superoperator(drift, l_ops)
+    real = _real_superoperator(drift, l_ops)
     assert real.dtype == np.float64 and real.shape == (d * d, d * d)
     x = _cplx(rng, batch, d, d)
     for rho in (x, x + _adjoint(x)):

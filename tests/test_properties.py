@@ -61,8 +61,8 @@ def test_noisy_gate_channel_is_cptp(cavity_decay, gamma_e, branch_ratio):
     batch = np.zeros((16, d, d), dtype=complex)
     for m, (i, j) in enumerate(units):
         batch[m, idx[i], idx[j]] = 1.0
-    for h, t in noisy.segments:
-        batch = exp_lindblad(batch, h, noisy.collapse, t)
+    for seg in noisy.segments:
+        batch = exp_lindblad(batch, seg.h_full, seg.l_ops, seg.t)
     # Choi matrix sum_ij |i><j| (x) E(|i><j|) on the computational inputs
     choi = np.zeros((4 * d, 4 * d), dtype=complex)
     for m, (i, j) in enumerate(units):

@@ -59,6 +59,51 @@ def test_schedule_json_matches_pinned_bytes(tmp_path, argv, fixture):
     assert (tmp_path / "schedule.json").read_bytes() == pinned
 
 
+def _report_without_config(path):
+    payload = _read_json(path)
+    # the config echo holds out_dir, which differs between runs
+    del payload["config"]
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, tag",
+    [
+        (["--n", "3"], "3"),
+        (["--n", "10"], "10"),
+        (["--n", "4", "--fock-cutoff", "1"], "4_cutoff_1"),
+    ],
+)
+def test_cluster_reports_match_pinned_bytes(tmp_path, capsys, argv, tag):
+    # every fidelity and stabilizer bit is pinned across versions
+    assert main(["cluster", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = Path(__file__).parent / "data"
+    got = _report_without_config(tmp_path / "cluster.json")
+    assert got == (data / f"cluster_{tag}.json").read_text()
+    pinned = (data / f"stabilizers_{tag}.csv").read_bytes()
+    assert (tmp_path / "stabilizers.csv").read_bytes() == pinned
+
+
+@pytest.mark.parametrize(
+    "argv, tag, code",
+    [
+        ([], "default", 0),
+        # off the gate conditions: every entry and the leakage are non-trivial
+        (["--ratio", "1.5", "--cavity-time-scale", "2.3"], "ratio_1.5", 1),
+    ],
+)
+def test_truth_table_reports_match_pinned_bytes(tmp_path, capsys, argv, tag, code):
+    if code:
+        with pytest.warns(UserWarning, match="gate conditions violated"):
+            assert main(["truth-table", *argv, "--out", str(tmp_path)]) == code
+    else:
+        assert main(["truth-table", *argv, "--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    pinned = (Path(__file__).parent / "data" / f"truth_table_{tag}.json").read_text()
+    assert _report_without_config(tmp_path / "truth_table.json") == pinned
+
+
 @pytest.mark.parametrize(
     "parameter, values",
     # 1/4/1 sub-steps per segment at the base rates, 3/5/3 at the top gamma_e

@@ -4,8 +4,9 @@ Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
-own generator) on pure states, alone or as a block; ``evolve_pure`` wraps it
-for a ``CompositeState``.
+own generator) on pure states, alone or as a block, with one propagator per
+distinct generator and duration; ``evolve_pure`` wraps it for a
+``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
 
@@ -87,16 +88,22 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     The run owns two state-sized buffers shaped like the input: a copy of
     it, and one more.  Each segment reads one buffer and writes the other,
     so the caller's array is only read and no segment allocates a state.
-    Each segment's propagator is built once, from the segment's own
-    generator, for the whole block; every state's norm is then checked,
-    which also catches NaN and Inf.
+    One propagator is built per distinct generator matrix, local dimensions
+    and duration in the run, for the whole block: a cluster chain repeats
+    four of them.  Each segment applies it on its own sites; every state's
+    norm is then checked, which also catches NaN and Inf.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
     psi = np.array(psi, dtype=complex)
     spare = np.empty_like(psi)
+    built = {}
     for segment in schedule:
         h = segment.hamiltonian(layout.fock_cutoff)
-        psi, spare = contract(layout, propagator(h, segment.duration), psi, out=spare), psi
+        key = (h.matrix.tobytes(), h.local_dims, segment.duration)
+        if key not in built:
+            built[key] = propagator(h, segment.duration).matrix
+        u = LocalOperator(h.sites, h.local_dims, built[key])
+        psi, spare = contract(layout, u, psi, out=spare), psi
         for column in psi.reshape(len(psi), -1).T:
             norm = math.sqrt(np.vdot(column, column).real)
             if not abs(norm - 1.0) <= NORM_TOL:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -94,10 +95,9 @@ def test_cluster_reports_match_pinned_bytes(tmp_path, capsys, argv, tag):
     ],
 )
 def test_truth_table_reports_match_pinned_bytes(tmp_path, capsys, argv, tag, code):
-    if code:
-        with pytest.warns(UserWarning, match="gate conditions violated"):
-            assert main(["truth-table", *argv, "--out", str(tmp_path)]) == code
-    else:
+    # a gate off its conditions warns when its schedule is built
+    detuned = pytest.warns(UserWarning, match="gate conditions violated")
+    with detuned if code else contextlib.nullcontext():
         assert main(["truth-table", *argv, "--out", str(tmp_path)]) == code
     capsys.readouterr()
     pinned = (Path(__file__).parent / "data" / f"truth_table_{tag}.json").read_text()
@@ -330,36 +330,38 @@ def test_decoherence_refuses_an_oversized_sweep(tmp_path, capsys, monkeypatch, r
     assert not out.exists()
 
 
-def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; the returned list grows by one per call."""
     calls = []
-    original = decoherence.contract
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(decoherence, "contract", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_decoherence_builds_each_point_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, decoherence, "contract")
     assert main(["decoherence", "--values", "5e4,5e5", "--out", str(tmp_path)]) == 0
     # three segment Hamiltonians and five collapse operators per point
     assert len(calls) == 2 * 8
 
 
-def test_each_segment_builds_one_propagator(tmp_path, monkeypatch):
-    calls = []
-    original = evolution.propagator
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "propagator", counted)
+def test_each_distinct_segment_builds_one_propagator(tmp_path, monkeypatch):
+    built = _count_calls(monkeypatch, evolution, "propagator")
+    applied = _count_calls(monkeypatch, evolution, "contract")
     # the four computational inputs share each of the gate's three segments
     assert main(["truth-table", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 3
-    # ten superposition pulses, then nine gates of three segments each
-    calls.clear()
+    assert (len(built), len(applied)) == (3, 3)
+    # ten superposition pulses, then nine gates of three segments each; the
+    # chain repeats four generators, and every segment is still applied
+    built.clear()
+    applied.clear()
     assert main(["cluster", "--n", "10", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 37
+    assert (len(built), len(applied)) == (4, 37)
 
 
 def test_oversized_cutoff_is_refused_before_allocating(tmp_path, capsys):

@@ -86,6 +86,36 @@ def test_cavity_coupling_single_excitation_elements():
     assert np.all(h.matrix[ie00, :] == 0)
 
 
+def _kron_exchange(omega_1, omega_2, n_max):
+    """The exchange as the sum of its four Kronecker terms, the textbook route."""
+    a_op = annihilation(n_max)
+    adag = a_op.conj().T
+    s01 = np.zeros((3, 3), dtype=complex)
+    s01[0, 1] = 1.0
+    s10 = s01.conj().T
+    eye3 = np.eye(3, dtype=complex)
+    mat = omega_1 * (np.kron(np.kron(s01, eye3), adag) + np.kron(np.kron(s10, eye3), a_op))
+    mat += omega_2 * (np.kron(np.kron(eye3, s01), adag) + np.kron(np.kron(eye3, s10), a_op))
+    return mat
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "omega_1, omega_2",
+    [
+        (1.8e8, math.sqrt(3) * 1.8e8),
+        # a gate-family ratio sqrt((2n/(2m+1))^2 - 1) with n = 2, m = 0
+        (1.8e8, math.sqrt(15) * 1.8e8),
+        (0.37, 2.9),
+    ],
+)
+def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, n_max):
+    h = cavity_coupling_hamiltonian(CavityCouplingSpec(2, 0, omega_1, omega_2), n_max)
+    assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, n_max).tobytes()
+    assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, n_max + 1)
+    assert h.hermitian and not h.matrix.flags.writeable
+
+
 def test_cavity_coupling_needs_photon_level():
     with pytest.raises(ValueError):
         cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.0, 1.0), n_max=0)

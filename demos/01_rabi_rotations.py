@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from squidcavity import (
-    DriveSpec,
     DriveSegment,
     SpaceLayout,
     basis_state,
@@ -51,8 +50,7 @@ print()
 print("the drive phase steers the rotation axis; phase pi reverses the sign")
 print("picked up on the way up (used by the gate to imprint a net minus):")
 for phase in (0.0, math.pi):
-    spec = DriveSpec(0, (1, 2), rabi, phase)
-    schedule = (DriveSegment(spec, (math.pi / 2) / rabi),)
+    schedule = (DriveSegment(0, (1, 2), rabi, (math.pi / 2) / rabi, phase),)
     out = evolve_pure(basis_state(layout, (1,)), schedule)
     amps = out.amplitudes.reshape(3, 2)[:, 0].real
     print(f"  phase {phase / math.pi:.0f}*pi: |1> -> {amps[2]:+.3f} |e>")

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from squidcavity import (
-    CavityCouplingSpec,
     CavitySegment,
     SpaceLayout,
     basis_index,
@@ -33,7 +32,7 @@ indices = [
 
 
 def simulate(ratio: float, t: float) -> np.ndarray:
-    seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, ratio * omega_1), t)
+    seg = CavitySegment(0, 1, omega_1, ratio * omega_1, t)
     out = evolve_pure(start, (seg,))
     return out.amplitudes[indices]
 

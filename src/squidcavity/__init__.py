@@ -17,7 +17,7 @@ from .evolution import (
     single_excitation_closed_form,
 )
 from .feasibility import feasibility_report
-from .hamiltonians import CavityCouplingSpec, DriveSpec, FeasibilityParams
+from .hamiltonians import FeasibilityParams
 from .hilbert import (
     CompositeState,
     LocalOperator,

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams
@@ -119,7 +121,7 @@ class RunConfig:
         if need > MAX_ARRAY_BYTES:
             raise ConfigError(
                 f"fock_cutoff = {self.fock_cutoff} with n_qubits = {self.n_qubits} needs "
-                f"a {need / 2**20:.4g} MiB array, above the budget of "
+                f"a {Decimal(need) / 2**20:.4g} MiB array, above the budget of "
                 f"{MAX_ARRAY_BYTES / 2**20:g} MiB"
             )
 
@@ -159,6 +161,10 @@ def _section(data: dict, name: str, key_map: dict, cls):
             raise ConfigError(f"{name}.{key} must not be a boolean, got {str(value).lower()}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name}.{key} must be finite, got {value}")
+        # a JSON integer is exact, and may be too large for any float
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, int) and abs(item) > sys.float_info.max:
+                raise ConfigError(f"{name}.{key} holds an integer too large for a float")
     kwargs = {key_map[k]: v for k, v in raw.items()}
     try:
         return cls(**kwargs)
@@ -183,12 +189,13 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a syntax error, or an integer with more digits than Python converts
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

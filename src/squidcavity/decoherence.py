@@ -95,11 +95,7 @@ def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_
     layout = SpaceLayout(2, fock_cutoff)
     schedule = qcpg_schedule(0, 1, gate)
     collapse = collapse_operators_from_rates(
-        cavity_decay_per_s,
-        gamma_e_per_s,
-        branch_ratio_e_to_0,
-        n_max=fock_cutoff,
-        squids=(0, 1),
+        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, n_max=fock_cutoff
     )
     # each full-space matrix is the operator applied to the identity block
     eye = np.eye(layout.total_dim, dtype=complex)

@@ -26,6 +26,8 @@ the module builds no operator for it; the tests build their own to check
 that it is conserved.  Its builder writes H's non-zeros directly, with no
 Kronecker products.
 
+The builders take plain values and check none of them: the segments of
+``protocols`` that call them refuse bad rates and levels when they are built.
 All builders are pure: they return immutable LocalOperators that can be
 shared freely.
 """
@@ -38,56 +40,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .hilbert import LEVEL_E, SQUID_DIM, LocalOperator
-
-
-def _check_level(value: int, what: str) -> int:
-    value = int(value)
-    if not 0 <= value < SQUID_DIM:
-        raise ValueError(f"{what} must be one of 0, 1, 2 (got {value})")
-    return value
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """One classical pulse: target SQUID, ordered level pair, Rabi rate, phase."""
-
-    target_squid: int
-    transition: tuple[int, int]
-    rabi: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        a, b = self.transition
-        a = _check_level(a, "transition level")
-        b = _check_level(b, "transition level")
-        if a == b:
-            raise ValueError(f"transition levels must differ (got {a}, {b})")
-        object.__setattr__(self, "transition", (a, b))
-        if self.rabi < 0:
-            raise ValueError(f"rabi must be >= 0, got {self.rabi}")
-
-
-@dataclass(frozen=True)
-class CavityCouplingSpec:
-    """Resonant coupling window: two SQUID indices and their coupling rates."""
-
-    squid_a: int
-    squid_b: int
-    omega_1: float
-    omega_2: float
-
-    def __post_init__(self):
-        if self.squid_a == self.squid_b:
-            raise ValueError("cavity coupling needs two distinct SQUIDs")
-        if self.omega_1 <= 0:
-            raise ValueError(f"omega_1 must be > 0, got {self.omega_1}")
-        if self.omega_2 < 0:
-            raise ValueError(f"omega_2 must be >= 0, got {self.omega_2}")
-
-    @property
-    def omega(self) -> float:
-        """Collective rate sqrt(omega_1^2 + omega_2^2)."""
-        return math.hypot(self.omega_1, self.omega_2)
 
 
 @dataclass(frozen=True)
@@ -133,14 +85,16 @@ class FeasibilityParams:
         return self.omega_c_hz / self.q_factor
 
 
-def drive_hamiltonian(spec: DriveSpec) -> LocalOperator:
-    """3x3 drive generator on the target SQUID; the third level is untouched."""
-    a, b = spec.transition
+def drive_hamiltonian(
+    squid: int, transition: tuple[int, int], rabi: float, phase: float
+) -> LocalOperator:
+    """3x3 drive generator on ``squid``; the third level is untouched."""
+    a, b = transition
     mat = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
-    mat[a, b] = 1j * spec.rabi * np.exp(1j * spec.phase)
-    mat[b, a] = -1j * spec.rabi * np.exp(-1j * spec.phase)
+    mat[a, b] = 1j * rabi * np.exp(1j * phase)
+    mat[b, a] = -1j * rabi * np.exp(-1j * phase)
     return LocalOperator(
-        sites=(spec.target_squid,),
+        sites=(squid,),
         local_dims=(SQUID_DIM,),
         matrix=mat,
         hermitian=True,
@@ -154,7 +108,9 @@ def annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
 
 
-def cavity_coupling_hamiltonian(spec: CavityCouplingSpec, n_max: int) -> LocalOperator:
+def cavity_coupling_hamiltonian(
+    squid_a: int, squid_b: int, omega_1: float, omega_2: float, n_max: int
+) -> LocalOperator:
     """Two-SQUID resonant exchange with the cavity, on sites (a, b, cavity).
 
     Each Jaynes-Cummings term is written onto its own non-zeros: rate *
@@ -176,13 +132,13 @@ def cavity_coupling_hamiltonian(spec: CavityCouplingSpec, n_max: int) -> LocalOp
     n = np.arange(n_max)
     root = np.sqrt(n + 1.0)
     entries[0, other, n + 1, 1, other, n] = entries[1, other, n, 0, other, n + 1] = (
-        spec.omega_1 * root
+        omega_1 * root
     )
     entries[other, 0, n + 1, other, 1, n] = entries[other, 1, n, other, 0, n + 1] = (
-        spec.omega_2 * root
+        omega_2 * root
     )
     return LocalOperator(
-        sites=(spec.squid_a, spec.squid_b, -1),
+        sites=(squid_a, squid_b, -1),
         local_dims=dims,
         matrix=mat,
         hermitian=True,
@@ -194,13 +150,12 @@ def collapse_operators_from_rates(
     gamma_e: float,
     branch_ratio_e_to_0: float,
     n_max: int,
-    squids: tuple[int, ...] = (0, 1),
 ) -> list[LocalOperator]:
-    """Collapse operators for a run: cavity decay plus |e> relaxation per SQUID.
+    """Collapse operators for a gate: cavity decay plus |e> relaxation.
 
-    The upper level relaxes at total rate ``gamma_e``, branching to |0> with
-    the given ratio and to |1> with its complement.  Zero-rate operators are
-    dropped from the list.
+    The upper level of both gate SQUIDs, 0 and 1, relaxes at total rate
+    ``gamma_e``, branching to |0> with the given ratio and to |1> with its
+    complement.  Zero-rate operators are dropped from the list.
     """
     if cavity_decay < 0 or gamma_e < 0:
         raise ValueError("decay rates must be >= 0")
@@ -222,7 +177,7 @@ def collapse_operators_from_rates(
         e_to_0[0, LEVEL_E] = 1.0
         e_to_1 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
         e_to_1[1, LEVEL_E] = 1.0
-        for squid in squids:
+        for squid in (0, 1):
             rate0 = gamma_e * branch_ratio_e_to_0
             rate1 = gamma_e * (1.0 - branch_ratio_e_to_0)
             if rate0 > 0:

@@ -76,10 +76,6 @@ class SpaceLayout:
         return self.n_squids + 1
 
     @property
-    def cavity_site(self) -> int:
-        return self.n_squids
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return (SQUID_DIM,) * self.n_squids + (self.fock_cutoff + 1,)
 

@@ -1,11 +1,14 @@
 """Pulse schedules: rotations, the three-step controlled-phase gate, chains.
 
-A schedule is a plain tuple of segments, run strictly in sequence.  Each
-segment refuses a negative or NaN duration when it is built, and answers for
-itself what the other modules need: the SQUIDs it acts on (``squids``), its
-generator at a given cavity cutoff (``hamiltonian``) and its row in
-``schedule.json`` (``to_dict``).  No other module asks which kind of segment
-it holds.
+A schedule is a plain tuple of segments, run strictly in sequence.  There
+are two kinds, each one frozen dataclass holding its own sites, rates and
+duration: ``DriveSegment`` (a classical pulse) and ``CavitySegment`` (the
+resonant exchange).  Each refuses a bad level pair and a negative or
+non-finite rate or duration when it is built, and answers for itself what
+the other modules need: the SQUIDs it acts on (``squids``), its generator
+at a given cavity cutoff (``hamiltonian``, from the ``hamiltonians``
+builders) and its row in ``schedule.json`` (``to_dict``).  No other module
+asks which kind of segment it holds.
 
 The controlled-phase gate between a control and a target SQUID is a sandwich
 of three sequential segments:
@@ -50,12 +53,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hamiltonians import (
-    CavityCouplingSpec,
-    DriveSpec,
-    cavity_coupling_hamiltonian,
-    drive_hamiltonian,
-)
+from .hamiltonians import cavity_coupling_hamiltonian, drive_hamiltonian
 from .hilbert import (
     LEVEL_0,
     LEVEL_1,
@@ -80,61 +78,90 @@ class _Segment:
     """The duration check both segment kinds share."""
 
     def __post_init__(self):
-        # written so that a NaN duration is refused too
-        if not self.duration >= 0:
-            raise ValueError(f"segment duration must be >= 0, got {self.duration}")
+        # every check here and in the subclasses is written so NaN fails it
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"segment duration must be >= 0 and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
 class DriveSegment(_Segment):
-    """A classical pulse on one SQUID."""
+    """A classical pulse on one ordered level pair of one SQUID."""
 
-    spec: DriveSpec
+    target_squid: int
+    transition: tuple[int, int]
+    rabi: float
     duration: float
+    phase: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        a, b = self.transition
+        levels = range(SQUID_DIM)
+        if a not in levels or b not in levels or a == b:
+            raise ValueError(
+                f"transition must be two distinct levels of 0, 1, 2, got {self.transition}"
+            )
+        object.__setattr__(self, "transition", (int(a), int(b)))
+        if not 0 <= self.rabi < math.inf:
+            raise ValueError(f"rabi must be >= 0 and finite, got {self.rabi}")
 
     @property
     def squids(self) -> tuple[int, ...]:
-        return (self.spec.target_squid,)
+        return (self.target_squid,)
 
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on the target SQUID; the cavity cutoff does not enter."""
-        return drive_hamiltonian(self.spec)
+        return drive_hamiltonian(self.target_squid, self.transition, self.rabi, self.phase)
 
     def to_dict(self) -> dict:
         """The segment's ``schedule.json`` row."""
-        a, b = self.spec.transition
+        a, b = self.transition
         return {
             "kind": "drive",
             "sites": list(self.squids),
             "transition": f"{'01e'[a]}-{'01e'[b]}",
-            "rabi_per_s": self.spec.rabi,
-            "phase_rad": self.spec.phase,
+            "rabi_per_s": self.rabi,
+            "phase_rad": self.phase,
             "duration_s": self.duration,
         }
 
 
 @dataclass(frozen=True)
 class CavitySegment(_Segment):
-    """Two SQUIDs coupled resonantly to the cavity."""
+    """Two SQUIDs coupled resonantly to the cavity at rates omega_1 and omega_2."""
 
-    spec: CavityCouplingSpec
+    squid_a: int
+    squid_b: int
+    omega_1: float
+    omega_2: float
     duration: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.squid_a == self.squid_b:
+            raise ValueError("cavity coupling needs two distinct SQUIDs")
+        if not 0 < self.omega_1 < math.inf:
+            raise ValueError(f"omega_1 must be > 0 and finite, got {self.omega_1}")
+        if not 0 <= self.omega_2 < math.inf:
+            raise ValueError(f"omega_2 must be >= 0 and finite, got {self.omega_2}")
 
     @property
     def squids(self) -> tuple[int, ...]:
-        return (self.spec.squid_a, self.spec.squid_b)
+        return (self.squid_a, self.squid_b)
 
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on both SQUIDs and the cavity truncated at ``fock_cutoff``."""
-        return cavity_coupling_hamiltonian(self.spec, fock_cutoff)
+        return cavity_coupling_hamiltonian(
+            self.squid_a, self.squid_b, self.omega_1, self.omega_2, fock_cutoff
+        )
 
     def to_dict(self) -> dict:
         """The segment's ``schedule.json`` row."""
         return {
             "kind": "cavity",
             "sites": [*self.squids, "cavity"],
-            "omega_1_per_s": self.spec.omega_1,
-            "omega_2_per_s": self.spec.omega_2,
+            "omega_1_per_s": self.omega_1,
+            "omega_2_per_s": self.omega_2,
             "duration_s": self.duration,
         }
 
@@ -222,8 +249,7 @@ def rotation_pulse(
     """Single-segment schedule rotating the given transition by ``angle``."""
     if not 0.0 <= angle < 2.0 * math.pi:
         raise ValueError(f"angle must lie in [0, 2*pi), got {angle}")
-    spec = DriveSpec(target_squid=site, transition=transition, rabi=rabi, phase=phase)
-    return (DriveSegment(spec, duration=angle / rabi),)
+    return (DriveSegment(site, transition, rabi, angle / rabi, phase),)
 
 
 def prepare_superposition(site: int, rabi: float = DEFAULT_DRIVE_RABI) -> tuple:
@@ -251,21 +277,13 @@ def qcpg_schedule(
         )
     pulse_t = params.resolved_pulse_duration
     up = DriveSegment(
-        DriveSpec(target_squid, (LEVEL_1, LEVEL_E), params.drive_rabi, STEP1_PHASE),
-        duration=pulse_t,
+        target_squid, (LEVEL_1, LEVEL_E), params.drive_rabi, pulse_t, STEP1_PHASE
     )
     exchange = CavitySegment(
-        CavityCouplingSpec(
-            squid_a=control_squid,
-            squid_b=target_squid,
-            omega_1=params.omega_1,
-            omega_2=params.omega_2,
-        ),
-        duration=params.resolved_cavity_time,
+        control_squid, target_squid, params.omega_1, params.omega_2, params.resolved_cavity_time
     )
     down = DriveSegment(
-        DriveSpec(target_squid, (LEVEL_1, LEVEL_E), params.drive_rabi, STEP3_PHASE),
-        duration=pulse_t,
+        target_squid, (LEVEL_1, LEVEL_E), params.drive_rabi, pulse_t, STEP3_PHASE
     )
     return (up, exchange, down)
 

@@ -38,32 +38,26 @@ _VACUUM_WARN = 1e-8
 
 
 def computational_propagator(
-    schedule: tuple,
-    squid_pair: tuple[int, int] = (0, 1),
-    fock_cutoff: int = 2,
+    schedule: tuple, fock_cutoff: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract the 4x4 action of a schedule on the computational subspace.
 
     Column j holds the projection onto (computational x vacuum) of the
-    evolved j-th basis input |b1 b2> x |vac>, ordered 00, 01, 10, 11 over
-    (first, second) of ``squid_pair``.  Returns (matrix, per-column leakage),
-    leakage being the probability that escaped the projected subspace.
+    evolved j-th basis input |b0 b1> x |vac>, ordered 00, 01, 10, 11 over
+    SQUIDs 0 and 1, the only SQUIDs the schedule may touch.  Returns
+    (matrix, per-column leakage), leakage being the probability that
+    escaped the projected subspace.
 
     The inputs go through ``evolution.propagate`` as one (total_dim, 4)
     block, so each segment's propagator is built once.
     """
     touched = {squid for segment in schedule for squid in segment.squids}
-    if not touched <= set(squid_pair):
+    if not touched <= {0, 1}:
         raise ValueError(
-            f"schedule touches SQUIDs {sorted(touched - set(squid_pair))} "
-            f"outside the pair {squid_pair}"
+            f"schedule touches SQUIDs {sorted(touched - {0, 1})} outside the pair (0, 1)"
         )
-    layout = SpaceLayout(max(squid_pair) + 1, fock_cutoff)
-    indices = []
-    for bits in COMPUTATIONAL_BASIS:
-        levels = [0] * layout.n_squids
-        levels[squid_pair[0]], levels[squid_pair[1]] = bits
-        indices.append(basis_index(layout, levels, 0))
+    layout = SpaceLayout(2, fock_cutoff)
+    indices = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
     inputs = np.zeros((layout.total_dim, 4), dtype=complex)
     inputs[indices, range(4)] = 1.0
     matrix = propagate(layout, schedule, inputs)[indices]
@@ -86,19 +80,14 @@ class TruthTableReport:
     passed: bool
 
 
-def truth_table(
-    schedule: tuple,
-    squid_pair: tuple[int, int] = (0, 1),
-    fock_cutoff: int = 2,
-    entry_tol: float = DEFAULT_ENTRY_TOL,
-    leakage_tol: float = DEFAULT_LEAKAGE_TOL,
-) -> TruthTableReport:
+def truth_table(schedule: tuple, fock_cutoff: int = 2) -> TruthTableReport:
     """Compare a schedule's computational action against diag(1, 1, 1, -1).
 
     Phases are normalized to the first nonzero diagonal entry, so the report
     is insensitive to a global phase; the ideal gate reads (0, 0, 0, pi).
+    The schedule passes within ``DEFAULT_ENTRY_TOL`` and ``DEFAULT_LEAKAGE_TOL``.
     """
-    matrix, leakage = computational_propagator(schedule, squid_pair, fock_cutoff)
+    matrix, leakage = computational_propagator(schedule, fock_cutoff)
     ref = 1.0 + 0j
     for j in range(4):
         if abs(matrix[j, j]) > 1e-12:
@@ -111,15 +100,15 @@ def truth_table(
     phases = np.mod(phases + np.pi / 2, 2 * np.pi) - np.pi / 2
     max_entry_error = float(np.max(np.abs(normalized - CZ_DIAG)))
     max_leakage = float(np.max(leakage))
-    passed = max_entry_error <= entry_tol and max_leakage <= leakage_tol
+    passed = max_entry_error <= DEFAULT_ENTRY_TOL and max_leakage <= DEFAULT_LEAKAGE_TOL
     return TruthTableReport(
         matrix=matrix,
         phases=phases,
         per_column_leakage=leakage,
         leakage=max_leakage,
         max_entry_error=max_entry_error,
-        entry_tol=entry_tol,
-        leakage_tol=leakage_tol,
+        entry_tol=DEFAULT_ENTRY_TOL,
+        leakage_tol=DEFAULT_LEAKAGE_TOL,
         passed=passed,
     )
 

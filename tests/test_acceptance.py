@@ -12,10 +12,8 @@ import warnings
 import numpy as np
 
 from squidcavity import (
-    CavityCouplingSpec,
     CavitySegment,
     CompositeState,
-    DriveSpec,
     DriveSegment,
     GateParams,
     SpaceLayout,
@@ -97,7 +95,7 @@ def test_a2_closed_form_matches_numerics(capsys):
         omega_1, omega_2 = rng.uniform(0.2, 4.0, size=2)
         omega = math.hypot(omega_1, omega_2)
         for t in np.linspace(0.0, 6 * math.pi / omega, 100):
-            seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), t)
+            seg = CavitySegment(0, 1, omega_1, omega_2, t)
             out = evolve_pure(start, (seg,))
             want = single_excitation_closed_form(omega_1, omega_2, t).as_array()
             worst = max(worst, float(np.max(np.abs(out.amplitudes[indices] - want))))
@@ -202,13 +200,11 @@ def test_a6_invariants_and_negative_checks(capsys):
     for _ in range(20):
         a, b = rng.choice(3, size=2, replace=False)
         h = drive_hamiltonian(
-            DriveSpec(0, (int(a), int(b)), rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi))
+            0, (int(a), int(b)), rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi)
         )
         full = oracle_embedded(h, layout)
         defect = max(defect, float(np.max(np.abs(full - full.conj().T))))
-        h = cavity_coupling_hamiltonian(
-            CavityCouplingSpec(0, 1, rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)), 2
-        )
+        h = cavity_coupling_hamiltonian(0, 1, rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0), 2)
         full = oracle_embedded(h, layout)
         defect = max(defect, float(np.max(np.abs(full - full.conj().T))))
     checks["hermiticity"] = defect <= 1e-12
@@ -216,9 +212,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     # unitarity of propagators
     defect = 0.0
     for _ in range(10):
-        h = cavity_coupling_hamiltonian(
-            CavityCouplingSpec(0, 1, rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0)), 2
-        )
+        h = cavity_coupling_hamiltonian(0, 1, rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0), 2)
         u = propagator(h, rng.uniform(0.0, 5.0)).matrix
         defect = max(defect, float(np.max(np.abs(u.conj().T @ u - np.eye(27)))))
     checks["unitarity"] = defect <= 1e-12
@@ -228,7 +222,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     state = CompositeState(layout, amp / np.linalg.norm(amp))
     schedule = (
         prepare_superposition(0)
-        + (CavitySegment(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 3e-9),)
+        + (CavitySegment(0, 1, 1.8e8, 1.1e8, 3e-9),)
         + prepare_superposition(1)
     )
     out = evolve_pure(state, schedule)
@@ -237,9 +231,9 @@ def test_a6_invariants_and_negative_checks(capsys):
     # trace preservation of the dissipative propagator
     cavity_layout = SpaceLayout(1, fock_cutoff=2)
     amp = basis_state(cavity_layout, (0,), 1).amplitudes
-    ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2, squids=())
+    ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2)
     l_full = [oracle_embedded(op, cavity_layout) for op in ops]
-    zero_h = oracle_embedded(drive_hamiltonian(DriveSpec(0, (0, 1), 0.0)), cavity_layout)
+    zero_h = oracle_embedded(drive_hamiltonian(0, (0, 1), 0.0, 0.0), cavity_layout)
     rho = exp_lindblad(np.outer(amp, amp.conj()), zero_h, l_full, 2e-5)
     checks["trace preservation"] = abs(np.trace(rho).real - 1.0) <= 1e-8
 
@@ -250,7 +244,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     amp[basis_index(layout, (1, 0), 0)] = omega_2 / omega
     amp[basis_index(layout, (0, 1), 0)] = -omega_1 / omega
     dark = CompositeState(layout, amp)
-    seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), 2.7)
+    seg = CavitySegment(0, 1, omega_1, omega_2, 2.7)
     out = evolve_pure(dark, (seg,))
     checks["dark state"] = state_fidelity(out, dark) >= 1 - 1e-10
 

@@ -414,6 +414,50 @@ def test_overflowing_gate_phases_are_configuration_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("truth-table", {"gate": {"omega_1_per_s": HUGE}}, [], "gate.omega_1_per_s"),
+        ("truth-table", {"gate": {"ratio": HUGE}}, [], "gate.ratio"),
+        ("feasibility", {"feasibility": {"q_factor": HUGE}}, [], "feasibility.q_factor"),
+        ("decoherence", {"sweep": {"values": [5e4, HUGE]}}, [], "sweep.values"),
+        ("cluster", {"fock_cutoff": HUGE}, [], "budget"),
+        ("cluster", {}, ["--fock-cutoff", str(HUGE)], "budget"),
+    ],
+    ids=["omega_1", "ratio", "q_factor", "sweep_values", "config_cutoff", "flag_cutoff"],
+)
+def test_integers_too_large_for_a_float_are_configuration_errors(
+    tmp_path, capsys, command, config, flags, message
+):
+    # these used to die with an OverflowError traceback
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), *flags, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not out.exists()
+
+
+def test_unreadable_config_text_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    not_utf8 = tmp_path / "bad.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    # more digits than Python converts to an integer
+    too_long = tmp_path / "long.json"
+    too_long.write_text('{"fock_cutoff": 1' + "0" * 5000 + "}")
+    for path in (not_utf8, too_long):
+        assert main(["feasibility", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 2
+    assert "cannot read config file" in err and "not valid JSON" in err
+    assert not out.exists()
+
+
 def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")

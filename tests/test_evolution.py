@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from squidcavity import (
-    CavityCouplingSpec,
     CavitySegment,
     CompositeState,
-    DriveSpec,
     DriveSegment,
     LocalOperator,
     MAX_LINDBLAD_SUBSTEPS,
@@ -57,11 +55,11 @@ from conftest import (
 
 
 def _coupling_segment(omega_1, omega_2, duration):
-    return CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), duration)
+    return CavitySegment(0, 1, omega_1, omega_2, duration)
 
 
 def test_propagator_zero_time_is_identity():
-    h = drive_hamiltonian(DriveSpec(0, (0, 1), 1.0))
+    h = drive_hamiltonian(0, (0, 1), 1.0, 0.0)
     prop = propagator(h, 0.0)
     np.testing.assert_allclose(prop.matrix, np.eye(3), atol=1e-15)
 
@@ -71,7 +69,7 @@ def test_propagator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         propagator(op, 1.0)
     with pytest.raises(ValueError):
-        propagator(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), -1.0)
+        propagator(drive_hamiltonian(0, (0, 1), 1.0, 0.0), -1.0)
 
 
 def test_propagator_rejects_nan_generator():
@@ -87,7 +85,7 @@ def test_propagator_rejects_nan_generator():
 
 
 def test_propagator_unitary_and_composes():
-    h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.3, 0.7), n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, 1.3, 0.7, n_max=2)
     u1 = propagator(h, 0.4).matrix
     u2 = propagator(h, 1.1).matrix
     u12 = propagator(h, 1.5).matrix
@@ -98,7 +96,7 @@ def test_propagator_unitary_and_composes():
 def test_drive_quarter_period_rotation():
     # at angle pi/2 with zero phase: |0> -> -|1>, |1> -> |0>
     rabi = 2.0
-    h = drive_hamiltonian(DriveSpec(0, (0, 1), rabi, phase=0.0))
+    h = drive_hamiltonian(0, (0, 1), rabi, 0.0)
     u = propagator(h, (math.pi / 2) / rabi).matrix
     np.testing.assert_allclose(u[:, 0], [0, -1, 0], atol=1e-12)
     np.testing.assert_allclose(u[:, 1], [1, 0, 0], atol=1e-12)
@@ -108,9 +106,7 @@ def test_drive_quarter_period_rotation():
 def test_coupling_window_returns_input_at_default_point():
     # omega_2 = sqrt(3) omega_1 and omega_1 t = pi: |1,0,0> comes back with +1
     omega_1 = 2.0
-    h = cavity_coupling_hamiltonian(
-        CavityCouplingSpec(0, 1, omega_1, math.sqrt(3) * omega_1), n_max=2
-    )
+    h = cavity_coupling_hamiltonian(0, 1, omega_1, math.sqrt(3) * omega_1, n_max=2)
     layout = SpaceLayout(2, fock_cutoff=2)
     state = basis_state(layout, (1, 0), 0)
     out = contract(layout, propagator(h, math.pi / omega_1), state.amplitudes)
@@ -127,7 +123,7 @@ def test_evolve_pure_empty_schedule_is_identity():
 
 def test_evolve_pure_pi_over_4_prepares_superposition():
     rabi = 3.0
-    seg = DriveSegment(DriveSpec(0, (0, 1), rabi), (math.pi / 4) / rabi)
+    seg = DriveSegment(0, (0, 1), rabi, (math.pi / 4) / rabi)
     layout = SpaceLayout(1, fock_cutoff=1)
     out = evolve_pure(basis_state(layout, (1,)), (seg,))
     plus = tensor_state([np.array([1, 1, 0]) / math.sqrt(2), (1, 0)])
@@ -138,7 +134,7 @@ def test_propagate_checks_every_state_after_every_segment(monkeypatch):
     # a propagator that is not unitary on |1> only: a block whose second
     # state has weight there must fail, its first state alone must not
     layout = SpaceLayout(1, fock_cutoff=1)
-    schedule = (DriveSegment(DriveSpec(0, (0, 1), 1.0), 1.0),)
+    schedule = (DriveSegment(0, (0, 1), 1.0, 1.0),)
     block = np.zeros((layout.total_dim, 2), dtype=complex)
     block[basis_index(layout, (0,)), 0] = 1.0
     block[basis_index(layout, (1,)), 1] = 1.0
@@ -258,7 +254,7 @@ def test_lindblad_photon_decay_matches_exponential():
     k = 5e4
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
-    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2, squids=())
+    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
@@ -276,7 +272,7 @@ def test_lindblad_zero_rates_matches_pure_evolution():
     seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
     state = basis_state(layout, (1, 0), 0)
     pure = evolve_pure(state, (seg,))
-    h_full = oracle_embedded(cavity_coupling_hamiltonian(seg.spec, 2), layout)
+    h_full = oracle_embedded(seg.hamiltonian(2), layout)
     dt = seg.duration / 2000
     check_step_size(h_full, dt)
     rho = rk4_lindblad(_pure_density(state), h_full, [], seg.duration, dt)
@@ -287,7 +283,7 @@ def test_lindblad_zero_rates_matches_pure_evolution():
 
 def test_lindblad_guards():
     layout = SpaceLayout(2, fock_cutoff=2)
-    h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.8e8), 2)
+    h = cavity_coupling_hamiltonian(0, 1, 1.8e8, 1.8e8, 2)
     h_full = oracle_embedded(h, layout)
     # step too coarse for the Hamiltonian scale
     with pytest.raises(ValueError, match="step size"):
@@ -299,7 +295,7 @@ def test_exp_lindblad_photon_decay_matches_exponential():
     k = 5e4
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
-    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2, squids=())
+    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
@@ -313,7 +309,7 @@ def test_exp_lindblad_photon_decay_matches_exponential():
 def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
     layout = SpaceLayout(2, fock_cutoff=2)
     seg = _coupling_segment(1.8e8, 1.1e8, 1.2e-8)
-    h = cavity_coupling_hamiltonian(seg.spec, 2)
+    h = seg.hamiltonian(2)
     h_full = oracle_embedded(h, layout)
     u = propagator(h, seg.duration).matrix
     rng = np.random.default_rng(3)
@@ -325,9 +321,7 @@ def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
 
 def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
     layout = SpaceLayout(2, fock_cutoff=2)
-    h_full = oracle_embedded(
-        cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 2), layout
-    )
+    h_full = oracle_embedded(cavity_coupling_hamiltonian(0, 1, 1.8e8, 1.1e8, 2), layout)
     shifted = h_full + 7e9 * np.eye(27)
     ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
@@ -343,7 +337,7 @@ def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
 def test_exp_lindblad_guards():
     layout = SpaceLayout(1, fock_cutoff=1)
     rho0 = _pure_density(basis_state(layout, (1,)))
-    h_full = oracle_embedded(drive_hamiltonian(DriveSpec(0, (0, 1), 1.0)), layout)
+    h_full = oracle_embedded(drive_hamiltonian(0, (0, 1), 1.0, 0.0), layout)
     with pytest.raises(ValueError, match="duration"):
         exp_lindblad(rho0, h_full, [], -1.0)
     out = exp_lindblad(rho0, h_full, [], 0.0)
@@ -492,9 +486,7 @@ def test_real_coordinates_are_an_isometry_and_invert():
 
 def test_exp_lindblad_keeps_hermitian_inputs_exactly_hermitian():
     layout = SpaceLayout(2, fock_cutoff=1)
-    h_full = oracle_embedded(
-        cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.8e8, 1.1e8), 1), layout
-    )
+    h_full = oracle_embedded(cavity_coupling_hamiltonian(0, 1, 1.8e8, 1.1e8, 1), layout)
     ops = collapse_operators_from_rates(5e6, 4e7, 0.5, n_max=1)
     l_full = [oracle_embedded(op, layout) for op in ops]
     rng = np.random.default_rng(13)

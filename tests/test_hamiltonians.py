@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from squidcavity import (
-    CavityCouplingSpec,
-    DriveSpec,
-    FeasibilityParams,
-    SpaceLayout,
-    basis_index,
-)
+from squidcavity import FeasibilityParams, SpaceLayout, basis_index
 from squidcavity.hamiltonians import (
     annihilation,
     cavity_coupling_hamiltonian,
@@ -20,18 +14,8 @@ from squidcavity.hamiltonians import (
 from conftest import excitation_number
 
 
-def test_drive_spec_validation():
-    with pytest.raises(ValueError):
-        DriveSpec(0, (1, 1), 1.0)  # transition levels must differ
-    with pytest.raises(ValueError):
-        DriveSpec(0, (1, 3), 1.0)
-    with pytest.raises(ValueError):
-        DriveSpec(0, (0, 1), -1.0)
-
-
 def test_drive_hamiltonian_matrix_elements():
-    spec = DriveSpec(0, (1, 2), rabi=2.0, phase=0.7)
-    h = drive_hamiltonian(spec)
+    h = drive_hamiltonian(0, (1, 2), 2.0, 0.7)
     assert h.hermitian
     assert h.sites == (0,)
     np.testing.assert_allclose(h.matrix[1, 2], 2j * np.exp(0.7j))
@@ -41,7 +25,7 @@ def test_drive_hamiltonian_matrix_elements():
 
 
 def test_drive_hamiltonian_zero_rabi_is_zero():
-    h = drive_hamiltonian(DriveSpec(0, (0, 1), rabi=0.0))
+    h = drive_hamiltonian(0, (0, 1), 0.0, 0.0)
     assert np.all(h.matrix == 0)
 
 
@@ -59,18 +43,9 @@ def test_annihilation_matrix():
         annihilation(-1)
 
 
-def test_coupling_spec_validation():
-    with pytest.raises(ValueError):
-        CavityCouplingSpec(0, 0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        CavityCouplingSpec(0, 1, -1.0, 1.0)
-    spec = CavityCouplingSpec(0, 1, 3.0, 4.0)
-    np.testing.assert_allclose(spec.omega, 5.0)
-
-
 def test_cavity_coupling_single_excitation_elements():
     omega_1, omega_2 = 1.5, 2.5
-    h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, omega_1, omega_2), n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, omega_1, omega_2, n_max=2)
     assert h.hermitian
     assert h.sites == (0, 1, -1)
     layout = SpaceLayout(2, fock_cutoff=2)
@@ -110,7 +85,7 @@ def _kron_exchange(omega_1, omega_2, n_max):
     ],
 )
 def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, n_max):
-    h = cavity_coupling_hamiltonian(CavityCouplingSpec(2, 0, omega_1, omega_2), n_max)
+    h = cavity_coupling_hamiltonian(2, 0, omega_1, omega_2, n_max)
     assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, n_max).tobytes()
     assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, n_max + 1)
     assert h.hermitian and not h.matrix.flags.writeable
@@ -118,7 +93,7 @@ def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, n_max
 
 def test_cavity_coupling_needs_photon_level():
     with pytest.raises(ValueError):
-        cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.0, 1.0), n_max=0)
+        cavity_coupling_hamiltonian(0, 1, 1.0, 1.0, n_max=0)
 
 
 def test_excitation_number_diagonal():
@@ -132,7 +107,7 @@ def test_excitation_number_diagonal():
 
 
 def test_excitation_number_commutes_with_coupling():
-    h = cavity_coupling_hamiltonian(CavityCouplingSpec(0, 1, 1.0, 2.0), n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, 1.0, 2.0, n_max=2)
     n_op = excitation_number(2)
     comm = h.matrix @ n_op.matrix - n_op.matrix @ h.matrix
     assert np.max(np.abs(comm)) <= 1e-12
@@ -169,7 +144,6 @@ def test_collapse_operators_drop_zero_rates():
     assert len(collapse_operators_from_rates(4.0, 0.0, 0.5, n_max=2)) == 1
     assert len(collapse_operators_from_rates(4.0, 9.0, 1.0, n_max=2)) == 3
     assert len(collapse_operators_from_rates(0.0, 0.0, 0.5, n_max=2)) == 0
-    assert len(collapse_operators_from_rates(4.0, 9.0, 0.5, n_max=2, squids=())) == 1
     with pytest.raises(ValueError):
         collapse_operators_from_rates(-1.0, 0.0, 0.5, n_max=2)
     with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ def test_layout_shape():
     assert layout.dims == (3, 3, 3)
     assert layout.total_dim == 27
     assert layout.n_factors == 3
-    assert layout.cavity_site == 2
 
 
 def test_layout_validation():
@@ -40,7 +39,7 @@ def test_layout_validation():
 
 def test_resolve_site_negative_is_cavity():
     layout = SpaceLayout(3, fock_cutoff=1)
-    assert layout.resolve_site(-1) == layout.cavity_site == 3
+    assert layout.resolve_site(-1) == 3
     assert layout.resolve_sites((0, -1)) == (0, 3)
     with pytest.raises(ValueError):
         layout.resolve_site(4)

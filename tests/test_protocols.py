@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from squidcavity import (
-    CavityCouplingSpec,
     CavitySegment,
     DriveSegment,
-    DriveSpec,
     GateParams,
     SpaceLayout,
     basis_index,
@@ -31,8 +29,8 @@ from conftest import tensor_state
 
 
 def test_schedule_concatenation_and_duration():
-    seg_a = DriveSegment(DriveSpec(0, (0, 1), 1.0), 0.5)
-    seg_b = DriveSegment(DriveSpec(1, (1, 2), 2.0), 0.25)
+    seg_a = DriveSegment(0, (0, 1), 1.0, 0.5)
+    seg_b = DriveSegment(1, (1, 2), 2.0, 0.25)
     sched = (seg_a,) + (seg_b,)
     assert len(sched) == 2
     assert list(sched) == [seg_a, seg_b]
@@ -41,11 +39,36 @@ def test_schedule_concatenation_and_duration():
 
 def test_schedule_rejects_negative_duration():
     # a segment refuses a bad duration when it is built, NaN included
-    for duration in (-1e-9, math.nan):
+    for duration in (-1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration must be >= 0"):
-            DriveSegment(DriveSpec(0, (0, 1), 1.0), duration)
+            DriveSegment(0, (0, 1), 1.0, duration)
         with pytest.raises(ValueError, match="duration must be >= 0"):
-            CavitySegment(CavityCouplingSpec(0, 1, 1.0, 1.0), duration)
+            CavitySegment(0, 1, 1.0, 1.0, duration)
+
+
+def test_drive_segment_validation():
+    for transition, rabi in (
+        ((1, 1), 1.0),  # transition levels must differ
+        ((1, 3), 1.0),
+        ((0, 1), -1.0),
+        ((0, 1), math.nan),
+        ((0, 1), math.inf),
+    ):
+        with pytest.raises(ValueError):
+            DriveSegment(0, transition, rabi, 1.0)
+
+
+def test_cavity_segment_validation():
+    for squid_b, omega_1, omega_2 in (
+        (0, 1.0, 1.0),  # the two SQUIDs must differ
+        (1, -1.0, 1.0),
+        (1, math.nan, 1.0),
+        (1, 1.0, math.nan),
+        (1, math.inf, 1.0),
+        (1, 1.0, math.inf),
+    ):
+        with pytest.raises(ValueError):
+            CavitySegment(0, squid_b, omega_1, omega_2, 1.0)
 
 
 def test_gate_params_defaults_satisfy_conditions():
@@ -133,14 +156,14 @@ def test_qcpg_schedule_structure():
     assert isinstance(exchange, CavitySegment)
     assert isinstance(down, DriveSegment)
     # both drive pulses hit the target's upper transition, phases pi then 0
-    assert up.spec.target_squid == 1
-    assert up.spec.transition == (1, 2)
-    assert up.spec.phase == pytest.approx(math.pi)
-    assert down.spec.phase == 0.0
+    assert up.target_squid == 1
+    assert up.transition == (1, 2)
+    assert up.phase == pytest.approx(math.pi)
+    assert down.phase == 0.0
     assert up.duration == pytest.approx(down.duration)
-    assert exchange.spec.squid_a == 0
-    assert exchange.spec.squid_b == 1
-    assert exchange.spec.omega_2 == pytest.approx(math.sqrt(3) * exchange.spec.omega_1)
+    assert exchange.squid_a == 0
+    assert exchange.squid_b == 1
+    assert exchange.omega_2 == pytest.approx(math.sqrt(3) * exchange.omega_1)
 
 
 def test_qcpg_schedule_rejects_same_squid():
@@ -265,7 +288,7 @@ def test_gate_order_is_interchangeable():
 
 
 def test_segment_serialization_keys():
-    drive = DriveSegment(DriveSpec(1, (1, 2), 8.5e7, math.pi), 1.8e-8)
+    drive = DriveSegment(1, (1, 2), 8.5e7, 1.8e-8, math.pi)
     row = drive.to_dict()
     assert row == {
         "kind": "drive",
@@ -275,7 +298,7 @@ def test_segment_serialization_keys():
         "phase_rad": math.pi,
         "duration_s": 1.8e-8,
     }
-    cavity = CavitySegment(CavityCouplingSpec(0, 1, 1.8e8, 2.0e8), 1.7e-8)
+    cavity = CavitySegment(0, 1, 1.8e8, 2.0e8, 1.7e-8)
     row = cavity.to_dict()
     assert row["kind"] == "cavity"
     assert row["sites"] == [0, 1, "cavity"]

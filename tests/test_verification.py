@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from squidcavity import (
-    CavityCouplingSpec,
     CavitySegment,
     CompositeState,
     DriveSegment,
-    DriveSpec,
     GateParams,
     SpaceLayout,
     basis_index,
@@ -41,9 +39,9 @@ def test_empty_schedule_gives_identity_table():
 
 
 def test_propagator_rejects_outside_squids():
-    seg = DriveSegment(DriveSpec(2, (0, 1), 1.0), 1.0)
+    seg = DriveSegment(2, (0, 1), 1.0, 1.0)
     with pytest.raises(ValueError, match="outside the pair"):
-        computational_propagator((seg,), squid_pair=(0, 1), fock_cutoff=1)
+        computational_propagator((seg,), fock_cutoff=1)
 
 
 def test_truth_table_of_default_gate():
@@ -65,7 +63,7 @@ def test_truth_table_flags_wrong_ratio():
 
 def test_truth_table_reversed_pair():
     # the gate is symmetric under control/target exchange
-    report = truth_table(qcpg_schedule(1, 0), squid_pair=(0, 1))
+    report = truth_table(qcpg_schedule(1, 0))
     np.testing.assert_allclose(report.phases, [0.0, 0.0, 0.0, math.pi], atol=1e-9)
     assert report.passed
 
@@ -127,7 +125,7 @@ def test_cavity_vacuum_population_mid_exchange():
     # sin(omega t), so the vacuum deficit is its squared magnitude
     omega_1, omega_2, t = 1.0, 1.0, 0.7
     omega = math.hypot(omega_1, omega_2)
-    seg = CavitySegment(CavityCouplingSpec(0, 1, omega_1, omega_2), t)
+    seg = CavitySegment(0, 1, omega_1, omega_2, t)
     layout = SpaceLayout(2, fock_cutoff=2)
     out = evolve_pure(basis_state(layout, (1, 0), 0), (seg,))
     want = 1.0 - (omega_1 / omega) ** 2 * math.sin(omega * t) ** 2

@@ -4,9 +4,10 @@ Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
-own generator) on pure states, alone or as a block, with one propagator per
-distinct generator and duration; ``evolve_pure`` wraps it for a
-``CompositeState``.
+own generator) on pure states, alone or as a block; it builds a generator
+and its propagator once per distinct ``propagator_key`` (the exact bits of
+the segment's rates, levels, cutoff and duration) and reuses them wherever
+the key repeats.  ``evolve_pure`` wraps it for a ``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
 
@@ -88,21 +89,22 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     The run owns two state-sized buffers shaped like the input: a copy of
     it, and one more.  Each segment reads one buffer and writes the other,
     so the caller's array is only read and no segment allocates a state.
-    One propagator is built per distinct generator matrix, local dimensions
-    and duration in the run, for the whole block: a cluster chain repeats
-    four of them.  Each segment applies it on its own sites; every state's
-    norm is then checked, which also catches NaN and Inf.
+    A segment's ``propagator_key`` holds the exact bits of everything its
+    generator and duration depend on, sites aside, so its generator and
+    propagator are built only the first time its key appears in the run, for
+    the whole block: a cluster chain repeats four of them.  Each segment
+    applies its propagator on its own sites; every state's norm is then
+    checked, which also catches NaN and Inf.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
     psi = np.array(psi, dtype=complex)
     spare = np.empty_like(psi)
     built = {}
     for segment in schedule:
-        h = segment.hamiltonian(layout.fock_cutoff)
-        key = (h.matrix.tobytes(), h.local_dims, segment.duration)
+        key = segment.propagator_key(layout.fock_cutoff)
         if key not in built:
-            built[key] = propagator(h, segment.duration).matrix
-        u = LocalOperator(h.sites, h.local_dims, built[key])
+            built[key] = propagator(segment.hamiltonian(layout.fock_cutoff), segment.duration)
+        u = LocalOperator(segment.sites, built[key].local_dims, built[key].matrix)
         psi, spare = contract(layout, u, psi, out=spare), psi
         for column in psi.reshape(len(psi), -1).T:
             norm = math.sqrt(np.vdot(column, column).real)

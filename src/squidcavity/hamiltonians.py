@@ -35,6 +35,7 @@ shared freely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,7 +62,9 @@ class FeasibilityParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            # a comparison, unlike math.isfinite, refuses an integer too
+            # large for a float without converting it
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("q_factor", "omega_c_hz"):
             if getattr(self, name) <= 0:
@@ -157,8 +160,10 @@ def collapse_operators_from_rates(
     ``gamma_e``, branching to |0> with the given ratio and to |1> with its
     complement.  Zero-rate operators are dropped from the list.
     """
-    if cavity_decay < 0 or gamma_e < 0:
-        raise ValueError("decay rates must be >= 0")
+    # written so that NaN, inf and an integer too large for a float fail too
+    for name, rate in (("cavity_decay", cavity_decay), ("gamma_e", gamma_e)):
+        if not 0 <= rate <= sys.float_info.max:
+            raise ValueError(f"decay rates must be >= 0 and finite, got {name}={rate}")
     if not 0.0 <= branch_ratio_e_to_0 <= 1.0:
         raise ValueError(
             f"branch ratio must lie in [0, 1], got {branch_ratio_e_to_0}"

@@ -21,15 +21,15 @@ or a block of states along a trailing batch axis, and never forms a global
 matrix of it.  Where a full-space matrix is needed (the noisy gate's
 generators), it is ``contract`` on the identity block.  When an operator's
 sites are one ascending run of neighbouring factors (every single-SQUID
-pulse, every chain stabilizer (i-1, i, i+1), the last gate's (N-2, N-1,
-cavity)), the amplitudes reshape to a (left, D, right) view, the batch axis
-joining right, and the operator is applied with no copy.  Any other site set,
-such as the gate's (a, a+1, cavity) with a < N-2 or a descending order,
-takes one gather-gemm-scatter route: the touched axes are gathered last into
-the result buffer, one gemm against the transposed matrix writes into a
-second buffer, and one scatter puts the product back in layout order.  Given
-an ``out`` array, ``contract`` writes there and uses its input as that
-second buffer, so a schedule runs in two state-sized buffers.
+pulse, the last gate's (N-2, N-1, cavity)), the amplitudes reshape to a
+(left, D, right) view, the batch axis joining right, and the operator is
+applied with no copy.  Any other site set, such as the gate's (a, a+1,
+cavity) with a < N-2 or a descending order, takes one gather-gemm-scatter
+route: the touched axes are gathered last into the result buffer, one gemm
+against the transposed matrix writes into a second buffer, and one scatter
+puts the product back in layout order.  Given an ``out`` array,
+``contract`` writes there and uses its input as that second buffer, so a
+schedule runs in two state-sized buffers.
 
 Layouts and operators are immutable after construction and safe to share
 between threads; an operator's matrix and a state's amplitudes are
@@ -215,9 +215,12 @@ def contract(
     (total_dim, batch); the result has its shape.  The sites split, in the
     operator's order, into runs of ascending neighbours: on three SQUIDs
     (1, 2, -1) is one run and (0, 1, -1) is two.  One run is applied on the
-    view (left, D, right).  Otherwise the untouched factors between runs are
-    merged into single axes, gathered with the batch axis in front of the
-    runs, multiplied in one gemm and scattered back.
+    view (left, D, right): as ``left`` stacked (D x D)(D x right) products,
+    or, while ``right`` is small, as one gemm against kron(M, I_right),
+    built as a broadcast product with the bits ``np.kron`` gives.  Otherwise
+    the untouched factors between runs are merged into single axes, gathered
+    with the batch axis in front of the runs, multiplied in one gemm and
+    scattered back.
 
     Without ``out`` the result is a new array and ``psi`` is only read.
     ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
@@ -264,7 +267,11 @@ def contract(
         view = psi.reshape(math.prod(shape[: axes[0]]), op.dim, -1)
         right = view.shape[2]
         if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
-            kron = np.kron(op.matrix, np.eye(right))
+            # kron(M, I_right), C-contiguous and with np.kron's bits, without
+            # np.kron's per-call overhead
+            kron = (op.matrix[:, None, :, None] * np.eye(right)[:, None]).reshape(
+                op.dim * right, op.dim * right
+            )
             np.matmul(view.reshape(view.shape[0], -1), kron.T, out=out.reshape(view.shape[0], -1))
         else:
             np.matmul(op.matrix, view, out=out.reshape(view.shape))

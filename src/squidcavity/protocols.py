@@ -5,10 +5,11 @@ are two kinds, each one frozen dataclass holding its own sites, rates and
 duration: ``DriveSegment`` (a classical pulse) and ``CavitySegment`` (the
 resonant exchange).  Each refuses a bad level pair and a negative or
 non-finite rate or duration when it is built, and answers for itself what
-the other modules need: the SQUIDs it acts on (``squids``), its generator
-at a given cavity cutoff (``hamiltonian``, from the ``hamiltonians``
-builders) and its row in ``schedule.json`` (``to_dict``).  No other module
-asks which kind of segment it holds.
+the other modules need: the SQUIDs it acts on (``squids``) and the factors
+its generator acts on (``sites``), its generator at a given cavity cutoff
+(``hamiltonian``, from the ``hamiltonians`` builders), the exact bits that
+decide its propagator (``propagator_key``) and its row in ``schedule.json``
+(``to_dict``).  No other module asks which kind of segment it holds.
 
 The controlled-phase gate between a control and a target SQUID is a sandwich
 of three sequential segments:
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -72,6 +74,11 @@ STEP1_PHASE = math.pi
 STEP3_PHASE = 0.0
 
 _GATE_CONDITION_TOL = 1e-6
+
+
+def _bits(value: float) -> str:
+    """The exact bits of a float, so that -0.0 and 0.0 differ."""
+    return float(value).hex()
 
 
 class _Segment:
@@ -109,9 +116,22 @@ class DriveSegment(_Segment):
     def squids(self) -> tuple[int, ...]:
         return (self.target_squid,)
 
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """The factors the generator acts on."""
+        return self.squids
+
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on the target SQUID; the cavity cutoff does not enter."""
         return drive_hamiltonian(self.target_squid, self.transition, self.rabi, self.phase)
+
+    def propagator_key(self, fock_cutoff: int) -> tuple:
+        """Exact bits of every value that decides the propagator, sites aside.
+
+        Two segments with equal keys build the same generator matrix, bit for
+        bit, and run it for the same duration.
+        """
+        return ("drive", self.transition, _bits(self.rabi), _bits(self.phase), _bits(self.duration))
 
     def to_dict(self) -> dict:
         """The segment's ``schedule.json`` row."""
@@ -149,10 +169,21 @@ class CavitySegment(_Segment):
     def squids(self) -> tuple[int, ...]:
         return (self.squid_a, self.squid_b)
 
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """The factors the generator acts on."""
+        return (*self.squids, -1)
+
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on both SQUIDs and the cavity truncated at ``fock_cutoff``."""
         return cavity_coupling_hamiltonian(
             self.squid_a, self.squid_b, self.omega_1, self.omega_2, fock_cutoff
+        )
+
+    def propagator_key(self, fock_cutoff: int) -> tuple:
+        """Exact bits of every value that decides the propagator, sites aside."""
+        return (
+            "cavity", _bits(self.omega_1), _bits(self.omega_2), fock_cutoff, _bits(self.duration)
         )
 
     def to_dict(self) -> dict:
@@ -184,7 +215,9 @@ class GateParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            # a comparison, unlike math.isfinite, refuses an integer too
+            # large for a float without converting it
+            if value is not None and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.omega_1 <= 0:
             raise ValueError(f"omega_1 must be > 0, got {self.omega_1}")

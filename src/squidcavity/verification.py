@@ -3,6 +3,15 @@
 A schedule here is any tuple of ``protocols`` segments: the checks read
 each segment's ``squids`` and hand the schedule to ``evolution.propagate``,
 so this module never asks which kind of segment it holds.
+
+The chain generators K_i = Z_{i-1} X_i Z_{i+1} act on the logical levels
+and as the identity on |e>, so each is a signed permutation of the
+amplitudes.  ``stabilizer_expectations`` applies it with slice copies and
+one sign flip per neighbour into one state-sized buffer per call, then
+takes <psi|K_i psi>.  A dense K_i holds one +-1 and exact zeros per row, so
+the operator kernel ``hilbert.contract`` gives the same vector up to the
+sign of zero entries and the same expectation bits; the tests keep that
+dense route as the reference.
 """
 
 from __future__ import annotations
@@ -15,12 +24,13 @@ import numpy as np
 
 from .evolution import propagate
 from .hilbert import (
+    LEVEL_0,
+    LEVEL_1,
+    LEVEL_E,
     SQUID_DIM,
     CompositeState,
-    LocalOperator,
     SpaceLayout,
     basis_index,
-    expectation,
 )
 
 COMPUTATIONAL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -28,10 +38,6 @@ CZ_DIAG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_LEAKAGE_TOL = 1e-10
-
-# X and Z act on the logical {|0>, |1>} pair and leave |e> alone
-PAULI_X3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-PAULI_Z3 = np.diag([1.0, -1.0, 1.0]).astype(complex)
 
 _E_POPULATION_WARN = 1e-8
 _VACUUM_WARN = 1e-8
@@ -136,29 +142,34 @@ def _upper_level_population(state: CompositeState) -> float:
     return 1.0 - float(np.sum(np.abs(logical) ** 2))
 
 
-def chain_stabilizer(n_qubits: int, i: int) -> LocalOperator:
-    """Generator K_i = Z_{i-1} X_i Z_{i+1} (boundary terms drop a neighbour)."""
-    if not 0 <= i < n_qubits:
-        raise ValueError(f"generator index {i} outside 0..{n_qubits - 1}")
-    sites = []
-    mats = []
-    if i > 0:
-        sites.append(i - 1)
-        mats.append(PAULI_Z3)
-    sites.append(i)
-    mats.append(PAULI_X3)
-    if i < n_qubits - 1:
-        sites.append(i + 1)
-        mats.append(PAULI_Z3)
-    matrix = mats[0]
-    for m in mats[1:]:
-        matrix = np.kron(matrix, m)
-    return LocalOperator(
-        sites=tuple(sites),
-        local_dims=(SQUID_DIM,) * len(sites),
-        matrix=matrix,
-        hermitian=True,
-    )
+def _apply_chain_stabilizer(
+    psi: np.ndarray, n_qubits: int, i: int, out: np.ndarray
+) -> np.ndarray:
+    """Write K_i psi into ``out`` and return it.
+
+    K_i = Z_{i-1} X_i Z_{i+1} (boundary terms drop a neighbour), with X and
+    Z acting on the logical pair {|0>, |1>} and leaving |e> alone.  It
+    permutes the amplitudes up to sign: on the view (3^lo, 3, .., 3, rest)
+    over SQUIDs lo..hi = i-1..i+1, three slice copies swap levels 0 and 1 of
+    SQUID i, and each neighbour's level-1 slice is negated in place.  Both
+    C-contiguous arrays are handled as their float64 real and imaginary
+    parts, which numpy negates several times faster than complex numbers,
+    with the same bits.
+    """
+    lo, hi = max(i - 1, 0), min(i + 1, n_qubits - 1)
+    shape = (SQUID_DIM**lo,) + (SQUID_DIM,) * (hi - lo + 1) + (-1,)
+    view = psi.view(np.float64).reshape(shape)
+    target = out.view(np.float64).reshape(shape)
+
+    def level(site, value):
+        return (slice(None),) * (1 + site - lo) + (value,)
+
+    target[level(i, LEVEL_0)] = view[level(i, LEVEL_1)]
+    target[level(i, LEVEL_1)] = view[level(i, LEVEL_0)]
+    target[level(i, LEVEL_E)] = view[level(i, LEVEL_E)]
+    for site in {lo, hi} - {i}:
+        np.negative(target[level(site, LEVEL_1)], out=target[level(site, LEVEL_1)])
+    return out
 
 
 @dataclass
@@ -188,8 +199,14 @@ def stabilizer_expectations(state: CompositeState, n_qubits: int) -> StabilizerR
             "stabilizers act as identity on |e>",
             stacklevel=2,
         )
+    psi = np.ascontiguousarray(state.amplitudes)
+    # one buffer for every K_i psi, freed with the call
+    applied = np.empty_like(psi)
     values = np.array(
-        [expectation(state, chain_stabilizer(n_qubits, i)).real for i in range(n_qubits)]
+        [
+            np.vdot(psi, _apply_chain_stabilizer(psi, n_qubits, i, applied)).real
+            for i in range(n_qubits)
+        ]
     )
     return StabilizerReport(
         expectations=values,

@@ -1,6 +1,10 @@
 """Shared helpers: an independent dense-embedding oracle, random inputs,
-product states, the excitation-number operator and the RK4 Lindblad
-reference.
+product states, the dense chain stabilizers, the excitation-number operator
+and the RK4 Lindblad reference.
+
+``chain_stabilizer`` builds each chain generator K_i as a dense operator
+from 3-level Paulis, the reference route for the library's signed
+permutation readout in ``verification.stabilizer_expectations``.
 
 The oracle builds embedded operators elementwise from mixed-radix digit
 comparisons, deliberately avoiding the library's ``contract`` kernel and its
@@ -21,6 +25,10 @@ from squidcavity.hilbert import SQUID_DIM
 
 # step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
 MAX_PHASE_PER_STEP = 1.0 / 50.0
+
+# X and Z act on the logical {|0>, |1>} pair and leave |e> alone
+PAULI_X3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+PAULI_Z3 = np.diag([1.0, -1.0, 1.0]).astype(complex)
 
 
 def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
@@ -84,6 +92,31 @@ def tensor_state(local_factors) -> CompositeState:
     for f in factors[1:]:
         amp = np.kron(amp, f)
     return CompositeState(layout, amp)
+
+
+def chain_stabilizer(n_qubits: int, i: int) -> LocalOperator:
+    """Generator K_i = Z_{i-1} X_i Z_{i+1} (boundary terms drop a neighbour)."""
+    if not 0 <= i < n_qubits:
+        raise ValueError(f"generator index {i} outside 0..{n_qubits - 1}")
+    sites = []
+    mats = []
+    if i > 0:
+        sites.append(i - 1)
+        mats.append(PAULI_Z3)
+    sites.append(i)
+    mats.append(PAULI_X3)
+    if i < n_qubits - 1:
+        sites.append(i + 1)
+        mats.append(PAULI_Z3)
+    matrix = mats[0]
+    for m in mats[1:]:
+        matrix = np.kron(matrix, m)
+    return LocalOperator(
+        sites=tuple(sites),
+        local_dims=(SQUID_DIM,) * len(sites),
+        matrix=matrix,
+        hermitian=True,
+    )
 
 
 def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from squidcavity import cli, decoherence, evolution
+from squidcavity import cli, decoherence, evolution, protocols
 from squidcavity.cli import main
 from squidcavity.config import MAX_SWEEP_VALUES
 
@@ -361,6 +361,18 @@ def test_each_distinct_segment_builds_one_propagator(tmp_path, monkeypatch):
     built.clear()
     applied.clear()
     assert main(["cluster", "--n", "10", "--out", str(tmp_path)]) == 0
+    assert (len(built), len(applied)) == (4, 37)
+
+
+def test_cluster_chain_builds_each_generator_once(tmp_path, monkeypatch):
+    # the segments call the builders through protocols' own names
+    drives = _count_calls(monkeypatch, protocols, "drive_hamiltonian")
+    exchanges = _count_calls(monkeypatch, protocols, "cavity_coupling_hamiltonian")
+    built = _count_calls(monkeypatch, evolution, "propagator")
+    applied = _count_calls(monkeypatch, evolution, "contract")
+    assert main(["cluster", "--n", "10", "--out", str(tmp_path)]) == 0
+    # the superposition pulse, the gate's two pulses and its exchange
+    assert (len(drives), len(exchanges)) == (3, 1)
     assert (len(built), len(applied)) == (4, 37)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,11 @@ def test_rejects_invalid_rates():
         noisy_gate(cavity_decay_per_s=-1.0)
     with pytest.raises(ValueError):
         noisy_gate(branch_ratio_e_to_0=1.5)
+    # NaN rates once scored as if that channel were off
+    with pytest.raises(ValueError, match="cavity_decay=nan"):
+        noisy_gate(cavity_decay_per_s=math.nan)
+    with pytest.raises(ValueError, match="gamma_e=nan"):
+        noisy_gate(gamma_e_per_s=math.nan)
     # the rates belong to the prepared gate; the scorer takes nothing else
     with pytest.raises(TypeError):
         qcpg_lindblad_fidelity(noisy_gate(), cavity_decay_per_s=5e7)

@@ -174,6 +174,47 @@ def test_propagate_runs_the_chain_in_two_state_buffers():
     assert out.shape == psi.shape and not np.shares_memory(out, psi)
 
 
+def test_propagate_builds_once_per_exact_key(monkeypatch):
+    built = []
+    original = evolution.propagator
+    monkeypatch.setattr(evolution, "propagator", lambda h, t: built.append(1) or original(h, t))
+    layout = SpaceLayout(3, fock_cutoff=1)
+    psi = basis_state(layout, (1, 1, 1)).amplitudes
+    # equal values on other sites share one propagator
+    same = (
+        DriveSegment(0, (0, 1), 1.0, 0.3),
+        DriveSegment(2, (0, 1), 1.0, 0.3),
+        CavitySegment(0, 1, 1.0, 2.0, 0.3),
+        CavitySegment(1, 2, 1.0, 2.0, 0.3),
+    )
+    propagate(layout, same, psi)
+    assert len(built) == 2
+    # values that differ only in the sign of zero share nothing
+    for a, b in (
+        (DriveSegment(0, (0, 1), 1.0, 0.3, 0.0), DriveSegment(1, (0, 1), 1.0, 0.3, -0.0)),
+        (DriveSegment(0, (0, 1), 0.0, 0.3), DriveSegment(1, (0, 1), -0.0, 0.3)),
+        (DriveSegment(0, (0, 1), 1.0, 0.0), DriveSegment(1, (0, 1), 1.0, -0.0)),
+        (CavitySegment(0, 1, 1.0, 0.0, 0.3), CavitySegment(1, 2, 1.0, -0.0, 0.3)),
+    ):
+        assert a.propagator_key(1) != b.propagator_key(1)
+        built.clear()
+        propagate(layout, (a, b), psi)
+        assert len(built) == 2
+    # the exchange's generator depends on the cutoff
+    exchange = CavitySegment(0, 1, 1.0, 2.0, 0.3)
+    assert exchange.propagator_key(1) != exchange.propagator_key(2)
+
+
+def test_shared_propagators_give_the_bits_of_segment_by_segment_runs():
+    state = chain_initial_state(4)
+    schedule = cluster_chain_schedule(4)
+    whole = propagate(state.layout, schedule, state.amplitudes)
+    psi = state.amplitudes
+    for segment in schedule:
+        psi = propagate(state.layout, (segment,), psi)
+    assert whole.tobytes() == psi.tobytes()
+
+
 def test_single_excitation_closed_form_anchors():
     amps = single_excitation_closed_form(1.0, 2.0, 0.0)
     np.testing.assert_allclose(amps.as_array(), [1, 0, 0], atol=1e-15)

@@ -123,7 +123,8 @@ def test_feasibility_params_defaults_and_validation():
     with pytest.raises(ValueError):
         FeasibilityParams(branch_ratio_e_to_0=1.5)
     for name in ("q_factor", "omega_c_hz", "gamma_e_per_s", "branch_ratio_e_to_0"):
-        for bad in (float("nan"), float("inf")):
+        # an integer too large for a float is refused too, not an OverflowError
+        for bad in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 FeasibilityParams(**{name: bad})
 
@@ -148,6 +149,15 @@ def test_collapse_operators_drop_zero_rates():
         collapse_operators_from_rates(-1.0, 0.0, 0.5, n_max=2)
     with pytest.raises(ValueError):
         collapse_operators_from_rates(1.0, 1.0, 2.0, n_max=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_collapse_operators_refuse_non_finite_rates(bad):
+    # NaN once passed as a zero rate: its operator was silently dropped
+    with pytest.raises(ValueError, match="cavity_decay="):
+        collapse_operators_from_rates(bad, 9.0, 0.5, n_max=2)
+    with pytest.raises(ValueError, match="gamma_e="):
+        collapse_operators_from_rates(4.0, bad, 0.5, n_max=2)
 
 
 def test_collapse_operators_from_params():

@@ -91,7 +91,8 @@ def test_gate_params_validation():
     with pytest.raises(ValueError, match="cavity_time"):
         GateParams(cavity_time=-1e-9)
     for name in ("omega_1", "ratio", "drive_rabi", "cavity_time", "pulse_duration"):
-        for bad in (math.nan, math.inf, -math.inf):
+        # an integer too large for a float is refused too, not an OverflowError
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 GateParams(**{name: bad})
     # finite inputs whose derived values overflow

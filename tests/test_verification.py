@@ -12,8 +12,11 @@ from squidcavity import (
     SpaceLayout,
     basis_index,
     basis_state,
+    chain_initial_state,
+    cluster_chain_schedule,
     cluster_state_oracle,
     evolve_pure,
+    expectation,
     prepare_superposition,
     qcpg_schedule,
     stabilizer_expectations,
@@ -25,11 +28,10 @@ from squidcavity.verification import (
     COMPUTATIONAL_BASIS,
     CZ_DIAG,
     cavity_vacuum_population,
-    chain_stabilizer,
     computational_propagator,
 )
 
-from conftest import oracle_apply, tensor_state
+from conftest import chain_stabilizer, oracle_apply, random_state, tensor_state
 
 
 def test_empty_schedule_gives_identity_table():
@@ -169,6 +171,39 @@ def test_stabilizers_match_dense_oracle():
         applied = oracle_apply(state, chain_stabilizer(3, i))
         direct = np.vdot(state.amplitudes, applied).real
         assert abs(report.expectations[i] - direct) <= 1e-12
+
+
+def _dense_expectations(state, n_qubits):
+    return np.array(
+        [expectation(state, chain_stabilizer(n_qubits, i)).real for i in range(n_qubits)]
+    )
+
+
+@pytest.mark.parametrize("fock_cutoff", (1, 2, 3))
+def test_signed_permutation_readout_matches_the_dense_route_bit_for_bit(fock_cutoff):
+    for n_qubits in range(2, 11):
+        state = evolve_pure(
+            chain_initial_state(n_qubits, fock_cutoff), cluster_chain_schedule(n_qubits)
+        )
+        report = stabilizer_expectations(state, n_qubits)
+        assert report.expectations.tobytes() == _dense_expectations(state, n_qubits).tobytes()
+
+
+def test_signed_permutation_readout_on_upper_level_and_photon_amplitudes():
+    # every amplitude is non-zero, |e> and photon digits included, so the
+    # identity on |e> and the cavity digits are exercised
+    rng = np.random.default_rng(20240611)
+    for n_qubits, fock_cutoff in ((1, 0), (2, 1), (3, 2), (5, 3)):
+        state = random_state(rng, SpaceLayout(n_qubits, fock_cutoff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = stabilizer_expectations(state, n_qubits)
+        dense = _dense_expectations(state, n_qubits)
+        assert report.expectations.tobytes() == dense.tobytes()
+        # and the independent dense embedding agrees to rounding
+        for i in range(n_qubits):
+            oracle = np.vdot(state.amplitudes, oracle_apply(state, chain_stabilizer(n_qubits, i)))
+            assert abs(report.expectations[i] - oracle.real) <= 1e-12
 
 
 def test_product_state_breaks_stabilizers():

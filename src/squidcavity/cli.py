@@ -34,6 +34,7 @@ from .config import (
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import MAX_LINDBLAD_SUBSTEPS, evolve_pure
 from .feasibility import feasibility_report
+from .hilbert import check_number
 from .protocols import (
     chain_initial_state,
     cluster_chain_schedule,
@@ -117,8 +118,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             gate = replace(gate, ratio=args.ratio)
         scale = getattr(args, "cavity_time_scale", 1.0)
         if scale != 1.0:
-            if not scale > 0:
-                raise ConfigError(f"--cavity-time-scale must be > 0, got {scale}")
+            check_number("--cavity-time-scale", scale, 0, strict=True)
             gate = replace(gate, cavity_time=gate.resolved_cavity_time * scale)
         if gate is not config.gate:
             updates["gate"] = gate

@@ -5,22 +5,22 @@ Every rate or duration key carries its unit in the name (``_per_s``, ``_hz``,
 quality factors; a silent unit slip is the likeliest way to get plausible but
 wrong numbers.  Unknown keys are rejected with their full path rather than
 ignored, and so is a value of the wrong JSON type (a boolean is not a
-number).  Command-line flags override file values, which override defaults.
-The key maps below are the one JSON-key <-> field table: the parser reads
-through them and the report echo is written from them.
+number).  A number is checked by the dataclass it fills, through
+``hilbert.check_number``.  Command-line flags override file values, which
+override defaults.  The key maps below are the one JSON-key <-> field
+table: the parser reads through them and the report echo is written from
+them.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
-from .hamiltonians import FeasibilityParams
-from .hilbert import SQUID_DIM
+from .hamiltonians import FeasibilityParams, exchange_norm_bound
+from .hilbert import SQUID_DIM, check_number
 from .protocols import GateParams
 
 # sweep name -> the rate keyword of ``decoherence.noisy_gate`` it sets
@@ -78,20 +78,16 @@ class SweepSettings:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.values
         ):
             raise ConfigError(f"sweep values must be an array of numbers, got {self.values!r}")
-        values = tuple(float(v) for v in self.values)
-        if not values:
+        if not self.values:
             raise ConfigError("sweep values must be nonempty")
-        if len(values) > MAX_SWEEP_VALUES:
+        if len(self.values) > MAX_SWEEP_VALUES:
             raise ConfigError(
-                f"sweep has {len(values)} values, above the limit of {MAX_SWEEP_VALUES}"
+                f"sweep has {len(self.values)} values, above the limit of {MAX_SWEEP_VALUES}"
             )
-        for v in values:
-            if not math.isfinite(v):
-                raise ConfigError(f"sweep values must be finite, got {v}")
-            if not v >= 0:
-                raise ConfigError(f"sweep values must be >= 0, got {v}")
-            if self.parameter == "branch_ratio" and v > 1:
-                raise ConfigError(f"branch_ratio sweep values must be <= 1, got {v}")
+        bounds = (0, 1) if self.parameter == "branch_ratio" else (0,)
+        values = tuple(
+            float(check_number("sweep values", v, *bounds, error=ConfigError)) for v in self.values
+        )
         object.__setattr__(self, "values", values)
 
 
@@ -124,6 +120,12 @@ class RunConfig:
                 f"a {Decimal(need) / 2**20:.4g} MiB array, above the budget of "
                 f"{MAX_ARRAY_BYTES / 2**20:g} MiB"
             )
+        # the exchange generator at this cutoff, and its phase over the
+        # cavity time, must stay in the float range
+        norm = exchange_norm_bound(self.gate.omega_1, self.gate.omega_2, self.fock_cutoff)
+        check_number("exchange_norm", norm, error=ConfigError)
+        phase = norm * self.gate.resolved_cavity_time
+        check_number("exchange_norm * cavity_time", phase, error=ConfigError)
 
 
 # JSON key -> dataclass field, with unit suffixes on the JSON side
@@ -159,19 +161,18 @@ def _section(data: dict, name: str, key_map: dict, cls):
     for key, value in raw.items():
         if isinstance(value, bool):
             raise ConfigError(f"{name}.{key} must not be a boolean, got {str(value).lower()}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}.{key} must be finite, got {value}")
-        # a JSON integer is exact, and may be too large for any float
-        for item in value if isinstance(value, list) else (value,):
-            if isinstance(item, int) and abs(item) > sys.float_info.max:
-                raise ConfigError(f"{name}.{key} holds an integer too large for a float")
     kwargs = {key_map[k]: v for k, v in raw.items()}
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+        message = str(exc)
+        # a number's check names its field; name the JSON key the user wrote
+        for key, attr in key_map.items():
+            if message.startswith(f"{attr} must be "):
+                raise ConfigError(message.replace(attr, f"{name}.{key}")) from exc
+        raise ConfigError(f"section {name!r}: {message}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -35,12 +35,11 @@ shared freely.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEVEL_E, SQUID_DIM, LocalOperator
+from .hilbert import LEVEL_E, SQUID_DIM, LocalOperator, check_number
 
 
 @dataclass(frozen=True)
@@ -60,21 +59,10 @@ class FeasibilityParams:
     branch_ratio_e_to_0: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a comparison, unlike math.isfinite, refuses an integer too
-            # large for a float without converting it
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("q_factor", "omega_c_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.gamma_e_per_s < 0:
-            raise ValueError(f"gamma_e_per_s must be >= 0, got {self.gamma_e_per_s}")
-        if not 0.0 <= self.branch_ratio_e_to_0 <= 1.0:
-            raise ValueError(
-                f"branch_ratio_e_to_0 must lie in [0, 1], got {self.branch_ratio_e_to_0}"
-            )
+        check_number("q_factor", self.q_factor, 0, strict=True)
+        check_number("omega_c_hz", self.omega_c_hz, 0, strict=True)
+        check_number("gamma_e_per_s", self.gamma_e_per_s, 0)
+        check_number("branch_ratio_e_to_0", self.branch_ratio_e_to_0, 0, 1)
         # finite inputs can still overflow or underflow in the derived rate
         if not 0.0 < self.cavity_decay_per_s < math.inf:
             raise ValueError(
@@ -111,6 +99,12 @@ def annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
 
 
+def exchange_norm_bound(omega_1: float, omega_2: float, n_max: int) -> float:
+    """(omega_1 + omega_2) sqrt(n_max): the 1-norm of the exchange generator."""
+    root = math.sqrt(n_max)
+    return root * omega_1 + root * omega_2
+
+
 def cavity_coupling_hamiltonian(
     squid_a: int, squid_b: int, omega_1: float, omega_2: float, n_max: int
 ) -> LocalOperator:
@@ -124,9 +118,8 @@ def cavity_coupling_hamiltonian(
     its partner on SQUID b.
     """
     if n_max < 1:
-        raise ValueError(
-            f"cavity interaction needs fock_cutoff >= 1 (got {n_max})"
-        )
+        raise ValueError(f"cavity interaction needs fock_cutoff >= 1 (got {n_max})")
+    check_number("exchange_norm", exchange_norm_bound(omega_1, omega_2, n_max))
     dims = (SQUID_DIM, SQUID_DIM, n_max + 1)
     mat = np.zeros((math.prod(dims),) * 2, dtype=complex)
     # axes: row (a, b, n), then column (a, b, n)
@@ -160,14 +153,9 @@ def collapse_operators_from_rates(
     ``gamma_e``, branching to |0> with the given ratio and to |1> with its
     complement.  Zero-rate operators are dropped from the list.
     """
-    # written so that NaN, inf and an integer too large for a float fail too
-    for name, rate in (("cavity_decay", cavity_decay), ("gamma_e", gamma_e)):
-        if not 0 <= rate <= sys.float_info.max:
-            raise ValueError(f"decay rates must be >= 0 and finite, got {name}={rate}")
-    if not 0.0 <= branch_ratio_e_to_0 <= 1.0:
-        raise ValueError(
-            f"branch ratio must lie in [0, 1], got {branch_ratio_e_to_0}"
-        )
+    check_number("cavity_decay", cavity_decay, 0)
+    check_number("gamma_e", gamma_e, 0)
+    check_number("branch_ratio_e_to_0", branch_ratio_e_to_0, 0, 1)
     ops: list[LocalOperator] = []
     if cavity_decay > 0:
         ops.append(

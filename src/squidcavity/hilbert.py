@@ -14,6 +14,9 @@ Conventions fixed here and relied on everywhere else in the package:
 * Operators address factors through site indices.  Negative indices count
   from the end of the factor list, so site ``-1`` is always the cavity.
 
+``check_number`` is where a number enters: every rate, duration, phase and
+ratio a constructor takes goes through it once.
+
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
 operator is embedded: it applies the operator to raw amplitudes, one vector
@@ -41,6 +44,7 @@ own states.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,26 @@ HERMITICITY_TOL = 1e-12
 # the arithmetic.  The single gemm wins while its extra D^2 right (right - 1)
 # multiply-adds per block stay below the cost of a separate small product.
 _KRON_EXTRA_MACS = 5000
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_number(name, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, strict=False, error=ValueError):
+    """Return ``value`` if it is a finite number in [low, high]; else raise ``error``.
+
+    ``strict`` excludes ``low``.  The test compares and never converts, so
+    NaN, +-inf and an integer too large for a float (which would raise
+    OverflowError later) all fail it; a string raises TypeError.
+    """
+    if (low < value if strict else low <= value) and value <= high:
+        return value
+    if high < _FLOAT_MAX:
+        rule = f" and lie in [{low:g}, {high:g}]"
+    elif low > -_FLOAT_MAX:
+        rule = f" and {'>' if strict else '>='} {low:g}"
+    else:
+        rule = ""
+    raise error(f"{name} must be finite{rule}, got {name}={value}")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@
 A schedule is a plain tuple of segments, run strictly in sequence.  There
 are two kinds, each one frozen dataclass holding its own sites, rates and
 duration: ``DriveSegment`` (a classical pulse) and ``CavitySegment`` (the
-resonant exchange).  Each refuses a bad level pair and a negative or
-non-finite rate or duration when it is built, and answers for itself what
-the other modules need: the SQUIDs it acts on (``squids``) and the factors
-its generator acts on (``sites``), its generator at a given cavity cutoff
-(``hamiltonian``, from the ``hamiltonians`` builders), the exact bits that
-decide its propagator (``propagator_key``) and its row in ``schedule.json``
-(``to_dict``).  No other module asks which kind of segment it holds.
+resonant exchange).  Each refuses a bad level pair when it is built, and
+sends every rate, duration and phase through ``hilbert.check_number``.  It
+answers for itself what the other modules need: the SQUIDs it acts on
+(``squids``) and the factors its generator acts on (``sites``), its
+generator at a given cavity cutoff (``hamiltonian``, from the
+``hamiltonians`` builders), the exact bits that decide its propagator
+(``propagator_key``) and its row in ``schedule.json`` (``to_dict``).  No
+other module asks which kind of segment it holds.
 
 The controlled-phase gate between a control and a target SQUID is a sandwich
 of three sequential segments:
@@ -51,7 +52,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +66,7 @@ from .hilbert import (
     LocalOperator,
     SpaceLayout,
     basis_state,
+    check_number,
 )
 
 # operating-point default for classical pulses (rad/s)
@@ -81,17 +83,8 @@ def _bits(value: float) -> str:
     return float(value).hex()
 
 
-class _Segment:
-    """The duration check both segment kinds share."""
-
-    def __post_init__(self):
-        # every check here and in the subclasses is written so NaN fails it
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(f"segment duration must be >= 0 and finite, got {self.duration}")
-
-
 @dataclass(frozen=True)
-class DriveSegment(_Segment):
+class DriveSegment:
     """A classical pulse on one ordered level pair of one SQUID."""
 
     target_squid: int
@@ -101,7 +94,6 @@ class DriveSegment(_Segment):
     phase: float = 0.0
 
     def __post_init__(self):
-        super().__post_init__()
         a, b = self.transition
         levels = range(SQUID_DIM)
         if a not in levels or b not in levels or a == b:
@@ -109,8 +101,9 @@ class DriveSegment(_Segment):
                 f"transition must be two distinct levels of 0, 1, 2, got {self.transition}"
             )
         object.__setattr__(self, "transition", (int(a), int(b)))
-        if not 0 <= self.rabi < math.inf:
-            raise ValueError(f"rabi must be >= 0 and finite, got {self.rabi}")
+        check_number("rabi", self.rabi, 0)
+        check_number("duration", self.duration, 0)
+        check_number("phase", self.phase)
 
     @property
     def squids(self) -> tuple[int, ...]:
@@ -147,7 +140,7 @@ class DriveSegment(_Segment):
 
 
 @dataclass(frozen=True)
-class CavitySegment(_Segment):
+class CavitySegment:
     """Two SQUIDs coupled resonantly to the cavity at rates omega_1 and omega_2."""
 
     squid_a: int
@@ -157,13 +150,11 @@ class CavitySegment(_Segment):
     duration: float
 
     def __post_init__(self):
-        super().__post_init__()
         if self.squid_a == self.squid_b:
             raise ValueError("cavity coupling needs two distinct SQUIDs")
-        if not 0 < self.omega_1 < math.inf:
-            raise ValueError(f"omega_1 must be > 0 and finite, got {self.omega_1}")
-        if not 0 <= self.omega_2 < math.inf:
-            raise ValueError(f"omega_2 must be >= 0 and finite, got {self.omega_2}")
+        check_number("omega_1", self.omega_1, 0, strict=True)
+        check_number("omega_2", self.omega_2, 0)
+        check_number("duration", self.duration, 0)
 
     @property
     def squids(self) -> tuple[int, ...]:
@@ -213,26 +204,17 @@ class GateParams:
     pulse_duration: float | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a comparison, unlike math.isfinite, refuses an integer too
-            # large for a float without converting it
-            if value is not None and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.omega_1 <= 0:
-            raise ValueError(f"omega_1 must be > 0, got {self.omega_1}")
-        if self.ratio <= 0:
-            raise ValueError(f"coupling ratio must be > 0, got {self.ratio}")
-        if self.drive_rabi <= 0:
-            raise ValueError(f"drive_rabi must be > 0, got {self.drive_rabi}")
+        for name in ("omega_1", "ratio", "drive_rabi"):
+            check_number(name, getattr(self, name), 0, strict=True)
         for name in ("cavity_time", "pulse_duration"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        # finite inputs can still overflow in the values derived from them
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), 0)
+        # finite inputs can still overflow in the values derived from them; a
+        # comparison, unlike math.isfinite, also refuses a product of
+        # integers that no float can hold
         for name in ("omega_2", "resolved_cavity_time", "resolved_pulse_duration"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} overflows to {value}")
         # and so can the phases the propagators and gate conditions take
         t_c = self.resolved_cavity_time
@@ -241,7 +223,7 @@ class GateParams:
             ("omega * cavity_time", math.hypot(self.omega_1, self.omega_2) * t_c),
             ("drive_rabi * pulse_duration", self.drive_rabi * self.resolved_pulse_duration),
         ):
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} overflows to {value}")
 
     @property

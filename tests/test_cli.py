@@ -435,7 +435,8 @@ HUGE = 10**400  # a JSON integer no float can hold
         ("truth-table", {"gate": {"omega_1_per_s": HUGE}}, [], "gate.omega_1_per_s"),
         ("truth-table", {"gate": {"ratio": HUGE}}, [], "gate.ratio"),
         ("feasibility", {"feasibility": {"q_factor": HUGE}}, [], "feasibility.q_factor"),
-        ("decoherence", {"sweep": {"values": [5e4, HUGE]}}, [], "sweep.values"),
+        # SweepSettings refuses the value itself, before converting it
+        ("decoherence", {"sweep": {"values": [5e4, HUGE]}}, [], "sweep values must be finite"),
         ("cluster", {"fock_cutoff": HUGE}, [], "budget"),
         ("cluster", {}, ["--fock-cutoff", str(HUGE)], "budget"),
     ],

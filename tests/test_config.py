@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from squidcavity import GateParams
 from squidcavity.config import (
     MAX_SWEEP_VALUES,
     ConfigError,
@@ -51,9 +52,22 @@ def test_sweep_validation():
         SweepSettings("k", (-1.0,))
     with pytest.raises(ConfigError):
         SweepSettings("branch_ratio", (1.5,))
-    for bad in (math.nan, math.inf, -math.inf):
+    # an integer too large for a float is refused before it is converted
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ConfigError, match="finite"):
             SweepSettings("k", (5e4, bad))
+
+
+def test_exchange_generator_must_stay_finite_at_the_cutoff():
+    # each rate is finite, but the photon ladder scales it by sqrt(fock_cutoff)
+    ladder = GateParams(omega_1=1.7e308, ratio=1e-150)
+    with pytest.raises(ConfigError, match="exchange_norm must be finite"):
+        RunConfig(gate=ladder)
+    # and the generator's phase over the cavity time
+    slow = GateParams(omega_1=1e300, ratio=1e-150, cavity_time=1.5e8)
+    with pytest.raises(ConfigError, match="exchange_norm \\* cavity_time must be finite"):
+        RunConfig(gate=slow)
+    assert RunConfig(gate=GateParams(omega_1=1e300, ratio=1e-150)).gate.omega_1 == 1e300
 
 
 def test_from_dict_minimal_and_full():

@@ -39,23 +39,35 @@ def test_schedule_concatenation_and_duration():
 
 def test_schedule_rejects_negative_duration():
     # a segment refuses a bad duration when it is built, NaN included
-    for duration in (-1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError, match="duration must be >= 0"):
+    for duration in (-1e-9, math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
             DriveSegment(0, (0, 1), 1.0, duration)
-        with pytest.raises(ValueError, match="duration must be >= 0"):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
             CavitySegment(0, 1, 1.0, 1.0, duration)
 
 
 def test_drive_segment_validation():
-    for transition, rabi in (
-        ((1, 1), 1.0),  # transition levels must differ
-        ((1, 3), 1.0),
-        ((0, 1), -1.0),
-        ((0, 1), math.nan),
-        ((0, 1), math.inf),
+    for transition, rabi, phase in (
+        ((1, 1), 1.0, 0.0),  # transition levels must differ
+        ((1, 3), 1.0, 0.0),
+        ((0, 1), -1.0, 0.0),
+        ((0, 1), math.nan, 0.0),
+        ((0, 1), math.inf, 0.0),
+        # an integer too large for a float, refused before it is keyed or built
+        ((0, 1), 10**400, 0.0),
+        # a phase is refused when the segment is built, not in its generator
+        ((1, 2), 1.0, math.nan),
+        ((1, 2), 1.0, math.inf),
+        ((1, 2), 1.0, -math.inf),
+        ((1, 2), 1.0, 10**400),
     ):
         with pytest.raises(ValueError):
-            DriveSegment(0, transition, rabi, 1.0)
+            DriveSegment(0, transition, rabi, 1.0, phase)
+    # any finite phase stays legal
+    for phase in (-1.7e308, -1, 0, 5e-324, 1.7e308):
+        segment = DriveSegment(0, (1, 2), 1.0, 1.0, phase)
+        segment.propagator_key(2)
+        assert np.isfinite(segment.hamiltonian(2).matrix).all()
 
 
 def test_cavity_segment_validation():
@@ -66,6 +78,8 @@ def test_cavity_segment_validation():
         (1, 1.0, math.nan),
         (1, math.inf, 1.0),
         (1, 1.0, math.inf),
+        (1, 10**400, 1.0),
+        (1, 1.0, 10**400),
     ):
         with pytest.raises(ValueError):
             CavitySegment(0, squid_b, omega_1, omega_2, 1.0)
@@ -98,6 +112,11 @@ def test_gate_params_validation():
     # finite inputs whose derived values overflow
     with pytest.raises(ValueError, match="omega_2 overflows"):
         GateParams(ratio=1e300)
+    # integers whose exact product no float can hold
+    with pytest.raises(ValueError, match="omega_2 overflows"):
+        GateParams(omega_1=10**200, ratio=10**200)
+    with pytest.raises(ValueError, match="omega_1 \\* cavity_time overflows"):
+        GateParams(omega_1=10**200, cavity_time=10**200)
     with pytest.raises(ValueError, match="resolved_cavity_time overflows"):
         GateParams(omega_1=1e-310)
     with pytest.raises(ValueError, match="resolved_pulse_duration overflows"):

@@ -13,7 +13,6 @@ from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import (
     MAX_LINDBLAD_SUBSTEPS,
     evolve_pure,
-    exp_lindblad,
     single_excitation_closed_form,
 )
 from .feasibility import feasibility_report

@@ -1,9 +1,14 @@
 """Command-line surface: truth-table, cluster, feasibility, decoherence.
 
-Every command resolves its settings as defaults < config file < flags, echoes
-the resolved configuration into its JSON report, and writes outputs under the
-chosen directory.  Exit codes: 0 all checks passed, 1 a physics check failed,
-2 configuration or usage error.
+Every command resolves its settings as defaults < config file < flags.  Its
+handler computes the results, prints its summary lines, marks the end of
+each phase on a clock, and returns its pass flag with its reports: a file
+name mapped to a JSON dict, a list of CSV rows (header first) or a text.
+``main`` alone writes them under the chosen directory, echoing the resolved
+configuration into every JSON report; it then prints the wall time and each
+phase's time, the writes being the ``report`` phase, and PASS or FAIL.
+Exit codes: 0 all checks passed, 1 a physics check failed, 2 configuration
+or usage error; a configuration error exits before any report is written.
 
 Output files are byte-identical across runs with the same configuration,
 with one documented exception: the ``runtime_s`` column of the decoherence
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -52,6 +58,10 @@ CLUSTER_VACUUM_MIN = 1.0 - 1e-10
 # sanity bounds on any Lindblad run; violations signal a propagator fault
 SWEEP_TRACE_DEFECT_MAX = 1e-6
 SWEEP_EIGENVALUE_MIN = -1e-6
+
+# the score columns of the decoherence CSV; its JSON rows hold every score
+SCORE_COLUMNS = ("average_fidelity", "process_fidelity", "trace_defect", "min_eigenvalue")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -150,121 +160,87 @@ def _make_out_dir(out_dir: Path) -> None:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    path = out_dir / name
-    # NaN and Infinity are not JSON: a report carrying one is a program fault
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return path
-
-
-def _write_text(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
+def _write_report(path: Path, report, echo: dict) -> None:
+    """Write a JSON dict with the config ``echo`` added, CSV rows or a text."""
+    if isinstance(report, dict):
+        # NaN and Infinity are not JSON: a report carrying one is a program fault
+        text = json.dumps({**report, "config": echo}, indent=2, sort_keys=True, allow_nan=False)
+    elif isinstance(report, str):
+        text = report
+    else:
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(report)
+        text = rows.getvalue()
     path.write_text(text if text.endswith("\n") else text + "\n")
-    return path
 
 
-def _write_csv(out_dir: Path, name: str, header, rows) -> Path:
-    path = out_dir / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def cmd_truth_table(config: RunConfig, args: argparse.Namespace) -> int:
-    out_dir = Path(config.out_dir)
+def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
     schedule = qcpg_schedule(0, 1, config.gate)
-    t0 = time.perf_counter()
     report = truth_table(schedule, fock_cutoff=config.fock_cutoff)
-    t_propagate = time.perf_counter()
-    payload = {
-        "config": config_to_dict(config),
-        "matrix_real": np.real(report.matrix).tolist(),
-        "matrix_imag": np.imag(report.matrix).tolist(),
-        "phases_rad": report.phases.tolist(),
-        "per_column_leakage": report.per_column_leakage.tolist(),
-        "leakage": report.leakage,
-        "max_entry_error": report.max_entry_error,
-        "entry_tol": report.entry_tol,
-        "leakage_tol": report.leakage_tol,
-        "passed": report.passed,
-    }
-    _write_json(out_dir, "truth_table.json", payload)
-    _write_text(out_dir, "schedule.json", schedule_to_json(schedule))
-    t_report = time.perf_counter()
+    clock("propagate")
     print("truth table (real part, inputs as columns 00 01 10 11):")
     for row in np.real(report.matrix):
         print("  " + "  ".join(f"{x:+8.5f}" for x in row))
     print(f"phases (rad): {', '.join(f'{p:+.6f}' for p in report.phases)}")
     print(f"max entry error: {report.max_entry_error:.3e} (tolerance {report.entry_tol:.0e})")
     print(f"max leakage: {report.leakage:.3e} (tolerance {report.leakage_tol:.0e})")
-    print(f"wall time: {t_report - t0:.3f} s")
-    print(f"  propagate {t_propagate - t0:.4f} s, report {t_report - t_propagate:.4f} s")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    return report.passed, {
+        "truth_table.json": {
+            "matrix_real": np.real(report.matrix).tolist(),
+            "matrix_imag": np.imag(report.matrix).tolist(),
+            "phases_rad": report.phases.tolist(),
+            "per_column_leakage": report.per_column_leakage.tolist(),
+            "leakage": report.leakage,
+            "max_entry_error": report.max_entry_error,
+            "entry_tol": report.entry_tol,
+            "leakage_tol": report.leakage_tol,
+            "passed": report.passed,
+        },
+        "schedule.json": schedule_to_json(schedule),
+    }
 
 
-def cmd_cluster(config: RunConfig, args: argparse.Namespace) -> int:
-    out_dir = Path(config.out_dir)
+def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
     n = config.n_qubits
     schedule = cluster_chain_schedule(n, config.gate)
-    t0 = time.perf_counter()
     state = evolve_pure(chain_initial_state(n, config.fock_cutoff), schedule)
-    t_evolve = time.perf_counter()
+    clock("evolve")
     oracle = cluster_state_oracle(n, config.fock_cutoff)
     fidelity = state_fidelity(state, oracle)
     # free the oracle's amplitudes before the stabilizers allocate theirs
     del oracle
-    t_oracle = time.perf_counter()
+    clock("oracle")
     stab = stabilizer_expectations(state, n)
-    t_stab = time.perf_counter()
+    clock("stabilizers")
     passed = (
         fidelity >= CLUSTER_FIDELITY_MIN
         and stab.min_expectation >= CLUSTER_STABILIZER_MIN
         and stab.cavity_vacuum_population >= CLUSTER_VACUUM_MIN
     )
-    payload = {
-        "config": config_to_dict(config),
-        "n_qubits": n,
-        "oracle_fidelity": fidelity,
-        "stabilizer_expectations": stab.expectations.tolist(),
-        "min_stabilizer_expectation": stab.min_expectation,
-        "cavity_vacuum_population": stab.cavity_vacuum_population,
-        "passed": passed,
-    }
-    _write_json(out_dir, "cluster.json", payload)
-    _write_csv(
-        out_dir,
-        "stabilizers.csv",
-        ("generator", "expectation"),
-        [(i, repr(float(v))) for i, v in enumerate(stab.expectations)],
-    )
-    _write_text(out_dir, "schedule.json", schedule_to_json(schedule))
     print(f"chain of {n} SQUIDs, {len(schedule)} segments")
     print(f"oracle fidelity: {fidelity:.12f}")
     print(f"min stabilizer expectation: {stab.min_expectation:.12f}")
     print(f"cavity vacuum population: {stab.cavity_vacuum_population:.12f}")
-    print(f"wall time: {t_stab - t0:.3f} s")
-    print(
-        f"  evolve {t_evolve - t0:.4f} s, oracle {t_oracle - t_evolve:.4f} s, "
-        f"stabilizers {t_stab - t_oracle:.4f} s"
-    )
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
-
-
-def cmd_feasibility(config: RunConfig, args: argparse.Namespace) -> int:
-    out_dir = Path(config.out_dir)
-    report = feasibility_report(config.feasibility, config.gate)
-    # JSON cannot write infinity: a value that overflows to it, such as the
-    # cooperativity of a lossless point (gamma_e = 0), is written as null
-    payload = {
-        name: None if isinstance(value, float) and not math.isfinite(value) else value
-        for name, value in asdict(report).items()
+    return passed, {
+        "cluster.json": {
+            "n_qubits": n,
+            "oracle_fidelity": fidelity,
+            "stabilizer_expectations": stab.expectations.tolist(),
+            "min_stabilizer_expectation": stab.min_expectation,
+            "cavity_vacuum_population": stab.cavity_vacuum_population,
+            "passed": passed,
+        },
+        "stabilizers.csv": [
+            ("generator", "expectation"),
+            *((i, repr(float(v))) for i, v in enumerate(stab.expectations)),
+        ],
+        "schedule.json": schedule_to_json(schedule),
     }
-    payload["config"] = config_to_dict(config)
-    _write_json(out_dir, "feasibility.json", payload)
+
+
+def cmd_feasibility(config: RunConfig, clock) -> tuple[bool, dict]:
+    report = feasibility_report(config.feasibility, config.gate)
+    clock("compute")
     print(f"cavity decay rate:      {report.cavity_decay_per_s:.4e} 1/s")
     print(f"cavity lifetime:        {report.cavity_lifetime_s:.4e} s")
     print(f"exchange window:        {report.exchange_window_s:.4e} s")
@@ -274,112 +250,61 @@ def cmd_feasibility(config: RunConfig, args: argparse.Namespace) -> int:
     print(f"exchange * e-decay:     {report.exchange_per_e_decay:.4e}")
     for name, ok in sorted(report.anchors_matched.items()):
         print(f"anchor {name}: {'ok' if ok else 'MISMATCH'}")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
-
-
-def _point_rates(config: RunConfig, value: float) -> dict:
-    return {
-        "cavity_decay_per_s": config.feasibility.cavity_decay_per_s,
-        "gamma_e_per_s": config.feasibility.gamma_e_per_s,
-        "branch_ratio_e_to_0": config.feasibility.branch_ratio_e_to_0,
-        SWEEP_PARAMETERS[config.sweep.parameter]: value,
+    # JSON cannot write infinity: a value that overflows to it, such as the
+    # cooperativity of a lossless point (gamma_e = 0), is written as null
+    return report.passed, {
+        "feasibility.json": {
+            name: None if isinstance(value, float) and not math.isfinite(value) else value
+            for name, value in asdict(report).items()
+        }
     }
 
 
-def cmd_decoherence(config: RunConfig, args: argparse.Namespace) -> int:
-    out_dir = Path(config.out_dir)
-    values = config.sweep.values
+def cmd_decoherence(config: RunConfig, clock) -> tuple[bool, dict]:
+    parameter = config.sweep.parameter
+    # every rate keyword of noisy_gate is a sweep parameter's
+    rates = {name: getattr(config.feasibility, name) for name in SWEEP_PARAMETERS.values()}
     # build each point's generators once, and refuse runaway work before any
     # propagation starts
-    t_start = time.perf_counter()
     prepared = []
-    for value in values:
+    for value in config.sweep.values:
         t0 = time.perf_counter()
-        noisy = noisy_gate(
-            config.gate, fock_cutoff=config.fock_cutoff, **_point_rates(config, value)
-        )
+        rates[SWEEP_PARAMETERS[parameter]] = value
+        noisy = noisy_gate(config.gate, fock_cutoff=config.fock_cutoff, **rates)
         if noisy.substeps > MAX_LINDBLAD_SUBSTEPS:
             raise ConfigError(
-                f"{config.sweep.parameter} = {value:g} needs {noisy.substeps:.3g} propagator "
+                f"{parameter} = {value:g} needs {noisy.substeps:.3g} propagator "
                 f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
             )
-        prepared.append((noisy, time.perf_counter() - t0))
-    t_build = time.perf_counter()
-    rows = []
+        prepared.append((value, noisy, time.perf_counter() - t0))
+    clock("build")
+    csv_rows = [("parameter", "value", *SCORE_COLUMNS, "runtime_s")]
     json_rows = []
-    passed = True
-    for value, (noisy, build_s) in zip(values, prepared):
+    for value, noisy, build_s in prepared:
         t0 = time.perf_counter()
-        result = qcpg_lindblad_fidelity(noisy)
+        scores = asdict(qcpg_lindblad_fidelity(noisy))
         runtime = build_s + time.perf_counter() - t0
         sane = (
-            result.trace_defect <= SWEEP_TRACE_DEFECT_MAX
-            and result.min_eigenvalue >= SWEEP_EIGENVALUE_MIN
-            and -1e-9 <= result.average_fidelity <= 1 + 1e-9
+            scores["trace_defect"] <= SWEEP_TRACE_DEFECT_MAX
+            and scores["min_eigenvalue"] >= SWEEP_EIGENVALUE_MIN
+            and -1e-9 <= scores["average_fidelity"] <= 1 + 1e-9
         )
-        passed = passed and sane
-        rows.append(
-            (
-                config.sweep.parameter,
-                repr(float(value)),
-                repr(result.average_fidelity),
-                repr(result.process_fidelity),
-                repr(result.trace_defect),
-                repr(result.min_eigenvalue),
-                f"{runtime:.3f}",
-            )
+        csv_rows.append(
+            (parameter, repr(value), *(repr(scores[c]) for c in SCORE_COLUMNS), f"{runtime:.3f}")
         )
-        json_rows.append(
-            {
-                "value": float(value),
-                "average_fidelity": result.average_fidelity,
-                "process_fidelity": result.process_fidelity,
-                "trace_defect": result.trace_defect,
-                "min_eigenvalue": result.min_eigenvalue,
-                "gate_duration_s": result.gate_duration_s,
-                "sane": sane,
-            }
-        )
+        json_rows.append({"value": value, **scores, "sane": sane})
         print(
-            f"{config.sweep.parameter} = {value:.4e}: "
-            f"avg fidelity {result.average_fidelity:.6f}, "
-            f"trace defect {result.trace_defect:.2e}, "
+            f"{parameter} = {value:.4e}: "
+            f"avg fidelity {scores['average_fidelity']:.6f}, "
+            f"trace defect {scores['trace_defect']:.2e}, "
             f"runtime {runtime:.2f} s"
         )
-    t_score = time.perf_counter()
-    _write_csv(
-        out_dir,
-        "decoherence.csv",
-        (
-            "parameter",
-            "value",
-            "average_fidelity",
-            "process_fidelity",
-            "trace_defect",
-            "min_eigenvalue",
-            "runtime_s",
-        ),
-        rows,
-    )
-    _write_json(
-        out_dir,
-        "decoherence.json",
-        {
-            "config": config_to_dict(config),
-            "parameter": config.sweep.parameter,
-            "rows": json_rows,
-            "passed": passed,
-        },
-    )
-    t_report = time.perf_counter()
-    print(f"wall time: {t_report - t_start:.3f} s")
-    print(
-        f"  build {t_build - t_start:.4f} s, score {t_score - t_build:.4f} s, "
-        f"report {t_report - t_score:.4f} s"
-    )
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    clock("score")
+    passed = all(row["sane"] for row in json_rows)
+    return passed, {
+        "decoherence.csv": csv_rows,
+        "decoherence.json": {"parameter": parameter, "rows": json_rows, "passed": passed},
+    }
 
 
 def main(argv=None) -> int:
@@ -391,12 +316,26 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _resolve_config(args)
-        _make_out_dir(Path(config.out_dir))
-        return args.handler(config, args)
+        out_dir = Path(config.out_dir)
+        _make_out_dir(out_dir)
+        # the handler marks the end of each of its phases on this clock
+        marks = [("start", time.perf_counter())]
+        passed, reports = args.handler(
+            config, lambda phase: marks.append((phase, time.perf_counter()))
+        )
     except ConfigError as exc:
         # any other exception is a fault in the program, not in the input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    echo = config_to_dict(config)
+    for name, report in reports.items():
+        _write_report(out_dir / name, report, echo)
+    marks.append(("report", time.perf_counter()))
+    print(f"wall time: {marks[-1][1] - marks[0][1]:.3f} s")
+    phases = zip(marks, marks[1:])
+    print("  " + ", ".join(f"{name} {end - start:.4f} s" for (_, start), (name, end) in phases))
+    print("PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

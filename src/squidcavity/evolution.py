@@ -14,7 +14,7 @@ Open-system segments follow the Lindblad master equation
     drho/dt = L(rho) = -i[H, rho] + sum_k ( L_k rho L_k^dag - {L_k^dag L_k, rho}/2 )
 
 whose generator is constant within a segment, so the segment's channel is
-exactly exp(L t).  ``exp_lindblad`` applies it to a batch of matrices with a
+exactly exp(L t).  ``exp_segment`` applies it to a batch of matrices with a
 truncated Taylor series on equal sub-steps (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33:488, 2011).  L maps Hermitian matrices to Hermitian matrices, so
 the series runs in real arithmetic: each input X = A + iB is split into
@@ -27,28 +27,29 @@ A segment is sized once by ``lindblad_segment``: its drift and its
 sub-step count, which follows from a norm bound on L t, so a caller can
 check the work before running anything.  A count above
 ``MAX_LINDBLAD_SUBSTEPS`` is refused when the segment runs; a generator or
-a count that overflows is over that limit too.  ``exp_segment`` runs a
+a count that overflows is over that limit too, and so is a generator whose
+Taylor products could leave the float range.  ``exp_segment`` runs a
 sized segment.  It forms L_y once per run, writing each Kronecker term of S
 onto that term's own non-zeros, so no d^4 temporary is formed besides S
 and L_y themselves.  Each Taylor term is then one real matrix product on
 the coordinate rows that are not identically zero, into buffers allocated
 once per run.  S takes 16 d^4 bytes while it is formed, so dimensions
 above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything is
-allocated.  ``exp_lindblad`` is the two steps in one call.  Density
-matrix runs are restricted to small spaces: the noisy gate runs on its
-11-state invariant subspace (``decoherence``); chain generation is
-pure-state only.  The tests check ``exp_lindblad`` against their own
-fixed-step RK4 integration of the same equation.
+allocated.  Density matrix runs are restricted to small spaces: the noisy
+gate runs on its 11-state invariant subspace (``decoherence``); chain
+generation is pure-state only.  The tests check ``exp_segment`` against
+their own fixed-step RK4 integration of the same equation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import CompositeState, LocalOperator, SpaceLayout, contract
+from .hilbert import CompositeState, LocalOperator, SpaceLayout, check_number, contract
 
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -59,6 +60,7 @@ NORM_TOL = 1e-10
 _TAYLOR_DEGREE = 40
 _TAYLOR_THETA = 6.0
 _UNIT_ROUNDOFF = 2.0**-53
+_FLOAT_MAX = sys.float_info.max
 # each sub-step costs up to _TAYLOR_DEGREE generator applications; at the cap
 # one segment costs about what 10 000 RK4 steps would
 MAX_LINDBLAD_SUBSTEPS = 1000
@@ -75,6 +77,8 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     if t < 0:
         raise ValueError(f"duration must be >= 0, got {t}")
     w, v = np.linalg.eigh(hamiltonian.matrix)
+    # as a Python float, a phase past the float range is inf with no warning
+    check_number("max|eigenvalue| * duration", float(np.abs(w).max()) * float(t))
     mat = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
     # written so that a NaN defect fails too
@@ -192,20 +196,34 @@ def _exact_parts(h_full, l_ops, t: float):
     # stays a float, which may be too large for an integer
     if not count <= MAX_LINDBLAD_SUBSTEPS:
         return drift, math.inf if math.isnan(count) else count
-    return drift, max(1, math.ceil(count))
+    n_sub = max(1, math.ceil(count))
+    # A sufficient condition for every Taylor product to stay in the float
+    # range.  L_y is L on an isometric copy of the Hermitian matrices, so
+    # ||L_y||_2 <= bound, and by Cauchy-Schwarz every entry of a product
+    # row, and every partial sum of it, is at most bound times the norm of
+    # the term row it multiplies.  With x = bound h <= _TAYLOR_THETA, the
+    # k-th term row is at most x^k / k! times the row its sub-step starts
+    # from, and x^k / k! peaks at k = floor(x).  A channel keeps the trace
+    # norm, so inputs of trace norm at most 1 (states, and the Hermitian
+    # parts of matrix units) start every sub-step from rows of norm at most
+    # 1.  A generator that fails the condition is over the limit.
+    x = float(bound) * float(t) / n_sub
+    if not float(bound) * (x ** int(x) / math.factorial(int(x))) <= _FLOAT_MAX:
+        return drift, math.inf
+    return drift, n_sub
 
 
 @dataclass(frozen=True)
 class LindbladSegment:
     """A stretch of constant Lindbladian, sized once for ``exp_segment``.
 
-    ``h_full``, ``l_ops`` and ``t`` are the arguments of ``exp_lindblad``;
-    ``drift`` = -iH' - (1/2) sum_k L_k^dag L_k, with H' the traceless part
-    of H.  ``substeps`` is the number of equal Taylor sub-steps over ``t``,
-    a float when it is above ``MAX_LINDBLAD_SUBSTEPS`` (infinite where the
-    generator or the count overflowed), so a caller can check the work
-    before any run.  Nothing here is of size d^4: each run forms its own
-    superoperator.
+    ``h_full`` is the Hamiltonian, ``l_ops`` the collapse operators and
+    ``t`` the duration; ``drift`` = -iH' - (1/2) sum_k L_k^dag L_k, with H'
+    the traceless part of H.  ``substeps`` is the number of equal Taylor
+    sub-steps over ``t``, a float when it is above ``MAX_LINDBLAD_SUBSTEPS``
+    (infinite where the generator, the count or a Taylor product could
+    overflow), so a caller can check the work before any run.  Nothing here
+    is of size d^4: each run forms its own superoperator.
     """
 
     h_full: np.ndarray
@@ -319,7 +337,23 @@ def _taylor_substeps(flat: np.ndarray, sup_t: np.ndarray, n_sub: int, h: float) 
 
 
 def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
-    """Apply exp(L t) of a sized ``segment`` to ``rho`` to rounding; see ``exp_lindblad``."""
+    """Apply exp(L t) of a sized ``segment`` to ``rho`` to rounding.
+
+    ``rho`` may carry leading batch axes.  L is the Lindbladian of the
+    segment's Hamiltonian ``h_full`` and collapse operators ``l_ops``, all
+    d x d matrices on the space ``rho`` lives on, with d at most
+    ``SUPEROPERATOR_DIM_LIMIT``; ``t`` is its duration.  A segment over
+    ``MAX_LINDBLAD_SUBSTEPS`` is refused here.  L maps Hermitian matrices
+    to Hermitian matrices, so each input X = A + iB runs as the real
+    coordinates of its Hermitian parts A and B, and L as the real
+    d^2 x d^2 matrix ``_real_superoperator``, formed once per call.  Each
+    of the segment's equal sub-steps then sums the Taylor series of
+    exp(L h), one real matrix product on the non-zero coordinate rows per
+    term, until the largest entries of two consecutive terms fall below
+    unit roundoff relative to the sum's.  A Hermitian input comes back
+    exactly Hermitian.  Trace is not renormalized, so any drift stays
+    visible to the caller.
+    """
     n_sub = segment.substeps
     if n_sub > MAX_LINDBLAD_SUBSTEPS:
         raise ValueError(
@@ -340,24 +374,3 @@ def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
     coords[~live] = 0.0
     a, b = _from_coordinates(coords.reshape(2, *rho.shape))
     return a + 1j * b
-
-
-def exp_lindblad(rho, h_full, l_ops, t: float) -> np.ndarray:
-    """Apply exp(L t) to ``rho`` to rounding; rho may carry leading batch axes.
-
-    L is the Lindbladian of Hamiltonian ``h_full`` and collapse operators
-    ``l_ops``, all d x d matrices on the space ``rho`` lives on, with d at
-    most ``SUPEROPERATOR_DIM_LIMIT``.  L maps Hermitian matrices to
-    Hermitian matrices, so each input X = A + iB runs as the real
-    coordinates of its Hermitian parts A and B, and L as the real
-    d^2 x d^2 matrix ``_real_superoperator``, formed once per call.  Each
-    of ``lindblad_segment``'s equal sub-steps then sums the Taylor series
-    of exp(L h), one real matrix product on the non-zero coordinate rows
-    per term, until the largest entries of two consecutive terms fall
-    below unit roundoff relative to the sum's.  A Hermitian input comes
-    back exactly Hermitian.  Trace is not renormalized, so any drift stays
-    visible to the caller.  This is ``exp_segment`` of
-    ``lindblad_segment``; a caller that checks the work first sizes the
-    segment once and runs that.
-    """
-    return exp_segment(rho, lindblad_segment(h_full, l_ops, t))

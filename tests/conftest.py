@@ -13,7 +13,7 @@ gather-gemm-scatter code paths so agreement between the two is meaningful.
 ``rk4_lindblad`` integrates the Lindblad master equation with fixed-step
 classical RK4 from its textbook right-hand side, and ``check_step_size``
 guards its step.  It shares no code with the library's exact propagator
-``evolution.exp_lindblad``, which the tests check against it.
+``evolution.exp_segment``, which the tests check against it.
 """
 
 import math

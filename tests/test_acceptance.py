@@ -23,7 +23,6 @@ from squidcavity import (
     cluster_chain_schedule,
     cluster_state_oracle,
     evolve_pure,
-    exp_lindblad,
     expectation,
     feasibility_report,
     noisy_gate,
@@ -36,7 +35,7 @@ from squidcavity import (
     truth_table,
 )
 from squidcavity.cli import main
-from squidcavity.evolution import propagator
+from squidcavity.evolution import exp_segment, lindblad_segment, propagator
 from squidcavity.feasibility import round_to_sig_figures
 from squidcavity.hamiltonians import (
     cavity_coupling_hamiltonian,
@@ -234,7 +233,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2)
     l_full = [oracle_embedded(op, cavity_layout) for op in ops]
     zero_h = oracle_embedded(drive_hamiltonian(0, (0, 1), 0.0, 0.0), cavity_layout)
-    rho = exp_lindblad(np.outer(amp, amp.conj()), zero_h, l_full, 2e-5)
+    rho = exp_segment(np.outer(amp, amp.conj()), lindblad_segment(zero_h, l_full, 2e-5))
     checks["trace preservation"] = abs(np.trace(rho).real - 1.0) <= 1e-8
 
     # dark state of the exchange stays put

@@ -34,6 +34,34 @@ def test_truth_table_default_passes(tmp_path, capsys):
     assert [seg["kind"] for seg in schedule] == ["drive", "cavity", "drive"]
 
 
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["truth-table"], "truth_table.json"),
+        (["cluster", "--n", "3"], "cluster.json"),
+        (["feasibility"], "feasibility.json"),
+        (["decoherence", "--values", "5e4"], "decoherence.json"),
+    ],
+    ids=["truth-table", "cluster", "feasibility", "decoherence"],
+)
+def test_every_command_echoes_its_config_times_its_phases_and_ends_with_its_verdict(
+    tmp_path, capsys, argv, report
+):
+    code = main([*argv, "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    # every JSON object written carries the config echo; schedule.json is a list
+    assert "config" in _read_json(tmp_path / report)
+    for path in tmp_path.glob("*.json"):
+        payload = _read_json(path)
+        assert isinstance(payload, list) or "config" in payload, path.name
+    # the wall time, then one line timing each phase, the writes included
+    timed = [i for i, line in enumerate(lines) if line.startswith("wall time:")]
+    assert len(timed) == 1
+    assert "report" in lines[timed[0] + 1]
+    assert lines[-1] == ("PASS" if code == 0 else "FAIL")
+    assert code in (0, 1)
+
+
 def test_truth_table_outputs_are_byte_identical(tmp_path):
     argv = ["truth-table", "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -286,6 +314,12 @@ def test_decoherence_refuses_runaway_work(tmp_path, capsys):
         (["--sweep", "k", "--values", "1.7e308"], None),
         ([], {"gate": {"drive_rabi_per_s": 1.7e308}}),
         ([], {"feasibility": {"gamma_e_per_s": 1.7e308}}),
+        # a finite generator whose Taylor products would leave the float range
+        pytest.param(
+            ["--values", "0"],
+            {"gate": {"omega_1_per_s": 5e307, "ratio": 1e-150}},
+            marks=pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning"),
+        ),
         pytest.param(
             [],
             {"gate": {"cavity_time_s": 1e305, "omega_1_per_s": 1e-305}},
@@ -293,7 +327,7 @@ def test_decoherence_refuses_runaway_work(tmp_path, capsys):
             marks=pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning"),
         ),
     ],
-    ids=["gamma_e", "k", "drive_rabi", "config_gamma_e", "cavity_time"],
+    ids=["gamma_e", "k", "drive_rabi", "config_gamma_e", "taylor_products", "cavity_time"],
 )
 def test_decoherence_refuses_overflowing_work(tmp_path, capsys, argv, config):
     # finite settings whose generator or sub-step count overflows used to
@@ -309,6 +343,17 @@ def test_decoherence_refuses_overflowing_work(tmp_path, capsys, argv, config):
     # the overflow is the refusal's business, not a numerical fault to report
     assert "RuntimeWarning" not in err
     assert not (out / "decoherence.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+def test_decoherence_scores_a_large_generator_within_the_float_range(tmp_path, capsys):
+    # the exchange generator is near 1e306, and its Taylor products stay finite
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"gate": {"omega_1_per_s": 1e306, "ratio": 1e-150}}))
+    argv = ["decoherence", "--config", str(config_path), "--values", "0"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert _read_json(tmp_path / "out" / "decoherence.json")["rows"][0]["sane"] is True
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("route", ["values", "config"])

@@ -12,13 +12,13 @@ from squidcavity import (
     basis_index,
     decoherence,
     evolution,
-    exp_lindblad,
     noisy_gate,
     qcpg_lindblad_fidelity,
 )
 from squidcavity.cli import main
 from squidcavity.config import PREPARED_POINT_BYTES
 from squidcavity.decoherence import CZ_SIGNS
+from squidcavity.evolution import exp_segment, lindblad_segment
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
 from conftest import check_step_size, rk4_lindblad
@@ -198,7 +198,7 @@ def _sixteen_unit_scores(segments, l_ops, idx):
     for m, (i, j) in enumerate(units):
         batch[m, idx[i], idx[j]] = 1.0
     for h, t in segments:
-        batch = exp_lindblad(batch, h, l_ops, t)
+        batch = exp_segment(batch, lindblad_segment(h, l_ops, t))
     f_pro = sum(
         CZ_SIGNS[i] * CZ_SIGNS[j] * batch[m, idx[i], idx[j]].real
         for m, (i, j) in enumerate(units)

@@ -4,12 +4,12 @@ Every number drawn here comes from one set of edge values: zero, a
 negative, the smallest subnormal, powers of ten near both ends of the
 float range, the largest float's neighbourhood, an integer too large for
 any float, NaN and +-inf.  The library half feeds them to each constructor
-that takes a number and to ``noisy_gate``: each call either raises
-ValueError or returns finite numbers.  The command-line half writes them
-into config files and ``--values`` and runs every command in-process: no
-exception escapes ``cli.main``, a refusal exits 2 and writes no report, and
-a report that is written is valid JSON whose pass flag matches the exit
-code.
+that takes a number and to ``noisy_gate``, and runs each segment it builds:
+each call either raises ValueError, with no numpy warning, or returns
+finite numbers.  The command-line half writes them into config files and
+``--values`` and runs every command in-process: no exception escapes
+``cli.main``, a refusal exits 2 and writes no report, and a report that is
+written is valid JSON whose pass flag matches the exit code.
 """
 
 import contextlib
@@ -29,6 +29,9 @@ from squidcavity import (
     DriveSegment,
     FeasibilityParams,
     GateParams,
+    SpaceLayout,
+    basis_state,
+    evolve_pure,
     noisy_gate,
     qcpg_lindblad_fidelity,
 )
@@ -42,7 +45,7 @@ HUGE = 10**400  # an integer no float can hold
 
 EDGE_VALUES = (
     0, -1, 5e-324, 1e-150, -1e-150, 1e150, -1e150, 1e-300, -1e-300, 1e300, -1e300,
-    1.7e308, HUGE, math.nan, math.inf, -math.inf,
+    1e306, 5e307, 1.7e308, HUGE, math.nan, math.inf, -math.inf,
 )
 NUMBERS = st.sampled_from(EDGE_VALUES)
 
@@ -63,6 +66,13 @@ def _built(constructor, *args, **kwargs):
         return constructor(*args, **kwargs)
     except ValueError:
         return None
+
+
+def _runs_or_refuses(segment):
+    """Run ``segment`` on a two-SQUID state: its phase is refused, or the run stays finite."""
+    state = basis_state(SpaceLayout(2, 2), (1, 1), 0)
+    out = _built(evolve_pure, state, (segment,))
+    assert out is None or np.isfinite(out.amplitudes).all()
 
 
 @BOUNDARY_SETTINGS
@@ -111,12 +121,15 @@ def test_sweep_settings_refuse_or_hold_finite_numbers(parameter, values):
 @example((1, 2), 1.0, 1.0, math.nan)
 @example((1, 2), 1.0, 1.0, math.inf)
 @example((1, 2), 1.0, 1.0, HUGE)
+# a phase rabi * duration past the float range, refused before np.exp
+@example((0, 1), 1.7e308, 1.7e308, 0.0)
 def test_drive_segment_refuses_or_holds_finite_numbers(transition, rabi, duration, phase):
     segment = _built(DriveSegment, 0, transition, rabi, duration, phase)
     if segment is not None:
         assert _finite(segment.rabi, segment.duration, segment.phase)
         segment.propagator_key(2)
         assert np.isfinite(segment.hamiltonian(2).matrix).all()
+        _runs_or_refuses(segment)
 
 
 @BOUNDARY_SETTINGS
@@ -124,6 +137,8 @@ def test_drive_segment_refuses_or_holds_finite_numbers(transition, rabi, duratio
 @example(HUGE, 1.0, 1.0)
 # finite rates whose photon ladder leaves the float range at the cutoff
 @example(1.7e308, 0, 0)
+# a finite generator whose phase over the duration leaves the float range
+@example(1e300, 0.0, 1e10)
 def test_cavity_segment_refuses_or_holds_finite_numbers(omega_1, omega_2, duration):
     segment = _built(CavitySegment, 0, 1, omega_1, omega_2, duration)
     if segment is not None:
@@ -132,6 +147,7 @@ def test_cavity_segment_refuses_or_holds_finite_numbers(omega_1, omega_2, durati
         # refused before numpy overflows, or finite
         generator = _built(segment.hamiltonian, 2)
         assert generator is None or np.isfinite(generator.matrix).all()
+        _runs_or_refuses(segment)
 
 
 @BOUNDARY_SETTINGS
@@ -204,6 +220,8 @@ def _refuse_constant(name):
 # the float range in the exchange generator
 @example(("cluster", {"gate": {"omega_1_per_s": 1.7e308, "ratio": 1e-150}}, None))
 @example(("decoherence", {"gate": {"omega_1_per_s": 1.7e308, "ratio": 1e-150}}, [0]))
+# a finite generator whose Taylor products leave the float range
+@example(("decoherence", {"gate": {"omega_1_per_s": 5e307, "ratio": 1e-150}}, [0]))
 def test_cli_exits_0_1_or_2_on_edge_values(run):
     command, config, values = run
     report_name, flags = COMMANDS[command]

@@ -15,11 +15,11 @@ from squidcavity import (
     GateParams,
     LocalOperator,
     SpaceLayout,
-    exp_lindblad,
     noisy_gate,
     qcpg_schedule,
     truth_table,
 )
+from squidcavity.evolution import exp_segment
 from squidcavity.hilbert import contract
 
 from conftest import oracle_embedded
@@ -62,7 +62,7 @@ def test_noisy_gate_channel_is_cptp(cavity_decay, gamma_e, branch_ratio):
     for m, (i, j) in enumerate(units):
         batch[m, idx[i], idx[j]] = 1.0
     for seg in noisy.segments:
-        batch = exp_lindblad(batch, seg.h_full, seg.l_ops, seg.t)
+        batch = exp_segment(batch, seg)
     # Choi matrix sum_ij |i><j| (x) E(|i><j|) on the computational inputs
     choi = np.zeros((4 * d, 4 * d), dtype=complex)
     for m, (i, j) in enumerate(units):

@@ -36,7 +36,6 @@ from .protocols import (
     prepare_superposition,
     qcpg_schedule,
     rotation_pulse,
-    schedule_to_json,
 )
 from .verification import stabilizer_expectations, state_fidelity, truth_table
 

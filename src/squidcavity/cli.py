@@ -3,12 +3,17 @@
 Every command resolves its settings as defaults < config file < flags.  Its
 handler computes the results, prints its summary lines, marks the end of
 each phase on a clock, and returns its pass flag with its reports: a file
-name mapped to a JSON dict, a list of CSV rows (header first) or a text.
-``main`` alone writes them under the chosen directory, echoing the resolved
-configuration into every JSON report; it then prints the wall time and each
-phase's time, the writes being the ``report`` phase, and PASS or FAIL.
-Exit codes: 0 all checks passed, 1 a physics check failed, 2 configuration
-or usage error; a configuration error exits before any report is written.
+name mapped to its content, a JSON dict or list for a ``.json`` name and a
+list of CSV rows (header first) for a ``.csv`` one.  ``main`` alone writes
+them under the chosen directory, in the one format each suffix names,
+echoing the resolved configuration into every JSON dict; it then prints
+the wall time and each phase's time, the writes being the ``report``
+phase, and PASS or FAIL.  Exit codes: 0 all checks passed, 1 a physics
+check failed, 2 configuration or usage error; a configuration error exits
+before any report is written.  A ``decoherence`` point whose exact
+propagation the library refuses as too much work
+(``evolution.WorkLimitError``) is a configuration error, named by its
+sweep value; any other exception is a fault in the program.
 
 Output files are byte-identical across runs with the same configuration,
 with one documented exception: the ``runtime_s`` column of the decoherence
@@ -38,7 +43,7 @@ from .config import (
     load_config,
 )
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
-from .evolution import MAX_LINDBLAD_SUBSTEPS, evolve_pure
+from .evolution import WorkLimitError, evolve_pure
 from .feasibility import feasibility_report
 from .hilbert import check_number
 from .protocols import (
@@ -46,7 +51,6 @@ from .protocols import (
     cluster_chain_schedule,
     cluster_state_oracle,
     qcpg_schedule,
-    schedule_to_json,
 )
 from .verification import state_fidelity, stabilizer_expectations, truth_table
 
@@ -161,17 +165,17 @@ def _make_out_dir(out_dir: Path) -> None:
 
 
 def _write_report(path: Path, report, echo: dict) -> None:
-    """Write a JSON dict with the config ``echo`` added, CSV rows or a text."""
-    if isinstance(report, dict):
+    """Write JSON, with the config ``echo`` added to a dict, or CSV rows, by the suffix."""
+    if path.suffix == ".json":
+        if isinstance(report, dict):
+            report = {**report, "config": echo}
         # NaN and Infinity are not JSON: a report carrying one is a program fault
-        text = json.dumps({**report, "config": echo}, indent=2, sort_keys=True, allow_nan=False)
-    elif isinstance(report, str):
-        text = report
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         rows = io.StringIO()
         csv.writer(rows, lineterminator="\n").writerows(report)
         text = rows.getvalue()
-    path.write_text(text if text.endswith("\n") else text + "\n")
+    path.write_text(text)
 
 
 def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
@@ -196,7 +200,7 @@ def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
             "leakage_tol": report.leakage_tol,
             "passed": report.passed,
         },
-        "schedule.json": schedule_to_json(schedule),
+        "schedule.json": [segment.to_dict() for segment in schedule],
     }
 
 
@@ -234,7 +238,7 @@ def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
             ("generator", "expectation"),
             *((i, repr(float(v))) for i, v in enumerate(stab.expectations)),
         ],
-        "schedule.json": schedule_to_json(schedule),
+        "schedule.json": [segment.to_dict() for segment in schedule],
     }
 
 
@@ -264,18 +268,16 @@ def cmd_decoherence(config: RunConfig, clock) -> tuple[bool, dict]:
     parameter = config.sweep.parameter
     # every rate keyword of noisy_gate is a sweep parameter's
     rates = {name: getattr(config.feasibility, name) for name in SWEEP_PARAMETERS.values()}
-    # build each point's generators once, and refuse runaway work before any
-    # propagation starts
+    # build each point's generators once, so that runaway work is refused
+    # before any propagation starts
     prepared = []
     for value in config.sweep.values:
         t0 = time.perf_counter()
         rates[SWEEP_PARAMETERS[parameter]] = value
-        noisy = noisy_gate(config.gate, fock_cutoff=config.fock_cutoff, **rates)
-        if noisy.substeps > MAX_LINDBLAD_SUBSTEPS:
-            raise ConfigError(
-                f"{parameter} = {value:g} needs {noisy.substeps:.3g} propagator "
-                f"sub-steps in one gate segment, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
-            )
+        try:
+            noisy = noisy_gate(config.gate, fock_cutoff=config.fock_cutoff, **rates)
+        except WorkLimitError as exc:
+            raise ConfigError(f"{parameter} = {value:g}: {exc}") from exc
         prepared.append((value, noisy, time.perf_counter() - t0))
     clock("build")
     csv_rows = [("parameter", "value", *SCORE_COLUMNS, "runtime_s")]

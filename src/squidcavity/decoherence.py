@@ -14,13 +14,16 @@ fidelity over Haar-random pure inputs, F_avg = (4 F_pro + 1) / 5.
 Matrix units with i != j are not density matrices, but the generator is
 linear so propagating them is legitimate.  The channel preserves
 Hermiticity, so E(|p_j><p_i|) = E(|p_i><p_j|)^dag: only the 10 units with
-i <= j are propagated, and the other six are their adjoints.  The 10 ride
+i <= j are propagated, and the term of a unit with i > j is read from its
+partner, whose entry at (p_j, p_i) has the same real part.  The 10 ride
 a leading batch axis through one exact exponential exp(L t) per segment
 (``evolution.exp_segment``, which runs in real Hermitian coordinates), so
-the score carries no integrator error.  ``noisy_gate`` sizes each segment
-once with ``evolution.lindblad_segment``; the sweep's work check and the
-run read the same sizing.  The four diagonal units are Hermitian, so the
-run leaves out the coordinate rows of their zero anti-Hermitian parts.
+the score carries no integrator error.  ``noisy_gate`` builds each
+segment as an ``evolution.LindbladSegment``, which sizes itself once and
+raises ``evolution.WorkLimitError`` for work over the sub-step limit, so
+a point that cannot run is refused before any point is scored.  The four
+diagonal units are Hermitian, so the run leaves out the coordinate rows of
+their zero anti-Hermitian parts.
 Trace and positivity diagnostics come from the four diagonal units, which
 are honest states.
 
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import LindbladSegment, exp_segment, lindblad_segment
+from .evolution import LindbladSegment, exp_segment
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
 from .hilbert import SpaceLayout, basis_index, contract
 from .protocols import GateParams, qcpg_schedule
@@ -74,20 +77,14 @@ class NoisyGate:
     ``kept`` lists the full-space basis indices of the subspace in ascending
     order and ``computational`` the positions of the four computational
     states within it.  ``segments`` holds each segment's Hamiltonian,
-    collapse operators and duration, as matrices on the subspace, sized
-    once by ``evolution.lindblad_segment``; the run and the work check
-    both read that sizing.
+    collapse operators and duration, as matrices on the subspace, each
+    ``LindbladSegment`` sized once when it was built.
     """
 
     kept: tuple[int, ...]
     computational: tuple[int, ...]
     segments: tuple[LindbladSegment, ...]
     gate_duration_s: float
-
-    @property
-    def substeps(self) -> int | float:
-        """The most sub-steps any one segment needs; a float above ``MAX_LINDBLAD_SUBSTEPS``."""
-        return max(segment.substeps for segment in self.segments)
 
 
 def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
@@ -133,9 +130,10 @@ def noisy_gate(
 
     Decay acts through the whole schedule: cavity photon loss at
     ``cavity_decay_per_s`` and |e> relaxation at ``gamma_e_per_s`` on both
-    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  ``substeps`` on
-    the result lets a caller check the work against
-    ``evolution.MAX_LINDBLAD_SUBSTEPS`` before starting a run.
+    SQUIDs, branching to |0> with ``branch_ratio_e_to_0``.  A point whose
+    exact propagation would need more than
+    ``evolution.MAX_LINDBLAD_SUBSTEPS`` sub-steps in one segment, or whose
+    sizing could overflow, raises ``evolution.WorkLimitError`` here.
     """
     layout, schedule, segments, l_full = _full_generators(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
@@ -151,7 +149,7 @@ def noisy_gate(
     return NoisyGate(
         kept=kept,
         computational=tuple(kept.index(s) for s in seeds),
-        segments=tuple(lindblad_segment(h[cut], collapse, t) for h, t in segments),
+        segments=tuple(LindbladSegment(h[cut], collapse, t) for h, t in segments),
         gate_duration_s=float(sum(seg.duration for seg in schedule)),
     )
 
@@ -176,13 +174,11 @@ def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
         batch = exp_segment(batch, segment)
 
     channel = dict(zip(upper, batch))
-    for i, j in upper:
-        if i < j:
-            channel[j, i] = channel[i, j].conj().T
-
     f_pro = 0.0
     for i, j in units:
-        f_pro += CZ_SIGNS[i] * CZ_SIGNS[j] * channel[i, j][indices[i], indices[j]].real
+        # Re E(|p_j><p_i|) at (p_j, p_i) is Re E(|p_i><p_j|) at (p_i, p_j)
+        lo, hi = sorted((i, j))
+        f_pro += CZ_SIGNS[lo] * CZ_SIGNS[hi] * channel[lo, hi][indices[lo], indices[hi]].real
     f_pro /= 16.0
     f_avg = (4.0 * f_pro + 1.0) / 5.0
 

@@ -23,29 +23,30 @@ y = Re vec(A) + Im vec(A) (an isometry, with A = ((1+i) Y + (1-i) Y^T) / 2),
 and L as the real d^2 x d^2 matrix L_y = Re(S) + Im(S P), where S is the
 complex superoperator and P the transpose permutation on vec.
 
-A segment is sized once by ``lindblad_segment``: its drift and its
-sub-step count, which follows from a norm bound on L t, so a caller can
-check the work before running anything.  A count above
-``MAX_LINDBLAD_SUBSTEPS`` is refused when the segment runs; a generator or
-a count that overflows is over that limit too, and so is a generator whose
-Taylor products could leave the float range.  ``exp_segment`` runs a
-sized segment.  It forms L_y once per run, writing each Kronecker term of S
-onto that term's own non-zeros, so no d^4 temporary is formed besides S
-and L_y themselves.  Each Taylor term is then one real matrix product on
-the coordinate rows that are not identically zero, into buffers allocated
-once per run.  S takes 16 d^4 bytes while it is formed, so dimensions
-above ``SUPEROPERATOR_DIM_LIMIT`` are refused before anything is
-allocated.  Density matrix runs are restricted to small spaces: the noisy
-gate runs on its 11-state invariant subspace (``decoherence``); chain
-generation is pure-state only.  The tests check ``exp_segment`` against
-their own fixed-step RK4 integration of the same equation.
+A ``LindbladSegment`` sizes itself once, when it is built: its drift and
+its sub-step count, which follows from a norm bound on L t.  No segment
+exists that cannot run: a dimension above ``SUPEROPERATOR_DIM_LIMIT`` or a
+negative duration is refused with ``ValueError``, and a count above
+``MAX_LINDBLAD_SUBSTEPS`` with ``WorkLimitError``, as is a generator or a
+count that overflows, or a generator whose Taylor products could leave
+the float range.  ``exp_segment`` runs a segment.  It forms L_y once per
+run, writing each Kronecker term of S onto that term's own non-zeros, so
+no d^4 temporary is formed besides S and L_y themselves.  Each Taylor term
+is then one real matrix product on the coordinate rows that are not
+identically zero, into buffers allocated once per run.  S takes 16 d^4
+bytes while it is formed, which is why the dimension is capped before
+anything is allocated.  Density matrix runs are restricted to small
+spaces: the noisy gate runs on its 11-state invariant subspace
+(``decoherence``); chain generation is pure-state only.  The tests check
+``exp_segment`` against their own fixed-step RK4 integration of the same
+equation.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,6 +175,10 @@ def _drift(h_full, l_ops) -> np.ndarray:
         return -1j * h_full - 0.5 * sink
 
 
+class WorkLimitError(ValueError):
+    """A Lindblad segment over ``MAX_LINDBLAD_SUBSTEPS``, or whose sizing could overflow."""
+
+
 def _exact_parts(h_full, l_ops, t: float):
     """The drift of the Taylor series' generator and its sub-step count."""
     # a multiple of the identity in H drops out of [H, rho]; removing it
@@ -181,10 +186,11 @@ def _exact_parts(h_full, l_ops, t: float):
     d = h_full.shape[0]
     h = h_full - (np.trace(h_full).real / d) * np.eye(d)
     drift = _drift(h, l_ops)
-    # a generator that overflowed is over the limit, and an SVD of it need
-    # not converge
+    # an SVD of a generator that overflowed need not converge
     if not np.isfinite(drift).all():
-        return drift, math.inf
+        raise WorkLimitError(
+            "the Lindblad generator overflows, so its propagator sub-steps are unbounded"
+        )
     # ||L(X)||_F <= (2 ||drift||_2 + sum_k ||L_k||_2^2) ||X||_F, the spectral
     # norms from one batched singular-value call
     norms = np.linalg.svd(np.stack([drift, *l_ops]), compute_uv=False).max(axis=-1)
@@ -192,10 +198,12 @@ def _exact_parts(h_full, l_ops, t: float):
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
         count = bound * t / _TAYLOR_THETA
-    # written so that a NaN count is over the limit too; a count over it
-    # stays a float, which may be too large for an integer
+    # written so that a NaN count is over the limit too
     if not count <= MAX_LINDBLAD_SUBSTEPS:
-        return drift, math.inf if math.isnan(count) else count
+        raise WorkLimitError(
+            f"a segment needs {count:.3g} propagator sub-steps, above the limit of "
+            f"{MAX_LINDBLAD_SUBSTEPS}"
+        )
     n_sub = max(1, math.ceil(count))
     # A sufficient condition for every Taylor product to stay in the float
     # range.  L_y is L on an isometric copy of the Hermitian matrices, so
@@ -206,48 +214,51 @@ def _exact_parts(h_full, l_ops, t: float):
     # from, and x^k / k! peaks at k = floor(x).  A channel keeps the trace
     # norm, so inputs of trace norm at most 1 (states, and the Hermitian
     # parts of matrix units) start every sub-step from rows of norm at most
-    # 1.  A generator that fails the condition is over the limit.
+    # 1.
     x = float(bound) * float(t) / n_sub
     if not float(bound) * (x ** int(x) / math.factorial(int(x))) <= _FLOAT_MAX:
-        return drift, math.inf
+        raise WorkLimitError(
+            f"a Taylor product over {n_sub} propagator sub-steps could leave the float range"
+        )
     return drift, n_sub
 
 
 @dataclass(frozen=True)
 class LindbladSegment:
-    """A stretch of constant Lindbladian, sized once for ``exp_segment``.
+    """A stretch of constant Lindbladian, sized for ``exp_segment`` when it is built.
 
     ``h_full`` is the Hamiltonian, ``l_ops`` the collapse operators and
-    ``t`` the duration; ``drift`` = -iH' - (1/2) sum_k L_k^dag L_k, with H'
-    the traceless part of H.  ``substeps`` is the number of equal Taylor
-    sub-steps over ``t``, a float when it is above ``MAX_LINDBLAD_SUBSTEPS``
-    (infinite where the generator, the count or a Taylor product could
-    overflow), so a caller can check the work before any run.  Nothing here
-    is of size d^4: each run forms its own superoperator.
+    ``t`` the duration.  The derived ``drift`` = -iH' - (1/2) sum_k
+    L_k^dag L_k, with H' the traceless part of H, and ``substeps``, the
+    number of equal Taylor sub-steps over ``t``, are computed here, so
+    ``dataclasses.replace`` sizes its copy afresh.  A dimension above
+    ``SUPEROPERATOR_DIM_LIMIT`` or a negative duration raises
+    ``ValueError`` before anything is allocated; work over
+    ``MAX_LINDBLAD_SUBSTEPS``, or a generator, count or Taylor product that
+    could overflow, raises ``WorkLimitError``.  So ``substeps`` is an int
+    in [1, ``MAX_LINDBLAD_SUBSTEPS``].  Nothing here is of size d^4: each
+    run forms its own superoperator.
     """
 
     h_full: np.ndarray
     l_ops: tuple[np.ndarray, ...]
     t: float
-    drift: np.ndarray
-    substeps: int | float
+    drift: np.ndarray = field(init=False)
+    substeps: int = field(init=False)
 
-
-def lindblad_segment(h_full, l_ops, t: float) -> LindbladSegment:
-    """Size the Lindbladian of ``h_full`` and ``l_ops`` over duration ``t``; no propagation.
-
-    Dimensions above ``SUPEROPERATOR_DIM_LIMIT`` and negative durations are
-    refused here, before anything is allocated.
-    """
-    d = h_full.shape[0]
-    if d > SUPEROPERATOR_DIM_LIMIT:
-        raise ValueError(
-            f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
-            f"(it would take {16 * d**4 / 1e6:.3g} MB)"
-        )
-    if t < 0:
-        raise ValueError(f"duration must be >= 0, got {t}")
-    return LindbladSegment(h_full, tuple(l_ops), t, *_exact_parts(h_full, l_ops, t))
+    def __post_init__(self):
+        d = self.h_full.shape[0]
+        if d > SUPEROPERATOR_DIM_LIMIT:
+            raise ValueError(
+                f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
+                f"(it would take {16 * d**4 / 1e6:.3g} MB)"
+            )
+        if self.t < 0:
+            raise ValueError(f"duration must be >= 0, got {self.t}")
+        object.__setattr__(self, "l_ops", tuple(self.l_ops))
+        drift, substeps = _exact_parts(self.h_full, self.l_ops, self.t)
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "substeps", substeps)
 
 
 def _superoperator(drift, l_ops) -> np.ndarray:
@@ -341,12 +352,12 @@ def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
 
     ``rho`` may carry leading batch axes.  L is the Lindbladian of the
     segment's Hamiltonian ``h_full`` and collapse operators ``l_ops``, all
-    d x d matrices on the space ``rho`` lives on, with d at most
-    ``SUPEROPERATOR_DIM_LIMIT``; ``t`` is its duration.  A segment over
-    ``MAX_LINDBLAD_SUBSTEPS`` is refused here.  L maps Hermitian matrices
-    to Hermitian matrices, so each input X = A + iB runs as the real
-    coordinates of its Hermitian parts A and B, and L as the real
-    d^2 x d^2 matrix ``_real_superoperator``, formed once per call.  Each
+    d x d matrices on the space ``rho`` lives on; ``t`` is its duration.
+    A segment refuses oversized work when it is built, so every segment
+    runs.  L maps Hermitian matrices to Hermitian matrices, so each input
+    X = A + iB runs as the real coordinates of its Hermitian parts A and B,
+    and L as the real d^2 x d^2 matrix ``_real_superoperator``, formed once
+    per call.  Each
     of the segment's equal sub-steps then sums the Taylor series of
     exp(L h), one real matrix product on the non-zero coordinate rows per
     term, until the largest entries of two consecutive terms fall below
@@ -354,11 +365,6 @@ def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
     exactly Hermitian.  Trace is not renormalized, so any drift stays
     visible to the caller.
     """
-    n_sub = segment.substeps
-    if n_sub > MAX_LINDBLAD_SUBSTEPS:
-        raise ValueError(
-            f"exp(L t) needs {n_sub:.3g} sub-steps, above the limit of {MAX_LINDBLAD_SUBSTEPS}"
-        )
     d = segment.h_full.shape[0]
     rho = np.asarray(rho, dtype=complex)
     # rows are the coordinates of every A, then of every B, so L acts from the right
@@ -369,7 +375,7 @@ def exp_segment(rho, segment: LindbladSegment) -> np.ndarray:
     if live.any():
         sup_t = _real_superoperator(segment.drift, segment.l_ops).T
         flat = coords[live]
-        _taylor_substeps(flat, sup_t, n_sub, segment.t / n_sub)
+        _taylor_substeps(flat, sup_t, segment.substeps, segment.t / segment.substeps)
         coords[live] = flat
     coords[~live] = 0.0
     a, b = _from_coordinates(coords.reshape(2, *rho.shape))

@@ -48,7 +48,6 @@ is applied to each neighbouring pair in turn.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -340,7 +339,3 @@ def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     odd = (bits[:, :-1] & bits[:, 1:]).sum(axis=1) & 1
     amp[index] = np.where(odd, -scale, scale)
     return CompositeState(layout, amp)
-
-
-def schedule_to_json(schedule: tuple) -> str:
-    return json.dumps([seg.to_dict() for seg in schedule], indent=2, sort_keys=True)

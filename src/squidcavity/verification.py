@@ -16,7 +16,6 @@ dense route as the reference.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 

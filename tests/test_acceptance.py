@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines.
 """
 
-import itertools
 import json
 import math
 import time
@@ -14,7 +13,6 @@ import numpy as np
 from squidcavity import (
     CavitySegment,
     CompositeState,
-    DriveSegment,
     GateParams,
     SpaceLayout,
     basis_index,
@@ -35,7 +33,7 @@ from squidcavity import (
     truth_table,
 )
 from squidcavity.cli import main
-from squidcavity.evolution import exp_segment, lindblad_segment, propagator
+from squidcavity.evolution import LindbladSegment, exp_segment, propagator
 from squidcavity.feasibility import round_to_sig_figures
 from squidcavity.hamiltonians import (
     cavity_coupling_hamiltonian,
@@ -233,7 +231,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2)
     l_full = [oracle_embedded(op, cavity_layout) for op in ops]
     zero_h = oracle_embedded(drive_hamiltonian(0, (0, 1), 0.0, 0.0), cavity_layout)
-    rho = exp_segment(np.outer(amp, amp.conj()), lindblad_segment(zero_h, l_full, 2e-5))
+    rho = exp_segment(np.outer(amp, amp.conj()), LindbladSegment(zero_h, l_full, 2e-5))
     checks["trace preservation"] = abs(np.trace(rho).real - 1.0) <= 1e-8
 
     # dark state of the exchange stays put

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from squidcavity import (
     qcpg_lindblad_fidelity,
 )
 from squidcavity.cli import main
-from squidcavity.config import PREPARED_POINT_BYTES
+from squidcavity.config import PREPARED_POINT_BYTES, SWEEP_PARAMETERS, RunConfig
 from squidcavity.decoherence import CZ_SIGNS
-from squidcavity.evolution import exp_segment, lindblad_segment
+from squidcavity.evolution import LindbladSegment, WorkLimitError, exp_segment
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
-from conftest import check_step_size, rk4_lindblad
+from conftest import PADE_TOL, check_step_size, pade_scores, rk4_lindblad
+
+DATA = Path(__file__).parent / "data"
 
 # points off the default one: heavy cavity loss, heavy |e> decay, all |e>
 # decay into |1>, and the smallest cutoff the exchange allows
@@ -81,6 +84,38 @@ def test_exact_propagation_matches_rk4(baseline_result, monkeypatch):
     assert calls == [(10, 11, 11)] * 3
     assert abs(baseline_result.average_fidelity - reference.average_fidelity) <= 1e-12
     assert abs(baseline_result.process_fidelity - reference.process_fidelity) <= 1e-12
+
+
+def _sweep_point(parameter, value):
+    # the gate the decoherence command builds for one sweep value
+    config = RunConfig()
+    rates = {name: getattr(config.feasibility, name) for name in SWEEP_PARAMETERS.values()}
+    rates[SWEEP_PARAMETERS[parameter]] = value
+    return noisy_gate(config.gate, fock_cutoff=config.fock_cutoff, **rates)
+
+
+def _assert_matches_pade_route(noisy, average_fidelity, process_fidelity):
+    f_avg, f_pro = pade_scores(noisy)
+    assert abs(f_pro - process_fidelity) <= PADE_TOL
+    assert abs(f_avg - average_fidelity) <= PADE_TOL
+
+
+@pytest.mark.parametrize("parameter", ["k", "gamma_e"])
+def test_pinned_scores_match_the_pade_route(parameter):
+    rows = json.loads((DATA / f"decoherence_{parameter}_rows.json").read_text())
+    assert rows
+    for row in rows:
+        noisy = _sweep_point(parameter, row["value"])
+        _assert_matches_pade_route(noisy, row["average_fidelity"], row["process_fidelity"])
+
+
+def test_default_sweep_matches_the_pade_route():
+    sweep = RunConfig().sweep
+    assert len(sweep.values) == 4
+    for value in sweep.values:
+        noisy = _sweep_point(sweep.parameter, value)
+        result = qcpg_lindblad_fidelity(noisy)
+        _assert_matches_pade_route(noisy, result.average_fidelity, result.process_fidelity)
 
 
 def test_each_segment_is_sized_once(monkeypatch):
@@ -153,11 +188,11 @@ def test_rejects_invalid_rates():
 
 def test_work_bound_leaves_room_and_refuses_runaway_rates():
     # the default sweep's top rate sits far below the sub-step cap
-    assert noisy_gate(cavity_decay_per_s=5e7).substeps * 100 <= MAX_LINDBLAD_SUBSTEPS
-    runaway = noisy_gate(cavity_decay_per_s=1e15)
-    assert runaway.substeps > MAX_LINDBLAD_SUBSTEPS
-    with pytest.raises(ValueError, match="sub-steps"):
-        qcpg_lindblad_fidelity(runaway)
+    segments = noisy_gate(cavity_decay_per_s=5e7).segments
+    assert max(segment.substeps for segment in segments) * 100 <= MAX_LINDBLAD_SUBSTEPS
+    # a point that could not run is refused when it is built
+    with pytest.raises(WorkLimitError, match="sub-steps"):
+        noisy_gate(cavity_decay_per_s=1e15)
 
 
 def _point_args(point):
@@ -198,7 +233,7 @@ def _sixteen_unit_scores(segments, l_ops, idx):
     for m, (i, j) in enumerate(units):
         batch[m, idx[i], idx[j]] = 1.0
     for h, t in segments:
-        batch = exp_segment(batch, lindblad_segment(h, l_ops, t))
+        batch = exp_segment(batch, LindbladSegment(h, l_ops, t))
     f_pro = sum(
         CZ_SIGNS[i] * CZ_SIGNS[j] * batch[m, idx[i], idx[j]].real
         for m, (i, j) in enumerate(units)

@@ -1,6 +1,6 @@
 """Every script in demos/ runs to completion against the package in src/,
-and the package's top level exports only what demos/, perfbench/ and README
-use.
+the package's top level exports only what demos/, perfbench/ and README
+use, and no module imports a name it never reads.
 """
 
 import ast
@@ -55,3 +55,27 @@ def test_top_level_exports_only_what_is_used():
     }
     assert exported, "no exports found"
     assert sorted(exported - used) == []
+
+
+def test_every_module_reads_each_name_it_imports():
+    # the package's __init__ imports names only to export them
+    package = (ROOT / "src" / "squidcavity").glob("*.py")
+    modules = [
+        *(path for path in package if path.name != "__init__.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *DEMOS,
+    ]
+    unread = []
+    for path in sorted(modules):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # ``import a.b`` binds ``a``
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        # an attribute chain such as ``np.linalg.norm`` reads its first name
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - read)]
+    assert unread == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,6 +25,8 @@ from squidcavity import (
 from squidcavity import evolution
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
+    LindbladSegment,
+    WorkLimitError,
     _TAYLOR_DEGREE,
     _UNIT_ROUNDOFF,
     _from_coordinates,
@@ -32,7 +35,6 @@ from squidcavity.evolution import (
     _superoperator,
     _to_coordinates,
     exp_segment,
-    lindblad_segment,
     propagate,
     propagator,
 )
@@ -339,7 +341,7 @@ def test_exp_lindblad_photon_decay_matches_exponential():
     l_full = [oracle_embedded(op, layout) for op in ops]
     h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
-    out = exp_segment(rho0, lindblad_segment(h_full, l_full, t))
+    out = exp_segment(rho0, LindbladSegment(h_full, l_full, t))
     diag = np.real(np.diag(out)).reshape(3, 3)
     np.testing.assert_allclose(diag[:, 0].sum(), 1 - math.exp(-k * t), atol=1e-14)
     np.testing.assert_allclose(diag[:, 1].sum(), math.exp(-k * t), atol=1e-14)
@@ -354,7 +356,7 @@ def test_exp_lindblad_zero_rates_matches_unitary_on_a_batch():
     u = propagator(h, seg.duration).matrix
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(2, 27, 27)) + 1j * rng.normal(size=(2, 27, 27))
-    out = exp_segment(batch, lindblad_segment(h_full, [], seg.duration))
+    out = exp_segment(batch, LindbladSegment(h_full, [], seg.duration))
     want = u @ batch @ u.conj().T
     assert np.max(np.abs(out - want)) <= 1e-12
 
@@ -366,11 +368,11 @@ def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
     ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     t = 1.7e-8
-    substeps = [lindblad_segment(h, l_full, t).substeps for h in (shifted, h_full)]
+    substeps = [LindbladSegment(h, l_full, t).substeps for h in (shifted, h_full)]
     assert substeps[0] == substeps[1]
     rho0 = _pure_density(basis_state(layout, (1, 0)))
-    out = exp_segment(rho0, lindblad_segment(shifted, l_full, t))
-    want = exp_segment(rho0, lindblad_segment(h_full, l_full, t))
+    out = exp_segment(rho0, LindbladSegment(shifted, l_full, t))
+    want = exp_segment(rho0, LindbladSegment(h_full, l_full, t))
     assert np.max(np.abs(out - want)) <= 1e-13
 
 
@@ -379,16 +381,23 @@ def test_exp_lindblad_guards():
     rho0 = _pure_density(basis_state(layout, (1,)))
     h_full = oracle_embedded(drive_hamiltonian(0, (0, 1), 1.0, 0.0), layout)
     with pytest.raises(ValueError, match="duration"):
-        exp_segment(rho0, lindblad_segment(h_full, [], -1.0))
-    out = exp_segment(rho0, lindblad_segment(h_full, [], 0.0))
+        LindbladSegment(h_full, [], -1.0)
+    segment = LindbladSegment(h_full, [], 0.0)
+    out = exp_segment(rho0, segment)
     np.testing.assert_array_equal(out, rho0)
     assert out is not rho0
-    # sub-steps grow with ||L|| t, and runaway work is refused up front
-    assert lindblad_segment(h_full, [], 2.0).substeps <= lindblad_segment(h_full, [], 4.0).substeps
+    # sub-steps grow with ||L|| t, and runaway work is refused when a
+    # segment is built, by hand or as a copy with a new duration
+    assert issubclass(WorkLimitError, ValueError)
+    assert LindbladSegment(h_full, [], 2.0).substeps <= LindbladSegment(h_full, [], 4.0).substeps
     too_long = 6.0 * (MAX_LINDBLAD_SUBSTEPS + 1)
-    assert lindblad_segment(h_full, [], too_long).substeps > MAX_LINDBLAD_SUBSTEPS
-    with pytest.raises(ValueError, match="sub-steps"):
-        exp_segment(rho0, lindblad_segment(h_full, [], too_long))
+    with pytest.raises(WorkLimitError, match="sub-steps"):
+        LindbladSegment(h_full, [], too_long)
+    resized = dataclasses.replace(segment, t=1000.0)
+    assert resized.substeps == LindbladSegment(h_full, [], 1000.0).substeps > segment.substeps
+    assert type(resized.substeps) is int and resized.substeps <= MAX_LINDBLAD_SUBSTEPS
+    with pytest.raises(WorkLimitError, match="sub-steps"):
+        dataclasses.replace(segment, t=too_long)
 
 
 def test_superoperator_matches_the_matrix_form_of_the_generator():
@@ -531,7 +540,7 @@ def test_exp_lindblad_keeps_hermitian_inputs_exactly_hermitian():
     l_full = [oracle_embedded(op, layout) for op in ops]
     rng = np.random.default_rng(13)
     x = _cplx(rng, 3, 18, 18)
-    segment = lindblad_segment(h_full, l_full, 1.7e-8)
+    segment = LindbladSegment(h_full, l_full, 1.7e-8)
     out = exp_segment(x + _adjoint(x), segment)
     np.testing.assert_array_equal(out, _adjoint(out))
     # a non-Hermitian input is the sum of its parts' images
@@ -548,10 +557,10 @@ def test_exp_lindblad_refuses_large_dimensions_before_allocating():
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="superoperator limit"):
-                exp_segment(h, lindblad_segment(h, [h], 1e-9))
+                exp_segment(h, LindbladSegment(h, [h], 1e-9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 100_000
     eye = np.eye(SUPEROPERATOR_DIM_LIMIT, dtype=complex)
-    np.testing.assert_array_equal(exp_segment(eye, lindblad_segment(0 * eye, [], 0.0)), eye)
+    np.testing.assert_array_equal(exp_segment(eye, LindbladSegment(0 * eye, [], 0.0)), eye)

@@ -161,10 +161,10 @@ def test_collapse_operators_refuse_or_hold_finite_numbers(cavity_decay, gamma_e,
 @BOUNDARY_SETTINGS
 @given(_some_of(("cavity_decay_per_s", "gamma_e_per_s", "branch_ratio_e_to_0")))
 def test_noisy_gate_refuses_or_scores_finite(kwargs):
+    # a point over the sub-step limit is refused here, when it is built
     noisy = _built(noisy_gate, **kwargs)
     if noisy is None:
         return
-    # a point over the sub-step limit is refused when it is scored
     result = _built(qcpg_lindblad_fidelity, noisy)
     if result is not None:
         assert _finite(

@@ -1,4 +1,4 @@
-"""Property tests: the gate family, the noisy gate's channel and contract's routes.
+"""Property tests: the gate family, the noisy gate's channel and scores, contract's routes.
 
 The routes are checked one state at a time and on blocks of states along
 the kernel's trailing batch axis, into a new array and into a given one.
@@ -16,13 +16,14 @@ from squidcavity import (
     LocalOperator,
     SpaceLayout,
     noisy_gate,
+    qcpg_lindblad_fidelity,
     qcpg_schedule,
     truth_table,
 )
 from squidcavity.evolution import exp_segment
 from squidcavity.hilbert import contract
 
-from conftest import oracle_embedded
+from conftest import PADE_TOL, oracle_embedded, pade_scores
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=12)
 
@@ -71,6 +72,25 @@ def test_noisy_gate_channel_is_cptp(cavity_decay, gamma_e, branch_ratio):
     assert choi.shape == (44, 44)
     assert np.max(np.abs(choi - choi.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] >= -1e-12
+
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(
+    cavity_decay=st.floats(0.0, 5e7),
+    gamma_e=st.floats(0.0, 4e8),
+    branch_ratio=st.floats(0.0, 1.0),
+)
+def test_noisy_gate_scores_match_the_pade_route(cavity_decay, gamma_e, branch_ratio):
+    noisy = noisy_gate(
+        cavity_decay_per_s=cavity_decay,
+        gamma_e_per_s=gamma_e,
+        branch_ratio_e_to_0=branch_ratio,
+    )
+    result = qcpg_lindblad_fidelity(noisy)
+    f_avg, f_pro = pade_scores(noisy)
+    assert abs(f_pro - result.process_fidelity) <= PADE_TOL
+    assert abs(f_avg - result.average_fidelity) <= PADE_TOL
 
 
 # largest layout drawn, and largest tail of it the dense reference is built on

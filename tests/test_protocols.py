@@ -20,9 +20,9 @@ from squidcavity import (
     prepare_superposition,
     qcpg_schedule,
     rotation_pulse,
-    schedule_to_json,
     state_fidelity,
 )
+from squidcavity.cli import main
 from squidcavity.verification import cavity_vacuum_population
 
 from conftest import tensor_state
@@ -325,8 +325,10 @@ def test_segment_serialization_keys():
     assert row["omega_1_per_s"] == 1.8e8
 
 
-def test_schedule_json_round_trip():
+def test_schedule_json_round_trip(tmp_path, capsys):
     sched = qcpg_schedule(0, 1)
     rows = [seg.to_dict() for seg in sched]
     assert [row["kind"] for row in rows] == ["drive", "cavity", "drive"]
-    assert json.loads(schedule_to_json(sched)) == rows
+    assert main(["truth-table", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "schedule.json").read_text()) == rows

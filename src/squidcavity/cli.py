@@ -1,5 +1,12 @@
 """Command-line surface: truth-table, cluster, feasibility, decoherence.
 
+``COMMANDS`` is the one table of the commands: each name maps to its
+handler, its one-line help and its own flags, and every command also takes
+``COMMON_FLAGS``.  A call builds one parser: ``main`` reads the command word
+first and parses the rest with that command's flags alone.  When the first
+argument names no command, the top-level parser is built instead; it only
+prints the help or a usage error.
+
 Every command resolves its settings as defaults < config file < flags.  Its
 handler computes the results, prints its summary lines, marks the end of
 each phase on a clock, and returns its pass flag with its reports: a file
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -67,55 +73,6 @@ SWEEP_EIGENVALUE_MIN = -1e-6
 SCORE_COLUMNS = ("average_fidelity", "process_fidelity", "trace_defect", "min_eigenvalue")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="squidcavity",
-        description="Simulate a cavity-mediated controlled-phase gate between "
-        "three-level SQUIDs and the cluster chains it generates.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    common.add_argument("--out", type=Path, help="output directory (default: out)")
-    common.add_argument("--fock-cutoff", type=int, help="cavity truncation photon number")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "truth-table",
-        parents=[common],
-        help="extract the gate's 4x4 computational action and score it",
-    )
-    p.add_argument("--ratio", type=float, help="coupling ratio omega_2/omega_1 override")
-    p.add_argument(
-        "--cavity-time-scale",
-        type=float,
-        default=1.0,
-        help="scale factor on the cavity window (2.0 doubles it)",
-    )
-    p.set_defaults(handler=cmd_truth_table)
-
-    p = sub.add_parser(
-        "cluster", parents=[common], help="run the chain protocol and verify the output"
-    )
-    p.add_argument("--n", type=int, help="number of SQUIDs in the chain (2..10)")
-    p.set_defaults(handler=cmd_cluster)
-
-    p = sub.add_parser(
-        "feasibility", parents=[common], help="recompute operating-point timescales"
-    )
-    p.set_defaults(handler=cmd_feasibility)
-
-    p = sub.add_parser(
-        "decoherence",
-        parents=[common],
-        help="gate fidelity under decay, swept over one rate",
-    )
-    p.add_argument("--sweep", choices=SWEEP_PARAMETERS, help="parameter to sweep")
-    p.add_argument("--values", help="comma-separated sweep values")
-    p.set_defaults(handler=cmd_decoherence)
-    return parser
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config) if args.config is not None else RunConfig()
     updates = {}
@@ -144,11 +101,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 values = tuple(float(v) for v in values.split(","))
             except ValueError as exc:
                 raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
-        if parameter is not None or values is not None:
-            updates["sweep"] = SweepSettings(
-                parameter=parameter or config.sweep.parameter,
-                values=config.sweep.values if values is None else values,
-            )
+            updates["sweep"] = SweepSettings(parameter or config.sweep.parameter, values)
+        elif parameter is not None:
+            try:
+                updates["sweep"] = SweepSettings(parameter, config.sweep.values)
+            except ConfigError as exc:
+                # the values came from the config file or the defaults, not the command line
+                raise ConfigError(f"--sweep {parameter} needs --values; configured {exc}") from exc
         return replace(config, **updates) if updates else config
     except ConfigError:
         raise
@@ -170,12 +129,10 @@ def _write_report(path: Path, report, echo: dict) -> None:
         if isinstance(report, dict):
             report = {**report, "config": echo}
         # NaN and Infinity are not JSON: a report carrying one is a program fault
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
-        rows = io.StringIO()
-        csv.writer(rows, lineterminator="\n").writerows(report)
-        text = rows.getvalue()
-    path.write_text(text)
+        with path.open("w") as file:
+            csv.writer(file, lineterminator="\n").writerows(report)
 
 
 def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
@@ -188,17 +145,14 @@ def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
     print(f"phases (rad): {', '.join(f'{p:+.6f}' for p in report.phases)}")
     print(f"max entry error: {report.max_entry_error:.3e} (tolerance {report.entry_tol:.0e})")
     print(f"max leakage: {report.leakage:.3e} (tolerance {report.leakage_tol:.0e})")
+    scalars = ("leakage", "max_entry_error", "entry_tol", "leakage_tol", "passed")
     return report.passed, {
         "truth_table.json": {
             "matrix_real": np.real(report.matrix).tolist(),
             "matrix_imag": np.imag(report.matrix).tolist(),
             "phases_rad": report.phases.tolist(),
             "per_column_leakage": report.per_column_leakage.tolist(),
-            "leakage": report.leakage,
-            "max_entry_error": report.max_entry_error,
-            "entry_tol": report.entry_tol,
-            "leakage_tol": report.leakage_tol,
-            "passed": report.passed,
+            **{name: getattr(report, name) for name in scalars},
         },
         "schedule.json": [segment.to_dict() for segment in schedule],
     }
@@ -209,10 +163,8 @@ def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
     schedule = cluster_chain_schedule(n, config.gate)
     state = evolve_pure(chain_initial_state(n, config.fock_cutoff), schedule)
     clock("evolve")
-    oracle = cluster_state_oracle(n, config.fock_cutoff)
-    fidelity = state_fidelity(state, oracle)
-    # free the oracle's amplitudes before the stabilizers allocate theirs
-    del oracle
+    # the oracle's amplitudes are freed before the stabilizers allocate theirs
+    fidelity = state_fidelity(state, cluster_state_oracle(n, config.fock_cutoff))
     clock("oracle")
     stab = stabilizer_expectations(state, n)
     clock("stabilizers")
@@ -309,10 +261,70 @@ def cmd_decoherence(config: RunConfig, clock) -> tuple[bool, dict]:
     }
 
 
+# every flag, by name: its add_argument keywords
+FLAGS = {
+    "--config": dict(type=Path, help="JSON config file; flags override it"),
+    "--out": dict(type=Path, help="output directory (default: out)"),
+    "--fock-cutoff": dict(type=int, help="cavity truncation photon number"),
+    "--ratio": dict(type=float, help="coupling ratio omega_2/omega_1 override"),
+    "--cavity-time-scale": dict(
+        type=float, default=1.0, help="scale factor on the cavity window (2.0 doubles it)"
+    ),
+    "--n": dict(type=int, help="number of SQUIDs in the chain (2..10)"),
+    "--sweep": dict(choices=SWEEP_PARAMETERS, help="parameter to sweep"),
+    "--values": dict(help="comma-separated sweep values"),
+}
+# the flags every command takes
+COMMON_FLAGS = ("--config", "--out", "--fock-cutoff")
+# command name -> (handler, one-line help, the command's own flags)
+COMMANDS = {
+    "truth-table": (
+        cmd_truth_table,
+        "extract the gate's 4x4 computational action and score it",
+        ("--ratio", "--cavity-time-scale"),
+    ),
+    "cluster": (cmd_cluster, "run the chain protocol and verify the output", ("--n",)),
+    "feasibility": (cmd_feasibility, "recompute operating-point timescales", ()),
+    "decoherence": (
+        cmd_decoherence,
+        "gate fidelity under decay, swept over one rate",
+        ("--sweep", "--values"),
+    ),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Return the one parser of ``command``, or the top-level one if it names none.
+
+    The top-level parser takes the command word alone: it prints the help,
+    listing every command, or a usage error.
+    """
+    if command in COMMANDS:
+        _, summary, own_flags = COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"squidcavity {command}", description=summary)
+        for flag in (*COMMON_FLAGS, *own_flags):
+            parser.add_argument(flag, **FLAGS[flag])
+        return parser
+    listing = "".join(f"\n  {name:<14}{summary}" for name, (_, summary, _) in COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="squidcavity",
+        description="Simulate a cavity-mediated controlled-phase gate between three-level "
+        f"SQUIDs\nand the cluster chains it generates.\n\ncommands:{listing}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=COMMANDS, help="see squidcavity <command> --help")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command in COMMANDS else argv)
+        if command not in COMMANDS:
+            # a command word that parses after another argument, as after "--"
+            parser.error("the command must be the first argument")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
@@ -322,7 +334,7 @@ def main(argv=None) -> int:
         _make_out_dir(out_dir)
         # the handler marks the end of each of its phases on this clock
         marks = [("start", time.perf_counter())]
-        passed, reports = args.handler(
+        passed, reports = COMMANDS[command][0](
             config, lambda phase: marks.append((phase, time.perf_counter()))
         )
     except ConfigError as exc:

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -442,6 +444,9 @@ def test_decoherence_rejects_non_finite_values(tmp_path, capsys):
 def test_decoherence_rejects_bad_values(tmp_path, capsys):
     assert main(["decoherence", "--values", "5e4,oops", "--out", str(tmp_path)]) == 2
     assert "comma-separated" in capsys.readouterr().err
+    # the configured k values (5e4 and up) are no branching ratios
+    assert main(["decoherence", "--sweep", "branch_ratio", "--out", str(tmp_path)]) == 2
+    assert "branch_ratio needs --values; configured sweep values" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_names_its_key(tmp_path, capsys):
@@ -577,11 +582,67 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
     assert taken.read_text() == "keep me\n"
 
 
-def test_usage_errors_and_help(capsys):
+# each command's own flags, besides --help and the common three
+OWN_FLAGS = {
+    "truth-table": {"--ratio", "--cavity-time-scale"},
+    "cluster": {"--n"},
+    "feasibility": set(),
+    "decoherence": {"--sweep", "--values"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+def test_usage_errors_and_help(tmp_path, capsys):
     assert main(["--help"]) == 0
-    assert main([]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    # every command is listed with its one-line help
+    assert set(cli.COMMANDS) == set(OWN_FLAGS)
+    for command, (_, summary, _) in cli.COMMANDS.items():
+        assert [command, *summary.split()] in [line.split() for line in lines]
+    for command, own in OWN_FLAGS.items():
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: squidcavity {command} ")
+        common = {"--help", "--config", "--out", "--fock-cutoff"}
+        assert set(re.findall(r"--[a-z-]+", out)) == common | own
+    # no command, an unknown one, or a command after a flag or "--"
+    for argv in ([], ["bogus"], ["--out", "x", "truth-table"], ["--", "truth-table"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: squidcavity ") and "error:" in err
     assert main(["truth-table", "--bogus"]) == 2
     # the RK4 step count is no longer a setting, and nothing is random
     assert main(["decoherence", "--steps-per-segment", "600"]) == 2
     assert main(["truth-table", "--seed", "5"]) == 2
+    capsys.readouterr()
+    # an unambiguous prefix of a long flag is that flag
+    reports = {}
+    for flag in ("--ratio", "--rat"):
+        assert main(["truth-table", flag, "1.5", "--out", str(tmp_path)]) == 1
+        reports[flag] = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert reports["--rat"] == reports["--ratio"]
+
+
+def test_each_call_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built for the command word alone; a call builds no other
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    out = ["--out", str(tmp_path)]
+    runs = [
+        (["truth-table", *out], "squidcavity truth-table"),
+        (["cluster", "--n", "3", *out], "squidcavity cluster"),
+        (["feasibility", *out], "squidcavity feasibility"),
+        (["decoherence", "--values", "5e4", *out], "squidcavity decoherence"),
+        (["--help"], "squidcavity"),
+    ]
+    for argv, prog in runs:
+        built.clear()
+        assert main(argv) == 0
+        assert built == [prog]
     capsys.readouterr()

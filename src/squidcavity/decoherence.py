@@ -54,9 +54,7 @@ from .evolution import LindbladSegment, exp_segment
 from .hamiltonians import FeasibilityParams, collapse_operators_from_rates
 from .hilbert import SpaceLayout, basis_index, contract
 from .protocols import GateParams, qcpg_schedule
-from .verification import COMPUTATIONAL_BASIS
-
-CZ_SIGNS = (1.0, 1.0, 1.0, -1.0)
+from .verification import COMPUTATIONAL_BASIS, CZ_SIGNS
 
 
 @dataclass

@@ -52,6 +52,7 @@ import numpy as np
 
 from .hilbert import CompositeState, LocalOperator, SpaceLayout, check_number, contract
 
+HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-10
 
@@ -72,12 +73,23 @@ SUPEROPERATOR_DIM_LIMIT = 32
 
 
 def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
-    """exp(-iHt) on H's sites, via Hermitian eigendecomposition."""
-    if not hamiltonian.hermitian:
-        raise ValueError("propagator requires a Hermitian generator")
+    """exp(-iHt) on H's sites, via Hermitian eigendecomposition.
+
+    ``eigh`` reads one triangle of H only, so H is first checked to be
+    Hermitian to ``HERMITICITY_TOL``; a NaN or Inf entry fails that check.
+    """
+    h = hamiltonian.matrix
+    # an Inf entry gives inf - inf = NaN here, refused below without a warning
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(h - h.conj().T))
+    # written so that a NaN defect fails too
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(
+            f"propagator requires a Hermitian generator, but max |H - H^dag| = {defect:.3e}"
+        )
     if t < 0:
         raise ValueError(f"duration must be >= 0, got {t}")
-    w, v = np.linalg.eigh(hamiltonian.matrix)
+    w, v = np.linalg.eigh(h)
     # as a Python float, a phase past the float range is inf with no warning
     check_number("max|eigenvalue| * duration", float(np.abs(w).max()) * float(t))
     mat = (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEVEL_E, SQUID_DIM, LocalOperator, check_number
+from .hilbert import LEVEL_0, LEVEL_1, LEVEL_E, SQUID_DIM, LocalOperator, check_number
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,7 @@ def drive_hamiltonian(
     mat = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
     mat[a, b] = 1j * rabi * np.exp(1j * phase)
     mat[b, a] = -1j * rabi * np.exp(-1j * phase)
-    return LocalOperator(
-        sites=(squid,),
-        local_dims=(SQUID_DIM,),
-        matrix=mat,
-        hermitian=True,
-    )
+    return LocalOperator(sites=(squid,), local_dims=(SQUID_DIM,), matrix=mat)
 
 
 def annihilation(n_max: int) -> np.ndarray:
@@ -133,12 +128,7 @@ def cavity_coupling_hamiltonian(
     entries[other, 0, n + 1, other, 1, n] = entries[other, 1, n, other, 0, n + 1] = (
         omega_2 * root
     )
-    return LocalOperator(
-        sites=(squid_a, squid_b, -1),
-        local_dims=dims,
-        matrix=mat,
-        hermitian=True,
-    )
+    return LocalOperator(sites=(squid_a, squid_b, -1), local_dims=dims, matrix=mat)
 
 
 def collapse_operators_from_rates(
@@ -165,29 +155,12 @@ def collapse_operators_from_rates(
                 matrix=math.sqrt(cavity_decay) * annihilation(n_max),
             )
         )
-    if gamma_e > 0:
-        e_to_0 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
-        e_to_0[0, LEVEL_E] = 1.0
-        e_to_1 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
-        e_to_1[1, LEVEL_E] = 1.0
-        for squid in (0, 1):
-            rate0 = gamma_e * branch_ratio_e_to_0
-            rate1 = gamma_e * (1.0 - branch_ratio_e_to_0)
-            if rate0 > 0:
-                ops.append(
-                    LocalOperator(
-                        sites=(squid,),
-                        local_dims=(SQUID_DIM,),
-                        matrix=math.sqrt(rate0) * e_to_0,
-                    )
-                )
-            if rate1 > 0:
-                ops.append(
-                    LocalOperator(
-                        sites=(squid,),
-                        local_dims=(SQUID_DIM,),
-                        matrix=math.sqrt(rate1) * e_to_1,
-                    )
-                )
+    rates = (gamma_e * branch_ratio_e_to_0, gamma_e * (1.0 - branch_ratio_e_to_0))
+    for squid in (0, 1):
+        for level, rate in zip((LEVEL_0, LEVEL_1), rates):
+            if rate > 0:
+                jump = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
+                jump[level, LEVEL_E] = math.sqrt(rate)
+                ops.append(LocalOperator(sites=(squid,), local_dims=(SQUID_DIM,), matrix=jump))
     return ops
 

@@ -27,16 +27,19 @@ sites are one ascending run of neighbouring factors (every single-SQUID
 pulse, the last gate's (N-2, N-1, cavity)), the amplitudes reshape to a
 (left, D, right) view, the batch axis joining right, and the operator is
 applied with no copy.  Any other site set, such as the gate's (a, a+1,
-cavity) with a < N-2 or a descending order, takes one gather-gemm-scatter
-route: the touched axes are gathered last into the result buffer, one gemm
-against the transposed matrix writes into a second buffer, and one scatter
-puts the product back in layout order.  Given an ``out`` array,
-``contract`` writes there and uses its input as that second buffer, so a
-schedule runs in two state-sized buffers.
+cavity) with a < N-2, a descending order or no site at all, takes one
+gather-gemm-scatter route over the view with one axis per factor plus the
+batch axis: the untouched axes and the batch axis are gathered first and
+the operator's sites last into the result buffer, one gemm against the
+transposed matrix writes into a second buffer, and one scatter puts the
+product back in layout order.  Given an ``out`` array, ``contract`` writes
+there and uses its input as that second buffer, so a schedule runs in two
+state-sized buffers.
 
 Layouts and operators are immutable after construction and safe to share
-between threads; an operator's matrix and a state's amplitudes are
-read-only views.  A CompositeState is owned by whichever evolution is
+between threads.  A ``LocalOperator`` holds its ``sites``, their
+``local_dims`` and its ``matrix``; an operator's matrix and a state's
+amplitudes are read-only views.  A CompositeState is owned by whichever evolution is
 currently producing it; independent runs can proceed concurrently on their
 own states.
 """
@@ -51,8 +54,6 @@ import numpy as np
 
 SQUID_DIM = 3
 LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
-
-HERMITICITY_TOL = 1e-12
 
 # A single-run operator of dimension D with ``right`` amplitudes after it,
 # batch axis included, is applied either as ``left`` stacked (D x D)(D x right)
@@ -190,17 +191,16 @@ class LocalOperator:
     the row/column mixed-radix convention of ``matrix`` (first listed site is
     the slowest digit).  ``local_dims`` gives the corresponding factor
     dimensions; the matrix must be square with dimension equal to their
-    product.  Setting ``hermitian`` asserts Hermiticity at construction.
-    ``matrix`` is then a read-only view, so nothing written through the
-    operator can undo the checks.  It shares memory with a complex array the
-    caller passed in; that array stays writable, and a write into it shows
-    through.
+    product.  ``matrix`` is then a read-only view, so nothing written through
+    the operator can undo the check, and a propagator built for one segment
+    can be shared by every segment with its key.  It shares memory with a
+    complex array the caller passed in; that array stays writable, and a
+    write into it shows through.
     """
 
     sites: tuple[int, ...]
     local_dims: tuple[int, ...]
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
@@ -214,13 +214,6 @@ class LocalOperator:
                 f"matrix shape {mat.shape} does not match local dimensions "
                 f"{self.local_dims} (product {dim})"
             )
-        if self.hermitian:
-            defect = np.max(np.abs(mat - mat.conj().T)) if dim else 0.0
-            # written so that a NaN defect fails too
-            if not defect <= HERMITICITY_TOL:
-                raise ValueError(
-                    f"operator flagged hermitian but max |M - M^dag| = {defect:.3e}"
-                )
         mat = mat.view()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -236,15 +229,15 @@ def contract(
     """Apply a local operator to raw amplitudes, the one operator kernel.
 
     ``psi`` is one amplitude vector or a block of states as columns, shape
-    (total_dim, batch); the result has its shape.  The sites split, in the
-    operator's order, into runs of ascending neighbours: on three SQUIDs
-    (1, 2, -1) is one run and (0, 1, -1) is two.  One run is applied on the
-    view (left, D, right): as ``left`` stacked (D x D)(D x right) products,
-    or, while ``right`` is small, as one gemm against kron(M, I_right),
-    built as a broadcast product with the bits ``np.kron`` gives.  Otherwise
-    the untouched factors between runs are merged into single axes, gathered
-    with the batch axis in front of the runs, multiplied in one gemm and
-    scattered back.
+    (total_dim, batch); the result has its shape.  Sites that are one run of
+    ascending neighbours, such as (1, 2, -1) on three SQUIDs, are applied on
+    the view (left, D, right): as ``left`` stacked (D x D)(D x right)
+    products, or, while ``right`` is small, as one gemm against
+    kron(M, I_right), built as a broadcast product with the bits ``np.kron``
+    gives.  Any other sites, such as (0, 1, -1) or none, are applied on the
+    view with one axis per factor and one for the batch: the untouched axes
+    and the batch axis are gathered in front of the sites, in operator
+    order, multiplied in one gemm and scattered back.
 
     Without ``out`` the result is a new array and ``psi`` is only read.
     ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
@@ -268,27 +261,8 @@ def contract(
         raise ValueError("out must be a C-contiguous complex array shaped like psi, apart from it")
     else:
         scratch = psi
-    # split the sites, in operator order, into runs of ascending neighbours
-    runs = []
-    for s in sites:
-        if runs and s == runs[-1][-1] + 1:
-            runs[-1].append(s)
-        else:
-            runs.append([s])
-    # merged tensor shape: one axis per run, one per stretch of other factors
-    run_of = {s: i for i, run in enumerate(runs) for s in run}
-    shape, axes, prev = [], [0] * len(runs), None
-    for f, d in enumerate(layout.dims):
-        key = run_of.get(f)
-        if shape and key == prev:
-            shape[-1] *= d
-        else:
-            if key is not None:
-                axes[key] = len(shape)
-            shape.append(d)
-        prev = key
-    if len(runs) == 1:
-        view = psi.reshape(math.prod(shape[: axes[0]]), op.dim, -1)
+    if sites and sites == tuple(range(sites[0], sites[0] + len(sites))):
+        view = psi.reshape(math.prod(layout.dims[: sites[0]]), op.dim, -1)
         right = view.shape[2]
         if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
             # kron(M, I_right), C-contiguous and with np.kron's bits, without
@@ -300,9 +274,9 @@ def contract(
         else:
             np.matmul(op.matrix, view, out=out.reshape(view.shape))
         return out
-    # gather the run axes last, in operator order, after the batch axis
-    tensor = psi.reshape(shape + [-1])
-    order = [a for a in range(tensor.ndim) if a not in axes] + axes
+    # gather the sites last, in operator order, after the batch axis
+    tensor = psi.reshape(layout.dims + (-1,))
+    order = [a for a in range(tensor.ndim) if a not in sites] + list(sites)
     gathered = out.reshape([tensor.shape[a] for a in order])
     np.copyto(gathered, tensor.transpose(order))
     if scratch is None:

@@ -33,7 +33,9 @@ from .hilbert import (
 )
 
 COMPUTATIONAL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
-CZ_DIAG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+# the target gate diag(1, 1, 1, -1) over COMPUTATIONAL_BASIS
+CZ_SIGNS = (1.0, 1.0, 1.0, -1.0)
+CZ_DIAG = np.diag(CZ_SIGNS).astype(complex)
 
 DEFAULT_ENTRY_TOL = 1e-9
 DEFAULT_LEAKAGE_TOL = 1e-10

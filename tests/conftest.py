@@ -121,7 +121,6 @@ def chain_stabilizer(n_qubits: int, i: int) -> LocalOperator:
         sites=tuple(sites),
         local_dims=(SQUID_DIM,) * len(sites),
         matrix=matrix,
-        hermitian=True,
     )
 
 
@@ -143,7 +142,6 @@ def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOper
         sites=(squids[0], squids[1], -1),
         local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
         matrix=mat,
-        hermitian=True,
     )
 
 

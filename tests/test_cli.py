@@ -137,21 +137,37 @@ def test_truth_table_reports_match_pinned_bytes(tmp_path, capsys, argv, tag, cod
 @pytest.mark.parametrize(
     "parameter, values",
     # 1/4/1 sub-steps per segment at the base rates, 3/5/3 at the top gamma_e
-    [("gamma_e", "4e5,3.08e8"), ("k", "5e4,5.03e7")],
+    [("gamma_e", "4e5,3.08e8"), ("k", "5e4,5.03e7"), ("branch_ratio", "0.5,0.7")],
 )
 def test_decoherence_reports_match_pinned_bytes(tmp_path, capsys, parameter, values):
+    argv = ["--sweep", parameter, "--values", values]
+    _assert_decoherence_pins(tmp_path, capsys, argv, parameter)
+
+
+def test_default_decoherence_reports_match_pinned_bytes(tmp_path, capsys):
+    # the default sweep: cavity decay k at four points
+    _assert_decoherence_pins(tmp_path, capsys, [], "default")
+
+
+def _assert_decoherence_pins(tmp_path, capsys, argv, tag):
     # the scores are pinned to the last bit across versions; only the
     # runtime column may vary
-    argv = ["decoherence", "--sweep", parameter, "--values", values, "--out", str(tmp_path)]
-    assert main(argv) == 0
+    assert main(["decoherence", *argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     data = Path(__file__).parent / "data"
     rows = _read_json(tmp_path / "decoherence.json")["rows"]
     got = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    assert got == (data / f"decoherence_{parameter}_rows.json").read_text()
+    assert got == (data / f"decoherence_{tag}_rows.json").read_text()
     lines = (tmp_path / "decoherence.csv").read_text().splitlines()
     got = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
-    assert got == (data / f"decoherence_{parameter}.csv").read_text()
+    assert got == (data / f"decoherence_{tag}.csv").read_text()
+
+
+def test_feasibility_report_matches_pinned_bytes(tmp_path, capsys):
+    assert main(["feasibility", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    pinned = (Path(__file__).parent / "data" / "feasibility.json").read_text()
+    assert _report_without_config(tmp_path / "feasibility.json") == pinned
 
 
 def test_truth_table_wrong_ratio_fails(tmp_path, capsys):

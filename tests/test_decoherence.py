@@ -18,9 +18,8 @@ from squidcavity import (
 )
 from squidcavity.cli import main
 from squidcavity.config import PREPARED_POINT_BYTES, SWEEP_PARAMETERS, RunConfig
-from squidcavity.decoherence import CZ_SIGNS
 from squidcavity.evolution import LindbladSegment, WorkLimitError, exp_segment
-from squidcavity.verification import COMPUTATIONAL_BASIS
+from squidcavity.verification import COMPUTATIONAL_BASIS, CZ_SIGNS
 
 from conftest import PADE_TOL, check_step_size, pade_scores, rk4_lindblad
 

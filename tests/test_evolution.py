@@ -73,16 +73,35 @@ def test_propagator_rejects_non_hermitian():
         propagator(drive_hamiltonian(0, (0, 1), 1.0, 0.0), -1.0)
 
 
+def test_propagator_checks_hermiticity_at_its_bound():
+    # eigh reads one triangle only, so the defect max |H - H^dag| is
+    # checked first: exactly 1e-12 runs, one ulp above it does not
+    edge = np.diag([1.0, 2.0, 0.0]).astype(complex)
+    edge[0, 1] = 1e-12
+    propagator(LocalOperator((0,), (3,), edge), 1.0)
+    for defect in (np.nextafter(1e-12, 1.0), 1e-10):
+        over = np.diag([1.0, 2.0, 0.0]).astype(complex)
+        over[0, 1] = defect
+        with pytest.raises(ValueError, match="Hermitian generator"):
+            propagator(LocalOperator((0,), (3,), over), 1.0)
+    # any Hermitian matrix propagates; no builder has to vouch for it
+    u = propagator(LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0])), 0.5).matrix
+    np.testing.assert_allclose(u, np.diag(np.exp([-0.5j, -1j, 0])), rtol=0, atol=1e-15)
+
+
 def test_propagator_rejects_nan_generator():
-    # the Hermiticity flag refuses NaN at construction and the matrix is
-    # read-only, so only bypassing the frozen dataclass puts a NaN in; the
-    # phase check ahead of np.exp must still not let it through
-    h = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0]), hermitian=True)
-    with pytest.raises(ValueError, match="read-only"):
-        h.matrix[1, 1] = np.nan
-    object.__setattr__(h, "matrix", np.diag([1.0, np.nan, 0.0]).astype(complex))
+    # a NaN defect compares false against any bound; it must fail too,
+    # before eigh reads the matrix, and so must an Inf entry (inf - inf)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Hermitian generator"):
+            propagator(LocalOperator((0,), (3,), np.diag([1.0, bad, 0.0])), 1.0)
+
+
+def test_propagator_refuses_a_phase_past_the_float_range():
+    # every entry is finite, but max|w| t is not: refused ahead of np.exp
+    h = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 0.0]))
     with pytest.raises(ValueError, match="duration must be finite"):
-        propagator(h, 1.0)
+        propagator(h, 1e10)
 
 
 def test_propagator_unitary_and_composes():
@@ -153,6 +172,17 @@ def test_propagate_checks_every_state_after_every_segment(monkeypatch):
     huge = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 1.0]))
     monkeypatch.setattr(evolution, "propagator", lambda h, t: huge)
     with pytest.raises(ValueError, match="norm drifted to inf"):
+        propagate(layout, schedule, block)
+
+
+def test_propagate_checks_the_norm_at_its_bound():
+    # a state 5e-11 off norm 1 runs; 2e-10 off, past NORM_TOL, is refused
+    layout = SpaceLayout(1, fock_cutoff=1)
+    schedule = (DriveSegment(0, (0, 1), 1.0, 1.0),)
+    block = np.zeros((layout.total_dim, 2), dtype=complex)
+    block[basis_index(layout, (0,)), :] = (1.0 + 5e-11, 1.0 + 2e-10)
+    propagate(layout, schedule, block[:, :1])
+    with pytest.raises(ValueError, match="norm drifted"):
         propagate(layout, schedule, block)
 
 
@@ -285,7 +315,7 @@ def test_excitation_number_conserved():
 
 
 def _zero_cavity_hamiltonian(n_max):
-    return LocalOperator((-1,), (n_max + 1,), np.zeros((n_max + 1, n_max + 1)), hermitian=True)
+    return LocalOperator((-1,), (n_max + 1,), np.zeros((n_max + 1, n_max + 1)))
 
 
 def _pure_density(state):

@@ -16,7 +16,7 @@ from conftest import excitation_number
 
 def test_drive_hamiltonian_matrix_elements():
     h = drive_hamiltonian(0, (1, 2), 2.0, 0.7)
-    assert h.hermitian
+    assert np.array_equal(h.matrix, h.matrix.conj().T)
     assert h.sites == (0,)
     np.testing.assert_allclose(h.matrix[1, 2], 2j * np.exp(0.7j))
     np.testing.assert_allclose(h.matrix[2, 1], -2j * np.exp(-0.7j))
@@ -46,7 +46,7 @@ def test_annihilation_matrix():
 def test_cavity_coupling_single_excitation_elements():
     omega_1, omega_2 = 1.5, 2.5
     h = cavity_coupling_hamiltonian(0, 1, omega_1, omega_2, n_max=2)
-    assert h.hermitian
+    assert np.array_equal(h.matrix, h.matrix.conj().T)
     assert h.sites == (0, 1, -1)
     layout = SpaceLayout(2, fock_cutoff=2)
     i100 = basis_index(layout, (1, 0), 0)
@@ -88,7 +88,7 @@ def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, n_max
     h = cavity_coupling_hamiltonian(2, 0, omega_1, omega_2, n_max)
     assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, n_max).tobytes()
     assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, n_max + 1)
-    assert h.hermitian and not h.matrix.flags.writeable
+    assert np.array_equal(h.matrix, h.matrix.conj().T) and not h.matrix.flags.writeable
 
 
 def test_cavity_coupling_needs_photon_level():
@@ -98,6 +98,7 @@ def test_cavity_coupling_needs_photon_level():
 
 def test_excitation_number_diagonal():
     n_op = excitation_number(2)
+    assert np.array_equal(n_op.matrix, n_op.matrix.conj().T)
     assert np.all(n_op.matrix == np.diag(np.diag(n_op.matrix)))
     layout = SpaceLayout(2, fock_cutoff=2)
     diag = np.real(np.diag(n_op.matrix))
@@ -138,6 +139,26 @@ def test_collapse_operators_count_and_rates():
     np.testing.assert_allclose(cavity.matrix, 2.0 * annihilation(2))
     e0 = ops[1]
     np.testing.assert_allclose(e0.matrix[0, 2], math.sqrt(4.5))
+
+
+def test_collapse_operators_keep_their_order():
+    # the order fixes the noisy gate's bits: the cavity, then e->0 and e->1
+    # on SQUID 0, then on SQUID 1
+    ops = collapse_operators_from_rates(4.0, 9.0, 0.25, n_max=1)
+    e_to_0 = np.zeros((3, 3), dtype=complex)
+    e_to_0[0, 2] = 1.5
+    e_to_1 = np.zeros((3, 3), dtype=complex)
+    e_to_1[1, 2] = math.sqrt(6.75)
+    want = [
+        ((-1,), 2.0 * annihilation(1)),
+        ((0,), e_to_0),
+        ((0,), e_to_1),
+        ((1,), e_to_0),
+        ((1,), e_to_1),
+    ]
+    assert [op.sites for op in ops] == [sites for sites, _ in want]
+    for op, (_, matrix) in zip(ops, want):
+        assert np.array_equal(op.matrix, matrix)
 
 
 def test_collapse_operators_drop_zero_rates():

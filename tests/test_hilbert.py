@@ -117,21 +117,12 @@ def test_local_operator_validation():
         LocalOperator((0,), (3,), np.eye(2))
     with pytest.raises(ValueError):
         LocalOperator((0, 1), (3,), np.eye(3))
-    # hermitian flag enforces the 1e-12 bound
-    almost = np.eye(3, dtype=complex)
-    almost[0, 1] = 1e-10
-    with pytest.raises(ValueError, match="hermitian"):
-        LocalOperator((0,), (3,), almost, hermitian=True)
-    LocalOperator((0,), (3,), almost)  # fine without the flag
-    # a NaN defect compares false against any bound; it must fail too
-    with pytest.raises(ValueError, match="hermitian"):
-        LocalOperator((0,), (3,), np.diag([1.0, np.nan, 0.0]), hermitian=True)
 
 
 def test_checked_arrays_are_read_only_views():
     # nothing written through the operator or the state can undo its checks
     mat = np.diag([1.0, 2.0, 0.0]).astype(complex)
-    op = LocalOperator((0,), (3,), mat, hermitian=True)
+    op = LocalOperator((0,), (3,), mat)
     with pytest.raises(ValueError, match="read-only"):
         op.matrix[1, 1] = np.nan
     amp = np.zeros(9, dtype=complex)
@@ -151,7 +142,7 @@ def test_apply_local_identity():
     layout = SpaceLayout(2)
     rng = np.random.default_rng(0)
     state = random_state(rng, layout)
-    op = LocalOperator((0, -1), (3, 3), np.eye(9), hermitian=True)
+    op = LocalOperator((0, -1), (3, 3), np.eye(9))
     out = contract(layout, op, state.amplitudes)
     np.testing.assert_array_equal(out, state.amplitudes)
 
@@ -159,7 +150,7 @@ def test_apply_local_identity():
 def test_apply_local_swap_on_second_squid():
     layout = SpaceLayout(2)
     state = basis_state(layout, (0, 0))
-    out = contract(layout, LocalOperator((1,), (3,), SWAP01, hermitian=True), state.amplitudes)
+    out = contract(layout, LocalOperator((1,), (3,), SWAP01), state.amplitudes)
     assert out[basis_index(layout, (0, 1))] == 1.0
 
 
@@ -222,10 +213,10 @@ def test_apply_local_unitary_preserves_norm():
 
 def test_expectation_projector_and_parity():
     layout = SpaceLayout(1, fock_cutoff=1)
-    proj0 = LocalOperator((0,), (3,), np.diag([1.0, 0, 0]), hermitian=True)
+    proj0 = LocalOperator((0,), (3,), np.diag([1.0, 0, 0]))
     assert expectation(basis_state(layout, (0,)), proj0) == 1.0
     plus = tensor_state([np.array([1, 1, 0]) / np.sqrt(2), (1, 0)])
-    z = LocalOperator((0,), (3,), np.diag([1.0, -1.0, 0.0]), hermitian=True)
+    z = LocalOperator((0,), (3,), np.diag([1.0, -1.0, 0.0]))
     np.testing.assert_allclose(expectation(plus, z), 0.0, atol=1e-15)
 
 
@@ -234,7 +225,7 @@ def test_expectation_real_for_hermitian():
     layout = SpaceLayout(2)
     state = random_state(rng, layout)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    op = LocalOperator((0, 1), (3, 3), (m + m.conj().T) / 2, hermitian=True)
+    op = LocalOperator((0, 1), (3, 3), (m + m.conj().T) / 2)
     assert abs(expectation(state, op).imag) <= 1e-12
 
 

@@ -147,6 +147,11 @@ def local_operator_cases(draw):
 @example((8, 2, (5, 6, -1), 6), 3)
 @example((8, 2, (7, 6), 7), 1)
 @example((9, 0, (-1, 6, -2), 8), 1)
+# no site at all, a scalar on every amplitude; a non-adjacent mixed-sign set
+@example((3, 2, (), 9), 1)
+@example((3, 2, (), 9), 2)
+@example((3, 2, (0, 2, -1), 10), 1)
+@example((3, 2, (0, 2, -1), 10), 2)
 def test_contract_matches_dense_oracle(case, width):
     n_squids, fock, sites, seed = case
     layout = SpaceLayout(n_squids, fock)
@@ -169,7 +174,7 @@ def test_contract_matches_dense_oracle(case, width):
     # factors before the first site are untouched, so each block of the
     # leading digits is one state on the layout's tail (which keeps at
     # least one SQUID when the cavity is the only site)
-    first = min(min(layout.resolve_sites(sites)), n_squids - 1)
+    first = min([*layout.resolve_sites(sites), n_squids - 1])
     tail = SpaceLayout(n_squids - first, fock)
     shifted = tuple(layout.resolve_site(s) - first for s in sites)
     dense = oracle_embedded(LocalOperator(shifted, local_dims, op.matrix), tail)

@@ -21,7 +21,7 @@ for n_qubits in (2, 3, 4, 6):
     schedule = cluster_chain_schedule(n_qubits)
     state = evolve_pure(chain_initial_state(n_qubits), schedule)
     fidelity = state_fidelity(state, cluster_state_oracle(n_qubits))
-    report = stabilizer_expectations(state, n_qubits)
+    report = stabilizer_expectations(state)
     print(
         f"N={n_qubits}: {len(schedule)} segments, oracle fidelity {fidelity:.12f}, "
         f"min stabilizer {report.min_expectation:+.12f}, "
@@ -31,7 +31,7 @@ for n_qubits in (2, 3, 4, 6):
 print()
 print("stabilizer generators for N=4 (Z X Z windows, X at the listed site):")
 state = evolve_pure(chain_initial_state(4), cluster_chain_schedule(4))
-report = stabilizer_expectations(state, 4)
+report = stabilizer_expectations(state)
 for i, value in enumerate(report.expectations):
     print(f"  site {i}: <K_{i}> = {value:+.12f}")
 

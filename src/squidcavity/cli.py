@@ -166,7 +166,7 @@ def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
     # the oracle's amplitudes are freed before the stabilizers allocate theirs
     fidelity = state_fidelity(state, cluster_state_oracle(n, config.fock_cutoff))
     clock("oracle")
-    stab = stabilizer_expectations(state, n)
+    stab = stabilizer_expectations(state)
     clock("stabilizers")
     passed = (
         fidelity >= CLUSTER_FIDELITY_MIN

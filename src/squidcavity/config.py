@@ -20,7 +20,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams, exchange_norm_bound
-from .hilbert import SQUID_DIM, check_number
+from .hilbert import MAX_ARRAY_BYTES, SQUID_DIM, check_number
 from .protocols import GateParams
 
 # sweep name -> the rate keyword of ``decoherence.noisy_gate`` it sets
@@ -36,13 +36,10 @@ MAX_CHAIN = 10
 # default sweep: cavity decay from the base point up three decades
 DEFAULT_SWEEP_VALUES = (5e4, 5e5, 5e6, 5e7)
 
-# budget for the largest single complex array a command may allocate
-MAX_ARRAY_BYTES = 2**24
-
 # ``decoherence`` builds every sweep point before it scores any, and one
 # built point holds about 25 kB (tracemalloc over 200 points at the
 # default cutoff); rounded up to 32 KiB, the sweep length is capped so
-# that the built points stay within the same budget
+# that the built points stay within the byte budget of one array
 PREPARED_POINT_BYTES = 2**15
 MAX_SWEEP_VALUES = MAX_ARRAY_BYTES // PREPARED_POINT_BYTES
 

@@ -121,7 +121,7 @@ def noisy_gate(
     gate: GateParams = GateParams(),
     cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
     gamma_e_per_s: float = FeasibilityParams().gamma_e_per_s,
-    branch_ratio_e_to_0: float = 0.5,
+    branch_ratio_e_to_0: float = FeasibilityParams().branch_ratio_e_to_0,
     fock_cutoff: int = 2,
 ) -> NoisyGate:
     """Build the noisy gate's generators on its invariant subspace; no propagation.

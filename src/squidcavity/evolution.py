@@ -25,8 +25,9 @@ complex superoperator and P the transpose permutation on vec.
 
 A ``LindbladSegment`` sizes itself once, when it is built: its drift and
 its sub-step count, which follows from a norm bound on L t.  No segment
-exists that cannot run: a dimension above ``SUPEROPERATOR_DIM_LIMIT`` or a
-negative duration is refused with ``ValueError``, and a count above
+exists that cannot run: a dimension above ``SUPEROPERATOR_DIM_LIMIT`` (the
+byte budget ``hilbert.MAX_ARRAY_BYTES`` at 16 d^4 bytes) or a duration that
+is negative, NaN or infinite is refused with ``ValueError``, and a count above
 ``MAX_LINDBLAD_SUBSTEPS`` with ``WorkLimitError``, as is a generator or a
 count that overflows, or a generator whose Taylor products could leave
 the float range.  ``exp_segment`` runs a segment.  It forms L_y once per
@@ -45,12 +46,13 @@ equation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompositeState, LocalOperator, SpaceLayout, check_number, contract
+from .hilbert import (
+    FLOAT_MAX, MAX_ARRAY_BYTES, CompositeState, LocalOperator, SpaceLayout, check_number, contract
+)
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -62,14 +64,14 @@ NORM_TOL = 1e-10
 _TAYLOR_DEGREE = 40
 _TAYLOR_THETA = 6.0
 _UNIT_ROUNDOFF = 2.0**-53
-_FLOAT_MAX = sys.float_info.max
-# each sub-step costs up to _TAYLOR_DEGREE generator applications; at the cap
-# one segment costs about what 10 000 RK4 steps would
+# each sub-step sums at most _TAYLOR_DEGREE terms, one real gemm each, so a
+# segment at the cap takes at most 40 000 gemms
 MAX_LINDBLAD_SUBSTEPS = 1000
-# the complex superoperator takes 16 d^4 bytes while it is formed (16.8 MB
-# at this dimension) and its real form L_y 8 d^4 bytes for the whole run;
-# the Kronecker terms are written in place, with no temporaries of that size
-SUPEROPERATOR_DIM_LIMIT = 32
+# the complex superoperator takes 16 d^4 bytes while it is formed and its
+# real form L_y 8 d^4 bytes for the whole run; the Kronecker terms are
+# written in place, with no temporaries of that size.  The limit is the
+# largest d whose S fits the byte budget: 32, where S takes exactly 16 MiB
+SUPEROPERATOR_DIM_LIMIT = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
 
 
 def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
@@ -77,6 +79,7 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
 
     ``eigh`` reads one triangle of H only, so H is first checked to be
     Hermitian to ``HERMITICITY_TOL``; a NaN or Inf entry fails that check.
+    A duration that is negative, NaN or infinite is refused.
     """
     h = hamiltonian.matrix
     # an Inf entry gives inf - inf = NaN here, refused below without a warning
@@ -87,8 +90,7 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
         raise ValueError(
             f"propagator requires a Hermitian generator, but max |H - H^dag| = {defect:.3e}"
         )
-    if t < 0:
-        raise ValueError(f"duration must be >= 0, got {t}")
+    check_number("duration", t, 0)
     w, v = np.linalg.eigh(h)
     # as a Python float, a phase past the float range is inf with no warning
     check_number("max|eigenvalue| * duration", float(np.abs(w).max()) * float(t))
@@ -166,8 +168,7 @@ def single_excitation_closed_form(
 
     The amplitudes stay normalized for all t.
     """
-    if omega_1 <= 0:
-        raise ValueError(f"omega_1 must be > 0, got {omega_1}")
+    check_number("omega_1", omega_1, 0, strict=True)
     omega = math.hypot(omega_1, omega_2)
     cos_wt = np.cos(omega * t)
     sin_wt = np.sin(omega * t)
@@ -228,7 +229,7 @@ def _exact_parts(h_full, l_ops, t: float):
     # parts of matrix units) start every sub-step from rows of norm at most
     # 1.
     x = float(bound) * float(t) / n_sub
-    if not float(bound) * (x ** int(x) / math.factorial(int(x))) <= _FLOAT_MAX:
+    if not float(bound) * (x ** int(x) / math.factorial(int(x))) <= FLOAT_MAX:
         raise WorkLimitError(
             f"a Taylor product over {n_sub} propagator sub-steps could leave the float range"
         )
@@ -244,8 +245,8 @@ class LindbladSegment:
     L_k^dag L_k, with H' the traceless part of H, and ``substeps``, the
     number of equal Taylor sub-steps over ``t``, are computed here, so
     ``dataclasses.replace`` sizes its copy afresh.  A dimension above
-    ``SUPEROPERATOR_DIM_LIMIT`` or a negative duration raises
-    ``ValueError`` before anything is allocated; work over
+    ``SUPEROPERATOR_DIM_LIMIT`` or a duration that is negative, NaN or
+    infinite raises ``ValueError`` before anything is allocated; work over
     ``MAX_LINDBLAD_SUBSTEPS``, or a generator, count or Taylor product that
     could overflow, raises ``WorkLimitError``.  So ``substeps`` is an int
     in [1, ``MAX_LINDBLAD_SUBSTEPS``].  Nothing here is of size d^4: each
@@ -265,8 +266,7 @@ class LindbladSegment:
                 f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
                 f"(it would take {16 * d**4 / 1e6:.3g} MB)"
             )
-        if self.t < 0:
-            raise ValueError(f"duration must be >= 0, got {self.t}")
+        check_number("duration", self.t, 0)
         object.__setattr__(self, "l_ops", tuple(self.l_ops))
         drift, substeps = _exact_parts(self.h_full, self.l_ops, self.t)
         object.__setattr__(self, "drift", drift)

@@ -89,10 +89,7 @@ def feasibility_report(
     }
     return FeasibilityReport(
         cavity_decay_per_s=k,
-        cavity_lifetime_s=values["cavity_lifetime_s"],
-        exchange_window_s=values["exchange_window_s"],
-        pulse_window_s=values["pulse_window_s"],
-        cooperativity=values["cooperativity"],
+        **values,
         exchange_per_cavity_decay=values["exchange_window_s"] * k,
         exchange_per_e_decay=values["exchange_window_s"] * params.gamma_e_per_s,
         anchors_matched=matched,

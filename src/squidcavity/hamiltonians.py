@@ -26,9 +26,13 @@ the module builds no operator for it; the tests build their own to check
 that it is conserved.  Its builder writes H's non-zeros directly, with no
 Kronecker products.
 
-The builders take plain values and check none of them: the segments of
-``protocols`` that call them refuse bad rates and levels when they are built.
-All builders are pure: they return immutable LocalOperators that can be
+The drive builder takes plain values and checks none of them: the segments
+of ``protocols`` that call it refuse bad rates and levels when they are
+built.  The others check what they alone see: ``annihilation`` refuses a
+negative cutoff, ``cavity_coupling_hamiltonian`` a cutoff below 1 and an
+exchange norm past the float range, and ``collapse_operators_from_rates``
+every rate and the branch ratio, through ``hilbert.check_number``.  All
+builders are pure: they return immutable LocalOperators that can be
 shared freely.
 """
 
@@ -64,11 +68,7 @@ class FeasibilityParams:
         check_number("gamma_e_per_s", self.gamma_e_per_s, 0)
         check_number("branch_ratio_e_to_0", self.branch_ratio_e_to_0, 0, 1)
         # finite inputs can still overflow or underflow in the derived rate
-        if not 0.0 < self.cavity_decay_per_s < math.inf:
-            raise ValueError(
-                "cavity_decay_per_s = omega_c_hz / q_factor must be finite and > 0, "
-                f"got {self.cavity_decay_per_s}"
-            )
+        check_number("omega_c_hz / q_factor", self.cavity_decay_per_s, 0, strict=True)
 
     @property
     def cavity_decay_per_s(self) -> float:

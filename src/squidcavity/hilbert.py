@@ -14,8 +14,11 @@ Conventions fixed here and relied on everywhere else in the package:
 * Operators address factors through site indices.  Negative indices count
   from the end of the factor list, so site ``-1`` is always the cavity.
 
-``check_number`` is where a number enters: every rate, duration, phase and
-ratio a constructor takes goes through it once.
+``check_number`` is the one range check of a number: every rate, duration,
+phase and ratio a constructor or propagator takes goes through it once, and
+so does every value a constructor derives from them.  The float bound it
+checks against, ``FLOAT_MAX``, and the byte budget of the largest array the
+program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
@@ -62,10 +65,12 @@ LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
 # multiply-adds per block stay below the cost of a separate small product.
 _KRON_EXTRA_MACS = 5000
 
-_FLOAT_MAX = sys.float_info.max
+FLOAT_MAX = sys.float_info.max
+# budget for the largest single complex array a command may allocate
+MAX_ARRAY_BYTES = 2**24
 
 
-def check_number(name, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, strict=False, error=ValueError):
+def check_number(name, value, low=-FLOAT_MAX, high=FLOAT_MAX, *, strict=False, error=ValueError):
     """Return ``value`` if it is a finite number in [low, high]; else raise ``error``.
 
     ``strict`` excludes ``low``.  The test compares and never converts, so
@@ -74,9 +79,9 @@ def check_number(name, value, low=-_FLOAT_MAX, high=_FLOAT_MAX, *, strict=False,
     """
     if (low < value if strict else low <= value) and value <= high:
         return value
-    if high < _FLOAT_MAX:
+    if high < FLOAT_MAX:
         rule = f" and lie in [{low:g}, {high:g}]"
-    elif low > -_FLOAT_MAX:
+    elif low > -FLOAT_MAX:
         rule = f" and {'>' if strict else '>='} {low:g}"
     else:
         rule = ""

@@ -49,7 +49,6 @@ is applied to each neighbouring pair in turn.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -208,13 +207,11 @@ class GateParams:
         for name in ("cavity_time", "pulse_duration"):
             if getattr(self, name) is not None:
                 check_number(name, getattr(self, name), 0)
-        # finite inputs can still overflow in the values derived from them; a
-        # comparison, unlike math.isfinite, also refuses a product of
-        # integers that no float can hold
+        # finite inputs can still overflow in the values derived from them;
+        # check_number also refuses a product of integers that no float can
+        # hold, before the phases below convert it
         for name in ("omega_2", "resolved_cavity_time", "resolved_pulse_duration"):
-            value = getattr(self, name)
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} overflows to {value}")
+            check_number(name, getattr(self, name))
         # and so can the phases the propagators and gate conditions take
         t_c = self.resolved_cavity_time
         for name, value in (
@@ -222,8 +219,7 @@ class GateParams:
             ("omega * cavity_time", math.hypot(self.omega_1, self.omega_2) * t_c),
             ("drive_rabi * pulse_duration", self.drive_rabi * self.resolved_pulse_duration),
         ):
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} overflows to {value}")
+            check_number(name, value)
 
     @property
     def omega_2(self) -> float:

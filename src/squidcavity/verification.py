@@ -180,12 +180,11 @@ class StabilizerReport:
     cavity_vacuum_population: float
 
 
-def stabilizer_expectations(state: CompositeState, n_qubits: int) -> StabilizerReport:
-    """<K_i> for every chain generator; all +1 on the exact cluster state."""
-    if state.layout.n_squids != n_qubits:
-        raise ValueError(
-            f"state has {state.layout.n_squids} SQUIDs, expected {n_qubits}"
-        )
+def stabilizer_expectations(state: CompositeState) -> StabilizerReport:
+    """<K_i> for every chain generator; all +1 on the exact cluster state.
+
+    The chain holds every SQUID of the state's layout.
+    """
     vacuum = cavity_vacuum_population(state)
     if 1.0 - vacuum > _VACUUM_WARN:
         warnings.warn(
@@ -200,13 +199,14 @@ def stabilizer_expectations(state: CompositeState, n_qubits: int) -> StabilizerR
             "stabilizers act as identity on |e>",
             stacklevel=2,
         )
+    n = state.layout.n_squids
     psi = np.ascontiguousarray(state.amplitudes)
     # one buffer for every K_i psi, freed with the call
     applied = np.empty_like(psi)
     values = np.array(
         [
-            np.vdot(psi, _apply_chain_stabilizer(psi, n_qubits, i, applied)).real
-            for i in range(n_qubits)
+            np.vdot(psi, _apply_chain_stabilizer(psi, n, i, applied)).real
+            for i in range(n)
         ]
     )
     return StabilizerReport(

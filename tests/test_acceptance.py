@@ -120,7 +120,7 @@ def test_a3_cluster_chains(capsys):
         if n_qubits == 8:
             elapsed_8 = elapsed
         fidelity = state_fidelity(state, cluster_state_oracle(n_qubits))
-        report = stabilizer_expectations(state, n_qubits)
+        report = stabilizer_expectations(state)
         worst_fidelity = min(worst_fidelity, fidelity)
         worst_stabilizer = min(worst_stabilizer, report.min_expectation)
         worst_vacuum = min(worst_vacuum, report.cavity_vacuum_population)

@@ -5,9 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from squidcavity import cli, decoherence, evolution, protocols
+from squidcavity import cli, decoherence, evolution, protocols, verification
 from squidcavity.cli import main
 from squidcavity.config import MAX_SWEEP_VALUES
 
@@ -474,7 +475,7 @@ def test_non_finite_config_value_names_its_key(tmp_path, capsys):
     assert "ratio must be finite" in capsys.readouterr().err
     # a finite ratio whose coupling omega_2 = ratio * omega_1 overflows
     assert main(["truth-table", "--ratio", "1e300", "--out", str(tmp_path)]) == 2
-    assert "omega_2 overflows" in capsys.readouterr().err
+    assert "omega_2 must be finite" in capsys.readouterr().err
     assert not (tmp_path / "truth_table.json").exists()
 
 
@@ -482,8 +483,8 @@ def test_overflowing_gate_phases_are_configuration_errors(tmp_path, capsys):
     # finite settings whose products overflow used to die inside the numerics
     out = tmp_path / "out"
     for gate, message in (
-        ({"ratio": 1e10, "cavity_time_s": 1e300}, "omega_1 * cavity_time overflows"),
-        ({"drive_rabi_per_s": 1e10, "pulse_duration_s": 1e300}, "drive_rabi * pulse_duration overflows"),
+        ({"ratio": 1e10, "cavity_time_s": 1e300}, "omega_1 * cavity_time must be finite"),
+        ({"drive_rabi_per_s": 1e10, "pulse_duration_s": 1e300}, "drive_rabi * pulse_duration must be finite"),
     ):
         config_path = tmp_path / "gate.json"
         config_path.write_text(json.dumps({"gate": gate}))
@@ -585,7 +586,7 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("configuration error") == 8
     assert "out_dir must be a string" in err
-    assert err.count("cavity_decay_per_s = omega_c_hz / q_factor must be finite and > 0") == 4
+    assert err.count("omega_c_hz / q_factor must be finite and > 0") == 4
 
 
 def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
@@ -662,3 +663,67 @@ def test_each_call_builds_one_parser(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert built == [prog]
     capsys.readouterr()
+
+
+# Each verdict threshold, at its bound and one ulp past it.  The bounds are
+# written out here rather than read from ``cli``, so that a loosened
+# threshold fails these tests.
+CLUSTER_BOUNDS = {
+    "fidelity": 1.0 - 1e-9,
+    "stabilizer": 1.0 - 1e-9,
+    "vacuum": 1.0 - 1e-10,
+}
+
+
+@pytest.mark.parametrize("readout", sorted(CLUSTER_BOUNDS))
+def test_cluster_verdict_thresholds_bite_one_ulp_past_their_bound(
+    tmp_path, capsys, monkeypatch, readout
+):
+    bound = CLUSTER_BOUNDS[readout]
+    for value, code in ((bound, 0), (math.nextafter(bound, 0.0), 1)):
+        readouts = {"fidelity": 1.0, "stabilizer": 1.0, "vacuum": 1.0, readout: value}
+        monkeypatch.setattr(cli, "state_fidelity", lambda *states: readouts["fidelity"])
+        monkeypatch.setattr(
+            cli,
+            "stabilizer_expectations",
+            lambda state: verification.StabilizerReport(
+                np.full(state.layout.n_squids, readouts["stabilizer"]),
+                readouts["stabilizer"],
+                readouts["vacuum"],
+            ),
+        )
+        assert main(["cluster", "--n", "2", "--out", str(tmp_path)]) == code
+        assert _read_json(tmp_path / "cluster.json")["passed"] is (code == 0)
+        assert capsys.readouterr().out.endswith(("PASS\n", "FAIL\n")[code])
+
+
+# (score, its bound, the direction past it): trace defect at most 1e-6, least
+# eigenvalue at least -1e-6, average fidelity within [-1e-9, 1 + 1e-9]
+SWEEP_BOUNDS = [
+    ("trace_defect", 1e-6, math.inf),
+    ("min_eigenvalue", -1e-6, -math.inf),
+    ("average_fidelity", -1e-9, -math.inf),
+    ("average_fidelity", 1 + 1e-9, math.inf),
+]
+
+
+@pytest.mark.parametrize("score, bound, past", SWEEP_BOUNDS)
+def test_decoherence_sanity_bounds_bite_one_ulp_past_their_bound(
+    tmp_path, capsys, monkeypatch, score, bound, past
+):
+    for value, code in ((bound, 0), (math.nextafter(bound, past), 1)):
+        scores = {
+            "average_fidelity": 0.99,
+            "process_fidelity": 0.99,
+            "trace_defect": 0.0,
+            "min_eigenvalue": 0.0,
+            "gate_duration_s": 1e-8,
+            score: value,
+        }
+        monkeypatch.setattr(
+            cli, "qcpg_lindblad_fidelity", lambda noisy: decoherence.GateProcessResult(**scores)
+        )
+        assert main(["decoherence", "--values", "5e4", "--out", str(tmp_path)]) == code
+        row = _read_json(tmp_path / "decoherence.json")["rows"][0]
+        assert (row[score], row["sane"]) == (value, code == 0)
+        assert capsys.readouterr().out.endswith(("PASS\n", "FAIL\n")[code])

@@ -127,7 +127,7 @@ def test_from_dict_wraps_value_errors():
         {"q_factor": 1e-300},
         {"q_factor": 1e300, "omega_c_hz": 1e-300},
     ):
-        with pytest.raises(ConfigError, match="cavity_decay_per_s .* must be finite and > 0"):
+        with pytest.raises(ConfigError, match="omega_c_hz / q_factor must be finite and > 0"):
             config_from_dict({"feasibility": feasibility})
 
 

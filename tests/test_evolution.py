@@ -22,7 +22,7 @@ from squidcavity import (
     single_excitation_closed_form,
     state_fidelity,
 )
-from squidcavity import evolution
+from squidcavity import config, evolution, hilbert
 from squidcavity.evolution import (
     SUPEROPERATOR_DIM_LIMIT,
     LindbladSegment,
@@ -48,6 +48,7 @@ from squidcavity.hilbert import contract
 from conftest import (
     check_step_size,
     excitation_number,
+    lindblad_generator,
     lindblad_rhs,
     oracle_embedded,
     rk4_lindblad,
@@ -102,6 +103,32 @@ def test_propagator_refuses_a_phase_past_the_float_range():
     h = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 0.0]))
     with pytest.raises(ValueError, match="duration must be finite"):
         propagator(h, 1e10)
+
+
+def test_propagator_refuses_a_non_finite_duration():
+    h = drive_hamiltonian(0, (0, 1), 1.0, 0.0)
+    for bad in (math.nan, math.inf, -1.0, 10**400):
+        with pytest.raises(ValueError, match="^duration must be finite and >= 0"):
+            propagator(h, bad)
+
+
+def test_propagator_checks_unitarity_at_its_bound(monkeypatch):
+    # eigh is patched to return eigenvectors scaled by s on one column, so
+    # the propagator is diag(s^2 e^(-i w t), ...) and U^dag U - I has the
+    # single entry s^4 - 1: just under 1e-12 runs, just over it does not
+    h = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0]))
+    for defect, accepted in ((0.9e-12, True), (1.1e-12, False)):
+        scale = (1.0 + defect) ** 0.25
+        eigenvectors = np.diag([scale, 1.0, 1.0]).astype(complex)
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m: (np.array([1.0, 2.0, 0.0]), eigenvectors)
+        )
+        if accepted:
+            u = propagator(h, 0.5).matrix
+            assert 0.8e-12 <= np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match="unitarity check"):
+                propagator(h, 0.5)
 
 
 def test_propagator_unitary_and_composes():
@@ -259,6 +286,14 @@ def test_single_excitation_closed_form_anchors():
     np.testing.assert_allclose(amps.as_array(), [0, -1, 0], atol=1e-12)
     with pytest.raises(ValueError):
         single_excitation_closed_form(0.0, 1.0, 1.0)
+
+
+def test_single_excitation_closed_form_refuses_non_finite_rates():
+    # NaN passes a bare "omega_1 <= 0" test and would come back as NaN
+    # amplitudes; +inf would reach np.cos
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="omega_1 must be finite and > 0"):
+            single_excitation_closed_form(bad, 1.0, 1.0)
 
 
 def test_single_excitation_normalized():
@@ -428,6 +463,50 @@ def test_exp_lindblad_guards():
     assert type(resized.substeps) is int and resized.substeps <= MAX_LINDBLAD_SUBSTEPS
     with pytest.raises(WorkLimitError, match="sub-steps"):
         dataclasses.replace(segment, t=too_long)
+
+
+def test_lindblad_segment_refuses_a_non_finite_duration_as_a_value():
+    # a NaN or infinite duration is a bad value, not too much work
+    h_full = np.diag([1.0, -1.0]).astype(complex)
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="^duration must be finite and >= 0") as info:
+            LindbladSegment(h_full, (), bad)
+        assert not isinstance(info.value, WorkLimitError)
+
+
+def test_lindblad_sub_step_limit_at_its_bound():
+    # drift = diag(-3i, 3i) has spectral norm 3, so the norm bound on L is
+    # 6 and a segment of duration t needs 6 t / 6 = t sub-steps: 1000 is
+    # the limit and runs, the next float above it is refused
+    h_full = np.diag([3.0, -3.0]).astype(complex)
+    assert LindbladSegment(h_full, (), 999.5).substeps == 1000
+    assert LindbladSegment(h_full, (), 1000.0).substeps == 1000
+    with pytest.raises(WorkLimitError, match="above the limit of 1000"):
+        LindbladSegment(h_full, (), math.nextafter(1000.0, math.inf))
+    with pytest.raises(WorkLimitError, match="sub-steps"):
+        LindbladSegment(h_full, (), 1000.5)
+
+
+def test_superoperator_dimension_limit_is_the_byte_budget():
+    # S takes 16 d^4 bytes while it is formed: 32 is the largest d whose S
+    # fits the one budget, which config reads from the same place
+    assert SUPEROPERATOR_DIM_LIMIT == 32
+    assert config.MAX_ARRAY_BYTES is hilbert.MAX_ARRAY_BYTES == 2**24
+    assert 16 * 32**4 <= hilbert.MAX_ARRAY_BYTES < 16 * 33**4
+
+
+def test_assembled_generator_matches_lindblad_rhs():
+    # the RK4 reference's vec-form generator against the matrix form it is
+    # assembled from, on random matrices
+    rng = np.random.default_rng(11)
+    for d, n_jumps in ((2, 0), (5, 1), (11, 3)):
+        h = _cplx(rng, d, d)
+        h = h + _adjoint(h)
+        l_ops = [_cplx(rng, d, d) for _ in range(n_jumps)]
+        rho = _cplx(rng, 4, d, d)
+        want = lindblad_rhs(rho, h, l_ops)
+        got = (rho.reshape(4, d * d) @ lindblad_generator(h, l_ops)).reshape(rho.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_superoperator_matches_the_matrix_form_of_the_generator():

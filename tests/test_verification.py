@@ -156,7 +156,7 @@ def test_chain_stabilizer_structure():
 
 def test_oracle_satisfies_all_stabilizers():
     for n_qubits in range(2, 9):
-        report = stabilizer_expectations(cluster_state_oracle(n_qubits), n_qubits)
+        report = stabilizer_expectations(cluster_state_oracle(n_qubits))
         assert report.expectations.shape == (n_qubits,)
         np.testing.assert_allclose(report.expectations, 1.0, atol=1e-12)
         assert report.min_expectation >= 1 - 1e-12
@@ -166,7 +166,7 @@ def test_oracle_satisfies_all_stabilizers():
 def test_stabilizers_match_dense_oracle():
     # cross-check expectation values against an independent dense embedding
     state = cluster_state_oracle(3)
-    report = stabilizer_expectations(state, 3)
+    report = stabilizer_expectations(state)
     for i in range(3):
         applied = oracle_apply(state, chain_stabilizer(3, i))
         direct = np.vdot(state.amplitudes, applied).real
@@ -185,7 +185,7 @@ def test_signed_permutation_readout_matches_the_dense_route_bit_for_bit(fock_cut
         state = evolve_pure(
             chain_initial_state(n_qubits, fock_cutoff), cluster_chain_schedule(n_qubits)
         )
-        report = stabilizer_expectations(state, n_qubits)
+        report = stabilizer_expectations(state)
         assert report.expectations.tobytes() == _dense_expectations(state, n_qubits).tobytes()
 
 
@@ -197,7 +197,7 @@ def test_signed_permutation_readout_on_upper_level_and_photon_amplitudes():
         state = random_state(rng, SpaceLayout(n_qubits, fock_cutoff))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            report = stabilizer_expectations(state, n_qubits)
+            report = stabilizer_expectations(state)
         dense = _dense_expectations(state, n_qubits)
         assert report.expectations.tobytes() == dense.tobytes()
         # and the independent dense embedding agrees to rounding
@@ -210,7 +210,7 @@ def test_product_state_breaks_stabilizers():
     # |+>|+> has <X Z> = <X><Z> = 0 for both generators
     plus = np.array([1, 1, 0]) / math.sqrt(2)
     state = tensor_state([plus, plus, (1, 0, 0)])
-    report = stabilizer_expectations(state, 2)
+    report = stabilizer_expectations(state)
     np.testing.assert_allclose(report.expectations, 0.0, atol=1e-12)
 
 
@@ -220,7 +220,7 @@ def test_stabilizer_report_warns_on_photon_support():
     amp[basis_index(layout, (0, 0), 0)] = math.sqrt(1 - 1e-4)
     amp[basis_index(layout, (0, 0), 1)] = math.sqrt(1e-4)
     with pytest.warns(UserWarning, match="vacuum"):
-        report = stabilizer_expectations(CompositeState(layout, amp), 2)
+        report = stabilizer_expectations(CompositeState(layout, amp))
     assert report.cavity_vacuum_population == pytest.approx(1 - 1e-4)
 
 
@@ -230,9 +230,19 @@ def test_stabilizer_report_warns_on_upper_level():
     amp[basis_index(layout, (0, 0), 0)] = math.sqrt(1 - 1e-4)
     amp[basis_index(layout, (2, 0), 0)] = math.sqrt(1e-4)
     with pytest.warns(UserWarning, match="population"):
-        stabilizer_expectations(CompositeState(layout, amp), 2)
+        stabilizer_expectations(CompositeState(layout, amp))
 
 
-def test_stabilizer_report_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        stabilizer_expectations(cluster_state_oracle(3), 4)
+def test_stabilizer_readout_takes_the_chain_length_from_the_layout():
+    # the same 81 amplitudes read as 3 SQUIDs at cutoff 2 and as 2 SQUIDs
+    # at cutoff 8: one generator per SQUID of the layout, each as the dense
+    # route reads it on that layout
+    amplitudes = cluster_state_oracle(3).amplitudes
+    for layout in (SpaceLayout(3, 2), SpaceLayout(2, 8)):
+        state = CompositeState(layout, amplitudes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = stabilizer_expectations(state)
+        assert report.expectations.shape == (layout.n_squids,)
+        dense = _dense_expectations(state, layout.n_squids)
+        assert report.expectations.tobytes() == dense.tobytes()

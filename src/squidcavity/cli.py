@@ -350,7 +350,3 @@ def main(argv=None) -> int:
     print("  " + ", ".join(f"{name} {end - start:.4f} s" for (_, start), (name, end) in phases))
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

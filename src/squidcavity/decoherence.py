@@ -30,8 +30,13 @@ are honest states.
 The run never leaves a small subspace, and is carried out on it exactly.
 Let S be the smallest set of basis states that contains the four
 computational states and that every segment Hamiltonian H, every collapse
-operator L_k and every L_k^dag L_k maps into itself, read off the exact
-zero pattern of those matrices.  If rho is supported on S x S, so are
+operator L_k and every L_k^dag L_k maps into itself.  ``noisy_gate`` reads
+it off exact zero patterns: one boolean reach matrix ORs the non-zero
+patterns of every full-space H and L_k with the boolean product
+(L_k != 0)^T (L_k != 0), which holds every non-zero of L_k^dag L_k with no
+complex product and so no overflow (it holds more only where the terms of
+a product cancel exactly, which could keep a state more, never one less),
+and the four seeds grow through that matrix until nothing changes.  If rho is supported on S x S, so are
 H rho, rho H, L_k rho L_k^dag and the anticommutator terms (H and
 L_k^dag L_k are Hermitian, so they keep S from the right as well): each
 product only sums over entries inside S, and the entries outside stay
@@ -102,21 +107,6 @@ def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_
     return layout, schedule, segments, l_full
 
 
-def _closure(generators, seeds) -> tuple[int, ...]:
-    """Smallest index set holding ``seeds`` that every generator maps into itself."""
-    reach = np.zeros(generators[0].shape, dtype=bool)
-    for g in generators:
-        reach |= g != 0
-    kept = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        for i in np.flatnonzero(reach[:, frontier.pop()]):
-            if int(i) not in kept:
-                kept.add(int(i))
-                frontier.append(int(i))
-    return tuple(sorted(kept))
-
-
 def noisy_gate(
     gate: GateParams = GateParams(),
     cavity_decay_per_s: float = FeasibilityParams().cavity_decay_per_s,
@@ -137,11 +127,18 @@ def noisy_gate(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
     )
     seeds = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
-    # only the zero pattern of l^dag l is read, so an overflow is harmless
-    # here; an overflowing generator is over the sub-step limit
-    with np.errstate(over="ignore", invalid="ignore"):
-        sinks = [l.conj().T @ l for l in l_full]
-    kept = _closure([h for h, _ in segments] + l_full + sinks, seeds)
+    # reach[i, j]: some generator maps basis state j onto state i
+    reach = np.zeros((layout.total_dim,) * 2, dtype=bool)
+    for h, _ in segments:
+        reach |= h != 0
+    for l in l_full:
+        pattern = l != 0
+        reach |= pattern | pattern.T @ pattern
+    inside = np.isin(np.arange(layout.total_dim), seeds)
+    # grow the seeds through reach until nothing changes
+    while not np.array_equal(inside, grown := inside | reach @ inside):
+        inside = grown
+    kept = tuple(int(i) for i in np.flatnonzero(inside))
     cut = np.ix_(kept, kept)
     collapse = tuple(l[cut] for l in l_full)
     return NoisyGate(

@@ -166,9 +166,12 @@ def single_excitation_closed_form(
         c_010 = omega_1 omega_2 (cos(omega t) - 1) / omega^2
         c_001 = -i (omega_1 / omega) sin(omega t)
 
-    The amplitudes stay normalized for all t.
+    The amplitudes stay normalized for all t.  Each argument must be
+    finite, omega_1 > 0 and omega_2, t >= 0.
     """
     check_number("omega_1", omega_1, 0, strict=True)
+    check_number("omega_2", omega_2, 0)
+    check_number("t", t, 0)
     omega = math.hypot(omega_1, omega_2)
     cos_wt = np.cos(omega * t)
     sin_wt = np.sin(omega * t)

@@ -3,11 +3,12 @@
 A schedule is a plain tuple of segments, run strictly in sequence.  There
 are two kinds, each one frozen dataclass holding its own sites, rates and
 duration: ``DriveSegment`` (a classical pulse) and ``CavitySegment`` (the
-resonant exchange).  Each refuses a bad level pair when it is built, and
+resonant exchange).  Each refuses, when it is built, a SQUID index that is
+not a non-negative integer (a bool is not one) and a bad level pair, and
 sends every rate, duration and phase through ``hilbert.check_number``.  It
-answers for itself what the other modules need: the SQUIDs it acts on
-(``squids``) and the factors its generator acts on (``sites``), its
-generator at a given cavity cutoff (``hamiltonian``, from the
+answers for itself what the other modules need: the factors its generator
+acts on (``sites``: its SQUIDs, then -1 for the cavity if it couples to
+it), its generator at a given cavity cutoff (``hamiltonian``, from the
 ``hamiltonians`` builders), the exact bits that decide its propagator
 (``propagator_key``) and its row in ``schedule.json`` (``to_dict``).  No
 other module asks which kind of segment it holds.
@@ -81,6 +82,12 @@ def _bits(value: float) -> str:
     return float(value).hex()
 
 
+def _check_squid(name: str, value) -> None:
+    """Refuse a SQUID index that is not a non-negative integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class DriveSegment:
     """A classical pulse on one ordered level pair of one SQUID."""
@@ -92,6 +99,7 @@ class DriveSegment:
     phase: float = 0.0
 
     def __post_init__(self):
+        _check_squid("target_squid", self.target_squid)
         a, b = self.transition
         levels = range(SQUID_DIM)
         if a not in levels or b not in levels or a == b:
@@ -104,13 +112,9 @@ class DriveSegment:
         check_number("phase", self.phase)
 
     @property
-    def squids(self) -> tuple[int, ...]:
-        return (self.target_squid,)
-
-    @property
     def sites(self) -> tuple[int, ...]:
         """The factors the generator acts on."""
-        return self.squids
+        return (self.target_squid,)
 
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on the target SQUID; the cavity cutoff does not enter."""
@@ -129,7 +133,7 @@ class DriveSegment:
         a, b = self.transition
         return {
             "kind": "drive",
-            "sites": list(self.squids),
+            "sites": [self.target_squid],
             "transition": f"{'01e'[a]}-{'01e'[b]}",
             "rabi_per_s": self.rabi,
             "phase_rad": self.phase,
@@ -148,6 +152,8 @@ class CavitySegment:
     duration: float
 
     def __post_init__(self):
+        for name in ("squid_a", "squid_b"):
+            _check_squid(name, getattr(self, name))
         if self.squid_a == self.squid_b:
             raise ValueError("cavity coupling needs two distinct SQUIDs")
         check_number("omega_1", self.omega_1, 0, strict=True)
@@ -155,13 +161,9 @@ class CavitySegment:
         check_number("duration", self.duration, 0)
 
     @property
-    def squids(self) -> tuple[int, ...]:
-        return (self.squid_a, self.squid_b)
-
-    @property
     def sites(self) -> tuple[int, ...]:
-        """The factors the generator acts on."""
-        return (*self.squids, -1)
+        """The factors the generator acts on, the cavity last."""
+        return (self.squid_a, self.squid_b, -1)
 
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on both SQUIDs and the cavity truncated at ``fock_cutoff``."""
@@ -179,7 +181,7 @@ class CavitySegment:
         """The segment's ``schedule.json`` row."""
         return {
             "kind": "cavity",
-            "sites": [*self.squids, "cavity"],
+            "sites": [self.squid_a, self.squid_b, "cavity"],
             "omega_1_per_s": self.omega_1,
             "omega_2_per_s": self.omega_2,
             "duration_s": self.duration,

@@ -1,8 +1,9 @@
 """Gate truth tables, fidelities, and cluster-state stabilizer checks.
 
 A schedule here is any tuple of ``protocols`` segments: the checks read
-each segment's ``squids`` and hand the schedule to ``evolution.propagate``,
-so this module never asks which kind of segment it holds.
+each segment's ``sites``, whose non-negative entries are its SQUIDs (the
+cavity is -1), and hand the schedule to ``evolution.propagate``, so this
+module never asks which kind of segment it holds.
 
 The chain generators K_i = Z_{i-1} X_i Z_{i+1} act on the logical levels
 and as the identity on |e>, so each is a signed permutation of the
@@ -58,7 +59,7 @@ def computational_propagator(
     The inputs go through ``evolution.propagate`` as one (total_dim, 4)
     block, so each segment's propagator is built once.
     """
-    touched = {squid for segment in schedule for squid in segment.squids}
+    touched = {site for segment in schedule for site in segment.sites if site >= 0}
     if not touched <= {0, 1}:
         raise ValueError(
             f"schedule touches SQUIDs {sorted(touched - {0, 1})} outside the pair (0, 1)"

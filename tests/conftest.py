@@ -20,6 +20,12 @@ It shares no code with
 the library's exact propagator ``evolution.exp_segment``, which the tests
 check against it.
 
+``reference_kept`` is the second route to a noisy gate's invariant
+subspace, against ``decoherence.noisy_gate``'s boolean search: a
+set-and-frontier search from the four computational states over the float
+non-zero patterns of every H, every L_k and every complex L_k^dag L_k
+product.
+
 ``pade_scores`` is a second exact route to a noisy gate's scores: each
 segment's complex superoperator from textbook ``np.kron`` terms,
 exponentiated by Pade-13 scaling and squaring (``expm_pade13``), the three
@@ -31,8 +37,9 @@ import math
 
 import numpy as np
 
-from squidcavity import CompositeState, LocalOperator, SpaceLayout
+from squidcavity import CompositeState, LocalOperator, SpaceLayout, basis_index, decoherence
 from squidcavity.hilbert import SQUID_DIM
+from squidcavity.verification import COMPUTATIONAL_BASIS
 
 # step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
 MAX_PHASE_PER_STEP = 1.0 / 50.0
@@ -148,6 +155,28 @@ def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOper
         local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
         matrix=mat,
     )
+
+
+def reference_kept(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
+    """Smallest set of full-space indices holding the computational states
+    that every H, L_k and L_k^dag L_k maps into itself, sorted.
+    """
+    layout, _, segments, l_full = decoherence._full_generators(
+        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
+    )
+    generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]
+    reach = np.zeros(generators[0].shape, dtype=bool)
+    for g in generators:
+        reach |= g != 0
+    seeds = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
+    kept = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        for i in np.flatnonzero(reach[:, frontier.pop()]):
+            if int(i) not in kept:
+                kept.add(int(i))
+                frontier.append(int(i))
+    return tuple(sorted(kept))
 
 
 def check_step_size(h_full: np.ndarray, dt: float) -> None:

@@ -21,7 +21,7 @@ from squidcavity.config import PREPARED_POINT_BYTES, SWEEP_PARAMETERS, RunConfig
 from squidcavity.evolution import LindbladSegment, WorkLimitError, exp_segment
 from squidcavity.verification import COMPUTATIONAL_BASIS, CZ_SIGNS
 
-from conftest import PADE_TOL, check_step_size, pade_scores, rk4_lindblad
+from conftest import PADE_TOL, check_step_size, pade_scores, reference_kept, rk4_lindblad
 
 DATA = Path(__file__).parent / "data"
 
@@ -215,6 +215,18 @@ def test_kept_states_are_closed_under_every_generator(point):
     for g in generators:
         assert not np.any(g[np.ix_(outside, kept)])
     assert len(kept) == (10 if args["fock_cutoff"] == 1 else 11)
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated")
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 3, 4])
+def test_kept_states_match_the_frontier_search(fock_cutoff):
+    # every decay channel on and off, at a working and a broken gate: 54
+    # points per cutoff, 216 in all
+    for ratio, k, gamma_e, branch in itertools.product(
+        (math.sqrt(3), 1.5), (0.0, 5e4, 5e7), (0.0, 4e5, 4e7), (0.0, 0.5, 1.0)
+    ):
+        args = (GateParams(ratio=ratio), k, gamma_e, branch, fock_cutoff)
+        assert noisy_gate(*args).kept == reference_kept(*args), args
 
 
 def _full_space_scores(args):

@@ -1,6 +1,7 @@
 """Every script in demos/ runs to completion against the package in src/,
 the package's top level exports only what demos/, perfbench/ and README
-use, and no module imports a name it never reads.
+use, no module imports a name it never reads, and the package has one
+module entry point.
 """
 
 import ast
@@ -79,3 +80,14 @@ def test_every_module_reads_each_name_it_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def test_only_the_package_main_runs_as_a_script():
+    # ``python -m squidcavity`` is the one module entry point
+    scripts = [
+        path.name
+        for path in sorted((ROOT / "src" / "squidcavity").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert scripts == ["__main__.py"]

@@ -294,6 +294,19 @@ def test_single_excitation_closed_form_refuses_non_finite_rates():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="omega_1 must be finite and > 0"):
             single_excitation_closed_form(bad, 1.0, 1.0)
+    # a NaN omega_2 or t would give all-NaN amplitudes, and an infinite
+    # omega_2 numpy warnings too; they take the bounds of CavitySegment's
+    # omega_2 and of every duration
+    for args, name in (
+        ((1.0, math.nan, 1.0), "omega_2"),
+        ((1.0, math.inf, 1.0), "omega_2"),
+        ((1.0, -1.0, 1.0), "omega_2"),
+        ((1.0, 1.0, math.nan), "t"),
+        ((1.0, 1.0, math.inf), "t"),
+        ((1.0, 1.0, -1.0), "t"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            single_excitation_closed_form(*args)
 
 
 def test_single_excitation_normalized():

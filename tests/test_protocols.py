@@ -63,6 +63,11 @@ def test_drive_segment_validation():
     ):
         with pytest.raises(ValueError):
             DriveSegment(0, transition, rabi, 1.0, phase)
+    # a SQUID index is a non-negative integer: -1 would address the cavity
+    # and -2 the last SQUID, and a bool or a float is not an index
+    for squid in (-1, -2, True, 1.0):
+        with pytest.raises(ValueError, match="target_squid must be a non-negative integer"):
+            DriveSegment(squid, (0, 1), 1.0, 1.0)
     # any finite phase stays legal
     for phase in (-1.7e308, -1, 0, 5e-324, 1.7e308):
         segment = DriveSegment(0, (1, 2), 1.0, 1.0, phase)
@@ -80,9 +85,16 @@ def test_cavity_segment_validation():
         (1, 1.0, math.inf),
         (1, 10**400, 1.0),
         (1, 1.0, 10**400),
+        # a SQUID index is a non-negative integer, and a bool is not one
+        (-1, 1.0, 1.0),
+        (-2, 1.0, 1.0),
+        (True, 1.0, 1.0),
+        (1.0, 1.0, 1.0),
     ):
         with pytest.raises(ValueError):
             CavitySegment(0, squid_b, omega_1, omega_2, 1.0)
+    with pytest.raises(ValueError, match="squid_a must be a non-negative integer"):
+        CavitySegment(-2, -3, 1e8, 1e8, 1e-8)
 
 
 def test_gate_params_defaults_satisfy_conditions():

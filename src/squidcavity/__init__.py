@@ -2,8 +2,9 @@
 SQUIDs and the cluster-state chains they generate.
 
 Conventions fixed across the package: SQUID levels |0>, |1>, |e> are indices
-0, 1, 2; tensor factors are ordered SQUID 0, SQUID 1, ..., cavity last; the
-cavity factor can be addressed as site -1.
+0, 1, 2; tensor factors are ordered SQUID 0, SQUID 1, ..., cavity last;
+SQUID i is site i and the cavity is site ``hilbert.CAVITY`` (-1), each
+factor's one address.
 
 The top level exports what the demos, the benchmark and README use; every
 other name is imported from its module.

@@ -4,10 +4,12 @@ Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
-own generator) on pure states, alone or as a block; it builds a generator
-and its propagator once per distinct ``propagator_key`` (the exact bits of
-the segment's rates, levels, cutoff and duration) and reuses them wherever
-the key repeats.  ``evolve_pure`` wraps it for a ``CompositeState``.
+own generator) on pure states, alone or as a block; it builds each
+segment's generator and one propagator per distinct key, the generator's
+local dimensions and matrix bytes with the duration's bits, and reuses the
+propagator on the sites of every generator with that key.  Equal keys are
+the same input to ``eigh``, so sharing is exact whatever the segment kind.
+``evolve_pure`` wraps it for a ``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
 
@@ -108,11 +110,11 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     The run owns two state-sized buffers shaped like the input: a copy of
     it, and one more.  Each segment reads one buffer and writes the other,
     so the caller's array is only read and no segment allocates a state.
-    A segment's ``propagator_key`` holds the exact bits of everything its
-    generator and duration depend on, sites aside, so its generator and
-    propagator are built only the first time its key appears in the run, for
-    the whole block: a cluster chain repeats four of them.  Each segment
-    applies its propagator on its own sites; every state's norm is then
+    Each segment builds its generator; a propagator is keyed on the
+    generator's local dimensions and matrix bytes and the duration's bits,
+    sites aside, so it is built only the first time its key appears in the
+    run, for the whole block: a cluster chain repeats four of them.  Each
+    segment applies it on its generator's sites; every state's norm is then
     checked, which also catches NaN and Inf.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
@@ -120,10 +122,11 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     spare = np.empty_like(psi)
     built = {}
     for segment in schedule:
-        key = segment.propagator_key(layout.fock_cutoff)
+        h = segment.hamiltonian(layout.fock_cutoff)
+        key = (h.local_dims, h.matrix.tobytes(), float(segment.duration).hex())
         if key not in built:
-            built[key] = propagator(segment.hamiltonian(layout.fock_cutoff), segment.duration)
-        u = LocalOperator(segment.sites, built[key].local_dims, built[key].matrix)
+            built[key] = propagator(h, segment.duration).matrix
+        u = LocalOperator(h.sites, h.local_dims, built[key])
         psi, spare = contract(layout, u, psi, out=spare), psi
         for column in psi.reshape(len(psi), -1).T:
             norm = math.sqrt(np.vdot(column, column).real)
@@ -167,12 +170,14 @@ def single_excitation_closed_form(
         c_001 = -i (omega_1 / omega) sin(omega t)
 
     The amplitudes stay normalized for all t.  Each argument must be
-    finite, omega_1 > 0 and omega_2, t >= 0.
+    finite, omega_1 > 0 and omega_2, t >= 0, and omega^2 a positive float.
     """
     check_number("omega_1", omega_1, 0, strict=True)
     check_number("omega_2", omega_2, 0)
     check_number("t", t, 0)
     omega = math.hypot(omega_1, omega_2)
+    # the squares below would raise OverflowError past the float range
+    check_number("omega_1^2 + omega_2^2", omega * omega, 0, strict=True)
     cos_wt = np.cos(omega * t)
     sin_wt = np.sin(omega * t)
     return SingleExcitationAmplitudes(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LEVEL_0, LEVEL_1, LEVEL_E, SQUID_DIM, LocalOperator, check_number
+from .hilbert import CAVITY, LEVEL_0, LEVEL_1, LEVEL_E, SQUID_DIM, LocalOperator, check_number
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def cavity_coupling_hamiltonian(
     entries[other, 0, n + 1, other, 1, n] = entries[other, 1, n, other, 0, n + 1] = (
         omega_2 * root
     )
-    return LocalOperator(sites=(squid_a, squid_b, -1), local_dims=dims, matrix=mat)
+    return LocalOperator(sites=(squid_a, squid_b, CAVITY), local_dims=dims, matrix=mat)
 
 
 def collapse_operators_from_rates(
@@ -150,7 +150,7 @@ def collapse_operators_from_rates(
     if cavity_decay > 0:
         ops.append(
             LocalOperator(
-                sites=(-1,),
+                sites=(CAVITY,),
                 local_dims=(n_max + 1,),
                 matrix=math.sqrt(cavity_decay) * annihilation(n_max),
             )

@@ -11,12 +11,16 @@ Conventions fixed here and relied on everywhere else in the package:
 * Factor order is SQUID 0, SQUID 1, ..., SQUID N-1, cavity last.  Amplitude
   vectors are C-ordered over the mixed-radix digits of that factor list
   (first SQUID varies slowest, cavity digit fastest).
-* Operators address factors through site indices.  Negative indices count
-  from the end of the factor list, so site ``-1`` is always the cavity.
+* Operators address factors through site indices, one per factor: SQUID
+  i is site ``i`` (0 <= i < N) and the cavity is ``CAVITY`` (-1) and
+  nothing else.
 
 ``check_number`` is the one range check of a number: every rate, duration,
 phase and ratio a constructor or propagator takes goes through it once, and
-so does every value a constructor derives from them.  The float bound it
+so does every value a constructor derives from them.  ``check_index`` is its
+counterpart for an integer label (a site, a SQUID, a level or a photon
+number): an ``int`` that is not a ``bool``, in range; it never converts, so
+1.7 and ``True`` are refused rather than read as 1.  The float bound it
 checks against, ``FLOAT_MAX``, and the byte budget of the largest array the
 program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 
@@ -57,6 +61,8 @@ import numpy as np
 
 SQUID_DIM = 3
 LEVEL_0, LEVEL_1, LEVEL_E = 0, 1, 2
+# the one address of the cavity factor
+CAVITY = -1
 
 # A single-run operator of dimension D with ``right`` amplitudes after it,
 # batch axis included, is applied either as ``left`` stacked (D x D)(D x right)
@@ -88,6 +94,19 @@ def check_number(name, value, low=-FLOAT_MAX, high=FLOAT_MAX, *, strict=False, e
     raise error(f"{name} must be finite{rule}, got {name}={value}")
 
 
+def check_index(name, value, low, high=None):
+    """Return ``value`` if it is an ``int`` in [low, high]; else raise ``ValueError``.
+
+    A ``bool`` is not an index, and no value is converted, so 1.7 is
+    refused rather than read as 1.  ``high`` None leaves no upper bound.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return value
+    rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {rule}, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Shape of the composite space: ``n_squids`` qutrits plus one cavity mode."""
@@ -114,12 +133,8 @@ class SpaceLayout:
         return SQUID_DIM**self.n_squids * (self.fock_cutoff + 1)
 
     def resolve_site(self, site: int) -> int:
-        """Map a possibly-negative site index to a factor position."""
-        if not -self.n_factors <= site < self.n_factors:
-            raise ValueError(
-                f"site {site} out of range for {self.n_factors} factors"
-            )
-        return site % self.n_factors
+        """Factor position of SQUID ``site`` (0 <= site < N) or of ``CAVITY``."""
+        return check_index("site", site, CAVITY, self.n_squids - 1) % self.n_factors
 
     def resolve_sites(self, sites) -> tuple[int, ...]:
         resolved = tuple(self.resolve_site(s) for s in sites)
@@ -163,18 +178,16 @@ def basis_index(layout: SpaceLayout, levels, photons: int = 0) -> int:
     """Flat index of the product basis state with the given SQUID levels.
 
     ``levels`` lists one level (0, 1 or 2) per SQUID in layout order;
-    ``photons`` is the cavity Fock digit.
+    ``photons`` is the cavity Fock digit.  Each is an ``int`` in range.
     """
-    levels = tuple(int(v) for v in levels)
+    levels = tuple(levels)
     if len(levels) != layout.n_squids:
         raise ValueError(
             f"expected {layout.n_squids} levels, got {len(levels)}"
         )
     for i, v in enumerate(levels):
-        if not 0 <= v < SQUID_DIM:
-            raise ValueError(f"level {v} at SQUID {i} outside 0..2")
-    if not 0 <= photons <= layout.fock_cutoff:
-        raise ValueError(f"photon number {photons} exceeds cutoff {layout.fock_cutoff}")
+        check_index(f"level of SQUID {i}", v, 0, SQUID_DIM - 1)
+    check_index("photons", photons, 0, layout.fock_cutoff)
     index = 0
     for v in levels:
         index = index * SQUID_DIM + v
@@ -194,13 +207,14 @@ class LocalOperator:
 
     ``sites`` lists the factors the operator touches, in the order matched by
     the row/column mixed-radix convention of ``matrix`` (first listed site is
-    the slowest digit).  ``local_dims`` gives the corresponding factor
+    the slowest digit): SQUID indices and ``CAVITY``, each checked to be an
+    ``int``, never converted.  ``local_dims`` gives the corresponding factor
     dimensions; the matrix must be square with dimension equal to their
     product.  ``matrix`` is then a read-only view, so nothing written through
     the operator can undo the check, and a propagator built for one segment
-    can be shared by every segment with its key.  It shares memory with a
-    complex array the caller passed in; that array stays writable, and a
-    write into it shows through.
+    can be shared by every segment whose generator has the same bits.  It
+    shares memory with a complex array the caller passed in; that array
+    stays writable, and a write into it shows through.
     """
 
     sites: tuple[int, ...]
@@ -208,7 +222,8 @@ class LocalOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+        sites = tuple(check_index("site", s, CAVITY) for s in self.sites)
+        object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
         mat = np.asarray(self.matrix, dtype=complex)
         if len(self.sites) != len(self.local_dims):
@@ -235,11 +250,11 @@ def contract(
 
     ``psi`` is one amplitude vector or a block of states as columns, shape
     (total_dim, batch); the result has its shape.  Sites that are one run of
-    ascending neighbours, such as (1, 2, -1) on three SQUIDs, are applied on
+    ascending neighbours, such as (1, 2, CAVITY) on three SQUIDs, are applied on
     the view (left, D, right): as ``left`` stacked (D x D)(D x right)
     products, or, while ``right`` is small, as one gemm against
     kron(M, I_right), built as a broadcast product with the bits ``np.kron``
-    gives.  Any other sites, such as (0, 1, -1) or none, are applied on the
+    gives.  Any other sites, such as (0, 1, CAVITY) or none, are applied on the
     view with one axis per factor and one for the batch: the untouched axes
     and the batch axis are gathered in front of the sites, in operator
     order, multiplied in one gemm and scattered back.

@@ -1,17 +1,17 @@
 """Pulse schedules: rotations, the three-step controlled-phase gate, chains.
 
 A schedule is a plain tuple of segments, run strictly in sequence.  There
-are two kinds, each one frozen dataclass holding its own sites, rates and
+are two kinds, each one frozen dataclass holding its own SQUIDs, rates and
 duration: ``DriveSegment`` (a classical pulse) and ``CavitySegment`` (the
 resonant exchange).  Each refuses, when it is built, a SQUID index that is
-not a non-negative integer (a bool is not one) and a bad level pair, and
-sends every rate, duration and phase through ``hilbert.check_number``.  It
-answers for itself what the other modules need: the factors its generator
-acts on (``sites``: its SQUIDs, then -1 for the cavity if it couples to
-it), its generator at a given cavity cutoff (``hamiltonian``, from the
-``hamiltonians`` builders), the exact bits that decide its propagator
-(``propagator_key``) and its row in ``schedule.json`` (``to_dict``).  No
-other module asks which kind of segment it holds.
+not a non-negative ``int`` (``hilbert.check_index``; a bool is not one) and
+a bad level pair, and sends every rate, duration and phase through
+``hilbert.check_number``.  It answers two questions: its generator at a
+given cavity cutoff (``hamiltonian``, a ``LocalOperator`` from the
+``hamiltonians`` builders, which carries the sites it acts on: its SQUIDs,
+then ``CAVITY`` if it couples to the cavity) and its row in
+``schedule.json`` (``to_dict``).  No other module asks which kind of
+segment it holds.
 
 The controlled-phase gate between a control and a target SQUID is a sandwich
 of three sequential segments:
@@ -65,6 +65,7 @@ from .hilbert import (
     LocalOperator,
     SpaceLayout,
     basis_state,
+    check_index,
     check_number,
 )
 
@@ -75,17 +76,6 @@ STEP1_PHASE = math.pi
 STEP3_PHASE = 0.0
 
 _GATE_CONDITION_TOL = 1e-6
-
-
-def _bits(value: float) -> str:
-    """The exact bits of a float, so that -0.0 and 0.0 differ."""
-    return float(value).hex()
-
-
-def _check_squid(name: str, value) -> None:
-    """Refuse a SQUID index that is not a non-negative integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,34 +89,18 @@ class DriveSegment:
     phase: float = 0.0
 
     def __post_init__(self):
-        _check_squid("target_squid", self.target_squid)
-        a, b = self.transition
-        levels = range(SQUID_DIM)
-        if a not in levels or b not in levels or a == b:
-            raise ValueError(
-                f"transition must be two distinct levels of 0, 1, 2, got {self.transition}"
-            )
-        object.__setattr__(self, "transition", (int(a), int(b)))
+        check_index("target_squid", self.target_squid, 0)
+        a, b = (check_index("transition level", v, LEVEL_0, LEVEL_E) for v in self.transition)
+        if a == b:
+            raise ValueError(f"transition must be two distinct levels, got {self.transition}")
+        object.__setattr__(self, "transition", (a, b))
         check_number("rabi", self.rabi, 0)
         check_number("duration", self.duration, 0)
         check_number("phase", self.phase)
 
-    @property
-    def sites(self) -> tuple[int, ...]:
-        """The factors the generator acts on."""
-        return (self.target_squid,)
-
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on the target SQUID; the cavity cutoff does not enter."""
         return drive_hamiltonian(self.target_squid, self.transition, self.rabi, self.phase)
-
-    def propagator_key(self, fock_cutoff: int) -> tuple:
-        """Exact bits of every value that decides the propagator, sites aside.
-
-        Two segments with equal keys build the same generator matrix, bit for
-        bit, and run it for the same duration.
-        """
-        return ("drive", self.transition, _bits(self.rabi), _bits(self.phase), _bits(self.duration))
 
     def to_dict(self) -> dict:
         """The segment's ``schedule.json`` row."""
@@ -153,28 +127,17 @@ class CavitySegment:
 
     def __post_init__(self):
         for name in ("squid_a", "squid_b"):
-            _check_squid(name, getattr(self, name))
+            check_index(name, getattr(self, name), 0)
         if self.squid_a == self.squid_b:
             raise ValueError("cavity coupling needs two distinct SQUIDs")
         check_number("omega_1", self.omega_1, 0, strict=True)
         check_number("omega_2", self.omega_2, 0)
         check_number("duration", self.duration, 0)
 
-    @property
-    def sites(self) -> tuple[int, ...]:
-        """The factors the generator acts on, the cavity last."""
-        return (self.squid_a, self.squid_b, -1)
-
     def hamiltonian(self, fock_cutoff: int) -> LocalOperator:
         """Generator on both SQUIDs and the cavity truncated at ``fock_cutoff``."""
         return cavity_coupling_hamiltonian(
             self.squid_a, self.squid_b, self.omega_1, self.omega_2, fock_cutoff
-        )
-
-    def propagator_key(self, fock_cutoff: int) -> tuple:
-        """Exact bits of every value that decides the propagator, sites aside."""
-        return (
-            "cavity", _bits(self.omega_1), _bits(self.omega_2), fock_cutoff, _bits(self.duration)
         )
 
     def to_dict(self) -> dict:

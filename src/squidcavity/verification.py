@@ -1,9 +1,9 @@
 """Gate truth tables, fidelities, and cluster-state stabilizer checks.
 
-A schedule here is any tuple of ``protocols`` segments: the checks read
-each segment's ``sites``, whose non-negative entries are its SQUIDs (the
-cavity is -1), and hand the schedule to ``evolution.propagate``, so this
-module never asks which kind of segment it holds.
+A schedule here is any tuple of ``protocols`` segments, handed as it is to
+``evolution.propagate``, so this module never asks which kind of segment it
+holds.  The truth table runs on a two-SQUID layout, where ``hilbert``
+refuses any site but SQUIDs 0 and 1 and the cavity.
 
 The chain generators K_i = Z_{i-1} X_i Z_{i+1} act on the logical levels
 and as the identity on |e>, so each is a signed permutation of the
@@ -52,18 +52,14 @@ def computational_propagator(
 
     Column j holds the projection onto (computational x vacuum) of the
     evolved j-th basis input |b0 b1> x |vac>, ordered 00, 01, 10, 11 over
-    SQUIDs 0 and 1, the only SQUIDs the schedule may touch.  Returns
-    (matrix, per-column leakage), leakage being the probability that
-    escaped the projected subspace.
+    SQUIDs 0 and 1, the only SQUIDs the schedule may touch: the layout has
+    no other, so a segment on any other SQUID raises ``ValueError``.
+    Returns (matrix, per-column leakage), leakage being the probability
+    that escaped the projected subspace.
 
     The inputs go through ``evolution.propagate`` as one (total_dim, 4)
     block, so each segment's propagator is built once.
     """
-    touched = {site for segment in schedule for site in segment.sites if site >= 0}
-    if not touched <= {0, 1}:
-        raise ValueError(
-            f"schedule touches SQUIDs {sorted(touched - {0, 1})} outside the pair (0, 1)"
-        )
     layout = SpaceLayout(2, fock_cutoff)
     indices = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
     inputs = np.zeros((layout.total_dim, 4), dtype=complex)

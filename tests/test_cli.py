@@ -428,15 +428,18 @@ def test_each_distinct_segment_builds_one_propagator(tmp_path, monkeypatch):
     assert (len(built), len(applied)) == (4, 37)
 
 
-def test_cluster_chain_builds_each_generator_once(tmp_path, monkeypatch):
+def test_cluster_chain_builds_each_propagator_once(tmp_path, monkeypatch):
     # the segments call the builders through protocols' own names
     drives = _count_calls(monkeypatch, protocols, "drive_hamiltonian")
     exchanges = _count_calls(monkeypatch, protocols, "cavity_coupling_hamiltonian")
     built = _count_calls(monkeypatch, evolution, "propagator")
     applied = _count_calls(monkeypatch, evolution, "contract")
     assert main(["cluster", "--n", "10", "--out", str(tmp_path)]) == 0
-    # the superposition pulse, the gate's two pulses and its exchange
-    assert (len(drives), len(exchanges)) == (3, 1)
+    # every segment builds its generator: ten superposition pulses, and two
+    # pulses and one exchange per gate
+    assert (len(drives), len(exchanges)) == (10 + 2 * 9, 9)
+    # the superposition pulse, the gate's two pulses and its exchange, each
+    # one propagator keyed on its generator's bits
     assert (len(built), len(applied)) == (4, 37)
 
 

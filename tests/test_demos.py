@@ -91,3 +91,17 @@ def test_only_the_package_main_runs_as_a_script():
         if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
     ]
     assert scripts == ["__main__.py"]
+
+
+def test_the_cavity_site_is_written_as_its_name():
+    # a literal -1 among an operator's sites reads like an index from the
+    # end; the cavity has one address, hilbert.CAVITY
+    literal = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "squidcavity").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "LocalOperator"
+        for sites in [*node.args[:1], *(k.value for k in node.keywords if k.arg == "sites")]
+        if any(ast.unparse(part) == "-1" for part in ast.walk(sites))
+    ]
+    assert literal == []

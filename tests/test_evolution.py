@@ -247,20 +247,34 @@ def test_propagate_builds_once_per_exact_key(monkeypatch):
     )
     propagate(layout, same, psi)
     assert len(built) == 2
-    # values that differ only in the sign of zero share nothing
-    for a, b in (
-        (DriveSegment(0, (0, 1), 1.0, 0.3, 0.0), DriveSegment(1, (0, 1), 1.0, 0.3, -0.0)),
-        (DriveSegment(0, (0, 1), 0.0, 0.3), DriveSegment(1, (0, 1), -0.0, 0.3)),
-        (DriveSegment(0, (0, 1), 1.0, 0.0), DriveSegment(1, (0, 1), 1.0, -0.0)),
-        (CavitySegment(0, 1, 1.0, 0.0, 0.3), CavitySegment(1, 2, 1.0, -0.0, 0.3)),
+    # a propagator follows the generator's bits and the duration's bits:
+    # a phase of -0.0 writes the generator of phase 0.0 bit for bit, so the
+    # two share one; a rate of -0.0 writes a -0.0 entry, and a duration of
+    # -0.0 has bits of its own
+    for a, b, count in (
+        (DriveSegment(0, (0, 1), 1.0, 0.3, 0.0), DriveSegment(1, (0, 1), 1.0, 0.3, -0.0), 1),
+        (DriveSegment(0, (0, 1), 0.0, 0.3), DriveSegment(1, (0, 1), -0.0, 0.3), 2),
+        (DriveSegment(0, (0, 1), 1.0, 0.0), DriveSegment(1, (0, 1), 1.0, -0.0), 2),
+        (CavitySegment(0, 1, 1.0, 0.0, 0.3), CavitySegment(1, 2, 1.0, -0.0, 0.3), 2),
     ):
-        assert a.propagator_key(1) != b.propagator_key(1)
+        generators = [s.hamiltonian(1).matrix.tobytes() for s in (a, b)]
+        durations = [float(s.duration).hex() for s in (a, b)]
+        assert count == 1 + (generators[0] != generators[1] or durations[0] != durations[1])
         built.clear()
-        propagate(layout, (a, b), psi)
-        assert len(built) == 2
-    # the exchange's generator depends on the cutoff
-    exchange = CavitySegment(0, 1, 1.0, 2.0, 0.3)
-    assert exchange.propagator_key(1) != exchange.propagator_key(2)
+        shared = propagate(layout, (a, b), psi)
+        assert len(built) == count
+        # a shared propagator gives the bits of building each one afresh
+        alone = propagate(layout, (b,), propagate(layout, (a,), psi))
+        assert shared.tobytes() == alone.tobytes()
+
+
+def test_propagate_refuses_a_squid_outside_the_layout():
+    # SQUID 3 of a three-SQUID chain would address the cavity, whose three
+    # levels at cutoff 2 pass the dimension check
+    state = chain_initial_state(3)
+    for segment in (DriveSegment(3, (0, 1), 1e8, 1e-8), CavitySegment(2, 3, 1e8, 1e8, 1e-8)):
+        with pytest.raises(ValueError, match="site must be an integer in"):
+            evolve_pure(state, (segment,))
 
 
 def test_shared_propagators_give_the_bits_of_segment_by_segment_runs():
@@ -306,6 +320,10 @@ def test_single_excitation_closed_form_refuses_non_finite_rates():
         ((1.0, 1.0, -1.0), "t"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            single_excitation_closed_form(*args)
+    # finite rates whose squares leave the float range, or vanish in it
+    for args in ((1e200, 0.0, 1.0), (1e308, 1e308, 1.0), (5e-324, 0.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^omega_1\^2 \+ omega_2\^2 must be finite and > 0"):
             single_excitation_closed_form(*args)
 
 

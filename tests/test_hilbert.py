@@ -41,10 +41,19 @@ def test_resolve_site_negative_is_cavity():
     layout = SpaceLayout(3, fock_cutoff=1)
     assert layout.resolve_site(-1) == 3
     assert layout.resolve_sites((0, -1)) == (0, 3)
+    # each factor has one address: SQUID i is i and the cavity is -1 only
+    assert [layout.resolve_site(s) for s in range(3)] == [0, 1, 2]
+    for site in (3, 4, -2, -4, True, 1.0):
+        with pytest.raises(ValueError, match="site must be an integer in"):
+            layout.resolve_site(site)
     with pytest.raises(ValueError):
-        layout.resolve_site(4)
-    with pytest.raises(ValueError):
-        layout.resolve_sites((1, -3))  # -3 is SQUID 1 again
+        layout.resolve_sites((1, -3))
+    with pytest.raises(ValueError, match="duplicate sites"):
+        layout.resolve_sites((2, 2))
+    # -2 and -3 once named SQUIDs 1 and 0 of a two-SQUID layout
+    for site in (-2, -3):
+        with pytest.raises(ValueError, match="site must be an integer in"):
+            SpaceLayout(2, 2).resolve_site(site)
 
 
 def test_basis_index_mixed_radix():
@@ -61,6 +70,13 @@ def test_basis_index_mixed_radix():
         basis_index(layout, (0, 0), 3)
     with pytest.raises(ValueError):
         basis_index(layout, (0,), 0)
+    # a level or photon number is an integer, never truncated to one
+    with pytest.raises(ValueError, match="level of SQUID 0 must be an integer"):
+        basis_index(layout, (1.7, 0))
+    with pytest.raises(ValueError, match="level of SQUID 1 must be an integer"):
+        basis_index(layout, (0, True))
+    with pytest.raises(ValueError, match="photons must be an integer in"):
+        basis_index(layout, (1, 0), 1.5)
 
 
 def test_basis_state_is_unit_vector():
@@ -117,6 +133,10 @@ def test_local_operator_validation():
         LocalOperator((0,), (3,), np.eye(2))
     with pytest.raises(ValueError):
         LocalOperator((0, 1), (3,), np.eye(3))
+    # a site is an int of -1 (the cavity) or more, never truncated to one
+    for site in (1.7, True, -2):
+        with pytest.raises(ValueError, match="site must be an integer >= -1"):
+            LocalOperator((site,), (3,), np.eye(3))
 
 
 def test_checked_arrays_are_read_only_views():
@@ -164,6 +184,12 @@ def test_apply_local_site_errors():
     with pytest.raises(ValueError):
         # wrong local dimension for the cavity factor
         contract(layout, LocalOperator((-1,), (4,), np.eye(4)), state.amplitudes)
+    # SQUID 2 of two is no name for the cavity, though at cutoff 2 the
+    # dimensions match
+    layout = SpaceLayout(2, 2)
+    psi = basis_state(layout, (0, 0)).amplitudes
+    with pytest.raises(ValueError, match="site must be an integer in"):
+        contract(layout, LocalOperator((2,), (3,), np.eye(3)), psi)
 
 
 def test_apply_local_matches_dense_oracle():
@@ -176,7 +202,9 @@ def test_apply_local_matches_dense_oracle():
         if layout.total_dim > 2000:
             continue
         n_sites = int(rng.integers(1, min(3, layout.n_factors) + 1))
-        sites = tuple(rng.choice(layout.n_factors, size=n_sites, replace=False).tolist())
+        factors = rng.choice(layout.n_factors, size=n_sites, replace=False).tolist()
+        # the last factor is the cavity, addressed as -1
+        sites = tuple(-1 if f == n_squids else f for f in factors)
         local_dims = tuple(layout.dims[s] for s in sites)
         d = int(np.prod(local_dims))
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -190,7 +218,7 @@ def test_apply_local_matches_dense_oracle():
 def test_embedded_matrix_matches_dense_oracle():
     rng = np.random.default_rng(3)
     layout = SpaceLayout(3, fock_cutoff=2)
-    for sites in [(0,), (2,), (-1,), (1, -1), (2, 0), (0, 1, 3)]:
+    for sites in [(0,), (2,), (-1,), (1, -1), (2, 0), (0, 1, -1)]:
         local_dims = tuple(layout.dims[layout.resolve_site(s)] for s in sites)
         d = int(np.prod(local_dims))
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -50,10 +50,13 @@ def test_drive_segment_validation():
     for transition, rabi, phase in (
         ((1, 1), 1.0, 0.0),  # transition levels must differ
         ((1, 3), 1.0, 0.0),
+        # a level is an int, never read from a bool or a float
+        ((True, 2), 1.0, 0.0),
+        ((1.0, 2), 1.0, 0.0),
         ((0, 1), -1.0, 0.0),
         ((0, 1), math.nan, 0.0),
         ((0, 1), math.inf, 0.0),
-        # an integer too large for a float, refused before it is keyed or built
+        # an integer too large for a float, refused before its generator is built
         ((0, 1), 10**400, 0.0),
         # a phase is refused when the segment is built, not in its generator
         ((1, 2), 1.0, math.nan),
@@ -66,12 +69,11 @@ def test_drive_segment_validation():
     # a SQUID index is a non-negative integer: -1 would address the cavity
     # and -2 the last SQUID, and a bool or a float is not an index
     for squid in (-1, -2, True, 1.0):
-        with pytest.raises(ValueError, match="target_squid must be a non-negative integer"):
+        with pytest.raises(ValueError, match="target_squid must be an integer >= 0"):
             DriveSegment(squid, (0, 1), 1.0, 1.0)
     # any finite phase stays legal
     for phase in (-1.7e308, -1, 0, 5e-324, 1.7e308):
         segment = DriveSegment(0, (1, 2), 1.0, 1.0, phase)
-        segment.propagator_key(2)
         assert np.isfinite(segment.hamiltonian(2).matrix).all()
 
 
@@ -93,7 +95,7 @@ def test_cavity_segment_validation():
     ):
         with pytest.raises(ValueError):
             CavitySegment(0, squid_b, omega_1, omega_2, 1.0)
-    with pytest.raises(ValueError, match="squid_a must be a non-negative integer"):
+    with pytest.raises(ValueError, match="squid_a must be an integer >= 0"):
         CavitySegment(-2, -3, 1e8, 1e8, 1e-8)
 
 

@@ -41,9 +41,15 @@ def test_empty_schedule_gives_identity_table():
 
 
 def test_propagator_rejects_outside_squids():
-    seg = DriveSegment(2, (0, 1), 1.0, 1.0)
-    with pytest.raises(ValueError, match="outside the pair"):
-        computational_propagator((seg,), fock_cutoff=1)
+    # the truth table's layout holds SQUIDs 0 and 1 only; at cutoff 2 the
+    # cavity has three levels, like SQUID 2 would
+    for seg, cutoff in (
+        (DriveSegment(2, (0, 1), 1.0, 1.0), 1),
+        (DriveSegment(2, (0, 1), 1.0, 1.0), 2),
+        (CavitySegment(0, 2, 1.0, 1.0, 1.0), 2),
+    ):
+        with pytest.raises(ValueError, match="site must be an integer in"):
+            computational_propagator((seg,), fock_cutoff=cutoff)
 
 
 def test_truth_table_of_default_gate():

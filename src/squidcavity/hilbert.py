@@ -41,7 +41,13 @@ the operator's sites last into the result buffer, one gemm against the
 transposed matrix writes into a second buffer, and one scatter puts the
 product back in layout order.  Given an ``out`` array, ``contract`` writes
 there and uses its input as that second buffer, so a schedule runs in two
-state-sized buffers.
+state-sized buffers.  A caller that knows, per factor, a level range
+[lo, hi) outside which every amplitude is exactly zero passes these
+``ranges``, and ``contract`` computes only the block they cut out of the
+factors the operator does not touch, by the route and BLAS call the full
+space would take, with basic slices and no index arrays.  Both buffers
+are then exactly zero outside the block: ``out`` must be on the way in,
+and ``psi`` is left so outside its ranges.
 
 Layouts and operators are immutable after construction and safe to share
 between threads.  A ``LocalOperator`` holds its ``sites``, their
@@ -115,10 +121,8 @@ class SpaceLayout:
     fock_cutoff: int = 2
 
     def __post_init__(self):
-        if self.n_squids < 1:
-            raise ValueError(f"need at least one SQUID, got n_squids={self.n_squids}")
-        if self.fock_cutoff < 0:
-            raise ValueError(f"fock_cutoff must be >= 0, got {self.fock_cutoff}")
+        check_index("n_squids", self.n_squids, 1)
+        check_index("fock_cutoff", self.fock_cutoff, 0)
 
     @property
     def n_factors(self) -> int:
@@ -224,7 +228,8 @@ class LocalOperator:
     def __post_init__(self):
         sites = tuple(check_index("site", s, CAVITY) for s in self.sites)
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "local_dims", tuple(int(d) for d in self.local_dims))
+        local_dims = tuple(check_index("local dimension", d, 1) for d in self.local_dims)
+        object.__setattr__(self, "local_dims", local_dims)
         mat = np.asarray(self.matrix, dtype=complex)
         if len(self.sites) != len(self.local_dims):
             raise ValueError("sites and local_dims differ in length")
@@ -244,7 +249,11 @@ class LocalOperator:
 
 
 def contract(
-    layout: SpaceLayout, op: LocalOperator, psi: np.ndarray, out: np.ndarray | None = None
+    layout: SpaceLayout,
+    op: LocalOperator,
+    psi: np.ndarray,
+    out: np.ndarray | None = None,
+    ranges=None,
 ) -> np.ndarray:
     """Apply a local operator to raw amplitudes, the one operator kernel.
 
@@ -259,19 +268,39 @@ def contract(
     and the batch axis are gathered in front of the sites, in operator
     order, multiplied in one gemm and scattered back.
 
+    ``ranges``, one (lo, hi) per factor, says that ``psi`` is exactly zero
+    outside the levels lo <= level < hi of each factor; None is every
+    level.  Only the block these ranges cut out of the factors the operator
+    does not touch is then computed, its sites whole, and the result is
+    zero outside that block: the stacked products skip the items outside
+    it, and the other routes take only its gemm rows, gathered into the
+    head of ``out`` when they are not one run.  The route is chosen from
+    the full dimensions, and a block of one gemm row is widened to two, so
+    every amplitude computed goes through the BLAS call of the full ranges.
+    Where the kernel rounds each gemm row alike at any row count from two,
+    as OpenBLAS's SkylakeX kernel does and its Haswell and SandyBridge
+    kernels do not, the block holds the bits of the full ranges; outside
+    it, where their gemm may leave a row of zeros -0.0, it holds +0.0.
+
     Without ``out`` the result is a new array and ``psi`` is only read.
     ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
-    it, receives the result and is returned; ``psi`` is then scratch, and
-    its contents afterwards are undefined.
+    it, receives the result and is returned; ``psi`` is then scratch.  With
+    ``ranges``, ``out`` must be zero outside the block, and ``psi`` is left
+    zero outside its ranges, so that either can take a later result;
+    without, ``psi``'s contents afterwards are undefined.
     """
     sites = layout.resolve_sites(op.sites)
+    dims = layout.dims
     for s, d in zip(sites, op.local_dims):
-        if layout.dims[s] != d:
+        if dims[s] != d:
             raise ValueError(
-                f"operator expects dimension {d} at site {s}, layout has {layout.dims[s]}"
+                f"operator expects dimension {d} at site {s}, layout has {dims[s]}"
             )
+    if ranges is not None and len(ranges) != len(dims):
+        raise ValueError(f"ranges give {len(ranges)} factors, the layout has {len(dims)}")
     if out is None:
-        out, scratch = np.empty(psi.shape, dtype=complex), None
+        out = np.empty(psi.shape, complex) if ranges is None else np.zeros(psi.shape, complex)
+        scratch = None
     elif (
         out.shape != psi.shape
         or out.dtype != complex
@@ -282,30 +311,98 @@ def contract(
     else:
         scratch = psi
     if sites and sites == tuple(range(sites[0], sites[0] + len(sites))):
-        view = psi.reshape(math.prod(layout.dims[: sites[0]]), op.dim, -1)
-        right = view.shape[2]
-        if op.dim**2 * right * (right - 1) <= _KRON_EXTRA_MACS:
-            # kron(M, I_right), C-contiguous and with np.kron's bits, without
-            # np.kron's per-call overhead
-            kron = (op.matrix[:, None, :, None] * np.eye(right)[:, None]).reshape(
-                op.dim * right, op.dim * right
-            )
-            np.matmul(view.reshape(view.shape[0], -1), kron.T, out=out.reshape(view.shape[0], -1))
+        left = dims[: sites[0]]
+        rows = None if ranges is None else ranges[: sites[0]]
+        right = psi.size // (math.prod(left) * op.dim)
+        if op.dim**2 * right * (right - 1) > _KRON_EXTRA_MACS:
+            # each item is a (D x D)(D x right) product of its own, so
+            # skipping some leaves the others' bits as they are
+            shape = left + (op.dim, right)
+            items = () if rows is None else tuple(slice(lo, hi) for lo, hi in rows)
+            np.matmul(op.matrix, psi.reshape(shape)[items], out=out.reshape(shape)[items])
+            return out
+        # kron(M, I_right), C-contiguous and with np.kron's bits, without
+        # np.kron's per-call overhead
+        kron = (op.matrix[:, None, :, None] * np.eye(right)[:, None]).reshape(
+            op.dim * right, op.dim * right
+        )
+        run = slice(None)
+        if rows is not None:
+            rows = _two_rows(rows, left, 1)
+            run = _run(rows, left)
+        if run is None:
+            tensor = psi.reshape(left + (-1,))
+            rows.append((0, tensor.shape[-1]))
+            _gemm_block(tensor, out, scratch, rows, range(tensor.ndim), kron.T)
         else:
-            np.matmul(op.matrix, view, out=out.reshape(view.shape))
+            flat = (math.prod(left), -1)
+            np.matmul(psi.reshape(flat)[run], kron.T, out=out.reshape(flat)[run])
         return out
     # gather the sites last, in operator order, after the batch axis
-    tensor = psi.reshape(layout.dims + (-1,))
+    tensor = psi.reshape(dims + (-1,))
     order = [a for a in range(tensor.ndim) if a not in sites] + list(sites)
-    gathered = out.reshape([tensor.shape[a] for a in order])
-    np.copyto(gathered, tensor.transpose(order))
-    if scratch is None:
-        scratch = np.empty_like(out)
-    product = np.matmul(
-        gathered.reshape(-1, op.dim), op.matrix.T, out=scratch.reshape(-1, op.dim)
-    )
-    np.copyto(out.reshape(tensor.shape).transpose(order), product.reshape(gathered.shape))
+    box = None
+    if ranges is not None:
+        untouched = order[: len(dims) - len(sites)]
+        batch = tensor.shape[-1]
+        rows = _two_rows([ranges[f] for f in untouched], [dims[f] for f in untouched], batch)
+        box = [(0, n) for n in tensor.shape]
+        for f, r in zip(untouched, rows):
+            box[f] = r
+    _gemm_block(tensor, out, scratch, box, order, op.matrix.T)
     return out
+
+
+def _two_rows(box, dims, repeat) -> list:
+    """``box`` widened by one level where it holds one gemm row of several.
+
+    Each of ``repeat`` columns of the batch is a row of its own.  A product
+    of one row is a gemv, which rounds otherwise than a row of a gemm; the
+    rows of a gemm round alike at any row count from two.
+    """
+    box = list(box)
+    if repeat == 1 and all(hi - lo == 1 for lo, hi in box) and math.prod(dims) > 1:
+        f = next(f for f, d in enumerate(dims) if d > 1)
+        lo, hi = box[f]
+        box[f] = (lo, hi + 1) if hi < dims[f] else (lo - 1, hi)
+    return box
+
+
+def _run(box, dims) -> slice | None:
+    """The C-order flat indices of ``box`` as a slice, if they are one run."""
+    # the first factor wider than one level may take part of its levels;
+    # every factor after it must be whole
+    first = next((f for f, (lo, hi) in enumerate(box) if hi - lo > 1), len(box))
+    if any(r != (0, d) for r, d in zip(box[first + 1:], dims[first + 1:])):
+        return None
+    start = 0
+    for (lo, _), d in zip(box, dims):
+        start = start * d + lo
+    return slice(start, start + math.prod(hi - lo for lo, hi in box))
+
+
+def _gemm_block(tensor, out, scratch, box, order, matrix_t) -> None:
+    """Write ``tensor``'s block, axes in ``order``, times ``matrix_t`` into ``out``'s block.
+
+    ``box`` gives one (lo, hi) per axis of ``tensor``; None is all of it.
+    The block is gathered into the head of ``out``, multiplied into the head
+    of ``scratch`` (a new array if None) and scattered back.  Given a box,
+    the head of ``out`` is cleared before the scatter and the head of
+    ``scratch`` after it, so each stays zero wherever it was zero outside
+    the block.
+    """
+    block = () if box is None else tuple(slice(lo, hi) for lo, hi in box)
+    part = tensor[block].transpose(order)
+    gathered = out.reshape(-1)[: part.size].reshape(part.shape)
+    np.copyto(gathered, part)
+    head = np.empty(part.size, complex) if scratch is None else scratch.reshape(-1)[: part.size]
+    k = matrix_t.shape[0]
+    product = np.matmul(gathered.reshape(-1, k), matrix_t, out=head.reshape(-1, k))
+    if box is not None:
+        gathered.fill(0)
+    np.copyto(out.reshape(tensor.shape)[block].transpose(order), product.reshape(part.shape))
+    if box is not None and scratch is not None:
+        head.fill(0)
 
 
 def expectation(state: CompositeState, op: LocalOperator) -> complex:

@@ -9,6 +9,7 @@ from squidcavity import (
     CavitySegment,
     CompositeState,
     DriveSegment,
+    GateParams,
     LocalOperator,
     MAX_LINDBLAD_SUBSTEPS,
     SpaceLayout,
@@ -19,6 +20,7 @@ from squidcavity import (
     evolve_pure,
     expectation,
     noisy_gate,
+    qcpg_schedule,
     single_excitation_closed_form,
     state_fidelity,
 )
@@ -277,6 +279,15 @@ def test_propagate_refuses_a_squid_outside_the_layout():
             evolve_pure(state, (segment,))
 
 
+def test_propagate_refuses_amplitudes_of_another_dimension():
+    # the rows are the layout's amplitudes, whether or not the state is
+    # large enough for its level ranges to be tracked
+    for n, length in ((2, 26), (8, 5000), (8, 3**9 + 1)):
+        layout = SpaceLayout(n, 2)
+        with pytest.raises(ValueError, match="layout dimension is"):
+            propagate(layout, cluster_chain_schedule(n), np.ones(length, dtype=complex))
+
+
 def test_shared_propagators_give_the_bits_of_segment_by_segment_runs():
     state = chain_initial_state(4)
     schedule = cluster_chain_schedule(4)
@@ -285,6 +296,106 @@ def test_shared_propagators_give_the_bits_of_segment_by_segment_runs():
     for segment in schedule:
         psi = propagate(state.layout, (segment,), psi)
     assert whole.tobytes() == psi.tobytes()
+
+
+def _whole_range_run(layout, schedule, psi):
+    """The dense reference: each segment's propagator applied to every amplitude."""
+    for segment in schedule:
+        u = propagator(segment.hamiltonian(layout.fock_cutoff), segment.duration)
+        psi = contract(layout, u, psi)
+    return psi
+
+
+def _truth_table_inputs(layout):
+    block = np.zeros((layout.total_dim, 4), dtype=complex)
+    for column, bits in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        block[basis_index(layout, bits), column] = 1.0
+    return block
+
+
+def _outside(ranges, shape):
+    """Mask of the amplitudes, batch axis last, outside the block of ``ranges``."""
+    outside = np.ones(shape, dtype=bool)
+    outside[tuple(slice(lo, hi) for lo, hi in ranges)] = False
+    return outside
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+@pytest.mark.parametrize(
+    "tracked_from", [evolution._TRACKED_MIN_AMPLITUDES, 0], ids=["as-set", "every-state"]
+)
+def test_propagate_has_the_bits_of_whole_range_contraction(monkeypatch, tracked_from):
+    # contract computes only the block the tracked ranges cut out: every
+    # amplitude outside it is zero in the whole-range run too, and every one
+    # inside goes through the same BLAS call
+    monkeypatch.setattr(evolution, "_TRACKED_MIN_AMPLITUDES", tracked_from)
+    cases = []
+    for cutoff in (1, 2):
+        for n in range(2, 11):
+            state = chain_initial_state(n, cutoff)
+            cases.append((state.layout, cluster_chain_schedule(n), state.amplitudes))
+    for ratio in (math.sqrt(3), 1.5, math.sqrt(15), 1.0):
+        for cutoff in (1, 2, 3):
+            layout = SpaceLayout(2, cutoff)
+            for control, target in ((0, 1), (1, 0)):
+                schedule = qcpg_schedule(control, target, GateParams(ratio=ratio))
+                cases.append((layout, schedule, _truth_table_inputs(layout)))
+    for layout, schedule, psi in cases:
+        want = _whole_range_run(layout, schedule, psi)
+        assert propagate(layout, schedule, psi).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["chain", "truth-table"])
+def test_tracked_ranges_hold_every_non_zero_amplitude(monkeypatch, case):
+    monkeypatch.setattr(evolution, "_TRACKED_MIN_AMPLITUDES", 0)
+    if case == "chain":
+        state = chain_initial_state(6)
+        layout, schedule, psi = state.layout, cluster_chain_schedule(6), state.amplitudes
+    else:
+        layout = SpaceLayout(2, 2)
+        schedule, psi = qcpg_schedule(0, 1), _truth_table_inputs(layout)
+    tracked = []
+    widen = evolution._Reach.widen
+    monkeypatch.setattr(
+        evolution._Reach,
+        "widen",
+        lambda self, ranges, sites: tracked.append(widen(self, ranges, sites)) or tracked[-1],
+    )
+    propagate(layout, schedule, psi)
+    assert len(tracked) == len(schedule)
+    ranges = evolution._support(layout, np.array(psi))
+    shape = layout.dims + (-1,)
+    assert not np.any(psi.reshape(shape)[_outside(ranges, psi.reshape(shape).shape)])
+    # replay the whole-range run segment by segment
+    for k, (segment, after) in enumerate(zip(schedule, tracked)):
+        # ranges never shrink
+        assert all(lo <= a and b <= hi for (a, b), (lo, hi) in zip(ranges, after))
+        psi = _whole_range_run(layout, (segment,), psi)
+        amplitudes = psi.reshape(shape)
+        assert not np.any(amplitudes[_outside(after, amplitudes.shape)]), (k, after)
+        # through the superposition pulses the ranges are the least ones
+        if case == "chain" and k < 6:
+            assert after == evolution._support(layout, psi)
+        ranges = after
+
+
+def test_a_level_emptied_by_a_segment_keeps_its_range(monkeypatch):
+    # a propagator that moves every level to the next leaves the one it
+    # starts from empty; the buffer written two segments later still holds
+    # the state there, so the range must keep that level for the block to
+    # overwrite it
+    monkeypatch.setattr(evolution, "_TRACKED_MIN_AMPLITUDES", 0)
+    cycle = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    monkeypatch.setattr(
+        evolution, "propagator", lambda h, t: LocalOperator(h.sites, h.local_dims, cycle)
+    )
+    layout = SpaceLayout(3, fock_cutoff=1)
+    schedule = tuple(DriveSegment(s, (0, 1), 1.0, 0.3) for s in (1, 2, 0, 1, 2, 2))
+    psi = basis_state(layout, (1, 1, 1)).amplitudes
+    want = psi
+    for segment in schedule:
+        want = contract(layout, LocalOperator((segment.target_squid,), (3,), cycle), want)
+    assert propagate(layout, schedule, psi).tobytes() == want.tobytes()
 
 
 def test_single_excitation_closed_form_anchors():
@@ -650,6 +761,15 @@ def test_real_superoperator_matches_the_complex_one():
             for y in _to_coordinates(rho)
         )
         assert np.max(np.abs(a + 1j * b - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_real_superoperator_is_laid_out_in_fortran_order():
+    # the Taylor gemm's BLAS call follows L_y's layout: a C-ordered copy of
+    # the same entries moves the default point's trace defect, so a change
+    # of layout shows here before it shows in the pinned reports
+    for segment in noisy_gate().segments:
+        real = _real_superoperator(segment.drift, segment.l_ops)
+        assert real.flags.f_contiguous and not real.flags.c_contiguous
 
 
 def test_real_coordinates_are_an_isometry_and_invert():

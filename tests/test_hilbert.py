@@ -35,6 +35,10 @@ def test_layout_validation():
         SpaceLayout(0)
     with pytest.raises(ValueError):
         SpaceLayout(1, fock_cutoff=-1)
+    # sizes are ints, never converted: True is no SQUID count, 1.5 no cutoff
+    for n_squids, fock in ((True, 2), (2.0, 2), (2, 1.5), (2, True), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be an integer >="):
+            SpaceLayout(n_squids, fock)
 
 
 def test_resolve_site_negative_is_cavity():
@@ -137,6 +141,10 @@ def test_local_operator_validation():
     for site in (1.7, True, -2):
         with pytest.raises(ValueError, match="site must be an integer >= -1"):
             LocalOperator((site,), (3,), np.eye(3))
+    # so is a dimension: 3.7 is not read as 3, nor True as 1
+    for dim, matrix in ((3.7, np.eye(3)), (True, np.eye(1)), (0, np.eye(0))):
+        with pytest.raises(ValueError, match="local dimension must be an integer >= 1"):
+            LocalOperator((0,), (dim,), matrix)
 
 
 def test_checked_arrays_are_read_only_views():

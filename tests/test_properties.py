@@ -1,7 +1,8 @@
 """Property tests: the gate family, the noisy gate's channel and scores, contract's routes.
 
 The routes are checked one state at a time and on blocks of states along
-the kernel's trailing batch axis, into a new array and into a given one.
+the kernel's trailing batch axis, into a new array and into a given one,
+on the whole space and on the block a set of level ranges cuts out.
 """
 
 import itertools
@@ -182,3 +183,89 @@ def test_contract_matches_dense_oracle(case, width):
     for column, psi in zip(got, [block[:, 0], *block.T, *block.T], strict=True):
         want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
         assert np.max(np.abs(column - want)) <= 1e-13 * np.max(np.abs(want)), case
+
+
+@st.composite
+def restricted_cases(draw):
+    """(n_squids, fock_cutoff, sites, ranges, width, seed) over every route.
+
+    Sites are drawn as an ascending run, as the gate's (a, a+1, cavity), or
+    in any order; ranges as one (lo, hi) per factor, none of them empty.
+    A width of None is one state without a batch axis.
+    """
+    n_squids = draw(st.integers(1, 4))
+    fock = draw(st.integers(1, 3))
+    n = n_squids + 1
+    kind = draw(st.sampled_from(("run", "gate", "any")))
+    if kind == "gate" and n_squids >= 2:
+        a = draw(st.integers(0, n_squids - 2))
+        sites = [a, a + 1, n - 1]
+    elif kind == "run":
+        start = draw(st.integers(0, n - 1))
+        sites = list(range(start, start + draw(st.integers(1, min(3, n - start)))))
+    else:
+        order = draw(st.permutations(range(n)))
+        sites = list(order[: draw(st.integers(0, min(3, n)))])
+    sites = tuple(-1 if s == n_squids else s for s in sites)
+    ranges = []
+    for d in SpaceLayout(n_squids, fock).dims:
+        lo = draw(st.integers(0, d - 1))
+        ranges.append((lo, draw(st.integers(lo + 1, d))))
+    width = draw(st.sampled_from((None, 1, 2, 3)))
+    return n_squids, fock, sites, tuple(ranges), width, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(restricted_cases())
+# Kronecker rows: one run, not one run, and one row widened to two
+@example((3, 2, (2,), ((1, 2), (0, 3), (0, 2), (0, 2)), None, 1))
+@example((3, 2, (2,), ((0, 2), (1, 3), (0, 3), (0, 3)), None, 2))
+@example((3, 2, (2,), ((2, 3), (1, 2), (0, 1), (0, 1)), None, 3))
+# stacked items: (3 x 3)(3 x 27) each, and (36 x 36)(36 x 3) on a batch
+@example((4, 2, (1,), ((0, 2), (1, 2), (0, 3), (0, 1), (0, 2)), None, 4))
+@example((4, 3, (2, 3, -1), ((1, 3), (0, 1), (0, 3), (0, 3), (0, 2)), 3, 5))
+# gather-gemm-scatter: the gate's sites, descending sites, no site, one row
+@example((3, 2, (0, 1, -1), ((0, 2), (0, 3), (0, 2), (0, 2)), None, 6))
+@example((3, 2, (2, 0), ((0, 3), (2, 3), (0, 3), (0, 2)), 3, 7))
+@example((2, 1, (), ((0, 2), (1, 3), (1, 2)), 2, 8))
+@example((3, 2, (0, 1, -1), ((0, 3), (0, 3), (2, 3), (0, 3)), 1, 9))
+def test_contract_on_a_block_has_the_bits_of_the_whole(case):
+    n_squids, fock, sites, ranges, width, seed = case
+    layout = SpaceLayout(n_squids, fock)
+    rng = np.random.default_rng(seed)
+    local_dims = tuple(layout.dims[s] for s in sites)
+    d = math.prod(local_dims)
+    op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    shape = layout.dims + (() if width is None else (width,))
+    inside = np.zeros(shape, dtype=bool)
+    inside[tuple(slice(lo, hi) for lo, hi in ranges)] = True
+    psi = np.where(inside, rng.normal(size=shape) + 1j * rng.normal(size=shape), 0)
+    psi = psi.reshape(layout.total_dim, *shape[layout.n_factors:])
+    want = contract(layout, op, psi)
+    # the block: every factor cut to its range but the operator's sites
+    cut = [slice(lo, hi) for lo, hi in ranges]
+    for f in layout.resolve_sites(sites):
+        cut[f] = slice(None)
+    block = np.zeros(shape, dtype=bool)
+    block[tuple(cut)] = True
+    assert not np.any(want.reshape(shape)[~block])
+
+    def same(got):
+        # the block has the whole run's bits, and outside it both are zero:
+        # a whole-range gemm can give a row of zeros a sign bit at some of
+        # its columns, which a run on the block leaves +0.0
+        got = got.reshape(shape)
+        return got[block].tobytes() == want.reshape(shape)[block].tobytes() and not np.any(
+            got[~block]
+        )
+
+    # into a new array, and into a buffer that is zero outside the block but
+    # holds a stale state inside it, with the input as scratch
+    assert same(contract(layout, op, psi, ranges=ranges)), case
+    out = np.where(block, rng.normal(size=shape), 0).astype(complex).reshape(psi.shape)
+    scratch = psi.copy()
+    assert contract(layout, op, scratch, out=out, ranges=ranges) is out
+    assert same(out), case
+    # the scratch input is left zero outside its ranges, so it can take the
+    # next segment's result
+    assert not np.any(scratch.reshape(shape)[~inside])

@@ -4,25 +4,24 @@ Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
 of the segment generator; at the local dimensions involved (at most 27) this
 is exact to rounding, so ideal-protocol results carry no integrator error.
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
-own generator) on pure states, alone or as a block; it builds each
-segment's generator and one propagator per distinct key, the generator's
-local dimensions and matrix bytes with the duration's bits, and reuses the
-propagator on the sites of every generator with that key.  Equal keys are
-the same input to ``eigh``, so sharing is exact whatever the segment kind.
-``evolve_pure`` wraps it for a ``CompositeState``.
-
-On a state of ``_TRACKED_MIN_AMPLITUDES`` amplitudes or more,
-``propagate`` keeps per factor a level range [lo, hi) outside which every
-amplitude is exactly zero, and ``hilbert.contract`` computes only the
-block these ranges cut out of the factors a segment does not touch.  The
-ranges start as those of the input's non-zero entries; after each
-segment, its sites are joined with the levels that its propagator's exact
-non-zero pattern reaches from the block, so no range ever shrinks.  Both
-state buffers stay exactly zero outside the block: the spare starts
-zeroed, and the buffer a segment writes holds the state of two segments
-back, which lies inside it.  A cluster chain holds 1 024 non-zero
-amplitudes of 177 147 at N = 10 after its superposition pulses, so most
-segments touch a fraction of the state.
+own generator) on pure states, alone or as a block, in two parts.  The plan
+walks the schedule before any amplitude moves: it builds each segment's
+generator and one propagator per distinct key, the generator's local
+dimensions and matrix bytes with the duration's bits, reused on the sites of
+every generator with that key.  Equal keys are the same input to ``eigh``,
+so sharing is exact whatever the segment kind.  The plan also keeps per
+factor a level range [lo, hi) outside which every amplitude is exactly zero
+before each segment.  The ranges start as those of the input's non-zero
+entries; after each segment, its sites are joined with the levels that its
+propagator's exact non-zero pattern reaches from the block, so no range ever
+shrinks; of the amplitudes, the plan reads only which are non-zero.  The run
+is a loop of ``hilbert.contract``, which computes only the block the ranges
+cut out of the factors a segment does not touch, and a norm check.  Both
+state buffers stay exactly zero outside the block: the spare starts zeroed,
+and the buffer a segment writes holds the state of two segments back, which
+lies inside it.  A cluster chain holds 1 024 non-zero amplitudes of 177 147
+at N = 10 after its superposition pulses, so most segments touch a fraction
+of the state.  ``evolve_pure`` wraps ``propagate`` for a ``CompositeState``.
 
 Open-system segments follow the Lindblad master equation
 
@@ -87,9 +86,6 @@ MAX_LINDBLAD_SUBSTEPS = 1000
 # written in place, with no temporaries of that size.  The limit is the
 # largest d whose S fits the byte budget: 32, where S takes exactly 16 MiB
 SUPEROPERATOR_DIM_LIMIT = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
-# states of fewer amplitudes, batch included, run on whole ranges: a
-# truth table's 108 or a chain of N <= 6 saves less than its bookkeeping
-_TRACKED_MIN_AMPLITUDES = 4096
 
 
 def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
@@ -123,20 +119,14 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
 def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarray:
     """Run a schedule on raw amplitudes, one state or a (total_dim, batch) block.
 
-    The run owns two state-sized buffers shaped like the input: a copy of
-    it, and one more.  Each segment reads one buffer and writes the other,
-    so the caller's array is only read and no segment allocates a state.
-    Each segment builds its generator; a propagator is keyed on the
-    generator's local dimensions and matrix bytes and the duration's bits,
-    sites aside, so it is built only the first time its key appears in the
-    run, for the whole block: a cluster chain repeats four of them.  Each
-    segment applies it on its generator's sites; every state's norm is then
-    checked, which also catches NaN and Inf.
-
-    On a state of ``_TRACKED_MIN_AMPLITUDES`` amplitudes or more, the run
-    tracks the level ranges of the module docstring and hands them to
-    ``contract``, which then computes only their block.  The spare buffer
-    starts zeroed, so both buffers are exactly zero outside the block.
+    First the plan (``_plan``) builds every propagator, for the whole block,
+    and the level ranges of the module docstring, from the input's support
+    alone.  Then the run applies each step with ``contract``, which computes
+    only the block of its ranges, and checks every state's norm, which also
+    catches NaN and Inf.  The run owns two state-sized buffers shaped like
+    the input: a copy of it, and a zeroed spare.  Each segment reads one
+    buffer and writes the other, so the caller's array is only read and no
+    segment allocates a state.
     """
     # rebinding ``psi`` drops this frame's hold on the initial amplitudes
     psi = np.array(psi, dtype=complex)
@@ -144,20 +134,10 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
         raise ValueError(
             f"amplitudes have shape {psi.shape}, layout dimension is {layout.total_dim}"
         )
-    ranges = _support(layout, psi) if psi.size >= _TRACKED_MIN_AMPLITUDES else None
+    steps = _plan(layout, schedule, _support(layout, psi))
     spare = np.zeros_like(psi)
-    built, reaches = {}, {}
-    for segment in schedule:
-        h = segment.hamiltonian(layout.fock_cutoff)
-        key = (h.local_dims, h.matrix.tobytes(), float(segment.duration).hex())
-        if key not in built:
-            built[key] = propagator(h, segment.duration).matrix
-        u = LocalOperator(h.sites, h.local_dims, built[key])
+    for u, ranges in steps:
         psi, spare = contract(layout, u, psi, out=spare, ranges=ranges), psi
-        if ranges is not None:
-            if key not in reaches:
-                reaches[key] = _Reach(built[key], h.local_dims)
-            ranges = reaches[key].widen(ranges, layout.resolve_sites(h.sites))
         for column in psi.reshape(len(psi), -1).T:
             norm = math.sqrt(np.vdot(column, column).real)
             if not abs(norm - 1.0) <= NORM_TOL:
@@ -167,56 +147,57 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     return psi
 
 
+def _plan(layout: SpaceLayout, schedule: tuple, ranges: tuple) -> list:
+    """Per segment, its propagator on its sites and the ranges its input lies in.
+
+    ``ranges`` are those of the schedule's input.  A propagator is keyed on
+    its generator's local dimensions and matrix bytes and the duration's
+    bits, sites aside, so it is built only the first time its key appears:
+    a cluster chain repeats four of them.  So are the levels it reaches
+    from each box of levels at its sites, read from its exact non-zero
+    pattern; no segment follows the last, so its reach is never needed.
+    """
+    steps, built = [], {}
+    for k, segment in enumerate(schedule):
+        h = segment.hamiltonian(layout.fock_cutoff)
+        key = (h.local_dims, h.matrix.tobytes(), float(segment.duration).hex())
+        if key not in built:
+            built[key] = propagator(h, segment.duration), {}
+        u, reached = built[key]
+        if u.sites != h.sites:
+            u = LocalOperator(h.sites, h.local_dims, u.matrix)
+        steps.append((u, ranges))
+        if k + 1 == len(schedule):
+            break
+        sites = layout.resolve_sites(h.sites)
+        box = tuple(ranges[s] for s in sites)
+        if box not in reached:
+            # rows, then columns, one axis per site; a NaN counts as non-zero
+            entries = u.matrix.reshape(h.local_dims * 2)
+            columns = entries[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in box)]
+            reached[box] = _bounds(np.nonzero(columns.any(axis=tuple(range(-len(sites), 0)))))
+        ranges = list(ranges)
+        for s, (lo, hi), (r_lo, r_hi) in zip(sites, box, reached[box]):
+            ranges[s] = (min(lo, r_lo), max(hi, r_hi))
+        ranges = tuple(ranges)
+    return steps
+
+
 def _support(layout: SpaceLayout, psi: np.ndarray) -> tuple:
     """Per factor, the least (lo, hi) outside which ``psi`` holds only +0.0 bits."""
     # a -0.0 or NaN part counts as non-zero: left outside the block, a -0.0
     # would outlive its segment in the buffer the next one writes
-    rows = np.flatnonzero(psi.view(np.int64) != 0) // (2 * (psi.size // layout.total_dim))
-    return tuple(
-        (int(digit.min()), int(digit.max()) + 1) if digit.size else (0, 0)
-        for digit in np.unravel_index(rows, layout.dims)
-    )
+    parts = psi.view(np.int64)
+    shape = layout.dims + (parts.size // layout.total_dim,)
+    return tuple(_bounds(np.unravel_index(np.flatnonzero(parts != 0), shape))[:-1])
 
 
-class _Reach:
-    """The levels a propagator reaches, read from its exact non-zero pattern.
-
-    The pattern is formed once per propagator, and the reach of each input
-    block is kept: a cluster chain applies each of its four propagators to
-    a handful of distinct blocks.
-    """
-
-    def __init__(self, matrix: np.ndarray, local_dims: tuple):
-        self.dims = local_dims
-        # rows, then columns, one axis per site
-        self.pattern = (matrix != 0).reshape(local_dims + local_dims)
-        self.reached = {}
-
-    def widen(self, ranges: tuple, sites: tuple) -> tuple:
-        """``ranges`` with each of ``sites`` joined with the levels reached from them."""
-        box = tuple(ranges[s] for s in sites)
-        # every row of a unitary holds a non-zero, so a whole block reaches
-        # every level: nothing is left to track
-        if all(hi - lo == d for (lo, hi), d in zip(box, self.dims)):
-            return ranges
-        reach = self.reached.get(box)
-        if reach is None:
-            reach = self.reached[box] = self._reach(box)
-        ranges = list(ranges)
-        for s, (lo, hi), (r_lo, r_hi) in zip(sites, box, reach):
-            ranges[s] = (min(lo, r_lo), max(hi, r_hi))
-        return tuple(ranges)
-
-    def _reach(self, box: tuple) -> list:
-        """Per site, the (lo, hi) of the output levels fed from the columns in ``box``."""
-        k = len(self.dims)
-        columns = self.pattern[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in box)]
-        hit = columns.reshape(self.dims + (-1,)).any(axis=-1)
-        reach = []
-        for axis in range(k):
-            levels = np.flatnonzero(hit.any(axis=tuple(a for a in range(k) if a != axis)))
-            reach.append((int(levels[0]), int(levels[-1]) + 1) if levels.size else (0, 0))
-        return reach
+def _bounds(indices: tuple) -> list:
+    """Per axis, the least (lo, hi) holding every index of that axis's array."""
+    found = np.array(indices)
+    if not found.size:
+        return [(0, 0)] * len(indices)
+    return list(zip(found.min(axis=1).tolist(), (found.max(axis=1) + 1).tolist()))
 
 
 def evolve_pure(state: CompositeState, schedule: tuple) -> CompositeState:

@@ -284,10 +284,9 @@ def contract(
 
     Without ``out`` the result is a new array and ``psi`` is only read.
     ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
-    it, receives the result and is returned; ``psi`` is then scratch.  With
-    ``ranges``, ``out`` must be zero outside the block, and ``psi`` is left
-    zero outside its ranges, so that either can take a later result;
-    without, ``psi``'s contents afterwards are undefined.
+    it, receives the result and is returned; ``psi`` is then scratch.
+    ``out`` must be zero outside the block, and ``psi`` is left zero
+    outside its ranges, so that either can take a later result.
     """
     sites = layout.resolve_sites(op.sites)
     dims = layout.dims
@@ -296,10 +295,12 @@ def contract(
             raise ValueError(
                 f"operator expects dimension {d} at site {s}, layout has {dims[s]}"
             )
-    if ranges is not None and len(ranges) != len(dims):
+    if ranges is None:
+        ranges = [(0, d) for d in dims]
+    elif len(ranges) != len(dims):
         raise ValueError(f"ranges give {len(ranges)} factors, the layout has {len(dims)}")
     if out is None:
-        out = np.empty(psi.shape, complex) if ranges is None else np.zeros(psi.shape, complex)
+        out = np.zeros(psi.shape, complex)
         scratch = None
     elif (
         out.shape != psi.shape
@@ -312,13 +313,12 @@ def contract(
         scratch = psi
     if sites and sites == tuple(range(sites[0], sites[0] + len(sites))):
         left = dims[: sites[0]]
-        rows = None if ranges is None else ranges[: sites[0]]
         right = psi.size // (math.prod(left) * op.dim)
         if op.dim**2 * right * (right - 1) > _KRON_EXTRA_MACS:
             # each item is a (D x D)(D x right) product of its own, so
             # skipping some leaves the others' bits as they are
             shape = left + (op.dim, right)
-            items = () if rows is None else tuple(slice(lo, hi) for lo, hi in rows)
+            items = tuple(slice(lo, hi) for lo, hi in ranges[: sites[0]])
             np.matmul(op.matrix, psi.reshape(shape)[items], out=out.reshape(shape)[items])
             return out
         # kron(M, I_right), C-contiguous and with np.kron's bits, without
@@ -326,10 +326,8 @@ def contract(
         kron = (op.matrix[:, None, :, None] * np.eye(right)[:, None]).reshape(
             op.dim * right, op.dim * right
         )
-        run = slice(None)
-        if rows is not None:
-            rows = _two_rows(rows, left, 1)
-            run = _run(rows, left)
+        rows = _two_rows(ranges[: sites[0]], left, 1)
+        run = _run(rows, left)
         if run is None:
             tensor = psi.reshape(left + (-1,))
             rows.append((0, tensor.shape[-1]))
@@ -341,14 +339,12 @@ def contract(
     # gather the sites last, in operator order, after the batch axis
     tensor = psi.reshape(dims + (-1,))
     order = [a for a in range(tensor.ndim) if a not in sites] + list(sites)
-    box = None
-    if ranges is not None:
-        untouched = order[: len(dims) - len(sites)]
-        batch = tensor.shape[-1]
-        rows = _two_rows([ranges[f] for f in untouched], [dims[f] for f in untouched], batch)
-        box = [(0, n) for n in tensor.shape]
-        for f, r in zip(untouched, rows):
-            box[f] = r
+    untouched = order[: len(dims) - len(sites)]
+    batch = tensor.shape[-1]
+    rows = _two_rows([ranges[f] for f in untouched], [dims[f] for f in untouched], batch)
+    box = [(0, n) for n in tensor.shape]
+    for f, r in zip(untouched, rows):
+        box[f] = r
     _gemm_block(tensor, out, scratch, box, order, op.matrix.T)
     return out
 
@@ -384,24 +380,22 @@ def _run(box, dims) -> slice | None:
 def _gemm_block(tensor, out, scratch, box, order, matrix_t) -> None:
     """Write ``tensor``'s block, axes in ``order``, times ``matrix_t`` into ``out``'s block.
 
-    ``box`` gives one (lo, hi) per axis of ``tensor``; None is all of it.
-    The block is gathered into the head of ``out``, multiplied into the head
-    of ``scratch`` (a new array if None) and scattered back.  Given a box,
-    the head of ``out`` is cleared before the scatter and the head of
-    ``scratch`` after it, so each stays zero wherever it was zero outside
-    the block.
+    ``box`` gives one (lo, hi) per axis of ``tensor``.  The block is
+    gathered into the head of ``out``, multiplied into the head of
+    ``scratch`` (a new array if None) and scattered back.  The head of
+    ``out`` is cleared before the scatter and the head of ``scratch`` after
+    it, so each stays zero wherever it was zero outside the block.
     """
-    block = () if box is None else tuple(slice(lo, hi) for lo, hi in box)
+    block = tuple(slice(lo, hi) for lo, hi in box)
     part = tensor[block].transpose(order)
     gathered = out.reshape(-1)[: part.size].reshape(part.shape)
     np.copyto(gathered, part)
     head = np.empty(part.size, complex) if scratch is None else scratch.reshape(-1)[: part.size]
     k = matrix_t.shape[0]
     product = np.matmul(gathered.reshape(-1, k), matrix_t, out=head.reshape(-1, k))
-    if box is not None:
-        gathered.fill(0)
+    gathered.fill(0)
     np.copyto(out.reshape(tensor.shape)[block].transpose(order), product.reshape(part.shape))
-    if box is not None and scratch is not None:
+    if scratch is not None:
         head.fill(0)
 
 

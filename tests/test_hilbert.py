@@ -279,3 +279,14 @@ def test_contract_refuses_an_unusable_out():
     ):
         with pytest.raises(ValueError, match="out must be"):
             contract(layout, op, psi, out=out)
+
+
+def test_contract_refuses_ranges_of_another_layout():
+    # one (lo, hi) per factor: a shorter tuple would leave factors unbounded
+    layout = SpaceLayout(2, 2)
+    psi = basis_state(layout, (0, 0)).amplitudes
+    op = LocalOperator((0,), (3,), np.eye(3))
+    for ranges in (((0, 3),), ((0, 3),) * 4):
+        message = f"ranges give {len(ranges)} factors, the layout has 3"
+        with pytest.raises(ValueError, match=message):
+            contract(layout, op, psi, ranges=ranges)

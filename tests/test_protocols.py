@@ -159,6 +159,13 @@ def test_rotation_pulse_duration_and_range():
         rotation_pulse(0, (0, 1), -0.1)
     with pytest.raises(ValueError):
         rotation_pulse(0, (0, 1), 2 * math.pi)
+    # the rate is checked before it divides the angle: 0.0 would raise
+    # ZeroDivisionError
+    for rabi in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rabi must be finite and > 0"):
+            rotation_pulse(0, (0, 1), math.pi / 3, rabi=rabi)
+        with pytest.raises(ValueError, match="rabi must be finite and > 0"):
+            prepare_superposition(0, rabi)
 
 
 def test_prepare_superposition_from_level_1():

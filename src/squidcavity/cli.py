@@ -7,20 +7,27 @@ first and parses the rest with that command's flags alone.  When the first
 argument names no command, the top-level parser is built instead; it only
 prints the help or a usage error.
 
-Every command resolves its settings as defaults < config file < flags.  Its
-handler computes the results, prints its summary lines, marks the end of
-each phase on a clock, and returns its pass flag with its reports: a file
-name mapped to its content, a JSON dict or list for a ``.json`` name and a
-list of CSV rows (header first) for a ``.csv`` one.  ``main`` alone writes
-them under the chosen directory, in the one format each suffix names,
-echoing the resolved configuration into every JSON dict; it then prints
-the wall time and each phase's time, the writes being the ``report``
-phase, and PASS or FAIL.  Exit codes: 0 all checks passed, 1 a physics
-check failed, 2 configuration or usage error; a configuration error exits
-before any report is written.  A ``decoherence`` point whose exact
-propagation the library refuses as too much work
-(``evolution.WorkLimitError``) is a configuration error, named by its
-sweep value; any other exception is a fault in the program.
+Every command resolves its settings as defaults < config file < flags.
+``FLAGS`` names the config key each flag sets (``--ratio`` sets
+``gate.ratio``): the flags given are written into the config file's JSON
+object, or into an empty one, and the result is validated once, by
+``config.config_from_dict``, so a bad value is refused by the same check,
+and named by the same key, whichever way it came.  ``--cavity-time-scale``
+is the one flag that sets no key: it multiplies the validated gate's cavity
+window, which is then written as ``gate.cavity_time_s`` and validated
+again.  A command's handler computes the results, prints its summary
+lines, marks the end of each phase on a clock, and returns its pass flag
+with its reports: a file name mapped to its content, a JSON dict or list
+for a ``.json`` name and a list of CSV rows (header first) for a ``.csv``
+one.  ``main`` alone writes them under the chosen directory, in the one
+format each suffix names, echoing the resolved configuration into every
+JSON dict; it then prints the wall time and each phase's time, the writes
+being the ``report`` phase, and PASS or FAIL.  Exit codes: 0 all checks
+passed, 1 a physics check failed, 2 configuration or usage error; a
+configuration error exits before any report is written.  A
+``decoherence`` point whose exact propagation the library refuses as too
+much work (``evolution.WorkLimitError``) is a configuration error, named
+by its sweep value; any other exception is a fault in the program.
 
 Output files are byte-identical across runs with the same configuration,
 with one documented exception: the ``runtime_s`` column of the decoherence
@@ -35,7 +42,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +51,9 @@ from .config import (
     SWEEP_PARAMETERS,
     ConfigError,
     RunConfig,
-    SweepSettings,
+    config_from_dict,
     config_to_dict,
-    load_config,
+    read_config,
 )
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import WorkLimitError, evolve_pure
@@ -73,46 +80,46 @@ SWEEP_EIGENVALUE_MIN = -1e-6
 SCORE_COLUMNS = ("average_fidelity", "process_fidelity", "trace_defect", "min_eigenvalue")
 
 
+def _set_key(data, key: str, value) -> None:
+    """Write ``value`` at ``key``, dotted ``section.name`` or top-level.
+
+    A root or section that is not an object is left as it is, for
+    ``config_from_dict`` to refuse.
+    """
+    *section, name = key.split(".")
+    if section and isinstance(data, dict):
+        data = data.setdefault(section[0], {})
+    if isinstance(data, dict):
+        data[name] = value
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if args.config is not None else RunConfig()
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = str(args.out)
-    if args.fock_cutoff is not None:
-        updates["fock_cutoff"] = args.fock_cutoff
-    if getattr(args, "n", None) is not None:
-        updates["n_qubits"] = args.n
-
-    try:
-        gate = config.gate
-        if getattr(args, "ratio", None) is not None:
-            gate = replace(gate, ratio=args.ratio)
-        scale = getattr(args, "cavity_time_scale", 1.0)
-        if scale != 1.0:
-            check_number("--cavity-time-scale", scale, 0, strict=True)
-            gate = replace(gate, cavity_time=gate.resolved_cavity_time * scale)
-        if gate is not config.gate:
-            updates["gate"] = gate
-
-        parameter = getattr(args, "sweep", None)
-        values = getattr(args, "values", None)
-        if values is not None:
+    """Write each given flag into the config file's JSON, or into ``{}``, and validate once."""
+    data = read_config(args.config) if args.config is not None else {}
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if key is None or value is None:
+            continue
+        if flag == "--values":
             try:
-                values = tuple(float(v) for v in values.split(","))
+                value = [float(v) for v in value.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
-            updates["sweep"] = SweepSettings(parameter or config.sweep.parameter, values)
-        elif parameter is not None:
-            try:
-                updates["sweep"] = SweepSettings(parameter, config.sweep.values)
-            except ConfigError as exc:
-                # the values came from the config file or the defaults, not the command line
-                raise ConfigError(f"--sweep {parameter} needs --values; configured {exc}") from exc
-        return replace(config, **updates) if updates else config
-    except ConfigError:
+        _set_key(data, key, value)
+    try:
+        config = config_from_dict(data)
+    except ConfigError as exc:
+        parameter = getattr(args, "sweep", None)
+        # the values came from the config file or the defaults, not the command line
+        if parameter is not None and args.values is None and str(exc).startswith("sweep values"):
+            raise ConfigError(f"--sweep {parameter} needs --values; configured {exc}") from exc
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scale = getattr(args, "cavity_time_scale", 1.0)
+    if scale == 1.0:
+        return config
+    check_number("--cavity-time-scale", scale, 0, strict=True, error=ConfigError)
+    _set_key(data, "gate.cavity_time_s", config.gate.resolved_cavity_time * scale)
+    return config_from_dict(data)
 
 
 def _make_out_dir(out_dir: Path) -> None:
@@ -261,18 +268,23 @@ def cmd_decoherence(config: RunConfig, clock) -> tuple[bool, dict]:
     }
 
 
-# every flag, by name: its add_argument keywords
+# every flag, by name: the config key it sets (dotted within a section;
+# None for the two that set none) and its add_argument keywords
 FLAGS = {
-    "--config": dict(type=Path, help="JSON config file; flags override it"),
-    "--out": dict(type=Path, help="output directory (default: out)"),
-    "--fock-cutoff": dict(type=int, help="cavity truncation photon number"),
-    "--ratio": dict(type=float, help="coupling ratio omega_2/omega_1 override"),
-    "--cavity-time-scale": dict(
-        type=float, default=1.0, help="scale factor on the cavity window (2.0 doubles it)"
+    "--config": (None, dict(type=Path, help="JSON config file; flags override it")),
+    "--out": (
+        "out_dir",
+        dict(type=lambda text: str(Path(text)), help="output directory (default: out)"),
     ),
-    "--n": dict(type=int, help="number of SQUIDs in the chain (2..10)"),
-    "--sweep": dict(choices=SWEEP_PARAMETERS, help="parameter to sweep"),
-    "--values": dict(help="comma-separated sweep values"),
+    "--fock-cutoff": ("fock_cutoff", dict(type=int, help="cavity truncation photon number")),
+    "--ratio": ("gate.ratio", dict(type=float, help="coupling ratio omega_2/omega_1 override")),
+    "--cavity-time-scale": (
+        None,
+        dict(type=float, default=1.0, help="scale factor on the cavity window (2.0 doubles it)"),
+    ),
+    "--n": ("n_qubits", dict(type=int, help="number of SQUIDs in the chain (2..10)")),
+    "--sweep": ("sweep.parameter", dict(choices=SWEEP_PARAMETERS, help="parameter to sweep")),
+    "--values": ("sweep.values", dict(help="comma-separated sweep values")),
 }
 # the flags every command takes
 COMMON_FLAGS = ("--config", "--out", "--fock-cutoff")
@@ -303,7 +315,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         _, summary, own_flags = COMMANDS[command]
         parser = argparse.ArgumentParser(prog=f"squidcavity {command}", description=summary)
         for flag in (*COMMON_FLAGS, *own_flags):
-            parser.add_argument(flag, **FLAGS[flag])
+            parser.add_argument(flag, **FLAGS[flag][1])
         return parser
     listing = "".join(f"\n  {name:<14}{summary}" for name, (_, summary, _) in COMMANDS.items())
     parser = argparse.ArgumentParser(

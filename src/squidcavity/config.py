@@ -6,8 +6,12 @@ quality factors; a silent unit slip is the likeliest way to get plausible but
 wrong numbers.  Unknown keys are rejected with their full path rather than
 ignored, and so is a value of the wrong JSON type (a boolean is not a
 number).  A number is checked by the dataclass it fills, through
-``hilbert.check_number``.  Command-line flags override file values, which
-override defaults.  The key maps below are the one JSON-key <-> field
+``hilbert.check_number``, and an integer setting through
+``hilbert.check_index``.  Command-line flags override file values, which
+override defaults: ``read_config`` returns a file's JSON value, each flag is
+written into it at the key it names (``cli.FLAGS``), and
+``config_from_dict`` validates the result, so flags and files share every
+check and every message.  The key maps below are the one JSON-key <-> field
 table: the parser reads through them and the report echo is written from
 them.
 """
@@ -20,7 +24,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams, exchange_norm_bound
-from .hilbert import MAX_ARRAY_BYTES, SQUID_DIM, check_number
+from .hilbert import MAX_ARRAY_BYTES, SQUID_DIM, check_index, check_number
 from .protocols import GateParams
 
 # sweep name -> the rate keyword of ``decoherence.noisy_gate`` it sets
@@ -98,18 +102,10 @@ class RunConfig:
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
     def __post_init__(self):
-        for name in ("n_qubits", "fock_cutoff"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_index("n_qubits", self.n_qubits, MIN_CHAIN, MAX_CHAIN, error=ConfigError)
+        check_index("fock_cutoff", self.fock_cutoff, 1, error=ConfigError)
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        if not MIN_CHAIN <= self.n_qubits <= MAX_CHAIN:
-            raise ConfigError(
-                f"n_qubits must lie in {MIN_CHAIN}..{MAX_CHAIN}, got {self.n_qubits}"
-            )
-        if self.fock_cutoff < 1:
-            raise ConfigError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
         need = _largest_array_bytes(self.n_qubits, self.fock_cutoff)
         if need > MAX_ARRAY_BYTES:
             raise ConfigError(
@@ -184,18 +180,18 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_config(path) -> RunConfig:
+def read_config(path):
+    """The JSON value a config file holds, for ``config_from_dict`` to validate."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:
         # a syntax error, or an integer with more digits than Python converts
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -19,8 +19,9 @@ Conventions fixed here and relied on everywhere else in the package:
 phase and ratio a constructor or propagator takes goes through it once, and
 so does every value a constructor derives from them.  ``check_index`` is its
 counterpart for an integer label (a site, a SQUID, a level or a photon
-number): an ``int`` that is not a ``bool``, in range; it never converts, so
-1.7 and ``True`` are refused rather than read as 1.  The float bound it
+number) and for a run's integer settings: an ``int`` that is not a
+``bool``, in range; it never converts, so 1.7 and ``True`` are refused
+rather than read as 1.  The float bound it
 checks against, ``FLOAT_MAX``, and the byte budget of the largest array the
 program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 
@@ -100,8 +101,8 @@ def check_number(name, value, low=-FLOAT_MAX, high=FLOAT_MAX, *, strict=False, e
     raise error(f"{name} must be finite{rule}, got {name}={value}")
 
 
-def check_index(name, value, low, high=None):
-    """Return ``value`` if it is an ``int`` in [low, high]; else raise ``ValueError``.
+def check_index(name, value, low, high=None, *, error=ValueError):
+    """Return ``value`` if it is an ``int`` in [low, high]; else raise ``error``.
 
     A ``bool`` is not an index, and no value is converted, so 1.7 is
     refused rather than read as 1.  ``high`` None leaves no upper bound.
@@ -110,7 +111,7 @@ def check_index(name, value, low, high=None):
         if low <= value and (high is None or value <= high):
             return value
     rule = f">= {low}" if high is None else f"in [{low}, {high}]"
-    raise ValueError(f"{name} must be an integer {rule}, got {name}={value!r}")
+    raise error(f"{name} must be an integer {rule}, got {name}={value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,15 @@ import contextlib
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from squidcavity import cli, decoherence, evolution, protocols, verification
+from squidcavity import GateParams, cli, decoherence, evolution, protocols, verification
 from squidcavity.cli import main
-from squidcavity.config import MAX_SWEEP_VALUES
+from squidcavity.config import MAX_SWEEP_VALUES, RunConfig, config_to_dict
 
 
 def _read_json(path):
@@ -562,6 +563,89 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     payload = _read_json(tmp_path / "o" / "feasibility.json")
     assert payload["config"]["fock_cutoff"] == 4
     capsys.readouterr()
+
+
+def _run_files(argv, out, capsys):
+    """Exit code, stderr and every report written by one run into ``out``."""
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        text = path.read_text()
+        if path.name == "decoherence.csv":
+            # the runtime column measures the run
+            text = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+        files[path.name] = text
+    return code, err, files
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("cluster", ["--n", "3"], {"n_qubits": 3}),
+        ("cluster", ["--fock-cutoff", "1"], {"fock_cutoff": 1}),
+        # the scale is no key: it sets gate.cavity_time_s to the scaled window
+        (
+            "truth-table",
+            ["--ratio", "1.5", "--cavity-time-scale", "2.3"],
+            {"gate": {"ratio": 1.5, "cavity_time_s": GateParams().resolved_cavity_time * 2.3}},
+        ),
+        (
+            "decoherence",
+            ["--sweep", "gamma_e", "--values", "4e5,3.08e8"],
+            {"sweep": {"parameter": "gamma_e", "values": [4e5, 3.08e8]}},
+        ),
+        # a bad value is refused with the same message from either source
+        ("truth-table", ["--ratio", "-1"], {"gate": {"ratio": -1.0}}),
+        ("cluster", ["--n", "11"], {"n_qubits": 11}),
+    ],
+    ids=["n", "fock-cutoff", "ratio-and-scale", "sweep", "bad-ratio", "bad-n"],
+)
+def test_a_flag_and_its_config_key_give_the_same_run(tmp_path, capsys, command, flags, config):
+    out = tmp_path / "out"
+    by_flag = _run_files([command, *flags], out, capsys)
+    shutil.rmtree(out, ignore_errors=True)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    by_key = _run_files([command, "--config", str(config_path)], out, capsys)
+    assert by_flag == by_key
+    code, err, files = by_flag
+    if code == 2:
+        assert err.startswith("configuration error: ") and not files
+    else:
+        assert "config" in _read_json(out / f"{command.replace('-', '_')}.json")
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        ("0", "--cavity-time-scale must be finite and > 0"),
+        ("-1", "--cavity-time-scale must be finite and > 0"),
+        ("nan", "--cavity-time-scale must be finite and > 0"),
+        ("inf", "--cavity-time-scale must be finite and > 0"),
+        # finite, but the scaled window's phase omega_1 t_c is not
+        ("1e308", "omega_1 * cavity_time must be finite"),
+    ],
+)
+def test_cavity_time_scale_refusals_are_configuration_errors(tmp_path, capsys, scale, message):
+    out = tmp_path / "out"
+    assert main(["truth-table", "--cavity-time-scale", scale, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+def test_every_flag_names_a_config_key():
+    # a renamed config key cannot leave a flag that writes nowhere
+    echo = config_to_dict(RunConfig())
+    for flag, (key, _) in cli.FLAGS.items():
+        if flag in ("--config", "--cavity-time-scale"):
+            assert key is None, flag
+            continue
+        *section, name = key.split(".")
+        assert name in (echo[section[0]] if section else echo), flag
 
 
 def test_config_file_errors_exit_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ from squidcavity.config import (
     SweepSettings,
     config_from_dict,
     config_to_dict,
-    load_config,
+    read_config,
 )
 
 
@@ -220,22 +220,22 @@ def test_wrong_json_types_are_refused(data, message):
         config_from_dict(data)
 
 
-def test_load_config(tmp_path):
+def test_read_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"fock_cutoff": 3, "out_dir": "x"}))
-    config = load_config(path)
+    config = config_from_dict(read_config(path))
     assert config.fock_cutoff == 3
     assert config.out_dir == "x"
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config(tmp_path / "missing.json")
+        read_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
-        load_config(bad)
+        read_config(bad)
 
 
 def test_replace_revalidates_fields():
-    # the command line applies its flags with dataclasses.replace
+    # a copy made with dataclasses.replace is validated afresh
     config = RunConfig()
     updated = replace(config, n_qubits=8)
     assert updated.n_qubits == 8

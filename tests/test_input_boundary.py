@@ -9,7 +9,10 @@ each call either raises ValueError, with no numpy warning, or returns
 finite numbers.  The command-line half writes them into config files and
 ``--values`` and runs every command in-process: no exception escapes
 ``cli.main``, a refusal exits 2 and writes no report, and a report that is
-written is valid JSON whose pass flag matches the exit code.
+written is valid JSON whose pass flag matches the exit code.  It also
+resolves drawn flags and config files, from the config boundary's own edge
+values and malformed ``--values`` strings: the flags and the file pass one
+validation, which returns a ``RunConfig`` or raises ``ConfigError``.
 """
 
 import contextlib
@@ -35,8 +38,9 @@ from squidcavity import (
     noisy_gate,
     qcpg_lindblad_fidelity,
 )
-from squidcavity.cli import main
-from squidcavity.config import _SECTIONS, SWEEP_PARAMETERS, ConfigError, SweepSettings
+from squidcavity.cli import COMMANDS as CLI_COMMANDS
+from squidcavity.cli import COMMON_FLAGS, _resolve_config, build_parser, main
+from squidcavity.config import _SECTIONS, SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSettings
 from squidcavity.hamiltonians import collapse_operators_from_rates
 
 BOUNDARY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -247,3 +251,78 @@ def test_cli_exits_0_1_or_2_on_edge_values(run):
                 json.loads(path.read_text(), parse_constant=_refuse_constant)
         report = json.loads((out / report_name).read_text())
         assert report["passed"] is (code == 0), run
+
+
+# the config boundary's own edge values: signed zeros, units, the least
+# subnormals, the top of the float range, an integer no float can hold,
+# NaN and +-inf
+CONFIG_EDGES = (
+    0, -0.0, 1, -1, 5e-324, 1e-320, 1e308, 1.7e308, math.inf, -math.inf, math.nan, HUGE,
+)
+# --values strings that are no list of finite numbers
+BAD_VALUES = ("", ",", "5e4,oops", "1e400")
+
+
+def _flag_text(value) -> str:
+    # an integer in all its digits, a float as the repr that float() reads back
+    return str(value) if isinstance(value, int) else repr(value)
+
+
+@st.composite
+def resolve_cases(draw):
+    """(command, config data or None, argv): a command, a small config file and its flags."""
+    command = draw(st.sampled_from(tuple(CLI_COMMANDS)))
+    data = None
+    if draw(st.booleans()):
+        data = {}
+        for name, key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3)):
+            if key == "parameter":
+                value = draw(st.sampled_from(tuple(SWEEP_PARAMETERS)))
+            elif key == "values":
+                value = draw(st.lists(st.sampled_from(CONFIG_EDGES), max_size=2))
+            else:
+                value = draw(st.sampled_from(CONFIG_EDGES))
+            data.setdefault(name, {})[key] = value
+        for key in draw(st.lists(st.sampled_from(("n_qubits", "fock_cutoff")), max_size=2)):
+            data[key] = draw(st.sampled_from(CONFIG_EDGES))
+    argv = []
+    for flag in (*COMMON_FLAGS, *CLI_COMMANDS[command][2]):
+        if flag in ("--config", "--out") or not draw(st.booleans()):
+            continue
+        if flag in ("--n", "--fock-cutoff"):
+            value = _flag_text(draw(st.sampled_from([v for v in CONFIG_EDGES if type(v) is int])))
+        elif flag == "--sweep":
+            value = draw(st.sampled_from(tuple(SWEEP_PARAMETERS)))
+        elif flag == "--values":
+            listed = st.lists(st.sampled_from(CONFIG_EDGES), min_size=1, max_size=2)
+            joined = listed.map(lambda values: ",".join(map(repr, values)))
+            value = draw(st.sampled_from(BAD_VALUES) | joined)
+        else:
+            value = _flag_text(draw(st.sampled_from(CONFIG_EDGES)))
+        argv += [f"{flag}={value}"]
+    return command, data, argv
+
+
+@settings(BOUNDARY_SETTINGS, max_examples=250)
+@given(resolve_cases())
+@example(("truth-table", None, ["--ratio=-1.0", "--cavity-time-scale=1e308"]))
+@example(("truth-table", {"gate": {"cavity_time_s": 1.7e308}}, ["--cavity-time-scale=5e-324"]))
+@example(("decoherence", {"sweep": {"values": [1e308]}}, ["--sweep=branch_ratio"]))
+@example(("decoherence", None, ["--values="]))
+def test_flags_and_config_files_resolve_or_are_refused(case):
+    # a flag and a file value pass one validation: whatever is drawn, the
+    # result is a RunConfig or a ConfigError, and never another exception
+    command, data, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            config_path = Path(tmp) / "run.json"
+            config_path.write_text(json.dumps(data))
+            argv = [*argv, "--config", str(config_path)]
+        args = build_parser(command).parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                config = _resolve_config(args)
+            except ConfigError:
+                return
+    assert isinstance(config, RunConfig)

@@ -1,8 +1,11 @@
-"""Property tests: the gate family, the noisy gate's channel and scores, contract's routes.
+"""Property tests: the gate family, the noisy gate's channel and scores,
+contract's routes and propagate's block bookkeeping.
 
 The routes are checked one state at a time and on blocks of states along
 the kernel's trailing batch axis, into a new array and into a given one,
 on the whole space and on the block a set of level ranges cuts out.
+``propagate`` is checked on drawn schedules and sparse inputs against a
+segment-by-segment run of ``contract`` on the whole space.
 """
 
 import itertools
@@ -13,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squidcavity import (
+    CavitySegment,
+    DriveSegment,
     GateParams,
     LocalOperator,
     SpaceLayout,
@@ -21,7 +26,8 @@ from squidcavity import (
     qcpg_schedule,
     truth_table,
 )
-from squidcavity.evolution import exp_segment
+from squidcavity import evolution
+from squidcavity.evolution import exp_segment, propagate, propagator
 from squidcavity.hilbert import contract
 
 from conftest import PADE_TOL, oracle_embedded, pade_scores
@@ -269,3 +275,120 @@ def test_contract_on_a_block_has_the_bits_of_the_whole(case):
     # the scratch input is left zero outside its ranges, so it can take the
     # next segment's result
     assert not np.any(scratch.reshape(shape)[~inside])
+
+
+# largest layout the dense reference of the schedule test is built on
+DENSE_MAX_SQUIDS = 4
+
+
+@st.composite
+def schedule_cases(draw):
+    """(n_squids, fock_cutoff, schedule, support, signed_zeros, width, seed).
+
+    The schedule holds drive pulses on any transition of any SQUID and
+    exchanges between any two SQUIDs.  The input's non-zero amplitudes sit
+    at ``support``, digit tuples (cavity digit last) inside a drawn box of
+    low levels; ``signed_zeros`` are further digit tuples, anywhere, that
+    hold a -0.0 part.  A width of None is one state without a batch axis.
+    """
+    n_squids = draw(st.integers(1, 8))
+    fock = draw(st.integers(1, 3))
+    dims = SpaceLayout(n_squids, fock).dims
+    schedule = []
+    for _ in range(draw(st.integers(1, 6))):
+        if n_squids >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n_squids)))[:2]
+            omega_2 = draw(st.sampled_from((0.0, 1.8e8 * math.sqrt(3), 2.5e8)))
+            duration = draw(st.sampled_from((math.pi / 1.8e8, 4e-9)))
+            schedule.append(CavitySegment(a, b, 1.8e8, omega_2, duration))
+        else:
+            transition = draw(st.permutations((0, 1, 2)))[:2]
+            duration = draw(st.sampled_from((0.0, 3e-9, 1.0e-8, 1.7e-8)))
+            phase = draw(st.sampled_from((0.0, 0.7)))
+            target = draw(st.integers(0, n_squids - 1))
+            schedule.append(DriveSegment(target, tuple(transition), 1e8, duration, phase))
+    box = [draw(st.integers(1, d)) for d in dims]
+    digits = st.tuples(*(st.integers(0, top - 1) for top in box))
+    support = draw(st.lists(digits, min_size=1, max_size=4, unique=True))
+    anywhere = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    signed_zeros = draw(st.lists(anywhere, max_size=3))
+    width = draw(st.sampled_from((None, 1, 2, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_squids, fock, tuple(schedule), support, signed_zeros, width, seed
+
+
+def _sparse_input(layout, support, signed_zeros, width, seed):
+    """Normalized states on ``support``, with a -0.0 part at each ``signed_zeros`` entry."""
+    rng = np.random.default_rng(seed)
+    columns = 1 if width is None else width
+    psi = np.zeros((layout.total_dim, columns), dtype=complex)
+    rows = [np.ravel_multi_index(d, layout.dims) for d in support]
+    psi[rows] = rng.normal(size=(len(rows), columns)) + 1j * rng.normal(size=(len(rows), columns))
+    psi /= np.linalg.norm(psi, axis=0)
+    for d in signed_zeros:
+        row = np.ravel_multi_index(d, layout.dims)
+        if not psi[row].any():
+            part = psi.real if rng.integers(2) else psi.imag
+            part[row] = -0.0
+    return psi[:, 0].copy() if width is None else psi
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(schedule_cases())
+# a -0.0 part where SQUID 0 is in |e>: pulses on SQUID 7 never reach it, so
+# only the input's support puts it in the ranges
+@example(
+    (8, 2, (DriveSegment(7, (0, 1), 1e8, 1e-8),) * 2, [(0,) * 9], [(2,) + (0,) * 8], None, 0)
+)
+# a signed zero in a block of two states, and an exchange that reaches a
+# level the input leaves empty
+@example(
+    (
+        3,
+        1,
+        (DriveSegment(0, (0, 2), 1e8, 1e-8), CavitySegment(0, 2, 1.8e8, 2.5e8, 4e-9)),
+        [(0, 0, 0, 0), (1, 0, 0, 0)],
+        [(0, 2, 0, 0)],
+        2,
+        1,
+    )
+)
+def test_propagate_has_the_bits_of_contract_on_drawn_schedules(case):
+    n_squids, fock, schedule, support, signed_zeros, width, seed = case
+    layout = SpaceLayout(n_squids, fock)
+    psi = _sparse_input(layout, support, signed_zeros, width, seed)
+    got = propagate(layout, schedule, psi)
+    steps = evolution._plan(layout, schedule, evolution._support(layout, psi))
+    assert len(steps) == len(schedule)
+    shape = layout.dims + (-1,)
+    # every non-zero bit pattern of the input, a -0.0 part included, lies
+    # in the first ranges
+    bits = psi.view(np.int64).reshape(layout.total_dim, -1, 2).any(axis=-1).reshape(shape)
+    assert not np.any(bits[_outside(steps[0][1], bits.shape)]), case
+    want = dense = psi
+    previous = steps[0][1]
+    for segment, (u, ranges) in zip(schedule, steps, strict=True):
+        # the ranges hold every non-zero of this segment's input and never shrink
+        assert not np.any(want.reshape(shape)[_outside(ranges, bits.shape)]), (ranges, case)
+        assert all(lo <= a and b <= hi for (a, b), (lo, hi) in zip(previous, ranges)), case
+        previous = ranges
+        whole = propagator(segment.hamiltonian(fock), segment.duration)
+        assert u.sites == whole.sites and u.matrix.tobytes() == whole.matrix.tobytes()
+        want = contract(layout, whole, want)
+        if n_squids <= DENSE_MAX_SQUIDS:
+            dense = oracle_embedded(whole, layout) @ dense
+            assert np.max(np.abs(want - dense)) <= 1e-13, case
+    if n_squids <= DENSE_MAX_SQUIDS:
+        assert np.max(np.abs(got - dense)) <= 1e-13, case
+    # the whole run's bits wherever either run is non-zero.  Where both are
+    # zero, the sign may differ: a gemm can give a row of zeros a sign bit
+    # at some of its columns, and the block run computes fewer rows, so
+    # zeros are compared as +0.0 (x + 0.0 is x for every other x)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), case
+
+
+def _outside(ranges, shape):
+    """Mask of the amplitudes, batch axis last, outside the block of ``ranges``."""
+    outside = np.ones(shape, dtype=bool)
+    outside[tuple(slice(lo, hi) for lo, hi in ranges)] = False
+    return outside

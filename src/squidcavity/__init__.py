@@ -24,7 +24,6 @@ from .hilbert import (
     SpaceLayout,
     basis_index,
     basis_state,
-    expectation,
 )
 from .protocols import (
     CavitySegment,

@@ -23,11 +23,14 @@ one.  ``main`` alone writes them under the chosen directory, in the one
 format each suffix names, echoing the resolved configuration into every
 JSON dict; it then prints the wall time and each phase's time, the writes
 being the ``report`` phase, and PASS or FAIL.  Exit codes: 0 all checks
-passed, 1 a physics check failed, 2 configuration or usage error; a
-configuration error exits before any report is written.  A
-``decoherence`` point whose exact propagation the library refuses as too
+passed, 1 a physics check failed, 2 configuration or usage error, 3 an
+internal fault; a configuration error exits before any report is written.
+A ``decoherence`` point whose exact propagation the library refuses as too
 much work (``evolution.WorkLimitError``) is a configuration error, named
-by its sweep value; any other exception is a fault in the program.
+by its sweep value.  Any other exception, report writing included, is a
+fault in the program: ``main`` prints ``internal error:`` and the
+traceback to stderr and returns 3.  An exception that is not an
+``Exception``, such as ``KeyboardInterrupt``, is left to propagate.
 
 Output files are byte-identical across runs with the same configuration,
 with one documented exception: the ``runtime_s`` column of the decoherence
@@ -42,6 +45,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -349,16 +353,20 @@ def main(argv=None) -> int:
         passed, reports = COMMANDS[command][0](
             config, lambda phase: marks.append((phase, time.perf_counter()))
         )
+        echo = config_to_dict(config)
+        for name, report in reports.items():
+            _write_report(out_dir / name, report, echo)
+        marks.append(("report", time.perf_counter()))
+        print(f"wall time: {marks[-1][1] - marks[0][1]:.3f} s")
+        phases = zip(marks, marks[1:])
+        print("  " + ", ".join(f"{name} {end - start:.4f} s" for (_, start), (name, end) in phases))
+        print("PASS" if passed else "FAIL")
+        return 0 if passed else 1
     except ConfigError as exc:
-        # any other exception is a fault in the program, not in the input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    echo = config_to_dict(config)
-    for name, report in reports.items():
-        _write_report(out_dir / name, report, echo)
-    marks.append(("report", time.perf_counter()))
-    print(f"wall time: {marks[-1][1] - marks[0][1]:.3f} s")
-    phases = zip(marks, marks[1:])
-    print("  " + ", ".join(f"{name} {end - start:.4f} s" for (_, start), (name, end) in phases))
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    except Exception:
+        # a fault in the program, neither in the input nor in the physics
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3

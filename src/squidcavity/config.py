@@ -24,8 +24,8 @@ from decimal import Decimal
 from pathlib import Path
 
 from .hamiltonians import FeasibilityParams, exchange_norm_bound
-from .hilbert import MAX_ARRAY_BYTES, SQUID_DIM, check_index, check_number
-from .protocols import GateParams
+from .hilbert import MAX_ARRAY_BYTES, SpaceLayout, check_index, check_number
+from .protocols import MIN_CHAIN, GateParams
 
 # sweep name -> the rate keyword of ``decoherence.noisy_gate`` it sets
 SWEEP_PARAMETERS = {
@@ -34,7 +34,8 @@ SWEEP_PARAMETERS = {
     "branch_ratio": "branch_ratio_e_to_0",
 }
 
-MIN_CHAIN = 2
+# the longest chain a run may ask for; the shortest is the physics' own
+# (``protocols.MIN_CHAIN``)
 MAX_CHAIN = 10
 
 # default sweep: cavity decay from the base point up three decades
@@ -55,13 +56,13 @@ class ConfigError(ValueError):
 def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
     """Bytes of the largest array a command builds at these sizes.
 
-    That is the chain state of ``cluster`` (3^n (cutoff + 1) amplitudes) or
-    one full-space generator of the noisy gate in ``decoherence`` (or the
-    identity block the generators are built from), a square matrix of
-    dimension 9 (cutoff + 1); complex entries take 16 bytes.
+    That is the chain state of ``cluster``, one amplitude per basis state
+    of its layout, or one full-space generator of the two-SQUID noisy gate
+    in ``decoherence`` (or the identity block the generators are built
+    from), a square matrix over its layout; complex entries take 16 bytes.
     """
-    levels = fock_cutoff + 1
-    return 16 * max(SQUID_DIM**n_qubits * levels, (SQUID_DIM**2 * levels) ** 2)
+    gate_dim = SpaceLayout(2, fock_cutoff).total_dim
+    return 16 * max(SpaceLayout(n_qubits, fock_cutoff).total_dim, gate_dim**2)
 
 
 @dataclass(frozen=True)

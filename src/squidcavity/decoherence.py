@@ -95,7 +95,7 @@ def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_
     layout = SpaceLayout(2, fock_cutoff)
     schedule = qcpg_schedule(0, 1, gate)
     collapse = collapse_operators_from_rates(
-        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, n_max=fock_cutoff
+        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff=fock_cutoff
     )
     # each full-space matrix is the operator applied to the identity block
     eye = np.eye(layout.total_dim, dtype=complex)
@@ -179,9 +179,7 @@ def qcpg_lindblad_fidelity(noisy: NoisyGate) -> GateProcessResult:
 
     diag_units = [channel[i, i] for i in range(4)]
     trace_defect = max(abs(np.trace(rho).real - 1.0) for rho in diag_units)
-    min_eig = min(
-        float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) for rho in diag_units
-    )
+    min_eig = min(float(np.linalg.eigvalsh(rho)[0]) for rho in diag_units)
     return GateProcessResult(
         average_fidelity=float(f_avg),
         process_fidelity=float(f_pro),

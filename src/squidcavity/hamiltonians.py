@@ -26,14 +26,18 @@ the module builds no operator for it; the tests build their own to check
 that it is conserved.  Its builder writes H's non-zeros directly, with no
 Kronecker products.
 
-The drive builder takes plain values and checks none of them: the segments
-of ``protocols`` that call it refuse bad rates and levels when they are
-built.  The others check what they alone see: ``annihilation`` refuses a
-negative cutoff, ``cavity_coupling_hamiltonian`` a cutoff below 1 and an
-exchange norm past the float range, and ``collapse_operators_from_rates``
-every rate and the branch ratio, through ``hilbert.check_number``.  All
-builders are pure: they return immutable LocalOperators that can be
-shared freely.
+The cavity is truncated at ``fock_cutoff`` photons, the name the whole
+package gives it.  The drive builder takes plain values and checks none of
+them: the segments of ``protocols`` that call it refuse bad rates and
+levels when they are built.  The others check what they alone see:
+``annihilation`` a cutoff that is not an ``int`` >= 0, and so the cavity
+jump of ``collapse_operators_from_rates``; ``cavity_coupling_hamiltonian``
+a cutoff that is not an ``int`` >= 1, through ``hilbert.check_index``, and
+an exchange norm past the float range; ``collapse_operators_from_rates``
+every rate and the branch ratio, through ``hilbert.check_number``.
+``exchange_norm_bound`` checks nothing: both of its callers check the
+cutoff first.  All builders are pure: they return immutable LocalOperators
+that can be shared freely.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import CAVITY, LEVEL_0, LEVEL_1, LEVEL_E, SQUID_DIM, LocalOperator, check_number
+from .hilbert import CAVITY, LEVEL_0, LEVEL_1, LEVEL_E, SQUID_DIM, LocalOperator
+from .hilbert import check_index, check_number
 
 
 @dataclass(frozen=True)
@@ -87,40 +92,38 @@ def drive_hamiltonian(
     return LocalOperator(sites=(squid,), local_dims=(SQUID_DIM,), matrix=mat)
 
 
-def annihilation(n_max: int) -> np.ndarray:
-    """Truncated cavity annihilation operator on Fock states |0>..|n_max>."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
+def annihilation(fock_cutoff: int) -> np.ndarray:
+    """Truncated cavity annihilation operator on Fock states |0>..|fock_cutoff>."""
+    check_index("fock_cutoff", fock_cutoff, 0)
+    return np.diag(np.sqrt(np.arange(1, fock_cutoff + 1, dtype=float)), k=1).astype(complex)
 
 
-def exchange_norm_bound(omega_1: float, omega_2: float, n_max: int) -> float:
-    """(omega_1 + omega_2) sqrt(n_max): the 1-norm of the exchange generator."""
-    root = math.sqrt(n_max)
+def exchange_norm_bound(omega_1: float, omega_2: float, fock_cutoff: int) -> float:
+    """(omega_1 + omega_2) sqrt(fock_cutoff): the 1-norm of the exchange generator."""
+    root = math.sqrt(fock_cutoff)
     return root * omega_1 + root * omega_2
 
 
 def cavity_coupling_hamiltonian(
-    squid_a: int, squid_b: int, omega_1: float, omega_2: float, n_max: int
+    squid_a: int, squid_b: int, omega_1: float, omega_2: float, fock_cutoff: int
 ) -> LocalOperator:
     """Two-SQUID resonant exchange with the cavity, on sites (a, b, cavity).
 
     Each Jaynes-Cummings term is written onto its own non-zeros: rate *
     sqrt(n+1) at |..0.., n+1><..1.., n| and at its adjoint, for every level
-    of the other SQUID and every photon number n < n_max.  The four terms
+    of the other SQUID and every photon number n < fock_cutoff.  The four terms
     touch disjoint entries, so the matrix holds the same bits as the sum of
     the Kronecker products rate * (|0><1| x I x adag + |1><0| x I x a) and
     its partner on SQUID b.
     """
-    if n_max < 1:
-        raise ValueError(f"cavity interaction needs fock_cutoff >= 1 (got {n_max})")
-    check_number("exchange_norm", exchange_norm_bound(omega_1, omega_2, n_max))
-    dims = (SQUID_DIM, SQUID_DIM, n_max + 1)
+    check_index("fock_cutoff", fock_cutoff, 1)
+    check_number("exchange_norm", exchange_norm_bound(omega_1, omega_2, fock_cutoff))
+    dims = (SQUID_DIM, SQUID_DIM, fock_cutoff + 1)
     mat = np.zeros((math.prod(dims),) * 2, dtype=complex)
     # axes: row (a, b, n), then column (a, b, n)
     entries = mat.reshape(dims + dims)
     other = np.arange(SQUID_DIM)[:, None]
-    n = np.arange(n_max)
+    n = np.arange(fock_cutoff)
     root = np.sqrt(n + 1.0)
     entries[0, other, n + 1, 1, other, n] = entries[1, other, n, 0, other, n + 1] = (
         omega_1 * root
@@ -135,7 +138,7 @@ def collapse_operators_from_rates(
     cavity_decay: float,
     gamma_e: float,
     branch_ratio_e_to_0: float,
-    n_max: int,
+    fock_cutoff: int,
 ) -> list[LocalOperator]:
     """Collapse operators for a gate: cavity decay plus |e> relaxation.
 
@@ -151,8 +154,8 @@ def collapse_operators_from_rates(
         ops.append(
             LocalOperator(
                 sites=(CAVITY,),
-                local_dims=(n_max + 1,),
-                matrix=math.sqrt(cavity_decay) * annihilation(n_max),
+                local_dims=(fock_cutoff + 1,),
+                matrix=math.sqrt(cavity_decay) * annihilation(fock_cutoff),
             )
         )
     rates = (gamma_e * branch_ratio_e_to_0, gamma_e * (1.0 - branch_ratio_e_to_0))

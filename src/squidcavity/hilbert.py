@@ -5,12 +5,14 @@ Conventions fixed here and relied on everywhere else in the package:
 
 * SQUID levels are indexed 0, 1, 2 for the two flux states ``|0>``, ``|1>``
   and the upper level ``|e>``.
-* The cavity keeps Fock states ``|0> .. |n_max>``.  ``n_max`` defaults to 2:
-  the ideal protocols never populate more than one photon, so the second
-  photon level acts purely as a guard where leakage would show up.
+* The cavity keeps Fock states ``|0> .. |fock_cutoff>``.  ``fock_cutoff``
+  defaults to 2: the ideal protocols never populate more than one photon,
+  so the second photon level acts purely as a guard where leakage would
+  show up.
 * Factor order is SQUID 0, SQUID 1, ..., SQUID N-1, cavity last.  Amplitude
-  vectors are C-ordered over the mixed-radix digits of that factor list
-  (first SQUID varies slowest, cavity digit fastest).
+  vectors are C-ordered over ``SpaceLayout.dims``, the factor dimensions in
+  that order (first SQUID varies slowest, cavity digit fastest), so the
+  flat index of a basis state is ``np.ravel_multi_index`` over them.
 * Operators address factors through site indices, one per factor: SQUID
   i is site ``i`` (0 <= i < N) and the cavity is ``CAVITY`` (-1) and
   nothing else.
@@ -19,11 +21,12 @@ Conventions fixed here and relied on everywhere else in the package:
 phase and ratio a constructor or propagator takes goes through it once, and
 so does every value a constructor derives from them.  ``check_index`` is its
 counterpart for an integer label (a site, a SQUID, a level or a photon
-number) and for a run's integer settings: an ``int`` that is not a
-``bool``, in range; it never converts, so 1.7 and ``True`` are refused
-rather than read as 1.  The float bound it
-checks against, ``FLOAT_MAX``, and the byte budget of the largest array the
-program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
+number) and for every size (a cavity cutoff, a chain length), in the
+library and in a run's settings alike: an ``int`` that is not a ``bool``,
+in range; it never converts, so 1.7 and ``True`` are refused rather than
+read as 1.  The float bound ``check_number`` checks against,
+``FLOAT_MAX``, and the byte budget of the largest array the program may
+allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
@@ -183,7 +186,8 @@ def basis_index(layout: SpaceLayout, levels, photons: int = 0) -> int:
     """Flat index of the product basis state with the given SQUID levels.
 
     ``levels`` lists one level (0, 1 or 2) per SQUID in layout order;
-    ``photons`` is the cavity Fock digit.  Each is an ``int`` in range.
+    ``photons`` is the cavity Fock digit.  Each is checked to be an ``int``
+    in range before numpy, which would read ``True`` as 1, sees it.
     """
     levels = tuple(levels)
     if len(levels) != layout.n_squids:
@@ -193,10 +197,7 @@ def basis_index(layout: SpaceLayout, levels, photons: int = 0) -> int:
     for i, v in enumerate(levels):
         check_index(f"level of SQUID {i}", v, 0, SQUID_DIM - 1)
     check_index("photons", photons, 0, layout.fock_cutoff)
-    index = 0
-    for v in levels:
-        index = index * SQUID_DIM + v
-    return index * (layout.fock_cutoff + 1) + photons
+    return int(np.ravel_multi_index((*levels, photons), layout.dims))
 
 
 def basis_state(layout: SpaceLayout, levels, photons: int = 0) -> CompositeState:
@@ -280,8 +281,11 @@ def contract(
     every amplitude computed goes through the BLAS call of the full ranges.
     Where the kernel rounds each gemm row alike at any row count from two,
     as OpenBLAS's SkylakeX kernel does and its Haswell and SandyBridge
-    kernels do not, the block holds the bits of the full ranges; outside
-    it, where their gemm may leave a row of zeros -0.0, it holds +0.0.
+    kernels do not, every non-zero entry has the bits the full ranges
+    give it, in one call and in a schedule of calls alike.  An exact zero
+    may differ in sign: outside the block this result holds +0.0 where
+    the full ranges' gemm may leave a row of -0.0, and a later call over
+    the full ranges can sum such a -0.0 into its block.
 
     Without ``out`` the result is a new array and ``psi`` is only read.
     ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
@@ -398,9 +402,3 @@ def _gemm_block(tensor, out, scratch, box, order, matrix_t) -> None:
     np.copyto(out.reshape(tensor.shape)[block].transpose(order), product.reshape(part.shape))
     if scratch is not None:
         head.fill(0)
-
-
-def expectation(state: CompositeState, op: LocalOperator) -> complex:
-    """<psi| O |psi> with O embedded on its declared sites."""
-    return complex(np.vdot(state.amplitudes, contract(state.layout, op, state.amplitudes)))
-

@@ -44,7 +44,11 @@ turns the gate into diag(1, -1, 1, 1).
 Cluster chains start from every SQUID in |1>; a rotation by pi/4 then
 prepares (|0> + |1>)/sqrt(2) on each site with coefficient exactly +1 (from
 |0> the same pulse would give the sign-flipped superposition), and the gate
-is applied to each neighbouring pair in turn.
+is applied to each neighbouring pair in turn.  A chain has ``n_qubits``
+SQUIDs, an ``int`` of at least ``MIN_CHAIN`` = 2 (``hilbert.check_index``):
+fewer would hold no gate.  The oracle places its amplitudes by
+``np.ravel_multi_index`` over ``SpaceLayout.dims``, the one index rule of
+the package.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .hilbert import (
     LEVEL_0,
     LEVEL_1,
     LEVEL_E,
-    SQUID_DIM,
     CompositeState,
     LocalOperator,
     SpaceLayout,
@@ -71,6 +74,9 @@ from .hilbert import (
 
 # operating-point default for classical pulses (rad/s)
 DEFAULT_DRIVE_RABI = 8.5e7
+
+# a chain needs a gate, and a gate needs two SQUIDs
+MIN_CHAIN = 2
 
 STEP1_PHASE = math.pi
 STEP3_PHASE = 0.0
@@ -269,8 +275,7 @@ def qcpg_schedule(
 
 def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> tuple:
     """Superposition pulses on every site, then a gate on each adjacent pair."""
-    if n_qubits < 2:
-        raise ValueError(f"cluster chain needs at least 2 qubits, got {n_qubits}")
+    check_index("n_qubits", n_qubits, MIN_CHAIN)
     schedule = ()
     for site in range(n_qubits):
         schedule += prepare_superposition(site, params.drive_rabi)
@@ -281,7 +286,7 @@ def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> 
 
 def chain_initial_state(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     """All SQUIDs in |1>, cavity in vacuum: the declared chain starting point."""
-    layout = SpaceLayout(n_qubits, fock_cutoff)
+    layout = SpaceLayout(check_index("n_qubits", n_qubits, MIN_CHAIN), fock_cutoff)
     return basis_state(layout, (LEVEL_1,) * n_qubits)
 
 
@@ -292,15 +297,11 @@ def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     weights with a sign flip for every adjacent |11| pair, exactly what a
     chain of controlled-phase gates on uniform superpositions produces.
     """
-    if n_qubits < 2:
-        raise ValueError(f"cluster state needs at least 2 qubits, got {n_qubits}")
-    layout = SpaceLayout(n_qubits, fock_cutoff)
+    layout = SpaceLayout(check_index("n_qubits", n_qubits, MIN_CHAIN), fock_cutoff)
     amp = np.zeros(layout.total_dim, dtype=complex)
     scale = 2.0 ** (-n_qubits / 2.0)
     # row b holds the bits of b, first SQUID first
-    powers = np.arange(n_qubits - 1, -1, -1)
-    bits = (np.arange(2**n_qubits)[:, None] >> powers) & 1
-    index = bits @ SQUID_DIM**powers * (fock_cutoff + 1)
+    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
     odd = (bits[:, :-1] & bits[:, 1:]).sum(axis=1) & 1
-    amp[index] = np.where(odd, -scale, scale)
+    amp[np.ravel_multi_index((*bits.T, 0), layout.dims)] = np.where(odd, -scale, scale)
     return CompositeState(layout, amp)

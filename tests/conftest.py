@@ -1,6 +1,9 @@
 """Shared helpers: an independent dense-embedding oracle, random inputs,
-product states, the dense chain stabilizers, the excitation-number operator
-and the RK4 Lindblad reference.
+product states, expectation values, the dense chain stabilizers, the
+excitation-number operator and the RK4 Lindblad reference.
+
+``expectation`` is <psi| O |psi> through the library's ``contract``; the
+package itself reads no expectation value of a general operator.
 
 ``chain_stabilizer`` builds each chain generator K_i as a dense operator
 from 3-level Paulis, the reference route for the library's signed
@@ -38,7 +41,7 @@ import math
 import numpy as np
 
 from squidcavity import CompositeState, LocalOperator, SpaceLayout, basis_index, decoherence
-from squidcavity.hilbert import SQUID_DIM
+from squidcavity.hilbert import SQUID_DIM, contract
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
 # step-size guard: dt * (largest |eigenvalue| of H) <= 1/50
@@ -69,6 +72,12 @@ def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
 
 def oracle_apply(state: CompositeState, op: LocalOperator) -> np.ndarray:
     return oracle_embedded(op, state.layout) @ state.amplitudes
+
+
+def expectation(state: CompositeState, op: LocalOperator) -> complex:
+    """<psi| O |psi> with O embedded on its declared sites by ``contract``."""
+    psi = state.amplitudes
+    return complex(np.vdot(psi, contract(state.layout, op, psi)))
 
 
 def random_state(rng: np.random.Generator, layout: SpaceLayout) -> CompositeState:
@@ -136,15 +145,15 @@ def chain_stabilizer(n_qubits: int, i: int) -> LocalOperator:
     )
 
 
-def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:
+def excitation_number(fock_cutoff: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:
     """|1><1|_a + |1><1|_b + adag*a; commutes with every cavity coupling."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if fock_cutoff < 0:
+        raise ValueError(f"fock_cutoff must be >= 0, got {fock_cutoff}")
     p1 = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
     p1[1, 1] = 1.0
     eye3 = np.eye(SQUID_DIM, dtype=complex)
-    number = np.diag(np.arange(n_max + 1, dtype=float)).astype(complex)
-    eye_c = np.eye(n_max + 1, dtype=complex)
+    number = np.diag(np.arange(fock_cutoff + 1, dtype=float)).astype(complex)
+    eye_c = np.eye(fock_cutoff + 1, dtype=complex)
     mat = (
         np.kron(np.kron(p1, eye3), eye_c)
         + np.kron(np.kron(eye3, p1), eye_c)
@@ -152,7 +161,7 @@ def excitation_number(n_max: int, squids: tuple[int, int] = (0, 1)) -> LocalOper
     )
     return LocalOperator(
         sites=(squids[0], squids[1], -1),
-        local_dims=(SQUID_DIM, SQUID_DIM, n_max + 1),
+        local_dims=(SQUID_DIM, SQUID_DIM, fock_cutoff + 1),
         matrix=mat,
     )
 

@@ -21,7 +21,6 @@ from squidcavity import (
     cluster_chain_schedule,
     cluster_state_oracle,
     evolve_pure,
-    expectation,
     feasibility_report,
     noisy_gate,
     prepare_superposition,
@@ -41,7 +40,7 @@ from squidcavity.hamiltonians import (
     drive_hamiltonian,
 )
 
-from conftest import excitation_number, oracle_embedded
+from conftest import excitation_number, expectation, oracle_embedded
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -228,7 +227,7 @@ def test_a6_invariants_and_negative_checks(capsys):
     # trace preservation of the dissipative propagator
     cavity_layout = SpaceLayout(1, fock_cutoff=2)
     amp = basis_state(cavity_layout, (0,), 1).amplitudes
-    ops = collapse_operators_from_rates(5e4, 0.0, 0.5, n_max=2)
+    ops = collapse_operators_from_rates(5e4, 0.0, 0.5, fock_cutoff=2)
     l_full = [oracle_embedded(op, cavity_layout) for op in ops]
     zero_h = oracle_embedded(drive_hamiltonian(0, (0, 1), 0.0, 0.0), cavity_layout)
     rho = exp_segment(np.outer(amp, amp.conj()), LindbladSegment(zero_h, l_full, 2e-5))

@@ -542,12 +542,37 @@ def test_unreadable_config_text_is_a_configuration_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monkeypatch):
+def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monkeypatch, capsys):
+    # a fault in the program exits 3 with its traceback: not 2, a fault in
+    # the input, and not 1, a failed physics check
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(cli, "feasibility_report", broken)
-    with pytest.raises(ValueError, match="internal fault"):
+    assert main(["feasibility", "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert err.endswith("ValueError: internal fault\n")
+    assert "configuration error" not in err and "PASS" not in out and "FAIL" not in out
+
+
+def test_a_report_the_writer_refuses_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    # NaN is not JSON, so a handler that returns one is a program fault
+    def handler(config, clock):
+        return True, {"nan.json": {"value": math.nan}}
+
+    monkeypatch.setitem(cli.COMMANDS, "feasibility", (handler, "", ()))
+    assert main(["feasibility", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:\n") and "Out of range float values" in err
+
+
+def test_an_interrupt_is_not_an_internal_fault(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "feasibility_report", interrupted)
+    with pytest.raises(KeyboardInterrupt):
         main(["feasibility", "--out", str(tmp_path)])
 
 

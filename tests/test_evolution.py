@@ -19,7 +19,6 @@ from squidcavity import (
     chain_initial_state,
     cluster_chain_schedule,
     evolve_pure,
-    expectation,
     noisy_gate,
     qcpg_schedule,
     single_excitation_closed_form,
@@ -51,6 +50,7 @@ from squidcavity.hilbert import contract
 from conftest import (
     check_step_size,
     excitation_number,
+    expectation,
     lindblad_generator,
     lindblad_rhs,
     oracle_embedded,
@@ -135,7 +135,7 @@ def test_propagator_checks_unitarity_at_its_bound(monkeypatch):
 
 
 def test_propagator_unitary_and_composes():
-    h = cavity_coupling_hamiltonian(0, 1, 1.3, 0.7, n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, 1.3, 0.7, fock_cutoff=2)
     u1 = propagator(h, 0.4).matrix
     u2 = propagator(h, 1.1).matrix
     u12 = propagator(h, 1.5).matrix
@@ -156,7 +156,7 @@ def test_drive_quarter_period_rotation():
 def test_coupling_window_returns_input_at_default_point():
     # omega_2 = sqrt(3) omega_1 and omega_1 t = pi: |1,0,0> comes back with +1
     omega_1 = 2.0
-    h = cavity_coupling_hamiltonian(0, 1, omega_1, math.sqrt(3) * omega_1, n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, omega_1, math.sqrt(3) * omega_1, fock_cutoff=2)
     layout = SpaceLayout(2, fock_cutoff=2)
     state = basis_state(layout, (1, 0), 0)
     out = contract(layout, propagator(h, math.pi / omega_1), state.amplitudes)
@@ -365,6 +365,39 @@ def test_propagate_has_the_bits_of_whole_range_contraction(one_by_one):
         assert propagate(layout, schedule, psi).tobytes() == want.tobytes()
 
 
+def test_propagate_and_the_whole_range_run_differ_at_most_in_the_sign_of_a_zero():
+    # contract's guarantee: every non-zero entry has the bits of the full
+    # ranges, and an exact zero may differ in sign.  This schedule shows the
+    # second half: the whole-range pulses leave -0.0 on zero rows outside
+    # the tracked ranges, and the exchange sums them into its block
+    layout = SpaceLayout(7, 1)
+    psi = np.zeros(layout.total_dim, dtype=complex)
+    psi[basis_index(layout, (0,) * 7)] = np.exp(0.3j)
+    for levels in ((0, 0, 0, 2, 0, 2, 0), (0, 0, 2, 0, 0, 0, 0)):
+        psi[basis_index(layout, levels)] = complex(-0.0, -0.0)
+    schedule = (
+        DriveSegment(1, (0, 2), 1e8, 1.7e-8),
+        *(DriveSegment(0, (0, 1), 1e8, 0.0),) * 3,
+        CavitySegment(6, 4, 1.8e8, 0.0, math.pi / 1.8e8),
+    )
+    got = propagate(layout, schedule, psi).view(np.float64)
+    want = _whole_range_run(layout, schedule, psi).view(np.float64)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert np.array_equal(got, want)
+    assert differ.any() and not got[differ].any()
+
+
+def test_propagate_on_an_all_zero_input():
+    # the one input with no support: the first segment refuses it, and a
+    # schedule with no segment returns it
+    layout = SpaceLayout(2, 1)
+    zeros = np.zeros(layout.total_dim, dtype=complex)
+    assert evolution._support(layout, zeros) == ((0, 0),) * layout.n_factors
+    with pytest.raises(ValueError, match=r"norm drifted to 0\.0 after"):
+        propagate(layout, (DriveSegment(0, (0, 1), 1e8, 1e-8),), zeros)
+    assert propagate(layout, (), zeros).tobytes() == zeros.tobytes()
+
+
 # written by the runs below at the commit that pinned it
 RAW_BITS_SHA256 = "311510ed7388b26ae58742155702feec0b39de2f641a903cce69da549b859f63"
 
@@ -533,8 +566,8 @@ def test_excitation_number_conserved():
     assert abs(after - before) <= 1e-10
 
 
-def _zero_cavity_hamiltonian(n_max):
-    return LocalOperator((-1,), (n_max + 1,), np.zeros((n_max + 1, n_max + 1)))
+def _zero_cavity_hamiltonian(fock_cutoff):
+    return LocalOperator((-1,), (fock_cutoff + 1,), np.zeros((fock_cutoff + 1, fock_cutoff + 1)))
 
 
 def _pure_density(state):
@@ -545,7 +578,7 @@ def test_lindblad_photon_decay_matches_exponential():
     k = 5e4
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
-    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2)
+    ops = collapse_operators_from_rates(k, 0.0, 0.5, fock_cutoff=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
@@ -586,7 +619,7 @@ def test_exp_lindblad_photon_decay_matches_exponential():
     k = 5e4
     layout = SpaceLayout(1, fock_cutoff=2)
     rho0 = _pure_density(basis_state(layout, (0,), photons=1))
-    ops = collapse_operators_from_rates(k, 0.0, 0.5, n_max=2)
+    ops = collapse_operators_from_rates(k, 0.0, 0.5, fock_cutoff=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     h_full = oracle_embedded(_zero_cavity_hamiltonian(2), layout)
     t = 2e-5  # one cavity lifetime
@@ -614,7 +647,7 @@ def test_exp_lindblad_ignores_identity_in_the_hamiltonian():
     layout = SpaceLayout(2, fock_cutoff=2)
     h_full = oracle_embedded(cavity_coupling_hamiltonian(0, 1, 1.8e8, 1.1e8, 2), layout)
     shifted = h_full + 7e9 * np.eye(27)
-    ops = collapse_operators_from_rates(5e4, 4e5, 0.5, n_max=2)
+    ops = collapse_operators_from_rates(5e4, 4e5, 0.5, fock_cutoff=2)
     l_full = [oracle_embedded(op, layout) for op in ops]
     t = 1.7e-8
     substeps = [LindbladSegment(h, l_full, t).substeps for h in (shifted, h_full)]
@@ -838,7 +871,7 @@ def test_real_coordinates_are_an_isometry_and_invert():
 def test_exp_lindblad_keeps_hermitian_inputs_exactly_hermitian():
     layout = SpaceLayout(2, fock_cutoff=1)
     h_full = oracle_embedded(cavity_coupling_hamiltonian(0, 1, 1.8e8, 1.1e8, 1), layout)
-    ops = collapse_operators_from_rates(5e6, 4e7, 0.5, n_max=1)
+    ops = collapse_operators_from_rates(5e6, 4e7, 0.5, fock_cutoff=1)
     l_full = [oracle_embedded(op, layout) for op in ops]
     rng = np.random.default_rng(13)
     x = _cplx(rng, 3, 18, 18)

@@ -45,7 +45,7 @@ def test_annihilation_matrix():
 
 def test_cavity_coupling_single_excitation_elements():
     omega_1, omega_2 = 1.5, 2.5
-    h = cavity_coupling_hamiltonian(0, 1, omega_1, omega_2, n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, omega_1, omega_2, fock_cutoff=2)
     assert np.array_equal(h.matrix, h.matrix.conj().T)
     assert h.sites == (0, 1, -1)
     layout = SpaceLayout(2, fock_cutoff=2)
@@ -61,9 +61,9 @@ def test_cavity_coupling_single_excitation_elements():
     assert np.all(h.matrix[ie00, :] == 0)
 
 
-def _kron_exchange(omega_1, omega_2, n_max):
+def _kron_exchange(omega_1, omega_2, fock_cutoff):
     """The exchange as the sum of its four Kronecker terms, the textbook route."""
-    a_op = annihilation(n_max)
+    a_op = annihilation(fock_cutoff)
     adag = a_op.conj().T
     s01 = np.zeros((3, 3), dtype=complex)
     s01[0, 1] = 1.0
@@ -74,7 +74,7 @@ def _kron_exchange(omega_1, omega_2, n_max):
     return mat
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("fock_cutoff", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "omega_1, omega_2",
     [
@@ -84,16 +84,16 @@ def _kron_exchange(omega_1, omega_2, n_max):
         (0.37, 2.9),
     ],
 )
-def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, n_max):
-    h = cavity_coupling_hamiltonian(2, 0, omega_1, omega_2, n_max)
-    assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, n_max).tobytes()
-    assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, n_max + 1)
+def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, fock_cutoff):
+    h = cavity_coupling_hamiltonian(2, 0, omega_1, omega_2, fock_cutoff)
+    assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, fock_cutoff).tobytes()
+    assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, fock_cutoff + 1)
     assert np.array_equal(h.matrix, h.matrix.conj().T) and not h.matrix.flags.writeable
 
 
 def test_cavity_coupling_needs_photon_level():
     with pytest.raises(ValueError):
-        cavity_coupling_hamiltonian(0, 1, 1.0, 1.0, n_max=0)
+        cavity_coupling_hamiltonian(0, 1, 1.0, 1.0, fock_cutoff=0)
 
 
 def test_excitation_number_diagonal():
@@ -108,7 +108,7 @@ def test_excitation_number_diagonal():
 
 
 def test_excitation_number_commutes_with_coupling():
-    h = cavity_coupling_hamiltonian(0, 1, 1.0, 2.0, n_max=2)
+    h = cavity_coupling_hamiltonian(0, 1, 1.0, 2.0, fock_cutoff=2)
     n_op = excitation_number(2)
     comm = h.matrix @ n_op.matrix - n_op.matrix @ h.matrix
     assert np.max(np.abs(comm)) <= 1e-12
@@ -131,7 +131,7 @@ def test_feasibility_params_defaults_and_validation():
 
 
 def test_collapse_operators_count_and_rates():
-    ops = collapse_operators_from_rates(4.0, 9.0, 0.5, n_max=2)
+    ops = collapse_operators_from_rates(4.0, 9.0, 0.5, fock_cutoff=2)
     # cavity + (e->0, e->1) per SQUID
     assert len(ops) == 5
     cavity = ops[0]
@@ -144,7 +144,7 @@ def test_collapse_operators_count_and_rates():
 def test_collapse_operators_keep_their_order():
     # the order fixes the noisy gate's bits: the cavity, then e->0 and e->1
     # on SQUID 0, then on SQUID 1
-    ops = collapse_operators_from_rates(4.0, 9.0, 0.25, n_max=1)
+    ops = collapse_operators_from_rates(4.0, 9.0, 0.25, fock_cutoff=1)
     e_to_0 = np.zeros((3, 3), dtype=complex)
     e_to_0[0, 2] = 1.5
     e_to_1 = np.zeros((3, 3), dtype=complex)
@@ -162,29 +162,29 @@ def test_collapse_operators_keep_their_order():
 
 
 def test_collapse_operators_drop_zero_rates():
-    assert len(collapse_operators_from_rates(0.0, 9.0, 0.5, n_max=2)) == 4
-    assert len(collapse_operators_from_rates(4.0, 0.0, 0.5, n_max=2)) == 1
-    assert len(collapse_operators_from_rates(4.0, 9.0, 1.0, n_max=2)) == 3
-    assert len(collapse_operators_from_rates(0.0, 0.0, 0.5, n_max=2)) == 0
+    assert len(collapse_operators_from_rates(0.0, 9.0, 0.5, fock_cutoff=2)) == 4
+    assert len(collapse_operators_from_rates(4.0, 0.0, 0.5, fock_cutoff=2)) == 1
+    assert len(collapse_operators_from_rates(4.0, 9.0, 1.0, fock_cutoff=2)) == 3
+    assert len(collapse_operators_from_rates(0.0, 0.0, 0.5, fock_cutoff=2)) == 0
     with pytest.raises(ValueError):
-        collapse_operators_from_rates(-1.0, 0.0, 0.5, n_max=2)
+        collapse_operators_from_rates(-1.0, 0.0, 0.5, fock_cutoff=2)
     with pytest.raises(ValueError):
-        collapse_operators_from_rates(1.0, 1.0, 2.0, n_max=2)
+        collapse_operators_from_rates(1.0, 1.0, 2.0, fock_cutoff=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 def test_collapse_operators_refuse_non_finite_rates(bad):
     # NaN once passed as a zero rate: its operator was silently dropped
     with pytest.raises(ValueError, match="cavity_decay="):
-        collapse_operators_from_rates(bad, 9.0, 0.5, n_max=2)
+        collapse_operators_from_rates(bad, 9.0, 0.5, fock_cutoff=2)
     with pytest.raises(ValueError, match="gamma_e="):
-        collapse_operators_from_rates(4.0, bad, 0.5, n_max=2)
+        collapse_operators_from_rates(4.0, bad, 0.5, fock_cutoff=2)
 
 
 def test_collapse_operators_from_params():
     params = FeasibilityParams()
     ops = collapse_operators_from_rates(
-        params.cavity_decay_per_s, params.gamma_e_per_s, params.branch_ratio_e_to_0, n_max=2
+        params.cavity_decay_per_s, params.gamma_e_per_s, params.branch_ratio_e_to_0, fock_cutoff=2
     )
     assert len(ops) == 5
     np.testing.assert_allclose(np.max(np.abs(ops[0].matrix)), math.sqrt(5e4 * 2))

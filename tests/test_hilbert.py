@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    expectation,
     oracle_apply,
     oracle_embedded,
     random_state,
@@ -15,7 +16,6 @@ from squidcavity import (
     basis_index,
     basis_state,
     evolve_pure,
-    expectation,
     prepare_superposition,
 )
 from squidcavity.hilbert import contract

@@ -13,10 +13,20 @@ written is valid JSON whose pass flag matches the exit code.  It also
 resolves drawn flags and config files, from the config boundary's own edge
 values and malformed ``--values`` strings: the flags and the file pass one
 validation, which returns a ``RunConfig`` or raises ``ConfigError``.
+
+The sizes of a register have one rule, ``hilbert.check_index``, and one
+vocabulary: a table lists every public callable that takes a cavity cutoff
+(``fock_cutoff``) or a chain length (``n_qubits``, or ``n_squids`` for a
+layout) with its least valid value.  Each refuses ``True``, 1.5 and the
+value below its bound with a ValueError naming the parameter, and no
+public callable is missing from the table or calls the cutoff ``n_max``.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
+import pkgutil
 import json
 import math
 import tempfile
@@ -24,9 +34,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import squidcavity
 from squidcavity import (
     CavitySegment,
     DriveSegment,
@@ -34,14 +46,25 @@ from squidcavity import (
     GateParams,
     SpaceLayout,
     basis_state,
+    chain_initial_state,
+    cluster_chain_schedule,
+    cluster_state_oracle,
     evolve_pure,
     noisy_gate,
     qcpg_lindblad_fidelity,
+    qcpg_schedule,
+    truth_table,
 )
 from squidcavity.cli import COMMANDS as CLI_COMMANDS
 from squidcavity.cli import COMMON_FLAGS, _resolve_config, build_parser, main
 from squidcavity.config import _SECTIONS, SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSettings
-from squidcavity.hamiltonians import collapse_operators_from_rates
+from squidcavity.hamiltonians import (
+    annihilation,
+    cavity_coupling_hamiltonian,
+    collapse_operators_from_rates,
+    exchange_norm_bound,
+)
+from squidcavity.verification import computational_propagator
 
 BOUNDARY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -155,7 +178,7 @@ def test_cavity_segment_refuses_or_holds_finite_numbers(omega_1, omega_2, durati
 @BOUNDARY_SETTINGS
 @given(NUMBERS, NUMBERS, NUMBERS)
 def test_collapse_operators_refuse_or_hold_finite_numbers(cavity_decay, gamma_e, branch_ratio):
-    ops = _built(collapse_operators_from_rates, cavity_decay, gamma_e, branch_ratio, n_max=2)
+    ops = _built(collapse_operators_from_rates, cavity_decay, gamma_e, branch_ratio, fock_cutoff=2)
     if ops is not None:
         assert all(np.isfinite(op.matrix).all() for op in ops)
 
@@ -326,3 +349,105 @@ def test_flags_and_config_files_resolve_or_are_refused(case):
             except ConfigError:
                 return
     assert isinstance(config, RunConfig)
+
+
+GATE = qcpg_schedule(0, 1)
+SIZE_NAMES = ("fock_cutoff", "n_qubits", "n_squids")
+
+# every public callable that takes a size: the parameter, its least valid
+# value, and a call with that size and valid values for the rest
+SIZES = [
+    (SpaceLayout, "n_squids", 1, lambda n: SpaceLayout(n, 2)),
+    (SpaceLayout, "fock_cutoff", 0, lambda c: SpaceLayout(2, c)),
+    (RunConfig, "n_qubits", 2, lambda n: RunConfig(n_qubits=n)),
+    (RunConfig, "fock_cutoff", 1, lambda c: RunConfig(fock_cutoff=c)),
+    (annihilation, "fock_cutoff", 0, annihilation),
+    (
+        cavity_coupling_hamiltonian,
+        "fock_cutoff",
+        1,
+        lambda c: cavity_coupling_hamiltonian(0, 1, 1.0, 1.0, c),
+    ),
+    # a cavity rate above zero, so that the cavity jump is built
+    (
+        collapse_operators_from_rates,
+        "fock_cutoff",
+        0,
+        lambda c: collapse_operators_from_rates(1.0, 1.0, 0.5, c),
+    ),
+    (
+        CavitySegment.hamiltonian,
+        "fock_cutoff",
+        1,
+        lambda c: CavitySegment(0, 1, 1.0, 1.0, 1.0).hamiltonian(c),
+    ),
+    (noisy_gate, "fock_cutoff", 1, lambda c: noisy_gate(fock_cutoff=c)),
+    (computational_propagator, "fock_cutoff", 1, lambda c: computational_propagator(GATE, c)),
+    (truth_table, "fock_cutoff", 1, lambda c: truth_table(GATE, c)),
+    (cluster_chain_schedule, "n_qubits", 2, cluster_chain_schedule),
+    (chain_initial_state, "n_qubits", 2, chain_initial_state),
+    (chain_initial_state, "fock_cutoff", 0, lambda c: chain_initial_state(2, c)),
+    (cluster_state_oracle, "n_qubits", 2, cluster_state_oracle),
+    (cluster_state_oracle, "fock_cutoff", 0, lambda c: cluster_state_oracle(2, c)),
+]
+
+
+def _public_callables():
+    """(qualified name, callable) for each public function, class and method of the package.
+
+    Exception classes are left out: they take a message, not a size.
+    """
+    for module_name in (m.name for m in pkgutil.iter_modules(squidcavity.__path__)):
+        if module_name.startswith("_"):
+            continue
+        module = importlib.import_module(f"squidcavity.{module_name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{module_name}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, method in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(method):
+                        yield f"{module_name}.{name}.{attr}", method
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "below"])
+@pytest.mark.parametrize(
+    "build, name, low, call", SIZES, ids=[f"{b.__qualname__}-{n}" for b, n, _, _ in SIZES]
+)
+def test_every_size_is_an_int_at_or_above_its_bound(build, name, low, call, bad):
+    call(low)
+    value = low - 1 if bad == "below" else bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(value)
+
+
+def test_every_callable_that_takes_a_size_is_in_the_table():
+    tabled = {(build, name) for build, name, _, _ in SIZES}
+    untabled = {
+        (qualified, p)
+        for qualified, obj in _public_callables()
+        for p in inspect.signature(obj).parameters
+        if p in SIZE_NAMES and (obj, p) not in tabled
+    }
+    # the norm bound checks no cutoff, since both of its callers check it
+    # first, and a drive's generator does not depend on the cutoff
+    assert untabled == {
+        ("hamiltonians.exchange_norm_bound", "fock_cutoff"),
+        ("protocols.DriveSegment.hamiltonian", "fock_cutoff"),
+    }
+    assert list(inspect.signature(exchange_norm_bound).parameters) == [
+        "omega_1", "omega_2", "fock_cutoff",
+    ]
+
+
+def test_no_public_callable_calls_the_cutoff_n_max():
+    named = [
+        qualified
+        for qualified, obj in _public_callables()
+        if "n_max" in inspect.signature(obj).parameters
+    ]
+    assert named == []

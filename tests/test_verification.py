@@ -16,7 +16,6 @@ from squidcavity import (
     cluster_chain_schedule,
     cluster_state_oracle,
     evolve_pure,
-    expectation,
     prepare_superposition,
     qcpg_schedule,
     stabilizer_expectations,
@@ -31,7 +30,7 @@ from squidcavity.verification import (
     computational_propagator,
 )
 
-from conftest import chain_stabilizer, oracle_apply, random_state, tensor_state
+from conftest import chain_stabilizer, expectation, oracle_apply, random_state, tensor_state
 
 
 def test_empty_schedule_gives_identity_table():

@@ -21,7 +21,8 @@ with its reports: a file name mapped to its content, a JSON dict or list
 for a ``.json`` name and a list of CSV rows (header first) for a ``.csv``
 one.  ``main`` alone writes them under the chosen directory, in the one
 format each suffix names, echoing the resolved configuration into every
-JSON dict; it then prints the wall time and each phase's time, the writes
+JSON dict; it then prints the wall time, each phase's time and minor page
+faults (``resource.getrusage``, where the platform has it), the writes
 being the ``report`` phase, and PASS or FAIL.  Exit codes: 0 all checks
 passed, 1 a physics check failed, 2 configuration or usage error, 3 an
 internal fault; a configuration error exits before any report is written.
@@ -50,6 +51,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform; the phase line then has no fault counts
+    resource = None
 
 from .config import (
     SWEEP_PARAMETERS,
@@ -332,6 +338,19 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _mark(phase: str) -> tuple:
+    """The end of ``phase``: the clock, and the process's minor page faults so far."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
+    return phase, time.perf_counter(), faults
+
+
+def _phase(start: tuple, end: tuple) -> str:
+    """``end``'s phase with its time, and its minor page faults where they are counted."""
+    name, clock, faults = end
+    text = f"{name} {clock - start[1]:.4f} s"
+    return text if faults is None else f"{text} ({faults - start[2]} faults)"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
@@ -349,17 +368,14 @@ def main(argv=None) -> int:
         out_dir = Path(config.out_dir)
         _make_out_dir(out_dir)
         # the handler marks the end of each of its phases on this clock
-        marks = [("start", time.perf_counter())]
-        passed, reports = COMMANDS[command][0](
-            config, lambda phase: marks.append((phase, time.perf_counter()))
-        )
+        marks = [_mark("start")]
+        passed, reports = COMMANDS[command][0](config, lambda phase: marks.append(_mark(phase)))
         echo = config_to_dict(config)
         for name, report in reports.items():
             _write_report(out_dir / name, report, echo)
-        marks.append(("report", time.perf_counter()))
+        marks.append(_mark("report"))
         print(f"wall time: {marks[-1][1] - marks[0][1]:.3f} s")
-        phases = zip(marks, marks[1:])
-        print("  " + ", ".join(f"{name} {end - start:.4f} s" for (_, start), (name, end) in phases))
+        print("  " + ", ".join(_phase(start, end) for start, end in zip(marks, marks[1:])))
         print("PASS" if passed else "FAIL")
         return 0 if passed else 1
     except ConfigError as exc:

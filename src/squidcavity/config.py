@@ -56,13 +56,14 @@ class ConfigError(ValueError):
 def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
     """Bytes of the largest array a command builds at these sizes.
 
-    That is the chain state of ``cluster``, one amplitude per basis state
-    of its layout, or one full-space generator of the two-SQUID noisy gate
-    in ``decoherence`` (or the identity block the generators are built
-    from), a square matrix over its layout; complex entries take 16 bytes.
+    That is the two-state array a ``cluster`` run holds its buffers in
+    (``evolution.propagate``), two amplitudes per basis state of its
+    layout, or one full-space generator of the two-SQUID noisy gate in
+    ``decoherence`` (or the identity block the generators are built from),
+    a square matrix over its layout; complex entries take 16 bytes.
     """
     gate_dim = SpaceLayout(2, fock_cutoff).total_dim
-    return 16 * max(SpaceLayout(n_qubits, fock_cutoff).total_dim, gate_dim**2)
+    return 16 * max(2 * SpaceLayout(n_qubits, fock_cutoff).total_dim, gate_dim**2)
 
 
 @dataclass(frozen=True)

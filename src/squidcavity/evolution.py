@@ -16,8 +16,10 @@ entries; after each segment, its sites are joined with the levels that its
 propagator's exact non-zero pattern reaches from the block, so no range ever
 shrinks; of the amplitudes, the plan reads only which are non-zero.  The run
 is a loop of ``hilbert.contract``, which computes only the block the ranges
-cut out of the factors a segment does not touch, and a norm check.  Both
-state buffers stay exactly zero outside the block: the spare starts zeroed,
+cut out of the factors a segment does not touch, and a norm check.  The
+run's two state buffers are the halves of one two-state array, one
+allocation per run, so that glibc keeps the memory a run frees for the
+next.  Both stay exactly zero outside the block: the spare starts zeroed,
 and the buffer a segment writes holds the state of two segments back, which
 lies inside it.  A cluster chain holds 1 024 non-zero amplitudes of 177 147
 at N = 10 after its superposition pulses, so most segments touch a fraction
@@ -123,19 +125,33 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
     and the level ranges of the module docstring, from the input's support
     alone.  Then the run applies each step with ``contract``, which computes
     only the block of its ranges, and checks every state's norm, which also
-    catches NaN and Inf.  The run owns two state-sized buffers shaped like
-    the input: a copy of it, and a zeroed spare.  Each segment reads one
-    buffer and writes the other, so the caller's array is only read and no
-    segment allocates a state.
+    catches NaN and Inf.  The run owns its two state buffers as the two
+    halves of one complex array of shape (2, *input shape): a copy of the
+    input, and a zeroed spare.  Each segment reads one half and writes the
+    other, so the caller's array is only read and no segment allocates a
+    state.  The result is the half the last segment wrote, and it keeps the
+    idle half alive with it.
+
+    One allocation of two states, rather than two of one, keeps the state
+    memory a run frees in glibc's heap for the next run.  Freeing an
+    mmapped allocation raises glibc's mmap threshold to its size and the
+    trim threshold to twice that (mallopt(3)).  With two states in one
+    allocation the trim threshold becomes four states, above the three a
+    cluster op holds at its peak; with one state per allocation it was two,
+    so every op handed its freed states back to the kernel and the next op
+    faulted them in again.  Other allocators lose nothing: the same bytes
+    are allocated.
     """
-    # rebinding ``psi`` drops this frame's hold on the initial amplitudes
-    psi = np.array(psi, dtype=complex)
-    if psi.shape[:1] != (layout.total_dim,):
+    shape = np.shape(psi)
+    if shape[:1] != (layout.total_dim,):
         raise ValueError(
-            f"amplitudes have shape {psi.shape}, layout dimension is {layout.total_dim}"
+            f"amplitudes have shape {shape}, layout dimension is {layout.total_dim}"
         )
+    buffers = np.empty((2, *shape), complex)
+    buffers[0], buffers[1] = psi, 0
+    # rebinding ``psi`` drops this frame's hold on the initial amplitudes
+    psi, spare = buffers
     steps = _plan(layout, schedule, _support(layout, psi))
-    spare = np.zeros_like(psi)
     for u, ranges in steps:
         psi, spare = contract(layout, u, psi, out=spare, ranges=ranges), psi
         for column in psi.reshape(len(psi), -1).T:

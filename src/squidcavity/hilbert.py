@@ -82,7 +82,8 @@ CAVITY = -1
 _KRON_EXTRA_MACS = 5000
 
 FLOAT_MAX = sys.float_info.max
-# budget for the largest single complex array a command may allocate
+# budget for the largest single complex array a command may allocate, such
+# as a cluster run's two-state buffer array (``config`` counts it)
 MAX_ARRAY_BYTES = 2**24
 
 

@@ -123,7 +123,8 @@ def state_fidelity(psi: CompositeState, phi: CompositeState) -> float:
         raise ValueError(f"layout mismatch: {psi.layout} vs {phi.layout}")
     for name, state in (("first", psi), ("second", phi)):
         norm = state.norm()
-        if abs(norm - 1.0) > 1e-8:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"{name} state is not normalized (norm {norm!r})")
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 

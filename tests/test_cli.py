@@ -62,6 +62,9 @@ def test_every_command_echoes_its_config_times_its_phases_and_ends_with_its_verd
     timed = [i for i, line in enumerate(lines) if line.startswith("wall time:")]
     assert len(timed) == 1
     assert "report" in lines[timed[0] + 1]
+    # each phase's minor page faults beside its time, where they are counted
+    entry = r"[a-z]+ \d+\.\d{4} s" + (r" \(\d+ faults\)" if cli.resource else "")
+    assert re.fullmatch(rf"  {entry}(, {entry})*", lines[timed[0] + 1])
     assert lines[-1] == ("PASS" if code == 0 else "FAIL")
     assert code in (0, 1)
 

@@ -42,6 +42,15 @@ def test_scalar_validation():
         RunConfig(n_qubits=10, fock_cutoff=17)
 
 
+@pytest.mark.parametrize("n_qubits, largest", [(10, 7), (9, 25), (8, 78)])
+def test_the_budget_counts_a_chain_run_s_two_state_array(n_qubits, largest):
+    # a chain run holds two states of 16 bytes per amplitude in one array:
+    # 32 * 3^N (c + 1) bytes against the 16 MiB budget
+    assert RunConfig(n_qubits=n_qubits, fock_cutoff=largest).fock_cutoff == largest
+    with pytest.raises(ConfigError, match="above the budget of 16 MiB"):
+        RunConfig(n_qubits=n_qubits, fock_cutoff=largest + 1)
+
+
 def test_sweep_validation():
     assert SweepSettings("branch_ratio", (0.0, 0.5, 1.0)).values == (0.0, 0.5, 1.0)
     with pytest.raises(ConfigError):

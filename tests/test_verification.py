@@ -121,6 +121,17 @@ def test_state_fidelity_examples():
         state_fidelity(a, bad)
 
 
+def test_state_fidelity_refuses_a_nan_written_after_construction():
+    # a state shares memory with the caller's array, so a NaN written there
+    # after the construction check reaches the norm
+    layout = SpaceLayout(1, fock_cutoff=1)
+    amplitudes = np.array([1, 0, 0, 0, 0, 0], dtype=complex)
+    state = CompositeState(layout, amplitudes)
+    amplitudes[1] = np.nan
+    with pytest.raises(ValueError, match=r"second state is not normalized \(norm nan\)"):
+        state_fidelity(basis_state(layout, (0,)), state)
+
+
 def test_cavity_vacuum_population_basics():
     layout = SpaceLayout(2, fock_cutoff=2)
     assert cavity_vacuum_population(basis_state(layout, (0, 1), 0)) == pytest.approx(1.0)

@@ -136,7 +136,8 @@ def _make_out_dir(out_dir: Path) -> None:
     """Create the output directory of every command, before any work runs."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a path holding a NUL
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
 

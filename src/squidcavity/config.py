@@ -187,12 +187,14 @@ def read_config(path):
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: text that is not UTF-8, or a path holding a NUL
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # a syntax error, or an integer with more digits than Python converts
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer with more digits than Python converts,
+        # or nesting deeper than the parser recurses
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 

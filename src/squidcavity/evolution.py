@@ -6,15 +6,17 @@ is exact to rounding, so ideal-protocol results carry no integrator error.
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
 own generator) on pure states, alone or as a block, in two parts.  The plan
 walks the schedule before any amplitude moves: it builds each segment's
-generator and one propagator per distinct key, the generator's local
-dimensions and matrix bytes with the duration's bits, reused on the sites of
-every generator with that key.  Equal keys are the same input to ``eigh``,
-so sharing is exact whatever the segment kind.  The plan also keeps per
-factor a level range [lo, hi) outside which every amplitude is exactly zero
-before each segment.  The ranges start as those of the input's non-zero
-entries; after each segment, its sites are joined with the levels that its
-propagator's exact non-zero pattern reaches from the block, so no range ever
-shrinks; of the amplitudes, the plan reads only which are non-zero.  The run
+generator, checks its sites and size against the layout (so every such
+refusal comes before the run), and builds one propagator per distinct key,
+the dimensions the layout gives the generator's sites and its matrix bytes
+with the duration's bits, reused on the sites of every generator with that
+key.  Equal keys are the same input to ``eigh``, so sharing is exact
+whatever the segment kind.  The plan also keeps per factor a level range
+[lo, hi) outside which every amplitude is exactly zero before each segment.
+The ranges start as those of the input's non-zero entries; after each
+segment, its sites are joined with the levels that its propagator's exact
+non-zero pattern reaches from the block, so no range ever shrinks; of the
+amplitudes, the plan reads only which are non-zero.  The run
 is a loop of ``hilbert.contract``, which computes only the block the ranges
 cut out of the factors a segment does not touch, and a norm check.  The
 run's two state buffers are the halves of one two-state array, one
@@ -115,7 +117,7 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     # written so that a NaN defect fails too
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"propagator failed unitarity check ({defect:.3e})")
-    return LocalOperator(hamiltonian.sites, hamiltonian.local_dims, mat)
+    return LocalOperator(hamiltonian.sites, mat)
 
 
 def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarray:
@@ -166,30 +168,35 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
 def _plan(layout: SpaceLayout, schedule: tuple, ranges: tuple) -> list:
     """Per segment, its propagator on its sites and the ranges its input lies in.
 
-    ``ranges`` are those of the schedule's input.  A propagator is keyed on
-    its generator's local dimensions and matrix bytes and the duration's
-    bits, sites aside, so it is built only the first time its key appears:
-    a cluster chain repeats four of them.  So are the levels it reaches
-    from each box of levels at its sites, read from its exact non-zero
-    pattern; no segment follows the last, so its reach is never needed.
+    ``ranges`` are those of the schedule's input.  Every generator's sites
+    and size are checked against the layout here, the last segment's too,
+    so a misfit is refused before the run moves any amplitude.  A
+    propagator is keyed on the dimensions the layout gives its generator's
+    sites, the generator's matrix bytes and the duration's bits, sites
+    aside, so it is built only the first time its key appears: a cluster
+    chain repeats four of them.  So are the levels it reaches from each box
+    of levels at its sites, read from its exact non-zero pattern; no
+    segment follows the last, so its reach is never needed.  The key keeps
+    the dimensions because equal bytes on (SQUID, cavity) and on (cavity,
+    SQUID) reach other levels wherever the cavity is not three levels.
     """
     steps, built = [], {}
     for k, segment in enumerate(schedule):
         h = segment.hamiltonian(layout.fock_cutoff)
-        key = (h.local_dims, h.matrix.tobytes(), float(segment.duration).hex())
+        sites, dims = layout.operator_dims(h)
+        key = (dims, h.matrix.tobytes(), float(segment.duration).hex())
         if key not in built:
             built[key] = propagator(h, segment.duration), {}
         u, reached = built[key]
         if u.sites != h.sites:
-            u = LocalOperator(h.sites, h.local_dims, u.matrix)
+            u = LocalOperator(h.sites, u.matrix)
         steps.append((u, ranges))
         if k + 1 == len(schedule):
             break
-        sites = layout.resolve_sites(h.sites)
         box = tuple(ranges[s] for s in sites)
         if box not in reached:
             # rows, then columns, one axis per site; a NaN counts as non-zero
-            entries = u.matrix.reshape(h.local_dims * 2)
+            entries = u.matrix.reshape(dims * 2)
             columns = entries[(Ellipsis,) + tuple(slice(lo, hi) for lo, hi in box)]
             reached[box] = _bounds(np.nonzero(columns.any(axis=tuple(range(-len(sites), 0)))))
         ranges = list(ranges)

@@ -36,8 +36,10 @@ a cutoff that is not an ``int`` >= 1, through ``hilbert.check_index``, and
 an exchange norm past the float range; ``collapse_operators_from_rates``
 every rate and the branch ratio, through ``hilbert.check_number``.
 ``exchange_norm_bound`` checks nothing: both of its callers check the
-cutoff first.  All builders are pure: they return immutable LocalOperators
-that can be shared freely.
+cutoff first.  All builders are pure: they return immutable LocalOperators,
+each its sites and its square matrix, that can be shared freely; the
+layout a run embeds them in states each site's dimension and checks the
+matrix size against it (``hilbert.SpaceLayout.operator_dims``).
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def drive_hamiltonian(
     mat = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
     mat[a, b] = 1j * rabi * np.exp(1j * phase)
     mat[b, a] = -1j * rabi * np.exp(-1j * phase)
-    return LocalOperator(sites=(squid,), local_dims=(SQUID_DIM,), matrix=mat)
+    return LocalOperator(sites=(squid,), matrix=mat)
 
 
 def annihilation(fock_cutoff: int) -> np.ndarray:
@@ -131,7 +133,7 @@ def cavity_coupling_hamiltonian(
     entries[other, 0, n + 1, other, 1, n] = entries[other, 1, n, other, 0, n + 1] = (
         omega_2 * root
     )
-    return LocalOperator(sites=(squid_a, squid_b, CAVITY), local_dims=dims, matrix=mat)
+    return LocalOperator(sites=(squid_a, squid_b, CAVITY), matrix=mat)
 
 
 def collapse_operators_from_rates(
@@ -151,19 +153,14 @@ def collapse_operators_from_rates(
     check_number("branch_ratio_e_to_0", branch_ratio_e_to_0, 0, 1)
     ops: list[LocalOperator] = []
     if cavity_decay > 0:
-        ops.append(
-            LocalOperator(
-                sites=(CAVITY,),
-                local_dims=(fock_cutoff + 1,),
-                matrix=math.sqrt(cavity_decay) * annihilation(fock_cutoff),
-            )
-        )
+        jump = math.sqrt(cavity_decay) * annihilation(fock_cutoff)
+        ops.append(LocalOperator(sites=(CAVITY,), matrix=jump))
     rates = (gamma_e * branch_ratio_e_to_0, gamma_e * (1.0 - branch_ratio_e_to_0))
     for squid in (0, 1):
         for level, rate in zip((LEVEL_0, LEVEL_1), rates):
             if rate > 0:
                 jump = np.zeros((SQUID_DIM, SQUID_DIM), dtype=complex)
                 jump[level, LEVEL_E] = math.sqrt(rate)
-                ops.append(LocalOperator(sites=(squid,), local_dims=(SQUID_DIM,), matrix=jump))
+                ops.append(LocalOperator(sites=(squid,), matrix=jump))
     return ops
 

@@ -54,9 +54,11 @@ are then exactly zero outside the block: ``out`` must be on the way in,
 and ``psi`` is left so outside its ranges.
 
 Layouts and operators are immutable after construction and safe to share
-between threads.  A ``LocalOperator`` holds its ``sites``, their
-``local_dims`` and its ``matrix``; an operator's matrix and a state's
-amplitudes are read-only views.  A CompositeState is owned by whichever evolution is
+between threads.  A ``LocalOperator`` holds its ``sites`` and its square
+``matrix``; the layout alone states each factor's dimension, and
+``SpaceLayout.operator_dims`` is the one check that an operator's matrix
+fits its sites.  An operator's matrix and a state's amplitudes are
+read-only views.  A CompositeState is owned by whichever evolution is
 currently producing it; independent runs can proceed concurrently on their
 own states.
 """
@@ -151,6 +153,22 @@ class SpaceLayout:
             raise ValueError(f"duplicate sites in {tuple(sites)}")
         return resolved
 
+    def operator_dims(self, op: LocalOperator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Factor positions of ``op``'s sites and their dimensions, in site order.
+
+        The one place an operator's dimensions are read: the layout states
+        them.  A repeated or out-of-range site is refused, and so is a
+        matrix whose size is not their product.
+        """
+        factors = self.resolve_sites(op.sites)
+        dims = tuple(self.dims[f] for f in factors)
+        if op.dim != math.prod(dims):
+            raise ValueError(
+                f"operator on sites {op.sites} has dimension {op.dim}, the layout "
+                f"gives them dimensions {dims} (product {math.prod(dims)})"
+            )
+        return factors, dims
+
 
 @dataclass
 class CompositeState:
@@ -210,38 +228,30 @@ def basis_state(layout: SpaceLayout, levels, photons: int = 0) -> CompositeState
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Dense matrix acting on a declared subset of tensor factors.
+    """Dense square matrix acting on a declared subset of tensor factors.
 
     ``sites`` lists the factors the operator touches, in the order matched by
     the row/column mixed-radix convention of ``matrix`` (first listed site is
     the slowest digit): SQUID indices and ``CAVITY``, each checked to be an
-    ``int``, never converted.  ``local_dims`` gives the corresponding factor
-    dimensions; the matrix must be square with dimension equal to their
-    product.  ``matrix`` is then a read-only view, so nothing written through
-    the operator can undo the check, and a propagator built for one segment
-    can be shared by every segment whose generator has the same bits.  It
-    shares memory with a complex array the caller passed in; that array
-    stays writable, and a write into it shows through.
+    ``int``, never converted.  The layout, not the operator, states each
+    factor's dimension: ``SpaceLayout.operator_dims`` checks that the
+    matrix size is their product where the operator meets a layout.
+    ``matrix`` is a read-only view, so nothing written through the operator
+    can undo the check, and a propagator built for one segment can be
+    shared by every segment whose generator has the same bits.  It shares
+    memory with a complex array the caller passed in; that array stays
+    writable, and a write into it shows through.
     """
 
     sites: tuple[int, ...]
-    local_dims: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         sites = tuple(check_index("site", s, CAVITY) for s in self.sites)
         object.__setattr__(self, "sites", sites)
-        local_dims = tuple(check_index("local dimension", d, 1) for d in self.local_dims)
-        object.__setattr__(self, "local_dims", local_dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        if len(self.sites) != len(self.local_dims):
-            raise ValueError("sites and local_dims differ in length")
-        dim = math.prod(self.local_dims)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match local dimensions "
-                f"{self.local_dims} (product {dim})"
-            )
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {mat.shape}")
         mat = mat.view()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -294,13 +304,8 @@ def contract(
     ``out`` must be zero outside the block, and ``psi`` is left zero
     outside its ranges, so that either can take a later result.
     """
-    sites = layout.resolve_sites(op.sites)
+    sites, _ = layout.operator_dims(op)
     dims = layout.dims
-    for s, d in zip(sites, op.local_dims):
-        if dims[s] != d:
-            raise ValueError(
-                f"operator expects dimension {d} at site {s}, layout has {dims[s]}"
-            )
     if ranges is None:
         ranges = [(0, d) for d in dims]
     elif len(ranges) != len(dims):

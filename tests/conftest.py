@@ -61,7 +61,7 @@ def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:
     # row index into the local matrix for every global basis index
     sub = np.zeros(total, dtype=int)
     for axis, site in enumerate(sites):
-        stride = int(np.prod(op.local_dims[axis + 1:], dtype=int))
+        stride = int(np.prod([dims[s] for s in sites[axis + 1:]], dtype=int))
         sub = sub + digits[site] * stride
     full = np.asarray(op.matrix)[np.ix_(sub, sub)].astype(complex)
     for factor in range(len(dims)):
@@ -138,11 +138,7 @@ def chain_stabilizer(n_qubits: int, i: int) -> LocalOperator:
     matrix = mats[0]
     for m in mats[1:]:
         matrix = np.kron(matrix, m)
-    return LocalOperator(
-        sites=tuple(sites),
-        local_dims=(SQUID_DIM,) * len(sites),
-        matrix=matrix,
-    )
+    return LocalOperator(sites=tuple(sites), matrix=matrix)
 
 
 def excitation_number(fock_cutoff: int, squids: tuple[int, int] = (0, 1)) -> LocalOperator:
@@ -159,11 +155,7 @@ def excitation_number(fock_cutoff: int, squids: tuple[int, int] = (0, 1)) -> Loc
         + np.kron(np.kron(eye3, p1), eye_c)
         + np.kron(np.kron(eye3, eye3), number)
     )
-    return LocalOperator(
-        sites=(squids[0], squids[1], -1),
-        local_dims=(SQUID_DIM, SQUID_DIM, fock_cutoff + 1),
-        matrix=mat,
-    )
+    return LocalOperator(sites=(squids[0], squids[1], -1), matrix=mat)
 
 
 def reference_kept(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):

@@ -537,11 +537,18 @@ def test_unreadable_config_text_is_a_configuration_error(tmp_path, capsys):
     # more digits than Python converts to an integer
     too_long = tmp_path / "long.json"
     too_long.write_text('{"fock_cutoff": 1' + "0" * 5000 + "}")
-    for path in (not_utf8, too_long):
+    # nested deeper than the parser recurses: this used to exit 3 with a
+    # RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    # a config path holding a NUL used to exit 3 with a ValueError traceback
+    for path in (not_utf8, too_long, deep, f"{tmp_path}/a\0b.json"):
         assert main(["feasibility", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.count("configuration error") == 2
-    assert "cannot read config file" in err and "not valid JSON" in err
+    assert err.count("configuration error: ") == 4
+    assert err.count("cannot read config file") == 2
+    assert err.count("not valid JSON") == 2 and "recursion" in err
+    assert "Traceback" not in err and "internal error" not in err
     assert not out.exists()
 
 
@@ -712,6 +719,18 @@ def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("configuration error: cannot create output directory") == 4
     assert taken.read_text() == "keep me\n"
+
+
+def test_out_holding_a_nul_is_a_configuration_error(tmp_path, capsys):
+    # mkdir raises ValueError on an embedded NUL; this used to exit 3
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"out_dir": f"{tmp_path}/a\0b"}))
+    for argv in (["--config", str(config_path)], ["--out", f"{tmp_path}/a\0b"]):
+        assert main(["feasibility", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error: cannot create output directory") == 2
+    assert "internal error" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 # each command's own flags, besides --help and the common three

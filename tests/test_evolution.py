@@ -70,7 +70,7 @@ def test_propagator_zero_time_is_identity():
 
 
 def test_propagator_rejects_non_hermitian():
-    op = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones(3), 1))
+    op = LocalOperator((0,), np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones(3), 1))
     with pytest.raises(ValueError):
         propagator(op, 1.0)
     with pytest.raises(ValueError):
@@ -82,14 +82,14 @@ def test_propagator_checks_hermiticity_at_its_bound():
     # checked first: exactly 1e-12 runs, one ulp above it does not
     edge = np.diag([1.0, 2.0, 0.0]).astype(complex)
     edge[0, 1] = 1e-12
-    propagator(LocalOperator((0,), (3,), edge), 1.0)
+    propagator(LocalOperator((0,), edge), 1.0)
     for defect in (np.nextafter(1e-12, 1.0), 1e-10):
         over = np.diag([1.0, 2.0, 0.0]).astype(complex)
         over[0, 1] = defect
         with pytest.raises(ValueError, match="Hermitian generator"):
-            propagator(LocalOperator((0,), (3,), over), 1.0)
+            propagator(LocalOperator((0,), over), 1.0)
     # any Hermitian matrix propagates; no builder has to vouch for it
-    u = propagator(LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0])), 0.5).matrix
+    u = propagator(LocalOperator((0,), np.diag([1.0, 2.0, 0.0])), 0.5).matrix
     np.testing.assert_allclose(u, np.diag(np.exp([-0.5j, -1j, 0])), rtol=0, atol=1e-15)
 
 
@@ -98,12 +98,12 @@ def test_propagator_rejects_nan_generator():
     # before eigh reads the matrix, and so must an Inf entry (inf - inf)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="Hermitian generator"):
-            propagator(LocalOperator((0,), (3,), np.diag([1.0, bad, 0.0])), 1.0)
+            propagator(LocalOperator((0,), np.diag([1.0, bad, 0.0])), 1.0)
 
 
 def test_propagator_refuses_a_phase_past_the_float_range():
     # every entry is finite, but max|w| t is not: refused ahead of np.exp
-    h = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 0.0]))
+    h = LocalOperator((0,), np.diag([1.0, 1e300, 0.0]))
     with pytest.raises(ValueError, match="duration must be finite"):
         propagator(h, 1e10)
 
@@ -119,7 +119,7 @@ def test_propagator_checks_unitarity_at_its_bound(monkeypatch):
     # eigh is patched to return eigenvectors scaled by s on one column, so
     # the propagator is diag(s^2 e^(-i w t), ...) and U^dag U - I has the
     # single entry s^4 - 1: just under 1e-12 runs, just over it does not
-    h = LocalOperator((0,), (3,), np.diag([1.0, 2.0, 0.0]))
+    h = LocalOperator((0,), np.diag([1.0, 2.0, 0.0]))
     for defect, accepted in ((0.9e-12, True), (1.1e-12, False)):
         scale = (1.0 + defect) ** 0.25
         eigenvectors = np.diag([scale, 1.0, 1.0]).astype(complex)
@@ -188,18 +188,18 @@ def test_propagate_checks_every_state_after_every_segment(monkeypatch):
     block = np.zeros((layout.total_dim, 2), dtype=complex)
     block[basis_index(layout, (0,)), 0] = 1.0
     block[basis_index(layout, (1,)), 1] = 1.0
-    leaky = LocalOperator((0,), (3,), np.diag([1.0, 1.5, 1.0]))
+    leaky = LocalOperator((0,), np.diag([1.0, 1.5, 1.0]))
     monkeypatch.setattr(evolution, "propagator", lambda h, t: leaky)
     assert propagate(layout, schedule, block[:, :1]).shape == (layout.total_dim, 1)
     with pytest.raises(ValueError, match="norm drifted"):
         propagate(layout, schedule, block)
     # NaN (0 * NaN spreads it to every amplitude) fails the same check
-    broken = LocalOperator((0,), (3,), np.diag([1.0, np.nan, 1.0]))
+    broken = LocalOperator((0,), np.diag([1.0, np.nan, 1.0]))
     monkeypatch.setattr(evolution, "propagator", lambda h, t: broken)
     with pytest.raises(ValueError, match="norm drifted to nan"):
         evolve_pure(CompositeState(layout, block[:, 0]), schedule)
     # so does a squared norm that overflows to Inf
-    huge = LocalOperator((0,), (3,), np.diag([1.0, 1e300, 1.0]))
+    huge = LocalOperator((0,), np.diag([1.0, 1e300, 1.0]))
     monkeypatch.setattr(evolution, "propagator", lambda h, t: huge)
     with pytest.raises(ValueError, match="norm drifted to inf"):
         propagate(layout, schedule, block)
@@ -271,13 +271,38 @@ def test_propagate_builds_once_per_exact_key(monkeypatch):
         assert shared.tobytes() == alone.tobytes()
 
 
-def test_propagate_refuses_a_squid_outside_the_layout():
+@dataclasses.dataclass(frozen=True)
+class _FixedSegment:
+    """A segment whose generator is given whole, at every cutoff."""
+
+    generator: LocalOperator
+    duration: float = 0.3
+
+    def hamiltonian(self, fock_cutoff):
+        return self.generator
+
+
+def test_propagate_refuses_a_misfit_segment_before_the_run(monkeypatch):
+    # the plan checks every segment's sites and size against the layout,
+    # the last one's too, so none is refused after an amplitude has moved.
     # SQUID 3 of a three-SQUID chain would address the cavity, whose three
-    # levels at cutoff 2 pass the dimension check
+    # levels at cutoff 2 have a SQUID's dimension
+    def contract(*args, **kwargs):
+        pytest.fail("an amplitude moved before the plan refused the schedule")
+
+    monkeypatch.setattr(evolution, "contract", contract)
     state = chain_initial_state(3)
-    for segment in (DriveSegment(3, (0, 1), 1e8, 1e-8), CavitySegment(2, 3, 1e8, 1e8, 1e-8)):
-        with pytest.raises(ValueError, match="site must be an integer in"):
-            evolve_pure(state, (segment,))
+    psi = np.array(state.amplitudes)
+    first = DriveSegment(0, (0, 1), 1e8, 1e-8)
+    for last, message in (
+        (DriveSegment(3, (0, 1), 1e8, 1e-8), "site must be an integer in"),
+        (CavitySegment(2, 3, 1e8, 1e8, 1e-8), "site must be an integer in"),
+        (_FixedSegment(LocalOperator((1,), np.eye(4))), r"sites \(1,\) has dimension 4"),
+        (_FixedSegment(LocalOperator((1, -1), np.eye(6))), r"dimensions \(3, 3\) \(product 9\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            propagate(state.layout, (first, last), psi)
+    np.testing.assert_array_equal(psi, state.amplitudes)
 
 
 def test_propagate_refuses_amplitudes_of_another_dimension():
@@ -297,6 +322,33 @@ def test_shared_propagators_give_the_bits_of_segment_by_segment_runs():
     for segment in schedule:
         psi = propagate(state.layout, (segment,), psi)
     assert whole.tobytes() == psi.tobytes()
+
+
+def test_a_shared_propagator_reaches_the_levels_of_its_own_sites():
+    # equal bytes on (SQUID, cavity) and (cavity, SQUID) share one
+    # propagator, but at cutoff 1 the same entry is another level of each
+    # factor: local index 2 is SQUID 0 level 1 on (0, cavity), and SQUID 1
+    # level 2 on (cavity, 1).  Both meet the box of |0, 0, 0>, so a key
+    # without the dimensions would read the second's reach from the first
+    # and leave SQUID 1's level 2 out of the block the last segment, on the
+    # cavity, computes
+    layout = SpaceLayout(2, fock_cutoff=1)
+    exchange = np.zeros((6, 6), dtype=complex)
+    exchange[0, 2] = exchange[2, 0] = 1.0
+    schedule = (
+        _FixedSegment(LocalOperator((0, -1), exchange)),
+        _FixedSegment(LocalOperator((-1, 1), exchange)),
+        _FixedSegment(LocalOperator((-1,), np.array([[0.0, 1.0], [1.0, 0.0]]))),
+    )
+    psi = basis_state(layout, (0, 0)).amplitudes
+    want = psi
+    for segment in schedule:
+        u = propagator(segment.hamiltonian(1), segment.duration)
+        want = oracle_embedded(u, layout) @ want
+    # the second segment moves weight sin(0.3)^2 to SQUID 1's level 2
+    weight = np.sum(np.abs(want.reshape(layout.dims)[:, 2]) ** 2)
+    assert weight == pytest.approx(math.sin(0.3) ** 2, rel=1e-12)
+    np.testing.assert_allclose(propagate(layout, schedule, psi), want, rtol=0, atol=1e-14)
 
 
 def _whole_range_run(layout, schedule, psi):
@@ -426,9 +478,7 @@ def test_propagate_keeps_its_raw_bits():
 def _level_cycle(monkeypatch):
     """Three SQUIDs whose every pulse moves each level to the next."""
     cycle = np.roll(np.eye(3), 1, axis=0).astype(complex)
-    monkeypatch.setattr(
-        evolution, "propagator", lambda h, t: LocalOperator(h.sites, h.local_dims, cycle)
-    )
+    monkeypatch.setattr(evolution, "propagator", lambda h, t: LocalOperator(h.sites, cycle))
     layout = SpaceLayout(3, fock_cutoff=1)
     schedule = tuple(DriveSegment(s, (0, 1), 1.0, 0.3) for s in (1, 2, 0, 1, 2, 2))
     return layout, schedule, basis_state(layout, (1, 1, 1)).amplitudes, cycle
@@ -469,7 +519,7 @@ def test_a_level_emptied_by_a_segment_keeps_its_range(monkeypatch):
     layout, schedule, psi, cycle = _level_cycle(monkeypatch)
     want = psi
     for segment in schedule:
-        want = contract(layout, LocalOperator((segment.target_squid,), (3,), cycle), want)
+        want = contract(layout, LocalOperator((segment.target_squid,), cycle), want)
     assert propagate(layout, schedule, psi).tobytes() == want.tobytes()
 
 
@@ -567,7 +617,7 @@ def test_excitation_number_conserved():
 
 
 def _zero_cavity_hamiltonian(fock_cutoff):
-    return LocalOperator((-1,), (fock_cutoff + 1,), np.zeros((fock_cutoff + 1, fock_cutoff + 1)))
+    return LocalOperator((-1,), np.zeros((fock_cutoff + 1, fock_cutoff + 1)))
 
 
 def _pure_density(state):

@@ -87,7 +87,8 @@ def _kron_exchange(omega_1, omega_2, fock_cutoff):
 def test_cavity_coupling_matches_kronecker_terms_bitwise(omega_1, omega_2, fock_cutoff):
     h = cavity_coupling_hamiltonian(2, 0, omega_1, omega_2, fock_cutoff)
     assert h.matrix.tobytes() == _kron_exchange(omega_1, omega_2, fock_cutoff).tobytes()
-    assert h.sites == (2, 0, -1) and h.local_dims == (3, 3, fock_cutoff + 1)
+    factors = SpaceLayout(3, fock_cutoff).operator_dims(h)
+    assert h.sites == (2, 0, -1) and factors == ((2, 0, 3), (3, 3, fock_cutoff + 1))
     assert np.array_equal(h.matrix, h.matrix.conj().T) and not h.matrix.flags.writeable
 
 

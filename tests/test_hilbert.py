@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -133,24 +136,20 @@ def test_tensor_state_rejects_bad_factor():
 
 
 def test_local_operator_validation():
-    with pytest.raises(ValueError):
-        LocalOperator((0,), (3,), np.eye(2))
-    with pytest.raises(ValueError):
-        LocalOperator((0, 1), (3,), np.eye(3))
+    # the matrix is square and 2-D; the layout it meets checks its size
+    for matrix in (np.eye(3)[:2], np.ones(3), np.ones((3, 3, 3)), np.array(1.0)):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            LocalOperator((0,), matrix)
     # a site is an int of -1 (the cavity) or more, never truncated to one
     for site in (1.7, True, -2):
         with pytest.raises(ValueError, match="site must be an integer >= -1"):
-            LocalOperator((site,), (3,), np.eye(3))
-    # so is a dimension: 3.7 is not read as 3, nor True as 1
-    for dim, matrix in ((3.7, np.eye(3)), (True, np.eye(1)), (0, np.eye(0))):
-        with pytest.raises(ValueError, match="local dimension must be an integer >= 1"):
-            LocalOperator((0,), (dim,), matrix)
+            LocalOperator((site,), np.eye(3))
 
 
 def test_checked_arrays_are_read_only_views():
     # nothing written through the operator or the state can undo its checks
     mat = np.diag([1.0, 2.0, 0.0]).astype(complex)
-    op = LocalOperator((0,), (3,), mat)
+    op = LocalOperator((0,), mat)
     with pytest.raises(ValueError, match="read-only"):
         op.matrix[1, 1] = np.nan
     amp = np.zeros(9, dtype=complex)
@@ -170,7 +169,7 @@ def test_apply_local_identity():
     layout = SpaceLayout(2)
     rng = np.random.default_rng(0)
     state = random_state(rng, layout)
-    op = LocalOperator((0, -1), (3, 3), np.eye(9))
+    op = LocalOperator((0, -1), np.eye(9))
     out = contract(layout, op, state.amplitudes)
     np.testing.assert_array_equal(out, state.amplitudes)
 
@@ -178,26 +177,35 @@ def test_apply_local_identity():
 def test_apply_local_swap_on_second_squid():
     layout = SpaceLayout(2)
     state = basis_state(layout, (0, 0))
-    out = contract(layout, LocalOperator((1,), (3,), SWAP01), state.amplitudes)
+    out = contract(layout, LocalOperator((1,), SWAP01), state.amplitudes)
     assert out[basis_index(layout, (0, 1))] == 1.0
 
 
 def test_apply_local_site_errors():
     layout = SpaceLayout(1)
     state = basis_state(layout, (0,))
-    with pytest.raises(ValueError):
-        contract(layout, LocalOperator((5,), (3,), np.eye(3)), state.amplitudes)
-    with pytest.raises(ValueError):
-        contract(layout, LocalOperator((0, 0), (3, 3), np.eye(9)), state.amplitudes)
-    with pytest.raises(ValueError):
-        # wrong local dimension for the cavity factor
-        contract(layout, LocalOperator((-1,), (4,), np.eye(4)), state.amplitudes)
+    with pytest.raises(ValueError, match="site must be an integer in"):
+        contract(layout, LocalOperator((5,), np.eye(3)), state.amplitudes)
+    with pytest.raises(ValueError, match="duplicate sites"):
+        contract(layout, LocalOperator((0, 0), np.eye(9)), state.amplitudes)
     # SQUID 2 of two is no name for the cavity, though at cutoff 2 the
     # dimensions match
     layout = SpaceLayout(2, 2)
     psi = basis_state(layout, (0, 0)).amplitudes
     with pytest.raises(ValueError, match="site must be an integer in"):
-        contract(layout, LocalOperator((2,), (3,), np.eye(3)), psi)
+        contract(layout, LocalOperator((2,), np.eye(3)), psi)
+    # the layout alone gives each site's dimension: a matrix that does not
+    # fit them is refused, naming the sites and the dimensions
+    for sites, size, dims in (((0,), 2, (3,)), ((-1,), 4, (3,)), ((0, 1), 27, (3, 3))):
+        message = (
+            f"operator on sites {sites} has dimension {size}, the layout gives them "
+            f"dimensions {dims} (product {math.prod(dims)})"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            contract(layout, LocalOperator(sites, np.eye(size)), psi)
+    assert layout.operator_dims(LocalOperator((-1, 0), np.eye(9))) == ((2, 0), (3, 3))
+    layout = SpaceLayout(2, 1)
+    assert layout.operator_dims(LocalOperator((1, -1), np.eye(6))) == ((1, 2), (3, 2))
 
 
 def test_apply_local_matches_dense_oracle():
@@ -213,10 +221,9 @@ def test_apply_local_matches_dense_oracle():
         factors = rng.choice(layout.n_factors, size=n_sites, replace=False).tolist()
         # the last factor is the cavity, addressed as -1
         sites = tuple(-1 if f == n_squids else f for f in factors)
-        local_dims = tuple(layout.dims[s] for s in sites)
-        d = int(np.prod(local_dims))
+        d = math.prod(layout.dims[s] for s in sites)
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        op = LocalOperator(sites, local_dims, mat)
+        op = LocalOperator(sites, mat)
         state = random_state(rng, layout)
         got = contract(layout, op, state.amplitudes)
         want = oracle_apply(state, op)
@@ -227,10 +234,9 @@ def test_embedded_matrix_matches_dense_oracle():
     rng = np.random.default_rng(3)
     layout = SpaceLayout(3, fock_cutoff=2)
     for sites in [(0,), (2,), (-1,), (1, -1), (2, 0), (0, 1, -1)]:
-        local_dims = tuple(layout.dims[layout.resolve_site(s)] for s in sites)
-        d = int(np.prod(local_dims))
+        d = math.prod(layout.dims[layout.resolve_site(s)] for s in sites)
         mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        op = LocalOperator(sites, local_dims, mat)
+        op = LocalOperator(sites, mat)
         # every entry is one product with 1 plus exact zeros, so the
         # kernel on the identity block is the embedded matrix exactly
         eye = np.eye(layout.total_dim, dtype=complex)
@@ -242,17 +248,17 @@ def test_apply_local_unitary_preserves_norm():
     layout = SpaceLayout(3, fock_cutoff=2)
     for _ in range(10):
         state = random_state(rng, layout)
-        op = LocalOperator((1, -1), (3, 3), random_unitary(rng, 9))
+        op = LocalOperator((1, -1), random_unitary(rng, 9))
         out = contract(layout, op, state.amplitudes)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
 def test_expectation_projector_and_parity():
     layout = SpaceLayout(1, fock_cutoff=1)
-    proj0 = LocalOperator((0,), (3,), np.diag([1.0, 0, 0]))
+    proj0 = LocalOperator((0,), np.diag([1.0, 0, 0]))
     assert expectation(basis_state(layout, (0,)), proj0) == 1.0
     plus = tensor_state([np.array([1, 1, 0]) / np.sqrt(2), (1, 0)])
-    z = LocalOperator((0,), (3,), np.diag([1.0, -1.0, 0.0]))
+    z = LocalOperator((0,), np.diag([1.0, -1.0, 0.0]))
     np.testing.assert_allclose(expectation(plus, z), 0.0, atol=1e-15)
 
 
@@ -261,7 +267,7 @@ def test_expectation_real_for_hermitian():
     layout = SpaceLayout(2)
     state = random_state(rng, layout)
     m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    op = LocalOperator((0, 1), (3, 3), (m + m.conj().T) / 2)
+    op = LocalOperator((0, 1), (m + m.conj().T) / 2)
     assert abs(expectation(state, op).imag) <= 1e-12
 
 
@@ -270,7 +276,7 @@ def test_contract_refuses_an_unusable_out():
     # of it or in the amplitudes it is computed from
     layout = SpaceLayout(2)
     psi = np.zeros((layout.total_dim, 2), dtype=complex)
-    op = LocalOperator((0, -1), (3, 3), np.eye(9))
+    op = LocalOperator((0, -1), np.eye(9))
     for out in (
         psi,
         np.empty(layout.total_dim, dtype=complex),
@@ -285,7 +291,7 @@ def test_contract_refuses_ranges_of_another_layout():
     # one (lo, hi) per factor: a shorter tuple would leave factors unbounded
     layout = SpaceLayout(2, 2)
     psi = basis_state(layout, (0, 0)).amplitudes
-    op = LocalOperator((0,), (3,), np.eye(3))
+    op = LocalOperator((0,), np.eye(3))
     for ranges in (((0, 3),), ((0, 3),) * 4):
         message = f"ranges give {len(ranges)} factors, the layout has 3"
         with pytest.raises(ValueError, match=message):

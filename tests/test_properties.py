@@ -164,9 +164,8 @@ def test_contract_matches_dense_oracle(case, width):
     layout = SpaceLayout(n_squids, fock)
     assert layout.total_dim <= CONTRACT_MAX_DIM
     rng = np.random.default_rng(seed)
-    local_dims = tuple(layout.dims[s] for s in sites)
-    d = math.prod(local_dims)
-    op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    d = math.prod(layout.dims[s] for s in sites)
+    op = LocalOperator(sites, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     shape = (layout.total_dim, width)
     block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # one state, then the block with its batch axis, into a fresh result and
@@ -184,7 +183,7 @@ def test_contract_matches_dense_oracle(case, width):
     first = min([*layout.resolve_sites(sites), n_squids - 1])
     tail = SpaceLayout(n_squids - first, fock)
     shifted = tuple(s - first if s >= 0 else s for s in sites)
-    dense = oracle_embedded(LocalOperator(shifted, local_dims, op.matrix), tail)
+    dense = oracle_embedded(LocalOperator(shifted, op.matrix), tail)
     assert tail.total_dim <= DENSE_TAIL_MAX_DIM
     for column, psi in zip(got, [block[:, 0], *block.T, *block.T], strict=True):
         want = (psi.reshape(-1, tail.total_dim) @ dense.T).reshape(-1)
@@ -239,9 +238,8 @@ def test_contract_on_a_block_has_the_bits_of_the_whole(case):
     n_squids, fock, sites, ranges, width, seed = case
     layout = SpaceLayout(n_squids, fock)
     rng = np.random.default_rng(seed)
-    local_dims = tuple(layout.dims[s] for s in sites)
-    d = math.prod(local_dims)
-    op = LocalOperator(sites, local_dims, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    d = math.prod(layout.dims[s] for s in sites)
+    op = LocalOperator(sites, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     shape = layout.dims + (() if width is None else (width,))
     inside = np.zeros(shape, dtype=bool)
     inside[tuple(slice(lo, hi) for lo, hi in ranges)] = True

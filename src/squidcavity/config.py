@@ -4,22 +4,25 @@ Every rate or duration key carries its unit in the name (``_per_s``, ``_hz``,
 ``_s``) because the operating point mixes Hz, microseconds, and dimensionless
 quality factors; a silent unit slip is the likeliest way to get plausible but
 wrong numbers.  Unknown keys are rejected with their full path rather than
-ignored, and so is a value of the wrong JSON type (a boolean is not a
-number).  A number is checked by the dataclass it fills, through
+ignored.  A number is checked by the dataclass it fills, through
 ``hilbert.check_number``, and an integer setting through
-``hilbert.check_index``.  Command-line flags override file values, which
-override defaults: ``read_config`` returns a file's JSON value, each flag is
-written into it at the key it names (``cli.FLAGS``), and
-``config_from_dict`` validates the result, so flags and files share every
-check and every message.  The key maps below are the one JSON-key <-> field
-table: the parser reads through them and the report echo is written from
-them.
+``hilbert.check_index``; each refuses a value of the wrong JSON type (a
+boolean, a string, null, an array or an object is not a number), and the
+refusal is named by the JSON key the value came from.  A section's keys
+are the fields its dataclass's ``__init__`` takes, and the top-level keys
+are ``RunConfig``'s other fields; ``_UNIT_KEYS`` names the four gate fields
+whose keys carry a unit.  The parser reads through these keys and the
+report echo is written from them.  Command-line flags override file
+values, which override defaults: ``read_config`` returns a file's JSON
+value, each flag is written into it at the key it names (``cli.FLAGS``),
+and ``config_from_dict`` validates the result, so flags and files share
+every check and every message.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -72,14 +75,12 @@ class SweepSettings:
     values: tuple = DEFAULT_SWEEP_VALUES
 
     def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
+        if not isinstance(self.parameter, str) or self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(
                 f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}, "
                 f"got {self.parameter!r}"
             )
-        if not isinstance(self.values, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.values
-        ):
+        if not isinstance(self.values, (list, tuple)):
             raise ConfigError(f"sweep values must be an array of numbers, got {self.values!r}")
         if not self.values:
             raise ConfigError("sweep values must be nonempty")
@@ -123,27 +124,24 @@ class RunConfig:
         check_number("exchange_norm * cavity_time", phase, error=ConfigError)
 
 
-# JSON key -> dataclass field, with unit suffixes on the JSON side
-_GATE_KEYS = {
-    "omega_1_per_s": "omega_1",
-    "ratio": "ratio",
-    "drive_rabi_per_s": "drive_rabi",
-    "cavity_time_s": "cavity_time",
-    "pulse_duration_s": "pulse_duration",
+# the gate fields whose JSON keys carry their unit; every other key is the
+# name of the field it sets
+_UNIT_KEYS = {
+    "omega_1": "omega_1_per_s",
+    "drive_rabi": "drive_rabi_per_s",
+    "cavity_time": "cavity_time_s",
+    "pulse_duration": "pulse_duration_s",
 }
-_FEASIBILITY_KEYS = {
-    "q_factor": "q_factor",
-    "omega_c_hz": "omega_c_hz",
-    "gamma_e_per_s": "gamma_e_per_s",
-    "branch_ratio_e_to_0": "branch_ratio_e_to_0",
-}
-_SWEEP_KEYS = {"parameter": "parameter", "values": "values"}
-_TOP_SCALARS = ("n_qubits", "fock_cutoff", "out_dir")
+# section -> (JSON key -> field, the dataclass it fills), keys in field order
 _SECTIONS = {
-    "gate": (_GATE_KEYS, GateParams),
-    "feasibility": (_FEASIBILITY_KEYS, FeasibilityParams),
-    "sweep": (_SWEEP_KEYS, SweepSettings),
+    name: ({_UNIT_KEYS.get(f.name, f.name): f.name for f in fields(cls)}, cls)
+    for name, cls in (
+        ("gate", GateParams),
+        ("feasibility", FeasibilityParams),
+        ("sweep", SweepSettings),
+    )
 }
+_TOP_SCALARS = tuple(f.name for f in fields(RunConfig) if f.name not in _SECTIONS)
 
 
 def _section(data: dict, name: str, key_map: dict, cls):
@@ -153,20 +151,17 @@ def _section(data: dict, name: str, key_map: dict, cls):
     unknown = sorted(set(raw) - set(key_map))
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(unknown)}")
-    for key, value in raw.items():
-        if isinstance(value, bool):
-            raise ConfigError(f"{name}.{key} must not be a boolean, got {str(value).lower()}")
-    kwargs = {key_map[k]: v for k, v in raw.items()}
     try:
-        return cls(**kwargs)
+        return cls(**{key_map[k]: v for k, v in raw.items()})
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc)
-        # a number's check names its field; name the JSON key the user wrote
+        # a number's check names its field twice, before "must be" and after
+        # "got"; name the JSON key the user wrote, and leave the value as it is
         for key, attr in key_map.items():
             if message.startswith(f"{attr} must be "):
-                raise ConfigError(message.replace(attr, f"{name}.{key}")) from exc
+                raise ConfigError(message.replace(attr, f"{name}.{key}", 2)) from exc
         raise ConfigError(f"section {name!r}: {message}") from exc
 
 

@@ -50,15 +50,17 @@ is negative, NaN or infinite is refused with ``ValueError``, and a count above
 count that overflows, or a generator whose Taylor products could leave
 the float range.  ``exp_segment`` runs a segment.  It forms L_y once per
 run, writing each Kronecker term of S onto that term's own non-zeros, so
-no d^4 temporary is formed besides S and L_y themselves.  Each Taylor term
-is then one real matrix product on the coordinate rows that are not
-identically zero, into buffers allocated once per run.  S takes 16 d^4
-bytes while it is formed, which is why the dimension is capped before
-anything is allocated.  Density matrix runs are restricted to small
-spaces: the noisy gate runs on its 11-state invariant subspace
-(``decoherence``); chain generation is pure-state only.  The tests check
-``exp_segment`` against their own fixed-step RK4 integration of the same
-equation.
+the terms need no temporaries; the column gather S P of Im(S) is one
+d^4 temporary more, 8 d^4 bytes, which ``np.asfortranarray`` copies into
+L_y.  So forming L_y peaks at 32 d^4 bytes: S (16 d^4), the gather and
+L_y (8 d^4 each), measured at 4.1 x 8 d^4 with tracemalloc at d = 11.
+Each Taylor term is then one real matrix product on the coordinate rows
+that are not identically zero, into buffers allocated once per run.  The
+dimension is capped before anything is allocated.  Density matrix runs
+are restricted to small spaces: the noisy gate runs on its 11-state
+invariant subspace (``decoherence``); chain generation is pure-state
+only.  The tests check ``exp_segment`` against their own fixed-step RK4
+integration of the same equation.
 """
 
 from __future__ import annotations
@@ -85,10 +87,12 @@ _UNIT_ROUNDOFF = 2.0**-53
 # each sub-step sums at most _TAYLOR_DEGREE terms, one real gemm each, so a
 # segment at the cap takes at most 40 000 gemms
 MAX_LINDBLAD_SUBSTEPS = 1000
-# the complex superoperator takes 16 d^4 bytes while it is formed and its
-# real form L_y 8 d^4 bytes for the whole run; the Kronecker terms are
-# written in place, with no temporaries of that size.  The limit is the
-# largest d whose S fits the byte budget: 32, where S takes exactly 16 MiB
+# the complex superoperator takes 16 d^4 bytes while it is formed, the
+# column gather of its imaginary part 8 d^4 more, and its real form L_y
+# 8 d^4 bytes for the whole run; the Kronecker terms are written in place,
+# with no temporaries of that size.  The limit is the largest d whose S
+# fits the byte budget: 32, where S takes exactly 16 MiB and forming L_y
+# peaks at twice that
 SUPEROPERATOR_DIM_LIMIT = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
 
 

@@ -17,16 +17,18 @@ Conventions fixed here and relied on everywhere else in the package:
   i is site ``i`` (0 <= i < N) and the cavity is ``CAVITY`` (-1) and
   nothing else.
 
-``check_number`` is the one range check of a number: every rate, duration,
+``check_number`` is the one check of a number: every rate, duration,
 phase and ratio a constructor or propagator takes goes through it once, and
-so does every value a constructor derives from them.  ``check_index`` is its
-counterpart for an integer label (a site, a SQUID, a level or a photon
-number) and for every size (a cavity cutoff, a chain length), in the
-library and in a run's settings alike: an ``int`` that is not a ``bool``,
-in range; it never converts, so 1.7 and ``True`` are refused rather than
-read as 1.  The float bound ``check_number`` checks against,
-``FLOAT_MAX``, and the byte budget of the largest array the program may
-allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
+so does every value a constructor derives from them.  It refuses whatever
+is not a real number, ``True`` and a string included, before it compares,
+so a value of the wrong type is named like one out of range.
+``check_index`` is its counterpart for an integer label (a site, a SQUID,
+a level or a photon number) and for every size (a cavity cutoff, a chain
+length), in the library and in a run's settings alike: an ``int`` that is
+not a ``bool``, in range; it never converts, so 1.7 and ``True`` are
+refused rather than read as 1.  The float bound ``check_number`` checks
+against, ``FLOAT_MAX``, and the byte budget of the largest array the
+program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
@@ -68,6 +70,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -90,12 +93,17 @@ MAX_ARRAY_BYTES = 2**24
 
 
 def check_number(name, value, low=-FLOAT_MAX, high=FLOAT_MAX, *, strict=False, error=ValueError):
-    """Return ``value`` if it is a finite number in [low, high]; else raise ``error``.
+    """Return ``value`` if it is a finite real number in [low, high]; else raise ``error``.
 
-    ``strict`` excludes ``low``.  The test compares and never converts, so
-    NaN, +-inf and an integer too large for a float (which would raise
-    OverflowError later) all fail it; a string raises TypeError.
+    A real number is a ``numbers.Real`` that is not a ``bool``: ``True``,
+    a string, None, a list, a dict and a complex are refused by name.
+    ``strict`` excludes ``low``.  The range test compares and never
+    converts, so NaN, +-inf and an integer too large for a float (which
+    would raise OverflowError later) all fail it.
     """
+    # a float, by far the commonest value, skips the slower ABC test
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise error(f"{name} must be a number, got {name}={value!r}")
     if (low < value if strict else low <= value) and value <= high:
         return value
     if high < FLOAT_MAX:

@@ -229,9 +229,11 @@ def rotation_pulse(
 ) -> tuple:
     """Single-segment schedule rotating the given transition by ``angle``.
 
-    ``rabi`` must be a finite rate > 0, checked before it divides ``angle``.
+    ``angle`` must lie in [0, 2*pi), and ``rabi`` must be a finite rate > 0,
+    checked before it divides ``angle``.
     """
-    if not 0.0 <= angle < 2.0 * math.pi:
+    check_number("angle", angle, 0)
+    if angle >= 2.0 * math.pi:
         raise ValueError(f"angle must lie in [0, 2*pi), got {angle}")
     check_number("rabi", rabi, 0, strict=True)
     return (DriveSegment(site, transition, rabi, angle / rabi, phase),)

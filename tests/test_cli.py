@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 
 from squidcavity import GateParams, cli, decoherence, evolution, protocols, verification
 from squidcavity.cli import main
-from squidcavity.config import MAX_SWEEP_VALUES, RunConfig, config_to_dict
+from squidcavity.config import (
+    _SECTIONS,
+    _TOP_SCALARS,
+    MAX_SWEEP_VALUES,
+    RunConfig,
+    config_to_dict,
+)
 
 
 def _read_json(path):
@@ -566,6 +573,21 @@ def test_internal_faults_are_not_reported_as_configuration_errors(tmp_path, monk
     assert "configuration error" not in err and "PASS" not in out and "FAIL" not in out
 
 
+def test_a_type_error_building_a_config_section_is_an_internal_fault(
+    tmp_path, monkeypatch, capsys
+):
+    # every wrong JSON type is refused by name, so a TypeError there is the
+    # program's own
+    def broken(self):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(GateParams, "__post_init__", broken)
+    assert main(["truth-table", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.endswith("TypeError: internal fault\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_report_the_writer_refuses_is_an_internal_fault(tmp_path, monkeypatch, capsys):
     # NaN is not JSON, so a handler that returns one is a program fault
     def handler(config, clock):
@@ -614,7 +636,6 @@ def _run_files(argv, out, capsys):
     return code, err, files
 
 
-@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
 @pytest.mark.parametrize(
     "command, flags, config",
     [
@@ -639,11 +660,15 @@ def _run_files(argv, out, capsys):
 )
 def test_a_flag_and_its_config_key_give_the_same_run(tmp_path, capsys, command, flags, config):
     out = tmp_path / "out"
-    by_flag = _run_files([command, *flags], out, capsys)
-    shutil.rmtree(out, ignore_errors=True)
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(config))
-    by_key = _run_files([command, "--config", str(config_path)], out, capsys)
+    # a detuned gate warns once per call site and then stays silent, so the
+    # two runs' stderrs agree only with the warning ignored in both
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        by_flag = _run_files([command, *flags], out, capsys)
+        shutil.rmtree(out, ignore_errors=True)
+        by_key = _run_files([command, "--config", str(config_path)], out, capsys)
     assert by_flag == by_key
     code, err, files = by_flag
     if code == 2:
@@ -681,6 +706,42 @@ def test_every_flag_names_a_config_key():
             continue
         *section, name = key.split(".")
         assert name in (echo[section[0]] if section else echo), flag
+
+
+# every config key: the top-level settings, then each section's keys
+CONFIG_KEYS = [
+    *_TOP_SCALARS,
+    *(f"{name}.{key}" for name, (key_map, _) in _SECTIONS.items() for key in key_map),
+]
+# one JSON value of each type, and the (key, type) cases whose value is valid
+JSON_VALUES = {"string": "1.5", "null": None, "array": [1], "object": {}, "bool": True}
+VALID_VALUES = {
+    ("out_dir", "string"),
+    ("gate.cavity_time_s", "null"),
+    ("gate.pulse_duration_s", "null"),
+    ("sweep.values", "array"),
+}
+
+
+@pytest.mark.parametrize("kind", JSON_VALUES)
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_every_config_key_runs_or_names_itself_under_each_json_type(
+    tmp_path, capsys, monkeypatch, key, kind
+):
+    # a relative out_dir lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    data = {}
+    cli._set_key(data, key, JSON_VALUES[kind])
+    Path("run.json").write_text(json.dumps(data))
+    code = main(["truth-table", "--config", "run.json"])
+    err = capsys.readouterr().err
+    if (key, kind) in VALID_VALUES:
+        assert code == 0, err
+        return
+    assert code == 2 and err.startswith("configuration error: "), err
+    # the sweep's own checks write "sweep values" and "sweep parameter"
+    assert key in err or key.replace(".", " ") in err, err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_config_file_errors_exit_2(tmp_path, capsys):

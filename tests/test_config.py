@@ -208,18 +208,34 @@ def test_readme_config_block_is_the_schema():
     [
         # a string is not an array: it used to be iterated into k = 5, 5
         pytest.param({"sweep": {"values": "55"}}, "array of numbers", id="values-string"),
-        pytest.param({"sweep": {"values": ["5e4"]}}, "array of numbers", id="values-of-strings"),
-        pytest.param({"sweep": {"values": [5e4, True]}}, "array of numbers", id="values-bool"),
+        pytest.param(
+            {"sweep": {"values": ["5e4"]}},
+            "^sweep values must be a number, got sweep values='5e4'$",
+            id="values-of-strings",
+        ),
+        pytest.param(
+            {"sweep": {"values": [5e4, True]}},
+            "^sweep values must be a number, got sweep values=True$",
+            id="values-bool",
+        ),
         # a boolean is not a number, although Python counts it as the integer 1
         pytest.param({"fock_cutoff": True}, "fock_cutoff must be an integer", id="cutoff-bool"),
         pytest.param({"n_qubits": False}, "n_qubits must be an integer", id="n-bool"),
         pytest.param(
-            {"gate": {"ratio": True}}, "gate.ratio must not be a boolean", id="gate-bool"
+            {"gate": {"ratio": True}},
+            "^gate.ratio must be a number, got gate.ratio=True$",
+            id="gate-bool",
         ),
         pytest.param(
             {"feasibility": {"q_factor": True}},
-            "feasibility.q_factor must not be a boolean",
+            "^feasibility.q_factor must be a number, got feasibility.q_factor=True$",
             id="feasibility-bool",
+        ),
+        # the key is named, and the value is echoed as it was written
+        pytest.param(
+            {"gate": {"omega_1_per_s": "omega_1"}},
+            "^gate.omega_1_per_s must be a number, got gate.omega_1_per_s='omega_1'$",
+            id="gate-string-naming-its-field",
         ),
         pytest.param({"out_dir": 5}, "out_dir must be a string", id="out_dir-number"),
     ],

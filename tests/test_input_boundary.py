@@ -20,6 +20,10 @@ vocabulary: a table lists every public callable that takes a cavity cutoff
 layout) with its least valid value.  Each refuses ``True``, 1.5 and the
 value below its bound with a ValueError naming the parameter, and no
 public callable is missing from the table or calls the cutoff ``n_max``.
+A number has one rule too, ``hilbert.check_number``: a second table lists
+every public callable that takes one, and each refuses ``True``, ``"1"``
+and None (unless None is the parameter's default) with a ValueError
+naming it.
 """
 
 import contextlib
@@ -29,6 +33,7 @@ import io
 import pkgutil
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -51,13 +56,17 @@ from squidcavity import (
     cluster_state_oracle,
     evolve_pure,
     noisy_gate,
+    prepare_superposition,
     qcpg_lindblad_fidelity,
     qcpg_schedule,
+    rotation_pulse,
+    single_excitation_closed_form,
     truth_table,
 )
 from squidcavity.cli import COMMANDS as CLI_COMMANDS
 from squidcavity.cli import COMMON_FLAGS, _resolve_config, build_parser, main
 from squidcavity.config import _SECTIONS, SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSettings
+from squidcavity.evolution import LindbladSegment, propagator
 from squidcavity.hamiltonians import (
     annihilation,
     cavity_coupling_hamiltonian,
@@ -451,3 +460,112 @@ def test_no_public_callable_calls_the_cutoff_n_max():
         if "n_max" in inspect.signature(obj).parameters
     ]
     assert named == []
+
+
+# every public callable that takes a number: the parameter, the name its
+# refusal gives the value, and a call with that value and valid values for
+# the rest
+DRIFT = cavity_coupling_hamiltonian(0, 1, 1.0, 1.0, 2)
+NUMBERS_TAKEN = [
+    *(
+        (GateParams, name, name, lambda x, name=name: GateParams(**{name: x}))
+        for name in ("omega_1", "ratio", "drive_rabi", "cavity_time", "pulse_duration")
+    ),
+    *(
+        (FeasibilityParams, name, name, lambda x, name=name: FeasibilityParams(**{name: x}))
+        for name in ("q_factor", "omega_c_hz", "gamma_e_per_s", "branch_ratio_e_to_0")
+    ),
+    (SweepSettings, "values", "sweep values", lambda x: SweepSettings("k", (5e4, x))),
+    (DriveSegment, "rabi", "rabi", lambda x: DriveSegment(0, (0, 1), x, 1.0)),
+    (DriveSegment, "duration", "duration", lambda x: DriveSegment(0, (0, 1), 1.0, x)),
+    (DriveSegment, "phase", "phase", lambda x: DriveSegment(0, (0, 1), 1.0, 1.0, x)),
+    (CavitySegment, "omega_1", "omega_1", lambda x: CavitySegment(0, 1, x, 1.0, 1.0)),
+    (CavitySegment, "omega_2", "omega_2", lambda x: CavitySegment(0, 1, 1.0, x, 1.0)),
+    (CavitySegment, "duration", "duration", lambda x: CavitySegment(0, 1, 1.0, 1.0, x)),
+    (rotation_pulse, "angle", "angle", lambda x: rotation_pulse(0, (0, 1), x)),
+    (rotation_pulse, "phase", "phase", lambda x: rotation_pulse(0, (0, 1), 1.0, x)),
+    (rotation_pulse, "rabi", "rabi", lambda x: rotation_pulse(0, (0, 1), 1.0, 0.0, x)),
+    (prepare_superposition, "rabi", "rabi", lambda x: prepare_superposition(0, x)),
+    (
+        collapse_operators_from_rates,
+        "cavity_decay",
+        "cavity_decay",
+        lambda x: collapse_operators_from_rates(x, 1.0, 0.5, 2),
+    ),
+    (
+        collapse_operators_from_rates,
+        "gamma_e",
+        "gamma_e",
+        lambda x: collapse_operators_from_rates(1.0, x, 0.5, 2),
+    ),
+    (
+        collapse_operators_from_rates,
+        "branch_ratio_e_to_0",
+        "branch_ratio_e_to_0",
+        lambda x: collapse_operators_from_rates(1.0, 1.0, x, 2),
+    ),
+    # noisy_gate hands its rates to collapse_operators_from_rates
+    (noisy_gate, "cavity_decay_per_s", "cavity_decay", lambda x: noisy_gate(cavity_decay_per_s=x)),
+    (noisy_gate, "gamma_e_per_s", "gamma_e", lambda x: noisy_gate(gamma_e_per_s=x)),
+    (
+        noisy_gate,
+        "branch_ratio_e_to_0",
+        "branch_ratio_e_to_0",
+        lambda x: noisy_gate(branch_ratio_e_to_0=x),
+    ),
+    (
+        single_excitation_closed_form,
+        "omega_1",
+        "omega_1",
+        lambda x: single_excitation_closed_form(x, 1.0, 1.0),
+    ),
+    (
+        single_excitation_closed_form,
+        "omega_2",
+        "omega_2",
+        lambda x: single_excitation_closed_form(1.0, x, 1.0),
+    ),
+    (single_excitation_closed_form, "t", "t", lambda x: single_excitation_closed_form(1.0, 1.0, x)),
+    # a duration is called one, whatever its parameter is called
+    (propagator, "t", "duration", lambda x: propagator(DRIFT, x)),
+    (LindbladSegment, "t", "duration", lambda x: LindbladSegment(DRIFT.matrix, (), x)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1", None])
+@pytest.mark.parametrize(
+    "build, parameter, named, call",
+    NUMBERS_TAKEN,
+    ids=[f"{b.__qualname__}-{p}" for b, p, _, _ in NUMBERS_TAKEN],
+)
+def test_every_number_is_a_real_number(build, parameter, named, call, bad):
+    call(1.0)
+    if bad is None and inspect.signature(build).parameters[parameter].default is None:
+        call(bad)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} must be a number, got "):
+        call(bad)
+
+
+def test_every_callable_that_takes_a_number_is_in_the_table():
+    tabled = {(build, parameter) for build, parameter, _, _ in NUMBERS_TAKEN}
+    untabled = {
+        (qualified, p.name)
+        for qualified, obj in _public_callables()
+        # a dataclass with no checks of its own records computed results
+        if not (inspect.isclass(obj) and not hasattr(obj, "__post_init__"))
+        for p in inspect.signature(obj).parameters.values()
+        if p.annotation in ("float", "float | None") and (obj, p.name) not in tabled
+    }
+    # the generator builders take the rates their segment has checked, the
+    # norm bound's callers check its result, and the rounding formats
+    # computed values for a report
+    assert untabled == {
+        ("hamiltonians.drive_hamiltonian", "rabi"),
+        ("hamiltonians.drive_hamiltonian", "phase"),
+        ("hamiltonians.cavity_coupling_hamiltonian", "omega_1"),
+        ("hamiltonians.cavity_coupling_hamiltonian", "omega_2"),
+        ("hamiltonians.exchange_norm_bound", "omega_1"),
+        ("hamiltonians.exchange_norm_bound", "omega_2"),
+        ("feasibility.round_to_sig_figures", "value"),
+    }

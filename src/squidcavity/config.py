@@ -61,9 +61,9 @@ def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
 
     That is the two-state array a ``cluster`` run holds its buffers in
     (``evolution.propagate``), two amplitudes per basis state of its
-    layout, or one full-space generator of the two-SQUID noisy gate in
-    ``decoherence`` (or the identity block the generators are built from),
-    a square matrix over its layout; complex entries take 16 bytes.
+    layout, or the gate's exchange generator, a square matrix over the
+    two-SQUID layout that ``decoherence`` builds and ``truth-table``
+    propagates; complex entries take 16 bytes.
     """
     gate_dim = SpaceLayout(2, fock_cutoff).total_dim
     return 16 * max(2 * SpaceLayout(n_qubits, fock_cutoff).total_dim, gate_dim**2)

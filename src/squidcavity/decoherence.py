@@ -30,20 +30,28 @@ are honest states.
 The run never leaves a small subspace, and is carried out on it exactly.
 Let S be the smallest set of basis states that contains the four
 computational states and that every segment Hamiltonian H, every collapse
-operator L_k and every L_k^dag L_k maps into itself.  ``noisy_gate`` reads
-it off exact zero patterns: one boolean reach matrix ORs the non-zero
-patterns of every full-space H and L_k with the boolean product
-(L_k != 0)^T (L_k != 0), which holds every non-zero of L_k^dag L_k with no
-complex product and so no overflow (it holds more only where the terms of
-a product cancel exactly, which could keep a state more, never one less),
-and the four seeds grow through that matrix until nothing changes.  If rho is supported on S x S, so are
-H rho, rho H, L_k rho L_k^dag and the anticommutator terms (H and
-L_k^dag L_k are Hermitian, so they keep S from the right as well): each
-product only sums over entries inside S, and the entries outside stay
-exactly 0.  The segment channels therefore keep every matrix unit on
-S x S, and slicing the generators to S changes no product except by
-dropping terms that are exactly zero.  S holds 11 states at every cutoff
->= 2: the drive only couples |1> and |e> of the target, the exchange
+operator L_k and every L_k^dag L_k maps into itself.  ``noisy_gate`` walks
+to it from the four computational states over each operator's local
+non-zero pattern, with no matrix over the whole space: an operator on some
+factors is its matrix there times the identity on the rest, so it maps a
+basis state only onto states with the same digits off its factors, and on
+its factors onto the rows where the pattern's column at the state's digits
+is non-zero.  A jump operator's pattern p is widened to p | p^T p, the
+boolean product that holds every non-zero of L_k^dag L_k with no complex
+product and so no overflow (it holds more only where the terms of a
+product cancel exactly, which could keep a state more, never one less).
+The walk repeats until it adds no state.  Each generator is then
+``contract``ed onto the identity's columns at S and cut to S's rows, so
+the one matrix over the whole two-SQUID space a build holds is the
+exchange Hamiltonian, whose sites span it.
+
+If rho is supported on S x S, so are H rho, rho H, L_k rho L_k^dag and the
+anticommutator terms (H and L_k^dag L_k are Hermitian, so they keep S from
+the right as well): each product only sums over entries inside S, and the
+entries outside stay exactly 0.  The segment channels therefore keep every
+matrix unit on S x S, and slicing the generators to S changes no product
+except by dropping terms that are exactly zero.  S holds 11 states at every
+cutoff >= 2: the drive only couples |1> and |e> of the target, the exchange
 conserves the excitation number, and decay only lowers it, so no more than
 two photons are ever present.
 """
@@ -81,7 +89,11 @@ class NoisyGate:
     order and ``computational`` the positions of the four computational
     states within it.  ``segments`` holds each segment's Hamiltonian,
     collapse operators and duration, as matrices on the subspace, each
-    ``LindbladSegment`` sized once when it was built.
+    ``LindbladSegment`` sized once when it was built.  A collapse operator
+    that is all zero on the subspace is left out: its terms in the drift
+    and the jump sum are exactly zero.  SQUID 0, the control, never
+    reaches |e>, so at the default rates a segment carries 3 of the 5
+    operators, and 2 of 3 at a branch ratio of 0 or 1.
     """
 
     kept: tuple[int, ...]
@@ -90,21 +102,10 @@ class NoisyGate:
     gate_duration_s: float
 
 
-def _full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
-    """Layout, schedule, per-segment (H, duration) and collapse operators."""
-    layout = SpaceLayout(2, fock_cutoff)
-    schedule = qcpg_schedule(0, 1, gate)
-    collapse = collapse_operators_from_rates(
-        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff=fock_cutoff
-    )
-    # each full-space matrix is the operator applied to the identity block
-    eye = np.eye(layout.total_dim, dtype=complex)
-    l_full = [contract(layout, op, eye) for op in collapse]
-    segments = [
-        (contract(layout, seg.hamiltonian(fock_cutoff), eye), seg.duration)
-        for seg in schedule
-    ]
-    return layout, schedule, segments, l_full
+def _sites_last(layout, op) -> list[int]:
+    """The layout's axes with ``op``'s factors last, in operator order."""
+    factors, _ = layout.operator_dims(op)
+    return [f for f in range(layout.n_factors) if f not in factors] + list(factors)
 
 
 def noisy_gate(
@@ -123,28 +124,40 @@ def noisy_gate(
     ``evolution.MAX_LINDBLAD_SUBSTEPS`` sub-steps in one segment, or whose
     sizing could overflow, raises ``evolution.WorkLimitError`` here.
     """
-    layout, schedule, segments, l_full = _full_generators(
-        gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
+    layout = SpaceLayout(2, fock_cutoff)
+    schedule = qcpg_schedule(0, 1, gate)
+    hamiltonians = [seg.hamiltonian(fock_cutoff) for seg in schedule]
+    collapse = collapse_operators_from_rates(
+        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff=fock_cutoff
     )
+    # each operator's local non-zero pattern, a jump's with that of L^dag L
+    patterns = [(_sites_last(layout, op), op.matrix != 0) for op in hamiltonians]
+    patterns += [(_sites_last(layout, op), (p := op.matrix != 0) | p.T @ p) for op in collapse]
     seeds = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
-    # reach[i, j]: some generator maps basis state j onto state i
-    reach = np.zeros((layout.total_dim,) * 2, dtype=bool)
-    for h, _ in segments:
-        reach |= h != 0
-    for l in l_full:
-        pattern = l != 0
-        reach |= pattern | pattern.T @ pattern
-    inside = np.isin(np.arange(layout.total_dim), seeds)
-    # grow the seeds through reach until nothing changes
-    while not np.array_equal(inside, grown := inside | reach @ inside):
-        inside = grown
-    kept = tuple(int(i) for i in np.flatnonzero(inside))
-    cut = np.ix_(kept, kept)
-    collapse = tuple(l[cut] for l in l_full)
+    inside = np.zeros(layout.dims, dtype=bool)
+    inside.flat[seeds] = True
+    # grow the seeds through every pattern until no state is added
+    size = 0
+    while size < inside.sum():
+        size = inside.sum()
+        for order, pattern in patterns:
+            # one row per setting of the other factors, one column per
+            # setting of the operator's
+            columns = inside.transpose(order)
+            columns |= (columns.reshape(-1, len(pattern)) @ pattern.T).reshape(columns.shape)
+    rows = np.flatnonzero(inside)
+    kept = tuple(rows.tolist())
+    # the identity's columns at the kept states: each generator's own columns
+    block = np.zeros((layout.total_dim, len(kept)), dtype=complex)
+    block[rows, range(len(kept))] = 1.0
+    l_ops = [l for op in collapse if (l := contract(layout, op, block)[rows]).any()]
     return NoisyGate(
         kept=kept,
         computational=tuple(kept.index(s) for s in seeds),
-        segments=tuple(LindbladSegment(h[cut], collapse, t) for h, t in segments),
+        segments=tuple(
+            LindbladSegment(contract(layout, h, block)[rows], l_ops, seg.duration)
+            for h, seg in zip(hamiltonians, schedule)
+        ),
         gate_duration_s=float(sum(seg.duration for seg in schedule)),
     )
 

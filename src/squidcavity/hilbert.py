@@ -34,8 +34,9 @@ program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
 operator is embedded: it applies the operator to raw amplitudes, one vector
 or a block of states along a trailing batch axis, and never forms a global
-matrix of it.  Where a full-space matrix is needed (the noisy gate's
-generators), it is ``contract`` on the identity block.  When an operator's
+matrix of it.  Where a generator is needed as a matrix on a few basis
+states (the noisy gate's subspace), it is ``contract`` on the identity's
+columns at those states, cut to their rows.  When an operator's
 sites are one ascending run of neighbouring factors (every single-SQUID
 pulse, the last gate's (N-2, N-1, cavity)), the amplitudes reshape to a
 (left, D, right) view, the batch axis joining right, and the operator is

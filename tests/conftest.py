@@ -23,11 +23,13 @@ It shares no code with
 the library's exact propagator ``evolution.exp_segment``, which the tests
 check against it.
 
-``reference_kept`` is the second route to a noisy gate's invariant
-subspace, against ``decoherence.noisy_gate``'s boolean search: a
-set-and-frontier search from the four computational states over the float
-non-zero patterns of every H, every L_k and every complex L_k^dag L_k
-product.
+``full_generators`` builds a noisy gate's Hamiltonians and collapse
+operators on the whole two-SQUID space with ``oracle_embedded``: matrices
+the package itself never forms.  ``reference_kept`` is the second
+route to the gate's invariant subspace, against ``decoherence.noisy_gate``'s
+walk over local patterns: a set-and-frontier search from the four
+computational states over the float non-zero patterns of every full-space
+H, every L_k and every complex L_k^dag L_k product.
 
 ``pade_scores`` is a second exact route to a noisy gate's scores: each
 segment's complex superoperator from textbook ``np.kron`` terms,
@@ -40,7 +42,8 @@ import math
 
 import numpy as np
 
-from squidcavity import CompositeState, LocalOperator, SpaceLayout, basis_index, decoherence
+from squidcavity import CompositeState, LocalOperator, SpaceLayout, basis_index, qcpg_schedule
+from squidcavity.hamiltonians import collapse_operators_from_rates
 from squidcavity.hilbert import SQUID_DIM, contract
 from squidcavity.verification import COMPUTATIONAL_BASIS
 
@@ -158,11 +161,26 @@ def excitation_number(fock_cutoff: int, squids: tuple[int, int] = (0, 1)) -> Loc
     return LocalOperator(sites=(squids[0], squids[1], -1), matrix=mat)
 
 
+def full_generators(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
+    """Layout, per-segment (H, duration) and collapse operators of a noisy
+    gate, each a matrix on the whole two-SQUID space from ``oracle_embedded``.
+    """
+    layout = SpaceLayout(2, fock_cutoff)
+    collapse = collapse_operators_from_rates(
+        cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff=fock_cutoff
+    )
+    segments = [
+        (oracle_embedded(seg.hamiltonian(fock_cutoff), layout), seg.duration)
+        for seg in qcpg_schedule(0, 1, gate)
+    ]
+    return layout, segments, [oracle_embedded(op, layout) for op in collapse]
+
+
 def reference_kept(gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff):
     """Smallest set of full-space indices holding the computational states
     that every H, L_k and L_k^dag L_k maps into itself, sorted.
     """
-    layout, _, segments, l_full = decoherence._full_generators(
+    layout, segments, l_full = full_generators(
         gate, cavity_decay_per_s, gamma_e_per_s, branch_ratio_e_to_0, fock_cutoff
     )
     generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]

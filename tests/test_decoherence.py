@@ -10,6 +10,7 @@ import pytest
 from squidcavity import (
     MAX_LINDBLAD_SUBSTEPS,
     GateParams,
+    SpaceLayout,
     basis_index,
     decoherence,
     evolution,
@@ -17,11 +18,18 @@ from squidcavity import (
     qcpg_lindblad_fidelity,
 )
 from squidcavity.cli import main
-from squidcavity.config import PREPARED_POINT_BYTES, SWEEP_PARAMETERS, RunConfig
+from squidcavity.config import PREPARED_POINT_BYTES, SWEEP_PARAMETERS, ConfigError, RunConfig
 from squidcavity.evolution import LindbladSegment, WorkLimitError, exp_segment
 from squidcavity.verification import COMPUTATIONAL_BASIS, CZ_SIGNS
 
-from conftest import PADE_TOL, check_step_size, pade_scores, reference_kept, rk4_lindblad
+from conftest import (
+    PADE_TOL,
+    check_step_size,
+    full_generators,
+    pade_scores,
+    reference_kept,
+    rk4_lindblad,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -208,7 +216,7 @@ def _point_args(point):
 @pytest.mark.parametrize("point", [*POINTS, {"fock_cutoff": 3}])
 def test_kept_states_are_closed_under_every_generator(point):
     args = _point_args(point)
-    layout, _, segments, l_full = decoherence._full_generators(GateParams(), **args)
+    layout, segments, l_full = full_generators(GateParams(), **args)
     kept = list(noisy_gate(**args).kept)
     outside = [i for i in range(layout.total_dim) if i not in kept]
     generators = [h for h, _ in segments] + l_full + [l.conj().T @ l for l in l_full]
@@ -229,9 +237,42 @@ def test_kept_states_match_the_frontier_search(fock_cutoff):
         assert noisy_gate(*args).kept == reference_kept(*args), args
 
 
+@pytest.mark.parametrize(
+    "branch_ratio, carried", [(0.5, 3), (0.0, 2), (1.0, 2)], ids=["default", "to-1", "to-0"]
+)
+def test_a_segment_carries_only_the_collapse_operators_that_act(branch_ratio, carried):
+    # SQUID 0, the control, never reaches |e>, so its relaxation operators
+    # are all zero on the subspace; cavity loss and SQUID 1's branches act
+    noisy = noisy_gate(branch_ratio_e_to_0=branch_ratio)
+    for segment in noisy.segments:
+        assert len(segment.l_ops) == carried
+        assert all(np.count_nonzero(l) for l in segment.l_ops)
+
+
+# the largest cutoff the budget accepts; its exchange generator, 16 bytes
+# per entry of a 9 (c + 1)-square matrix, is the one full-space matrix
+# a noisy build holds
+LARGEST_CUTOFF = 112
+
+
+def test_the_largest_cutoff_builds_in_twice_its_exchange_generator():
+    assert RunConfig(fock_cutoff=LARGEST_CUTOFF).fock_cutoff == LARGEST_CUTOFF
+    with pytest.raises(ConfigError, match="budget"):
+        RunConfig(fock_cutoff=LARGEST_CUTOFF + 1)
+    exchange_bytes = 16 * SpaceLayout(2, LARGEST_CUTOFF).total_dim ** 2
+    tracemalloc.start()
+    try:
+        noisy = noisy_gate(fock_cutoff=LARGEST_CUTOFF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(noisy.kept) == 11
+    assert peak <= 2 * exchange_bytes
+
+
 def _full_space_scores(args):
     # the same tomography on the full 9 (cutoff + 1)-dim space, no cut
-    layout, _, segments, l_full = decoherence._full_generators(GateParams(), **args)
+    layout, segments, l_full = full_generators(GateParams(), **args)
     idx = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
     return _sixteen_unit_scores(segments, l_full, idx)
 

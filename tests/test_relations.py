@@ -4,13 +4,18 @@ Each relation needs no stored answer and reads no pin, so it holds on any
 BLAS kernel within the bound stated beside it.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squidcavity import (
+    CavitySegment,
+    CompositeState,
     GateParams,
+    SpaceLayout,
     chain_initial_state,
     evolve_pure,
     noisy_gate,
@@ -18,8 +23,11 @@ from squidcavity import (
     qcpg_lindblad_fidelity,
     qcpg_schedule,
 )
+from squidcavity.cli import main
 from squidcavity.evolution import exp_segment
 from squidcavity.verification import CZ_SIGNS, computational_propagator
+
+from conftest import random_state
 
 # Both engines are exact to rounding: the pure route through one
 # eigendecomposition per segment, the Lindblad route through a Taylor series
@@ -132,3 +140,78 @@ def test_ideal_gates_commute_and_detuned_ones_do_not(n_qubits):
     first, *others = _chain_in_three_orders(n_qubits, GateParams(ratio=1.5))
     for other in others:
         assert np.abs(other - first).max() >= DETUNED_ORDER_GAP
+
+
+def _decoherence_rows(out, fock_cutoff) -> str:
+    """The rows of a default ``decoherence`` run at ``fock_cutoff``, as JSON text."""
+    assert main(["decoherence", "--fock-cutoff", str(fock_cutoff), "--out", str(out)]) == 0
+    return json.dumps(json.loads((out / "decoherence.json").read_text())["rows"])
+
+
+def test_the_noisy_score_does_not_depend_on_the_cutoff_from_two_up(tmp_path, capsys):
+    # computational inputs never hold more than two excitations, so from
+    # cutoff 2 up the gate runs on the same 11 states, in the same order,
+    # with the same matrix entries: the rows agree bit for bit, up to 112,
+    # the largest cutoff the budget accepts
+    first, *others = (_decoherence_rows(tmp_path / str(c), c) for c in (2, 3, 30, 112))
+    capsys.readouterr()
+    for rows in others:
+        assert rows == first
+
+
+# (a, b, omega_1, omega_2) and (b, a, omega_2, omega_1) write the same
+# exchange, but as matrices over differently ordered sites, so each
+# propagator comes from its own eigendecomposition.  Each is exact to a few
+# ulps of the largest phase, ||H|| t <= sqrt(3) (1 + 4) 3 pi = 82 rad over
+# the draws below, and 82 eps = 1.8e-14; they differed by 1.3e-14 at worst
+# on SkylakeX and Haswell and 7.9e-15 on Prescott.  The bound leaves a
+# factor of 5 over that scale for other kernels' rounding.
+RELABEL_TOL = 1e-13
+# at the default gate, swapping the sites and not the rates moves some
+# amplitude of a random state by 0.59
+RELABEL_GAP = 0.1
+
+
+def _relabelling_draws(count=90):
+    """Seeded (layout, a, b, omega_1, omega_2, time, state) draws: N 2-4,
+    cutoffs 1-3, omega_2 / omega_1 in [0.1, 4], time 0.2-3 cavity times."""
+    rng = np.random.default_rng(7)
+    omega_1 = GateParams().omega_1
+    for _ in range(count):
+        layout = SpaceLayout(int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        a, b = rng.permutation(layout.n_squids)[:2].tolist()
+        omega_2 = omega_1 * rng.uniform(0.1, 4.0)
+        t = rng.uniform(0.2, 3.0) * DEFAULT_CAVITY_TIME
+        yield layout, a, b, omega_1, omega_2, t, random_state(rng, layout)
+
+
+def test_an_exchange_is_the_same_with_its_squids_and_rates_swapped():
+    for _, a, b, omega_1, omega_2, t, state in _relabelling_draws():
+        before = evolve_pure(state, (CavitySegment(a, b, omega_1, omega_2, t),))
+        after = evolve_pure(state, (CavitySegment(b, a, omega_2, omega_1, t),))
+        assert np.abs(after.amplitudes - before.amplitudes).max() <= RELABEL_TOL
+    # the sites alone are not a relabelling: the rates go with the SQUIDs
+    gate = GateParams()
+    state = random_state(np.random.default_rng(0), SpaceLayout(2, 2))
+    runs = [
+        evolve_pure(state, (CavitySegment(a, b, gate.omega_1, gate.omega_2, DEFAULT_CAVITY_TIME),))
+        for a, b in ((0, 1), (1, 0))
+    ]
+    assert np.abs(runs[1].amplitudes - runs[0].amplitudes).max() >= RELABEL_GAP
+
+
+@pytest.mark.filterwarnings("ignore:gate conditions violated:UserWarning")
+def test_a_gate_is_the_same_with_its_squids_relabelled():
+    # qcpg_schedule(b, a) is qcpg_schedule(a, b) with SQUIDs a and b
+    # renamed, omega_1 going with the control: run on the state with the
+    # two SQUIDs' factors swapped, it gives the swapped result
+    for layout, a, b, omega_1, omega_2, t, state in _relabelling_draws():
+        gate = GateParams(omega_1=omega_1, ratio=omega_2 / omega_1, cavity_time=t)
+
+        def swap(amplitudes):
+            return np.swapaxes(amplitudes.reshape(layout.dims), a, b).reshape(-1)
+
+        before = evolve_pure(state, qcpg_schedule(a, b, gate))
+        relabelled = CompositeState(layout, swap(state.amplitudes))
+        after = swap(evolve_pure(relabelled, qcpg_schedule(b, a, gate)).amplitudes)
+        assert np.abs(after - before.amplitudes).max() <= RELABEL_TOL

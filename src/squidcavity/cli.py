@@ -66,11 +66,10 @@ from .config import (
     read_config,
 )
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
-from .evolution import WorkLimitError, evolve_pure
+from .evolution import WorkLimitError, propagate_in_pair
 from .feasibility import feasibility_report
-from .hilbert import check_number
+from .hilbert import LEVEL_1, CompositeState, SpaceLayout, basis_index, check_number
 from .protocols import (
-    chain_initial_state,
     cluster_chain_schedule,
     cluster_state_oracle,
     qcpg_schedule,
@@ -179,12 +178,18 @@ def cmd_truth_table(config: RunConfig, clock) -> tuple[bool, dict]:
 def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
     n = config.n_qubits
     schedule = cluster_chain_schedule(n, config.gate)
-    state = evolve_pure(chain_initial_state(n, config.fock_cutoff), schedule)
+    layout = SpaceLayout(n, config.fock_cutoff)
+    # the run's buffer pair is all the state memory the command holds: the
+    # chain starts in its first half, every SQUID in |1> and the cavity in
+    # vacuum, and the idle half takes the oracle, then each K_i psi
+    pair = np.zeros((2, layout.total_dim), complex)
+    pair[0, basis_index(layout, (LEVEL_1,) * n)] = 1.0
+    psi, idle = propagate_in_pair(layout, schedule, pair)
+    state = CompositeState(layout, psi)
     clock("evolve")
-    # the oracle's amplitudes are freed before the stabilizers allocate theirs
-    fidelity = state_fidelity(state, cluster_state_oracle(n, config.fock_cutoff))
+    fidelity = state_fidelity(state, cluster_state_oracle(n, config.fock_cutoff, out=idle))
     clock("oracle")
-    stab = stabilizer_expectations(state)
+    stab = stabilizer_expectations(state, scratch=idle)
     clock("stabilizers")
     passed = (
         fidelity >= CLUSTER_FIDELITY_MIN

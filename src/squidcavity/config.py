@@ -60,10 +60,16 @@ def _largest_array_bytes(n_qubits: int, fock_cutoff: int) -> int:
     """Bytes of the largest array a command builds at these sizes.
 
     That is the two-state array a ``cluster`` run holds its buffers in
-    (``evolution.propagate``), two amplitudes per basis state of its
-    layout, or the gate's exchange generator, a square matrix over the
+    (``evolution.propagate_in_pair``), two amplitudes per basis state of
+    its layout, or the gate's exchange generator, a square matrix over the
     two-SQUID layout that ``decoherence`` builds and ``truth-table``
-    propagates; complex entries take 16 bytes.
+    propagates; complex entries take 16 bytes.  The chain command holds
+    no other state: its start, its oracle and each stabilizer's K_i psi
+    live in the pair too, so its whole peak is the pair plus less than
+    1 MiB (15.0 MiB at ``n_qubits`` 10, cutoff 7, beside a 14.4 MiB pair).
+    The budget does not yet bound every run: ``cluster`` at ``n_qubits``
+    8, cutoff 78 still peaks at about 62 MiB, from the D x D temporaries
+    of the exchange propagator over the two-SQUID space.
     """
     gate_dim = SpaceLayout(2, fock_cutoff).total_dim
     return 16 * max(2 * SpaceLayout(n_qubits, fock_cutoff).total_dim, gate_dim**2)

@@ -21,7 +21,10 @@ is a loop of ``hilbert.contract``, which computes only the block the ranges
 cut out of the factors a segment does not touch, and a norm check.  The
 run's two state buffers are the halves of one two-state array, one
 allocation per run, so that glibc keeps the memory a run frees for the
-next.  Both stay exactly zero outside the block: the spare starts zeroed,
+next.  ``propagate_in_pair`` is the run on a pair whose first half the
+caller has filled, and it hands back the idle half with the result;
+``propagate`` copies its input into a fresh pair and runs the same loop.
+Both halves stay exactly zero outside the block: the spare starts zeroed,
 and the buffer a segment writes holds the state of two segments back, which
 lies inside it.  A cluster chain holds 1 024 non-zero amplitudes of 177 147
 at N = 10 after its superposition pulses, so most segments touch a fraction
@@ -44,18 +47,20 @@ complex superoperator and P the transpose permutation on vec.
 A ``LindbladSegment`` sizes itself once, when it is built: its drift and
 its sub-step count, which follows from a norm bound on L t.  No segment
 exists that cannot run: a dimension above ``SUPEROPERATOR_DIM_LIMIT`` (the
-byte budget ``hilbert.MAX_ARRAY_BYTES`` at 16 d^4 bytes) or a duration that
-is negative, NaN or infinite is refused with ``ValueError``, and a count above
-``MAX_LINDBLAD_SUBSTEPS`` with ``WorkLimitError``, as is a generator or a
-count that overflows, or a generator whose Taylor products could leave
-the float range.  ``exp_segment`` runs a segment.  It forms L_y once per
-run, writing each Kronecker term of S onto that term's own non-zeros, so
-the terms need no temporaries; the column gather S P of Im(S) is one
-d^4 temporary more, 8 d^4 bytes, which ``np.asfortranarray`` copies into
-L_y.  So forming L_y peaks at 32 d^4 bytes: S (16 d^4), the gather and
-L_y (8 d^4 each), measured at 4.1 x 8 d^4 with tracemalloc at d = 11.
-Each Taylor term is then one real matrix product on the coordinate rows
-that are not identically zero, into buffers allocated once per run.  The
+byte budget ``hilbert.MAX_ARRAY_BYTES`` at 24 d^4 bytes, the peak below)
+or a duration that is negative, NaN or infinite is refused with
+``ValueError``, and a count above ``MAX_LINDBLAD_SUBSTEPS`` with
+``WorkLimitError``, as is a generator or a count that overflows, or a
+generator whose Taylor products could leave the float range.
+``exp_segment`` runs a segment.  It forms L_y once per run, writing each
+Kronecker term of S onto that term's own non-zeros, so the terms need no
+temporaries; the column gather S P of Im(S) comes out in Fortran order,
+so ``np.asfortranarray`` keeps it as L_y without a copy.  So a run peaks
+at 24 d^4 bytes, S (16 d^4) and L_y (8 d^4), plus terms of order d^2:
+measured with tracemalloc at 3.02-3.04 x 8 d^4 bytes for d = 26-32 (and
+4.2 x at d = 11, where the d^2 terms still weigh).  Each Taylor term is
+then one real matrix product on the coordinate rows that are not
+identically zero, into buffers allocated once per run.  The
 dimension is capped before anything is allocated.  Density matrix runs
 are restricted to small spaces: the noisy gate runs on its 11-state
 invariant subspace (``decoherence``); chain generation is pure-state
@@ -87,13 +92,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 # each sub-step sums at most _TAYLOR_DEGREE terms, one real gemm each, so a
 # segment at the cap takes at most 40 000 gemms
 MAX_LINDBLAD_SUBSTEPS = 1000
-# the complex superoperator takes 16 d^4 bytes while it is formed, the
-# column gather of its imaginary part 8 d^4 more, and its real form L_y
-# 8 d^4 bytes for the whole run; the Kronecker terms are written in place,
-# with no temporaries of that size.  The limit is the largest d whose S
-# fits the byte budget: 32, where S takes exactly 16 MiB and forming L_y
-# peaks at twice that
-SUPEROPERATOR_DIM_LIMIT = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 16))
+# a run peaks while the complex superoperator S (16 d^4 bytes) and the
+# column gather of its imaginary part, which becomes L_y (8 d^4 bytes),
+# are both alive; the Kronecker terms are written in place, with no
+# temporaries of that size.  The limit is the largest d whose 24 d^4 bytes
+# fit the byte budget: 28, where a run peaks at 14.9 MB (d = 29 would
+# take 17.1 MB, and 32 took 25.3 MB)
+SUPEROPERATOR_DIM_LIMIT = math.isqrt(math.isqrt(MAX_ARRAY_BYTES // 24))
 
 
 def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
@@ -127,36 +132,53 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
 def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarray:
     """Run a schedule on raw amplitudes, one state or a (total_dim, batch) block.
 
-    First the plan (``_plan``) builds every propagator, for the whole block,
-    and the level ranges of the module docstring, from the input's support
-    alone.  Then the run applies each step with ``contract``, which computes
-    only the block of its ranges, and checks every state's norm, which also
-    catches NaN and Inf.  The run owns its two state buffers as the two
-    halves of one complex array of shape (2, *input shape): a copy of the
-    input, and a zeroed spare.  Each segment reads one half and writes the
-    other, so the caller's array is only read and no segment allocates a
-    state.  The result is the half the last segment wrote, and it keeps the
-    idle half alive with it.
+    The caller's array is only read: a copy of it goes into half 0 of a
+    fresh complex array of shape (2, *input shape), and
+    ``propagate_in_pair`` runs the schedule there.  The result is the half
+    the last segment wrote, and it keeps the idle half alive with it.
+    """
+    shape = _checked_shape(layout, np.shape(psi))
+    pair = np.empty((2, *shape), complex)
+    pair[0] = psi
+    # drop this frame's hold on the initial amplitudes, as ``evolve_pure`` does
+    del psi
+    return propagate_in_pair(layout, schedule, pair)[0]
+
+
+def propagate_in_pair(layout: SpaceLayout, schedule: tuple, pair: np.ndarray) -> tuple:
+    """Run a schedule in the two halves of ``pair``; return (result, idle half).
+
+    ``pair`` is a C-contiguous complex array of shape (2, total_dim) or
+    (2, total_dim, batch) whose half 0 the caller has filled with the
+    input; half 1 is zeroed here.  First the plan (``_plan``) builds every
+    propagator, for the whole block, and the level ranges of the module
+    docstring, from the input's support alone.  Then the run applies each
+    step with ``contract``, which computes only the block of its ranges,
+    and checks every state's norm, which also catches NaN and Inf.  Each
+    segment reads one half and writes the other, so no segment allocates
+    a state.  The idle half is what the last segment left of its input,
+    which ``contract`` may have used as scratch, and is the caller's to
+    reuse: a cluster run writes its oracle there, then each stabilizer's
+    K_i psi.  So the pair is all the state memory a run holds.
 
     One allocation of two states, rather than two of one, keeps the state
     memory a run frees in glibc's heap for the next run.  Freeing an
     mmapped allocation raises glibc's mmap threshold to its size and the
     trim threshold to twice that (mallopt(3)).  With two states in one
-    allocation the trim threshold becomes four states, above the three a
+    allocation the trim threshold becomes four states, above the two a
     cluster op holds at its peak; with one state per allocation it was two,
     so every op handed its freed states back to the kernel and the next op
     faulted them in again.  Other allocators lose nothing: the same bytes
     are allocated.
     """
-    shape = np.shape(psi)
-    if shape[:1] != (layout.total_dim,):
+    if pair.shape[:1] != (2,) or pair.dtype != complex or not pair.flags.c_contiguous:
         raise ValueError(
-            f"amplitudes have shape {shape}, layout dimension is {layout.total_dim}"
+            f"pair must be a C-contiguous complex array of two states, got {pair.dtype} "
+            f"{pair.shape}"
         )
-    buffers = np.empty((2, *shape), complex)
-    buffers[0], buffers[1] = psi, 0
-    # rebinding ``psi`` drops this frame's hold on the initial amplitudes
-    psi, spare = buffers
+    _checked_shape(layout, pair.shape[1:])
+    psi, spare = pair
+    spare.fill(0)
     steps = _plan(layout, schedule, _support(layout, psi))
     for u, ranges in steps:
         psi, spare = contract(layout, u, psi, out=spare, ranges=ranges), psi
@@ -166,7 +188,16 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
                 raise ValueError(
                     f"norm drifted to {norm!r} after a unitary segment"
                 )
-    return psi
+    return psi, spare
+
+
+def _checked_shape(layout: SpaceLayout, shape: tuple) -> tuple:
+    """``shape``, if its rows are the layout's amplitudes."""
+    if shape[:1] != (layout.total_dim,):
+        raise ValueError(
+            f"amplitudes have shape {shape}, layout dimension is {layout.total_dim}"
+        )
+    return shape
 
 
 def _plan(layout: SpaceLayout, schedule: tuple, ranges: tuple) -> list:
@@ -213,10 +244,11 @@ def _plan(layout: SpaceLayout, schedule: tuple, ranges: tuple) -> list:
 def _support(layout: SpaceLayout, psi: np.ndarray) -> tuple:
     """Per factor, the least (lo, hi) outside which ``psi`` holds only +0.0 bits."""
     # a -0.0 or NaN part counts as non-zero: left outside the block, a -0.0
-    # would outlive its segment in the buffer the next one writes
+    # would outlive its segment in the buffer the next one writes.  The
+    # view is read as it is: a mask of it would take 2 bytes per amplitude
     parts = psi.view(np.int64)
     shape = layout.dims + (parts.size // layout.total_dim,)
-    return tuple(_bounds(np.unravel_index(np.flatnonzero(parts != 0), shape))[:-1])
+    return tuple(_bounds(np.unravel_index(np.flatnonzero(parts), shape))[:-1])
 
 
 def _bounds(indices: tuple) -> list:
@@ -362,7 +394,7 @@ class LindbladSegment:
         if d > SUPEROPERATOR_DIM_LIMIT:
             raise ValueError(
                 f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
-                f"(it would take {16 * d**4 / 1e6:.3g} MB)"
+                f"(it would take {24 * d**4 / 1e6:.3g} MB)"
             )
         check_number("duration", self.t, 0)
         object.__setattr__(self, "l_ops", tuple(self.l_ops))
@@ -378,7 +410,10 @@ def _superoperator(drift, l_ops) -> np.ndarray:
     Each Kronecker product is written onto its own non-zeros only, d^3 for
     the first two and nnz(L_k)^2 for a jump term, and added in that order,
     so every entry is the same sum of the same products as with full
-    Kronecker products, and no d^4 temporary is formed.
+    Kronecker products.  A jump term is written for a block of L_k's
+    non-zeros at a time, at most d^3 products per block, so no d^4
+    temporary is formed even for a dense L_k; a jump with at most d
+    non-zeros, as every physical one here, is one block.
     """
     d = drift.shape[0]
     # axes (a, b, c, e): row a d + b, column c d + e
@@ -389,7 +424,12 @@ def _superoperator(drift, l_ops) -> np.ndarray:
     for l_op in l_ops:
         rows, cols = np.nonzero(l_op)
         values = l_op[rows, cols]
-        sup[rows[:, None], rows, cols[:, None], cols] += values[:, None] * values.conj()
+        step = max(1, d**3 // max(len(values), 1))
+        for lo in range(0, len(values), step):
+            block = slice(lo, lo + step)
+            sup[rows[block, None], rows, cols[block, None], cols] += (
+                values[block, None] * values.conj()
+            )
     return sup.reshape(d * d, d * d)
 
 

@@ -292,15 +292,29 @@ def chain_initial_state(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
     return basis_state(layout, (LEVEL_1,) * n_qubits)
 
 
-def cluster_state_oracle(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
+def cluster_state_oracle(
+    n_qubits: int, fock_cutoff: int = 2, out: np.ndarray | None = None
+) -> CompositeState:
     """Direct construction of the linear cluster state, cavity in vacuum.
 
     Amplitude of bit string b is 2^(-N/2) * (-1)^(sum_i b_i b_{i+1}): equal
     weights with a sign flip for every adjacent |11| pair, exactly what a
     chain of controlled-phase gates on uniform superpositions produces.
+    The amplitudes go into ``out``, a complex vector of the layout's
+    dimension that is zeroed first, or into a new array; the state's
+    amplitudes are a view of it.
     """
     layout = SpaceLayout(check_index("n_qubits", n_qubits, MIN_CHAIN), fock_cutoff)
-    amp = np.zeros(layout.total_dim, dtype=complex)
+    if out is None:
+        amp = np.zeros(layout.total_dim, dtype=complex)
+    elif out.shape != (layout.total_dim,) or out.dtype != complex:
+        raise ValueError(
+            f"out must be a complex vector of length {layout.total_dim}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    else:
+        amp = out
+        amp.fill(0)
     scale = 2.0 ** (-n_qubits / 2.0)
     # row b holds the bits of b, first SQUID first
     bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1

@@ -1,18 +1,21 @@
 """Gate truth tables, fidelities, and cluster-state stabilizer checks.
 
 A schedule here is any tuple of ``protocols`` segments, handed as it is to
-``evolution.propagate``, so this module never asks which kind of segment it
-holds.  The truth table runs on a two-SQUID layout, where ``hilbert``
-refuses any site but SQUIDs 0 and 1 and the cavity.
+``evolution.propagate_in_pair``, so this module never asks which kind of
+segment it holds.  The truth table runs on a two-SQUID layout, where
+``hilbert`` refuses any site but SQUIDs 0 and 1 and the cavity.
 
 The chain generators K_i = Z_{i-1} X_i Z_{i+1} act on the logical levels
 and as the identity on |e>, so each is a signed permutation of the
 amplitudes.  ``stabilizer_expectations`` applies it with slice copies and
-one sign flip per neighbour into one state-sized buffer per call, then
-takes <psi|K_i psi>.  A dense K_i holds one +-1 and exact zeros per row, so
-the operator kernel ``hilbert.contract`` gives the same vector up to the
-sign of zero entries and the same expectation bits; the tests keep that
-dense route as the reference.
+one sign flip per neighbour into one state-sized buffer, then takes
+<psi|K_i psi>.  The buffer is the caller's where it has one to lend, as
+the ``cluster`` command lends the idle half of its run's buffer pair, so
+that a whole chain run holds two states and no third; otherwise it is
+allocated once per call.  A dense K_i holds one +-1 and exact zeros per
+row, so the operator kernel ``hilbert.contract`` gives the same vector up
+to the sign of zero entries and the same expectation bits; the tests keep
+that dense route as the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import propagate
+from .evolution import propagate_in_pair
 from .hilbert import (
     LEVEL_0,
     LEVEL_1,
@@ -57,14 +60,16 @@ def computational_propagator(
     Returns (matrix, per-column leakage), leakage being the probability
     that escaped the projected subspace.
 
-    The inputs go through ``evolution.propagate`` as one (total_dim, 4)
-    block, so each segment's propagator is built once.
+    The inputs are written straight into the first half of the run's
+    (2, total_dim, 4) buffer pair and go through
+    ``evolution.propagate_in_pair`` as one block, so each segment's
+    propagator is built once and no separate input block is allocated.
     """
     layout = SpaceLayout(2, fock_cutoff)
     indices = [basis_index(layout, bits, 0) for bits in COMPUTATIONAL_BASIS]
-    inputs = np.zeros((layout.total_dim, 4), dtype=complex)
-    inputs[indices, range(4)] = 1.0
-    matrix = propagate(layout, schedule, inputs)[indices]
+    pair = np.zeros((2, layout.total_dim, 4), dtype=complex)
+    pair[0, indices, range(4)] = 1.0
+    matrix = propagate_in_pair(layout, schedule, pair)[0][indices]
     # clamp rounding-level negatives; leakage is a probability
     leakage = np.maximum(0.0, 1.0 - np.sum(np.abs(matrix) ** 2, axis=0))
     return matrix, leakage
@@ -178,10 +183,16 @@ class StabilizerReport:
     cavity_vacuum_population: float
 
 
-def stabilizer_expectations(state: CompositeState) -> StabilizerReport:
+def stabilizer_expectations(
+    state: CompositeState, scratch: np.ndarray | None = None
+) -> StabilizerReport:
     """<K_i> for every chain generator; all +1 on the exact cluster state.
 
-    The chain holds every SQUID of the state's layout.
+    The chain holds every SQUID of the state's layout.  Each K_i psi is
+    written into ``scratch``, a C-contiguous complex vector of the layout's
+    dimension apart from the amplitudes, such as the idle half of the run's
+    buffer pair, or into one buffer allocated for the call.  Every entry of
+    it is written for each K_i, so its contents on the way in do not matter.
     """
     vacuum = cavity_vacuum_population(state)
     if 1.0 - vacuum > _VACUUM_WARN:
@@ -199,8 +210,21 @@ def stabilizer_expectations(state: CompositeState) -> StabilizerReport:
         )
     n = state.layout.n_squids
     psi = np.ascontiguousarray(state.amplitudes)
-    # one buffer for every K_i psi, freed with the call
-    applied = np.empty_like(psi)
+    if scratch is None:
+        # one buffer for every K_i psi, freed with the call
+        applied = np.empty_like(psi)
+    elif (
+        scratch.shape != psi.shape
+        or scratch.dtype != complex
+        or not scratch.flags.c_contiguous
+        or np.may_share_memory(scratch, psi)
+    ):
+        raise ValueError(
+            "scratch must be a C-contiguous complex vector shaped like the amplitudes, "
+            "apart from them"
+        )
+    else:
+        applied = scratch
     values = np.array(
         [
             np.vdot(psi, _apply_chain_stabilizer(psi, n, i, applied)).real

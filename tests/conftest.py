@@ -31,6 +31,9 @@ walk over local patterns: a set-and-frontier search from the four
 computational states over the float non-zero patterns of every full-space
 H, every L_k and every complex L_k^dag L_k product.
 
+``traced_peak`` is the one way the tests bound memory: it calls a function
+under tracemalloc and always stops tracing, whatever the function raises.
+
 ``pade_scores`` is a second exact route to a noisy gate's scores: each
 segment's complex superoperator from textbook ``np.kron`` terms,
 exponentiated by Pade-13 scaling and squaring (``expm_pade13``), the three
@@ -39,6 +42,7 @@ no code with ``evolution``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -53,6 +57,21 @@ MAX_PHASE_PER_STEP = 1.0 / 50.0
 # X and Z act on the logical {|0>, |1>} pair and leave |e> alone
 PAULI_X3 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 PAULI_Z3 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+
+
+def traced_peak(fn):
+    """``fn()`` under tracemalloc: (its result, peak bytes, bytes still allocated at its end).
+
+    Only allocations made during the call are counted, and tracing stops
+    whether or not ``fn`` raises.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def oracle_embedded(op: LocalOperator, layout: SpaceLayout) -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squidcavity import GateParams, cli, decoherence, evolution, protocols, verification
+from squidcavity import GateParams, SpaceLayout, cli, decoherence, evolution, protocols, verification
 from squidcavity.cli import main
 from squidcavity.config import (
     _SECTIONS,
@@ -19,6 +19,8 @@ from squidcavity.config import (
     RunConfig,
     config_to_dict,
 )
+
+from conftest import traced_peak
 
 
 def _read_json(path):
@@ -126,6 +128,20 @@ def test_cluster_reports_match_pinned_bytes(tmp_path, capsys, argv, tag):
     assert got == (data / f"cluster_{tag}.json").read_text()
     pinned = (data / f"stabilizers_{tag}.csv").read_bytes()
     assert (tmp_path / "stabilizers.csv").read_bytes() == pinned
+
+
+@pytest.mark.parametrize("cutoff", [2, 7])
+def test_a_cluster_command_holds_its_buffer_pair_and_under_1_mib_more(tmp_path, capsys, cutoff):
+    # the chain's start, its oracle and every K_i psi live in the run's
+    # two-state array, so a third state-sized array anywhere in the
+    # command shows here: 5.41 MiB and 14.42 MiB pairs, whose commands
+    # peaked at 8.42 MiB and 22.20 MiB with a third state beside them
+    assert main(["cluster", "--n", "2", "--out", str(tmp_path)]) == 0
+    argv = ["cluster", "--n", "10", "--fock-cutoff", str(cutoff), "--out", str(tmp_path)]
+    code, peak, _ = traced_peak(lambda: main(argv))
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 32 * SpaceLayout(10, cutoff).total_dim + 2**20
 
 
 @pytest.mark.parametrize(
@@ -881,7 +897,7 @@ def test_cluster_verdict_thresholds_bite_one_ulp_past_their_bound(
         monkeypatch.setattr(
             cli,
             "stabilizer_expectations",
-            lambda state: verification.StabilizerReport(
+            lambda state, scratch=None: verification.StabilizerReport(
                 np.full(state.layout.n_squids, readouts["stabilizer"]),
                 readouts["stabilizer"],
                 readouts["vacuum"],

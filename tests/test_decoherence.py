@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from conftest import (
     pade_scores,
     reference_kept,
     rk4_lindblad,
+    traced_peak,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -142,13 +142,9 @@ def test_each_segment_is_sized_once(monkeypatch):
 def test_a_prepared_point_fits_its_budget():
     # the sweep cap assumes at most PREPARED_POINT_BYTES per built point
     noisy_gate()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = [noisy_gate(cavity_decay_per_s=5e4 * (1 + i)) for i in range(20)]
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    kept, _, held = traced_peak(
+        lambda: [noisy_gate(cavity_decay_per_s=5e4 * (1 + i)) for i in range(20)]
+    )
     assert len(kept) == 20
     assert held / 20 <= PREPARED_POINT_BYTES
 
@@ -260,12 +256,7 @@ def test_the_largest_cutoff_builds_in_twice_its_exchange_generator():
     with pytest.raises(ConfigError, match="budget"):
         RunConfig(fock_cutoff=LARGEST_CUTOFF + 1)
     exchange_bytes = 16 * SpaceLayout(2, LARGEST_CUTOFF).total_dim ** 2
-    tracemalloc.start()
-    try:
-        noisy = noisy_gate(fock_cutoff=LARGEST_CUTOFF)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    noisy, peak, _ = traced_peak(lambda: noisy_gate(fock_cutoff=LARGEST_CUTOFF))
     assert len(noisy.kept) == 11
     assert peak <= 2 * exchange_bytes
 

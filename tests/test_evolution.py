@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from squidcavity.evolution import (
     _to_coordinates,
     exp_segment,
     propagate,
+    propagate_in_pair,
     propagator,
 )
 from squidcavity.hamiltonians import (
@@ -56,6 +56,7 @@ from conftest import (
     oracle_embedded,
     rk4_lindblad,
     tensor_state,
+    traced_peak,
 )
 
 
@@ -223,16 +224,39 @@ def test_propagate_runs_the_chain_in_two_state_buffers():
     state = chain_initial_state(n)
     psi = np.array(state.amplitudes)
     schedule = cluster_chain_schedule(n)
-    tracemalloc.start()
-    try:
-        out = propagate(state.layout, schedule, psi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak, _ = traced_peak(lambda: propagate(state.layout, schedule, psi))
     assert peak <= 2.5 * psi.nbytes
     # the caller's array is only read
     np.testing.assert_array_equal(psi, state.amplitudes)
     assert out.shape == psi.shape and not np.shares_memory(out, psi)
+
+
+def test_a_run_in_the_callers_pair_gives_the_bits_of_propagate():
+    # the caller fills half 0 and may leave anything in half 1, which the
+    # run zeroes; it gets back the result and the idle half, both halves
+    # of its own pair
+    n = 4
+    state = chain_initial_state(n)
+    schedule = cluster_chain_schedule(n)
+    pair = np.full((2, state.layout.total_dim), np.nan + 1j, complex)
+    pair[0] = state.amplitudes
+    result, idle = propagate_in_pair(state.layout, schedule, pair)
+    assert result.tobytes() == propagate(state.layout, schedule, state.amplitudes).tobytes()
+    assert {result.ctypes.data, idle.ctypes.data} == {pair[0].ctypes.data, pair[1].ctypes.data}
+
+
+def test_a_run_in_a_pair_refuses_anything_but_two_contiguous_complex_states():
+    layout = SpaceLayout(2, 1)
+    schedule = cluster_chain_schedule(2)
+    d = layout.total_dim
+    for pair, message in (
+        (np.zeros((3, d), complex), "two states"),
+        (np.zeros((2, d)), "two states"),
+        (np.zeros((2, 2 * d), complex)[:, ::2], "two states"),
+        (np.zeros((2, d + 1), complex), "layout dimension is"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            propagate_in_pair(layout, schedule, pair)
 
 
 def test_propagate_builds_once_per_exact_key(monkeypatch):
@@ -437,6 +461,14 @@ def test_propagate_and_the_whole_range_run_differ_at_most_in_the_sign_of_a_zero(
     differ = got.view(np.int64) != want.view(np.int64)
     assert np.array_equal(got, want)
     assert differ.any() and not got[differ].any()
+
+
+def test_the_support_is_read_without_a_state_sized_mask():
+    # a boolean mask of the integer view would take 2 bytes per amplitude
+    state = chain_initial_state(10, 7)
+    ranges, peak, _ = traced_peak(lambda: evolution._support(state.layout, state.amplitudes))
+    assert ranges == ((1, 2),) * 10 + ((0, 1),)
+    assert peak < state.amplitudes.nbytes / 100
 
 
 def test_propagate_on_an_all_zero_input():
@@ -755,11 +787,28 @@ def test_lindblad_sub_step_limit_at_its_bound():
 
 
 def test_superoperator_dimension_limit_is_the_byte_budget():
-    # S takes 16 d^4 bytes while it is formed: 32 is the largest d whose S
-    # fits the one budget, which config reads from the same place
-    assert SUPEROPERATOR_DIM_LIMIT == 32
+    # a run peaks while S (16 d^4 bytes) and L_y (8 d^4) are both alive:
+    # 28 is the largest d whose 24 d^4 bytes fit the one budget, which
+    # config reads from the same place.  32, the largest d whose S alone
+    # fits, peaked at 25.3 MB, half again the budget
+    assert SUPEROPERATOR_DIM_LIMIT == 28
     assert config.MAX_ARRAY_BYTES is hilbert.MAX_ARRAY_BYTES == 2**24
-    assert 16 * 32**4 <= hilbert.MAX_ARRAY_BYTES < 16 * 33**4
+    assert 24 * 28**4 <= hilbert.MAX_ARRAY_BYTES < 24 * 29**4
+
+
+def test_a_lindblad_run_at_the_dimension_limit_fits_the_byte_budget():
+    # the d^2 terms beside S and L_y stay within the budget's slack at the
+    # limit: a generator with a full H and a jump operator, on a batch of
+    # non-Hermitian inputs, so both coordinate parts of every input run
+    d = SUPEROPERATOR_DIM_LIMIT
+    rng = np.random.default_rng(5)
+    h = _cplx(rng, d, d)
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    segment = LindbladSegment(h + _adjoint(h), [lower, _cplx(rng, d, d)], 1e-3)
+    rho = _cplx(rng, 4, d, d)
+    out, peak, _ = traced_peak(lambda: exp_segment(rho, segment))
+    assert out.shape == rho.shape and np.isfinite(out).all()
+    assert peak <= hilbert.MAX_ARRAY_BYTES
 
 
 def test_assembled_generator_matches_lindblad_rhs():
@@ -939,13 +988,12 @@ def test_exp_lindblad_refuses_large_dimensions_before_allocating():
     # zero-stride views: a (d, d) operand that takes no memory of its own
     for d in (SUPEROPERATOR_DIM_LIMIT + 1, 1024):
         h = np.broadcast_to(np.zeros((), dtype=complex), (d, d))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="superoperator limit"):
                 exp_segment(h, LindbladSegment(h, [h], 1e-9))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced_peak(refused)
         assert peak < 100_000
     eye = np.eye(SUPEROPERATOR_DIM_LIMIT, dtype=complex)
     np.testing.assert_array_equal(exp_segment(eye, LindbladSegment(0 * eye, [], 0.0)), eye)

@@ -294,6 +294,19 @@ def test_cluster_oracle_matches_direct_loop():
         assert got.tobytes() == want.tobytes(), (n_qubits, cutoff)
 
 
+def test_cluster_oracle_written_into_a_buffer_is_the_same_state():
+    # whatever the buffer held is zeroed first, and the state is a view of it
+    n_qubits, cutoff = 4, 3
+    want = cluster_state_oracle(n_qubits, cutoff).amplitudes
+    out = np.full(want.shape, 7.0 - 1j)
+    oracle = cluster_state_oracle(n_qubits, cutoff, out=out)
+    assert oracle.amplitudes.tobytes() == want.tobytes()
+    assert np.shares_memory(oracle.amplitudes, out)
+    for wrong in (np.zeros(want.size + 1, complex), np.zeros(want.size), np.zeros((want.size, 1))):
+        with pytest.raises(ValueError, match="complex vector of length"):
+            cluster_state_oracle(n_qubits, cutoff, out=wrong)
+
+
 def test_cluster_generation_matches_oracle():
     for n_qubits, tol in ((2, 1e-10), (4, 1e-9)):
         out = evolve_pure(chain_initial_state(n_qubits), cluster_chain_schedule(n_qubits))

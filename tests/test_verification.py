@@ -205,6 +205,22 @@ def test_signed_permutation_readout_matches_the_dense_route_bit_for_bit(fock_cut
         assert report.expectations.tobytes() == _dense_expectations(state, n_qubits).tobytes()
 
 
+def test_a_lent_scratch_buffer_gives_the_same_expectation_bits():
+    # every entry of K_i psi is written, so what the buffer held is never read
+    state = evolve_pure(chain_initial_state(5, 2), cluster_chain_schedule(5))
+    want = stabilizer_expectations(state).expectations
+    scratch = np.full(state.layout.total_dim, np.nan, complex)
+    got = stabilizer_expectations(state, scratch=scratch).expectations
+    assert got.tobytes() == want.tobytes()
+    pair = np.zeros((2, state.layout.total_dim), complex)
+    pair[0] = state.amplitudes
+    shared = CompositeState(state.layout, pair[0])
+    for wrong in (pair[0], np.zeros(state.layout.total_dim), np.zeros((2, pair.shape[1]))[0:1]):
+        with pytest.raises(ValueError, match="scratch must be"):
+            stabilizer_expectations(shared, scratch=wrong)
+    assert stabilizer_expectations(shared, scratch=pair[1]).expectations.tobytes() == want.tobytes()
+
+
 def test_signed_permutation_readout_on_upper_level_and_photon_amplitudes():
     # every amplitude is non-zero, |e> and photon digits included, so the
     # identity on |e> and the cavity digits are exercised

@@ -68,8 +68,9 @@ from .config import (
 from .decoherence import noisy_gate, qcpg_lindblad_fidelity
 from .evolution import WorkLimitError, propagate_in_pair
 from .feasibility import feasibility_report
-from .hilbert import LEVEL_1, CompositeState, SpaceLayout, basis_index, check_number
+from .hilbert import CompositeState, SpaceLayout, basis_index, check_number
 from .protocols import (
+    CHAIN_START_LEVEL,
     cluster_chain_schedule,
     cluster_state_oracle,
     qcpg_schedule,
@@ -180,10 +181,10 @@ def cmd_cluster(config: RunConfig, clock) -> tuple[bool, dict]:
     schedule = cluster_chain_schedule(n, config.gate)
     layout = SpaceLayout(n, config.fock_cutoff)
     # the run's buffer pair is all the state memory the command holds: the
-    # chain starts in its first half, every SQUID in |1> and the cavity in
-    # vacuum, and the idle half takes the oracle, then each K_i psi
+    # chain starts in its first half, as ``chain_initial_state`` states it,
+    # and the idle half takes the oracle, then each K_i psi
     pair = np.zeros((2, layout.total_dim), complex)
-    pair[0, basis_index(layout, (LEVEL_1,) * n)] = 1.0
+    pair[0, basis_index(layout, (CHAIN_START_LEVEL,) * n)] = 1.0
     psi, idle = propagate_in_pair(layout, schedule, pair)
     state = CompositeState(layout, psi)
     clock("evolve")

@@ -1,8 +1,12 @@
 """Exact propagation of piecewise-constant schedules, pure and open-system.
 
 Unitary segments use exp(-iHt) computed from the Hermitian eigendecomposition
-of the segment generator; at the local dimensions involved (at most 27) this
-is exact to rounding, so ideal-protocol results carry no integrator error.
+of the segment generator on its own sites: 3-dimensional for a pulse, and
+D = 9 (cutoff + 1) for the exchange, 1017 at the largest cutoff the byte
+budget accepts (112).  This is exact to rounding, so ideal-protocol results
+carry no integrator error; the rounding grows with D, and the truth table's
+entries stay within D eps of the ideal gate (the bound, and its measured
+margin on four BLAS kernels, are stated in ``tests/test_relations.py``).
 ``propagate`` runs a schedule (a tuple of segments, each of which builds its
 own generator) on pure states, alone or as a block, in two parts.  The plan
 walks the schedule before any amplitude moves: it builds each segment's
@@ -76,7 +80,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
-    FLOAT_MAX, MAX_ARRAY_BYTES, CompositeState, LocalOperator, SpaceLayout, check_number, contract
+    FLOAT_MAX, MAX_ARRAY_BYTES, CompositeState, LocalOperator, SpaceLayout, check_buffer,
+    check_number, contract,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -134,11 +139,12 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
 
     The caller's array is only read: a copy of it goes into half 0 of a
     fresh complex array of shape (2, *input shape), and
-    ``propagate_in_pair`` runs the schedule there.  The result is the half
-    the last segment wrote, and it keeps the idle half alive with it.
+    ``propagate_in_pair`` runs the schedule there, so input rows that are
+    not the layout's amplitudes are refused as that pair's shape.  The
+    result is the half the last segment wrote, and it keeps the idle half
+    alive with it.
     """
-    shape = _checked_shape(layout, np.shape(psi))
-    pair = np.empty((2, *shape), complex)
+    pair = np.empty((2, *np.shape(psi)), complex)
     pair[0] = psi
     # drop this frame's hold on the initial amplitudes, as ``evolve_pure`` does
     del psi
@@ -148,11 +154,11 @@ def propagate(layout: SpaceLayout, schedule: tuple, psi: np.ndarray) -> np.ndarr
 def propagate_in_pair(layout: SpaceLayout, schedule: tuple, pair: np.ndarray) -> tuple:
     """Run a schedule in the two halves of ``pair``; return (result, idle half).
 
-    ``pair`` is a C-contiguous complex array of shape (2, total_dim) or
-    (2, total_dim, batch) whose half 0 the caller has filled with the
-    input; half 1 is zeroed here.  First the plan (``_plan``) builds every
-    propagator, for the whole block, and the level ranges of the module
-    docstring, from the input's support alone.  Then the run applies each
+    ``pair`` is a lent buffer (``hilbert.check_buffer``) of shape
+    (2, total_dim) or (2, total_dim, batch) whose half 0 the caller has
+    filled with the input; half 1 is zeroed here.  First the plan
+    (``_plan``) builds every propagator, for the whole block, and the level
+    ranges of the module docstring, from the input's support alone.  Then the run applies each
     step with ``contract``, which computes only the block of its ranges,
     and checks every state's norm, which also catches NaN and Inf.  Each
     segment reads one half and writes the other, so no segment allocates
@@ -171,12 +177,7 @@ def propagate_in_pair(layout: SpaceLayout, schedule: tuple, pair: np.ndarray) ->
     faulted them in again.  Other allocators lose nothing: the same bytes
     are allocated.
     """
-    if pair.shape[:1] != (2,) or pair.dtype != complex or not pair.flags.c_contiguous:
-        raise ValueError(
-            f"pair must be a C-contiguous complex array of two states, got {pair.dtype} "
-            f"{pair.shape}"
-        )
-    _checked_shape(layout, pair.shape[1:])
+    check_buffer("pair", pair, (2, layout.total_dim, *pair.shape[2:]))
     psi, spare = pair
     spare.fill(0)
     steps = _plan(layout, schedule, _support(layout, psi))
@@ -189,15 +190,6 @@ def propagate_in_pair(layout: SpaceLayout, schedule: tuple, pair: np.ndarray) ->
                     f"norm drifted to {norm!r} after a unitary segment"
                 )
     return psi, spare
-
-
-def _checked_shape(layout: SpaceLayout, shape: tuple) -> tuple:
-    """``shape``, if its rows are the layout's amplitudes."""
-    if shape[:1] != (layout.total_dim,):
-        raise ValueError(
-            f"amplitudes have shape {shape}, layout dimension is {layout.total_dim}"
-        )
-    return shape
 
 
 def _plan(layout: SpaceLayout, schedule: tuple, ranges: tuple) -> list:

@@ -29,6 +29,15 @@ not a ``bool``, in range; it never converts, so 1.7 and ``True`` are
 refused rather than read as 1.  The float bound ``check_number`` checks
 against, ``FLOAT_MAX``, and the byte budget of the largest array the
 program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
+``check_buffer`` is the one check of a lent buffer, an array a caller
+passes in for the callee to write into: it must be complex, of exactly
+the shape the callee states, C-contiguous, writable, and share no memory
+with the input it is lent beside.  Five arrays are lent: ``contract``'s
+``out`` and, whenever ``out`` is given, its ``psi``, which then becomes
+scratch; the run's buffer pair (``evolution.propagate_in_pair``); the
+stabilizers' K_i psi buffer; and the cluster oracle's ``out``.  Each is
+refused by name before anything is written, and no other module reads an
+array's flags.
 
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
@@ -127,6 +136,29 @@ def check_index(name, value, low, high=None, *, error=ValueError):
             return value
     rule = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise error(f"{name} must be an integer {rule}, got {name}={value!r}")
+
+
+def check_buffer(name, array, shape, apart=None):
+    """Return ``array`` if a callee may write into it; else raise ``ValueError``.
+
+    A lent buffer is a complex array of exactly ``shape``, C-contiguous
+    and writable, that shares no memory with ``apart`` (when given).  The
+    message names the buffer, the first property it lacks and the shape.
+    """
+    for failed, fault in (
+        (array.dtype != complex, "is not complex"),
+        (array.shape != shape, "is not of that shape"),
+        (not array.flags.c_contiguous, "is not C-contiguous"),
+        (not array.flags.writeable, "is read-only"),
+        (apart is not None and np.may_share_memory(array, apart), "shares memory with its input"),
+    ):
+        if failed:
+            raise ValueError(
+                f"{name} must be a C-contiguous, writable complex array of shape {shape}"
+                f"{'' if apart is None else ' apart from its input'}, but it {fault}: "
+                f"got {array.dtype} of shape {array.shape}"
+            )
+    return array
 
 
 @dataclass(frozen=True)
@@ -308,10 +340,12 @@ def contract(
     the full ranges can sum such a -0.0 into its block.
 
     Without ``out`` the result is a new array and ``psi`` is only read.
-    ``out``, a C-contiguous complex array shaped like ``psi`` and apart from
-    it, receives the result and is returned; ``psi`` is then scratch.
-    ``out`` must be zero outside the block, and ``psi`` is left zero
-    outside its ranges, so that either can take a later result.
+    ``out`` receives the result and is returned, and ``psi`` is then
+    scratch, so both are lent buffers (``check_buffer``), checked before
+    either is written: ``psi`` of shape (total_dim[, batch]), ``out`` of
+    ``psi``'s shape and apart from it.  ``out`` must be zero outside the
+    block, and ``psi`` is left zero outside its ranges, so that either can
+    take a later result.
     """
     sites, _ = layout.operator_dims(op)
     dims = layout.dims
@@ -322,15 +356,9 @@ def contract(
     if out is None:
         out = np.zeros(psi.shape, complex)
         scratch = None
-    elif (
-        out.shape != psi.shape
-        or out.dtype != complex
-        or not out.flags.c_contiguous
-        or np.may_share_memory(out, psi)
-    ):
-        raise ValueError("out must be a C-contiguous complex array shaped like psi, apart from it")
     else:
-        scratch = psi
+        scratch = check_buffer("psi", psi, (layout.total_dim, *psi.shape[1:]))
+        check_buffer("out", out, psi.shape, apart=psi)
     if sites and sites == tuple(range(sites[0], sites[0] + len(sites))):
         left = dims[: sites[0]]
         right = psi.size // (math.prod(left) * op.dim)

@@ -41,10 +41,12 @@ the ordered transition (|1>, |e>) a quarter-period pulse maps
 A wrong choice here flips the sign onto the wrong computational state and
 turns the gate into diag(1, -1, 1, 1).
 
-Cluster chains start from every SQUID in |1>; a rotation by pi/4 then
-prepares (|0> + |1>)/sqrt(2) on each site with coefficient exactly +1 (from
-|0> the same pulse would give the sign-flipped superposition), and the gate
-is applied to each neighbouring pair in turn.  A chain has ``n_qubits``
+Cluster chains start from every SQUID in |1>, stated once as
+``CHAIN_START_LEVEL``, which ``chain_initial_state`` and the ``cluster``
+command both read; a rotation by pi/4 then prepares (|0> + |1>)/sqrt(2) on
+each site with coefficient exactly +1 (from |0> the same pulse would give
+the sign-flipped superposition), and the gate is applied to each
+neighbouring pair in turn.  A chain has ``n_qubits``
 SQUIDs, an ``int`` of at least ``MIN_CHAIN`` = 2 (``hilbert.check_index``):
 fewer would hold no gate.  The oracle places its amplitudes by
 ``np.ravel_multi_index`` over ``SpaceLayout.dims``, the one index rule of
@@ -68,6 +70,7 @@ from .hilbert import (
     LocalOperator,
     SpaceLayout,
     basis_state,
+    check_buffer,
     check_index,
     check_number,
 )
@@ -80,6 +83,10 @@ MIN_CHAIN = 2
 
 STEP1_PHASE = math.pi
 STEP3_PHASE = 0.0
+
+# every SQUID of a chain starts here, the level whose superposition pulse
+# gives (|0> + |1>)/sqrt(2) with coefficient exactly +1
+CHAIN_START_LEVEL = LEVEL_1
 
 _GATE_CONDITION_TOL = 1e-6
 
@@ -242,8 +249,8 @@ def rotation_pulse(
 def prepare_superposition(site: int, rabi: float = DEFAULT_DRIVE_RABI) -> tuple:
     """Pulse taking |1> to (|0> + |1>)/sqrt(2) exactly.
 
-    Chain preparation declares |1> as the initial level; from |0> the same
-    rotation gives (|0> - |1>)/sqrt(2) instead.
+    A chain starts every SQUID in ``CHAIN_START_LEVEL``, |1>, for this
+    reason; from |0> the same rotation gives (|0> - |1>)/sqrt(2) instead.
     """
     return rotation_pulse(site, (LEVEL_0, LEVEL_1), math.pi / 4.0, 0.0, rabi)
 
@@ -287,9 +294,9 @@ def cluster_chain_schedule(n_qubits: int, params: GateParams = GateParams()) -> 
 
 
 def chain_initial_state(n_qubits: int, fock_cutoff: int = 2) -> CompositeState:
-    """All SQUIDs in |1>, cavity in vacuum: the declared chain starting point."""
+    """All SQUIDs in ``CHAIN_START_LEVEL`` (|1>), cavity in vacuum: the chain's start."""
     layout = SpaceLayout(check_index("n_qubits", n_qubits, MIN_CHAIN), fock_cutoff)
-    return basis_state(layout, (LEVEL_1,) * n_qubits)
+    return basis_state(layout, (CHAIN_START_LEVEL,) * n_qubits)
 
 
 def cluster_state_oracle(
@@ -300,20 +307,15 @@ def cluster_state_oracle(
     Amplitude of bit string b is 2^(-N/2) * (-1)^(sum_i b_i b_{i+1}): equal
     weights with a sign flip for every adjacent |11| pair, exactly what a
     chain of controlled-phase gates on uniform superpositions produces.
-    The amplitudes go into ``out``, a complex vector of the layout's
-    dimension that is zeroed first, or into a new array; the state's
-    amplitudes are a view of it.
+    The amplitudes go into ``out``, a lent buffer
+    (``hilbert.check_buffer``) of the layout's dimension that is zeroed
+    first, or into a new array; the state's amplitudes are a view of it.
     """
     layout = SpaceLayout(check_index("n_qubits", n_qubits, MIN_CHAIN), fock_cutoff)
     if out is None:
         amp = np.zeros(layout.total_dim, dtype=complex)
-    elif out.shape != (layout.total_dim,) or out.dtype != complex:
-        raise ValueError(
-            f"out must be a complex vector of length {layout.total_dim}, "
-            f"got {out.dtype} {out.shape}"
-        )
     else:
-        amp = out
+        amp = check_buffer("out", out, (layout.total_dim,))
         amp.fill(0)
     scale = 2.0 ** (-n_qubits / 2.0)
     # row b holds the bits of b, first SQUID first

@@ -34,6 +34,7 @@ from .hilbert import (
     CompositeState,
     SpaceLayout,
     basis_index,
+    check_buffer,
 )
 
 COMPUTATIONAL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -189,11 +190,16 @@ def stabilizer_expectations(
     """<K_i> for every chain generator; all +1 on the exact cluster state.
 
     The chain holds every SQUID of the state's layout.  Each K_i psi is
-    written into ``scratch``, a C-contiguous complex vector of the layout's
-    dimension apart from the amplitudes, such as the idle half of the run's
-    buffer pair, or into one buffer allocated for the call.  Every entry of
-    it is written for each K_i, so its contents on the way in do not matter.
+    written into ``scratch``, a lent buffer (``hilbert.check_buffer``) of
+    the layout's dimension apart from the amplitudes, such as the idle half
+    of the run's buffer pair, or into one buffer allocated for the call.
+    Every entry of it is written for each K_i, so its contents on the way
+    in do not matter.
     """
+    psi = np.ascontiguousarray(state.amplitudes)
+    # one buffer for every K_i psi: the caller's, or one freed with the call
+    applied = np.empty_like(psi) if scratch is None else scratch
+    check_buffer("scratch", applied, psi.shape, apart=psi)
     vacuum = cavity_vacuum_population(state)
     if 1.0 - vacuum > _VACUUM_WARN:
         warnings.warn(
@@ -209,22 +215,6 @@ def stabilizer_expectations(
             stacklevel=2,
         )
     n = state.layout.n_squids
-    psi = np.ascontiguousarray(state.amplitudes)
-    if scratch is None:
-        # one buffer for every K_i psi, freed with the call
-        applied = np.empty_like(psi)
-    elif (
-        scratch.shape != psi.shape
-        or scratch.dtype != complex
-        or not scratch.flags.c_contiguous
-        or np.may_share_memory(scratch, psi)
-    ):
-        raise ValueError(
-            "scratch must be a C-contiguous complex vector shaped like the amplitudes, "
-            "apart from them"
-        )
-    else:
-        applied = scratch
     values = np.array(
         [
             np.vdot(psi, _apply_chain_stabilizer(psi, n, i, applied)).real

@@ -105,3 +105,17 @@ def test_the_cavity_site_is_written_as_its_name():
         if any(ast.unparse(part) == "-1" for part in ast.walk(sites))
     ]
     assert literal == []
+
+
+def test_only_hilbert_reads_a_buffers_flags():
+    # a buffer lent for writing has one rule, hilbert.check_buffer; no other
+    # module checks contiguity, writability or overlap on its own
+    own = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "squidcavity").glob("*.py"))
+        if path.name != "hilbert.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("c_contiguous", "writeable", "may_share_memory", "shares_memory")
+    ]
+    assert own == []

@@ -249,13 +249,14 @@ def test_a_run_in_a_pair_refuses_anything_but_two_contiguous_complex_states():
     layout = SpaceLayout(2, 1)
     schedule = cluster_chain_schedule(2)
     d = layout.total_dim
-    for pair, message in (
-        (np.zeros((3, d), complex), "two states"),
-        (np.zeros((2, d)), "two states"),
-        (np.zeros((2, 2 * d), complex)[:, ::2], "two states"),
-        (np.zeros((2, d + 1), complex), "layout dimension is"),
+    rule = rf"pair must be a C-contiguous, writable complex array of shape \(2, {d}\), but it "
+    for pair, fault in (
+        (np.zeros((3, d), complex), rf"is not of that shape: got complex128 of shape \(3, {d}\)"),
+        (np.zeros((2, d)), "is not complex: got float64"),
+        (np.zeros((2, 2 * d), complex)[:, ::2], "is not C-contiguous"),
+        (np.zeros((2, d + 1), complex), rf"is not of that shape: got .* \(2, {d + 1}\)"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rule + fault):
             propagate_in_pair(layout, schedule, pair)
 
 
@@ -330,11 +331,12 @@ def test_propagate_refuses_a_misfit_segment_before_the_run(monkeypatch):
 
 
 def test_propagate_refuses_amplitudes_of_another_dimension():
-    # the rows are the layout's amplitudes, checked before the plan reads
-    # the input's support, small state or large
+    # the rows are the layout's amplitudes, checked as the run's pair before
+    # the plan reads the input's support, small state or large
     for n, length in ((2, 26), (8, 5000), (8, 3**9 + 1)):
         layout = SpaceLayout(n, 2)
-        with pytest.raises(ValueError, match="layout dimension is"):
+        rule = rf"pair must .* of shape \(2, {layout.total_dim}\), but .* shape \(2, {length}\)"
+        with pytest.raises(ValueError, match=rule):
             propagate(layout, cluster_chain_schedule(n), np.ones(length, dtype=complex))
 
 

@@ -287,6 +287,23 @@ def test_contract_refuses_an_unusable_out():
             contract(layout, op, psi, out=out)
 
 
+def test_contract_refuses_a_psi_it_cannot_use_as_scratch_before_writing_out():
+    # given out, the gather-gemm-scatter route writes its product into psi,
+    # so psi is a lent buffer too: a float psi and a state's read-only
+    # amplitudes are refused by the buffer rule while out is still all zero
+    layout = SpaceLayout(2, 2)
+    op = LocalOperator((0, -1), np.eye(9))
+    for psi, fault in (
+        (np.eye(layout.total_dim)[0], "is not complex: got float64"),
+        (basis_state(layout, (1, 0)).amplitudes, "is read-only"),
+    ):
+        out = np.zeros(layout.total_dim, complex)
+        rule = r"psi must be a C-contiguous, writable complex array of shape \(27,\), but it "
+        with pytest.raises(ValueError, match=rule + fault):
+            contract(layout, op, psi, out=out)
+        assert not out.any()
+
+
 def test_contract_refuses_ranges_of_another_layout():
     # one (lo, hi) per factor: a shorter tuple would leave factors unbounded
     layout = SpaceLayout(2, 2)

@@ -23,7 +23,11 @@ public callable is missing from the table or calls the cutoff ``n_max``.
 A number has one rule too, ``hilbert.check_number``: a second table lists
 every public callable that takes one, and each refuses ``True``, ``"1"``
 and None (unless None is the parameter's default) with a ValueError
-naming it.
+naming it.  So does a buffer a caller lends for the callee to write into,
+``hilbert.check_buffer``: a third table lists the five borrowers, and each
+refuses a buffer of the wrong dtype or shape, a strided, a read-only or
+(where it has an input to stay apart from) an overlapping one with the
+rule's ValueError, before anything is written.
 """
 
 import contextlib
@@ -46,9 +50,11 @@ from hypothesis import strategies as st
 import squidcavity
 from squidcavity import (
     CavitySegment,
+    CompositeState,
     DriveSegment,
     FeasibilityParams,
     GateParams,
+    LocalOperator,
     SpaceLayout,
     basis_state,
     chain_initial_state,
@@ -66,14 +72,15 @@ from squidcavity import (
 from squidcavity.cli import COMMANDS as CLI_COMMANDS
 from squidcavity.cli import COMMON_FLAGS, _resolve_config, build_parser, main
 from squidcavity.config import _SECTIONS, SWEEP_PARAMETERS, ConfigError, RunConfig, SweepSettings
-from squidcavity.evolution import LindbladSegment, propagator
+from squidcavity.evolution import LindbladSegment, propagate_in_pair, propagator
 from squidcavity.hamiltonians import (
     annihilation,
     cavity_coupling_hamiltonian,
     collapse_operators_from_rates,
     exchange_norm_bound,
 )
-from squidcavity.verification import computational_propagator
+from squidcavity.hilbert import CAVITY, contract
+from squidcavity.verification import computational_propagator, stabilizer_expectations
 
 BOUNDARY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -569,3 +576,106 @@ def test_every_callable_that_takes_a_number_is_in_the_table():
         ("hamiltonians.exchange_norm_bound", "omega_2"),
         ("feasibility.round_to_sig_figures", "value"),
     }
+
+
+_LENDING = SpaceLayout(2, 2)
+_D = _LENDING.total_dim
+# sites that are not one run, so contract takes its gather-gemm-scatter
+# route, the one that writes into both of its buffers
+_GATHER = LocalOperator((0, CAVITY), np.eye(9))
+# what a borrower finds in its buffer; anything it writes shows
+_SENTINEL = 7.0 - 1.0j
+
+# Each lend(buffer, given) makes a borrower's call with ``buffer`` in the
+# lent place and ``given`` as the input it stays apart from, if it has one,
+# and returns the call and the other arrays it writes into, which must be
+# left as they were too.
+def _lend_contract_out(buffer, psi):
+    return lambda: contract(_LENDING, _GATHER, psi, out=buffer), [psi]
+
+
+def _lend_contract_psi(buffer, _):
+    out = np.zeros((_D, 2), complex)
+    return lambda: contract(_LENDING, _GATHER, buffer, out=out), [out]
+
+
+def _lend_pair(buffer, _):
+    return lambda: propagate_in_pair(_LENDING, cluster_chain_schedule(2), buffer), []
+
+
+def _lend_stabilizer_scratch(buffer, amplitudes):
+    state = CompositeState(_LENDING, amplitudes)
+    return lambda: stabilizer_expectations(state, scratch=buffer), [amplitudes]
+
+
+def _lend_oracle_out(buffer, _):
+    return lambda: cluster_state_oracle(2, 2, out=buffer), []
+
+
+# (borrower, the buffer's name, its shape, whether it stays apart from an
+# input, lend)
+BORROWERS = [
+    ("contract-out", "out", (_D, 2), True, _lend_contract_out),
+    ("contract-psi", "psi", (_D, 2), False, _lend_contract_psi),
+    ("propagate_in_pair-pair", "pair", (2, _D), False, _lend_pair),
+    ("stabilizer_expectations-scratch", "scratch", (_D,), True, _lend_stabilizer_scratch),
+    ("cluster_state_oracle-out", "out", (_D,), False, _lend_oracle_out),
+]
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def _overlapping(shape):
+    """A buffer over the second half of an input, |0, 0> in vacuum, and past its end."""
+    size = math.prod(shape)
+    base = np.full(2 * size, _SENTINEL)
+    base[:size] = 0
+    base[0] = 1
+    return base[size // 2: size // 2 + size].reshape(shape), base[:size].reshape(shape)
+
+
+# (case, the fault the message names, build(shape) -> (buffer, the input
+# it must stay apart from, or None for |0, 0> in vacuum))
+BAD_BUFFERS = [
+    ("dtype", "is not complex", lambda shape: (np.full(shape, 7.0), None)),
+    (
+        "shape",
+        "is not of that shape",
+        lambda shape: (np.full((shape[0] + 1, *shape[1:]), _SENTINEL), None),
+    ),
+    (
+        "strided",
+        "is not C-contiguous",
+        lambda shape: (np.full((*shape[:-1], 2 * shape[-1]), _SENTINEL)[..., ::2], None),
+    ),
+    ("read-only", "is read-only", lambda shape: (_read_only(np.full(shape, _SENTINEL)), None)),
+    ("overlapping", "shares memory with its input", _overlapping),
+]
+
+
+@pytest.mark.parametrize(
+    "name, shape, lend, fault, build",
+    [
+        pytest.param(name, shape, lend, fault, build, id=f"{borrower}-{case}")
+        for borrower, name, shape, apart, lend in BORROWERS
+        for case, fault, build in BAD_BUFFERS
+        if apart or case != "overlapping"
+    ],
+)
+def test_every_lent_buffer_is_refused_by_the_one_rule_before_a_write(
+    name, shape, lend, fault, build
+):
+    buffer, given = build(shape)
+    if given is None:
+        given = np.zeros(shape, complex)
+        given.reshape(-1)[0] = 1
+    call, written = lend(buffer, given)
+    before = [array.copy() for array in (buffer, given, *written)]
+    rule = f"{name} must be a C-contiguous, writable complex array of shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}.*, but it {re.escape(fault)}"):
+        call()
+    for was, array in zip(before, (buffer, given, *written)):
+        assert array.tobytes() == was.tobytes()

@@ -25,7 +25,7 @@ from squidcavity import (
 )
 from squidcavity.cli import main
 from squidcavity.evolution import exp_segment
-from squidcavity.verification import CZ_SIGNS, computational_propagator
+from squidcavity.verification import CZ_SIGNS, computational_propagator, truth_table
 
 from conftest import random_state
 
@@ -215,3 +215,17 @@ def test_a_gate_is_the_same_with_its_squids_relabelled():
         relabelled = CompositeState(layout, swap(state.amplitudes))
         after = swap(evolve_pure(relabelled, qcpg_schedule(b, a, gate)).amplitudes)
         assert np.abs(after - before.amplitudes).max() <= RELABEL_TOL
+
+
+# The pure route is exact to rounding but not bitwise across cutoffs: each
+# exchange runs ``eigh`` on the whole two-SQUID space of dimension
+# D = 9 (cutoff + 1), and eigh's backward error grows with D, so the
+# table's entries carry rounding of order D eps (eps = 2.2e-16).  Measured
+# max_entry_error / (D eps) over these cutoffs: at most 0.37 on OpenBLAS's
+# SkylakeX and Haswell kernels (5.2e-15 at cutoff 6), 0.41 on Prescott and
+# 0.49 on SandyBridge.  Cutoff 112 reads 0.08 on SkylakeX (1.7e-14) and is
+# left out for its 0.7 s.
+@pytest.mark.parametrize("fock_cutoff", [*range(1, 9), 16, 30, 60])
+def test_the_pure_gate_is_exact_to_its_dimension_times_the_rounding(fock_cutoff):
+    bound = 9 * (fock_cutoff + 1) * np.finfo(float).eps
+    assert truth_table(qcpg_schedule(0, 1), fock_cutoff).max_entry_error <= bound

@@ -88,12 +88,7 @@ class SweepSettings:
             )
         if not isinstance(self.values, (list, tuple)):
             raise ConfigError(f"sweep values must be an array of numbers, got {self.values!r}")
-        if not self.values:
-            raise ConfigError("sweep values must be nonempty")
-        if len(self.values) > MAX_SWEEP_VALUES:
-            raise ConfigError(
-                f"sweep has {len(self.values)} values, above the limit of {MAX_SWEEP_VALUES}"
-            )
+        check_index("sweep values count", len(self.values), 1, MAX_SWEEP_VALUES, error=ConfigError)
         bounds = (0, 1) if self.parameter == "branch_ratio" else (0,)
         values = tuple(
             float(check_number("sweep values", v, *bounds, error=ConfigError)) for v in self.values

@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
-    FLOAT_MAX, MAX_ARRAY_BYTES, CompositeState, LocalOperator, SpaceLayout, check_buffer,
+    MAX_ARRAY_BYTES, CompositeState, LocalOperator, SpaceLayout, check_buffer, check_index,
     check_number, contract,
 )
 
@@ -114,23 +114,16 @@ def propagator(hamiltonian: LocalOperator, t: float) -> LocalOperator:
     A duration that is negative, NaN or infinite is refused.
     """
     h = hamiltonian.matrix
-    # an Inf entry gives inf - inf = NaN here, refused below without a warning
+    # an Inf entry gives inf - inf = NaN here, refused without a warning
     with np.errstate(invalid="ignore"):
-        defect = np.max(np.abs(h - h.conj().T))
-    # written so that a NaN defect fails too
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(
-            f"propagator requires a Hermitian generator, but max |H - H^dag| = {defect:.3e}"
-        )
+        check_number("max|H - H^dag|", np.max(np.abs(h - h.conj().T)), 0, HERMITICITY_TOL)
     check_number("duration", t, 0)
     w, v = np.linalg.eigh(h)
     # as a Python float, a phase past the float range is inf with no warning
     check_number("max|eigenvalue| * duration", float(np.abs(w).max()) * float(t))
     mat = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    # written so that a NaN defect fails too
-    if not defect <= UNITARITY_TOL:
-        raise ValueError(f"propagator failed unitarity check ({defect:.3e})")
+    check_number("max|U^dag U - I|", defect, 0, UNITARITY_TOL)
     return LocalOperator(hamiltonian.sites, mat)
 
 
@@ -177,18 +170,15 @@ def propagate_in_pair(layout: SpaceLayout, schedule: tuple, pair: np.ndarray) ->
     faulted them in again.  Other allocators lose nothing: the same bytes
     are allocated.
     """
-    check_buffer("pair", pair, (2, layout.total_dim, *pair.shape[2:]))
+    check_buffer("pair", pair, (2, layout.total_dim, *np.shape(pair)[2:]))
     psi, spare = pair
     spare.fill(0)
     steps = _plan(layout, schedule, _support(layout, psi))
     for u, ranges in steps:
         psi, spare = contract(layout, u, psi, out=spare, ranges=ranges), psi
         for column in psi.reshape(len(psi), -1).T:
-            norm = math.sqrt(np.vdot(column, column).real)
-            if not abs(norm - 1.0) <= NORM_TOL:
-                raise ValueError(
-                    f"norm drifted to {norm!r} after a unitary segment"
-                )
+            drift = math.sqrt(np.vdot(column, column).real) - 1.0
+            check_number("norm - 1 after a unitary segment", drift, -NORM_TOL, NORM_TOL)
     return psi, spare
 
 
@@ -333,12 +323,7 @@ def _exact_parts(h_full, l_ops, t: float):
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 2.0 * norms[0] + sum(n**2 for n in norms[1:])
         count = bound * t / _TAYLOR_THETA
-    # written so that a NaN count is over the limit too
-    if not count <= MAX_LINDBLAD_SUBSTEPS:
-        raise WorkLimitError(
-            f"a segment needs {count:.3g} propagator sub-steps, above the limit of "
-            f"{MAX_LINDBLAD_SUBSTEPS}"
-        )
+    check_number("propagator sub-steps", count, 0, MAX_LINDBLAD_SUBSTEPS, error=WorkLimitError)
     n_sub = max(1, math.ceil(count))
     # A sufficient condition for every Taylor product to stay in the float
     # range.  L_y is L on an isometric copy of the Hermitian matrices, so
@@ -351,10 +336,8 @@ def _exact_parts(h_full, l_ops, t: float):
     # parts of matrix units) start every sub-step from rows of norm at most
     # 1.
     x = float(bound) * float(t) / n_sub
-    if not float(bound) * (x ** int(x) / math.factorial(int(x))) <= FLOAT_MAX:
-        raise WorkLimitError(
-            f"a Taylor product over {n_sub} propagator sub-steps could leave the float range"
-        )
+    largest = float(bound) * (x ** int(x) / math.factorial(int(x)))
+    check_number("Taylor product bound over a segment's sub-steps", largest, error=WorkLimitError)
     return drift, n_sub
 
 
@@ -382,12 +365,7 @@ class LindbladSegment:
     substeps: int = field(init=False)
 
     def __post_init__(self):
-        d = self.h_full.shape[0]
-        if d > SUPEROPERATOR_DIM_LIMIT:
-            raise ValueError(
-                f"dimension {d} exceeds the superoperator limit {SUPEROPERATOR_DIM_LIMIT} "
-                f"(it would take {24 * d**4 / 1e6:.3g} MB)"
-            )
+        check_index("superoperator dimension", self.h_full.shape[0], 0, SUPEROPERATOR_DIM_LIMIT)
         check_number("duration", self.t, 0)
         object.__setattr__(self, "l_ops", tuple(self.l_ops))
         drift, substeps = _exact_parts(self.h_full, self.l_ops, self.t)

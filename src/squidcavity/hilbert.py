@@ -29,15 +29,26 @@ not a ``bool``, in range; it never converts, so 1.7 and ``True`` are
 refused rather than read as 1.  The float bound ``check_number`` checks
 against, ``FLOAT_MAX``, and the byte budget of the largest array the
 program may allocate, ``MAX_ARRAY_BYTES``, are stated here and only here.
+The two rules also state every tolerance, limit and exact size a run
+checks, with the caller's exception type: a propagator's Hermiticity and
+unitarity defects, the norm after each segment, a Lindblad segment's
+sub-step count, Taylor product bound and dimension, ``state_fidelity``'s
+normalisation, a sweep's length, and the exact sizes of a state, a list of
+levels, an operator's matrix, ``contract``'s ranges and its ``psi`` rows
+(``check_index(name, value, n, n)`` reads "equal to n").  Three checks stay
+by hand, since neither rule can state them: ``config``'s byte budget,
+whose message names both settings and the size in MiB; ``rotation_pulse``'s
+half-open angle range [0, 2 pi); and whether a Lindblad drift is finite,
+which is a whole array, not a number.
 ``check_buffer`` is the one check of a lent buffer, an array a caller
-passes in for the callee to write into: it must be complex, of exactly
-the shape the callee states, C-contiguous, writable, and share no memory
-with the input it is lent beside.  Five arrays are lent: ``contract``'s
-``out`` and, whenever ``out`` is given, its ``psi``, which then becomes
-scratch; the run's buffer pair (``evolution.propagate_in_pair``); the
-stabilizers' K_i psi buffer; and the cluster oracle's ``out``.  Each is
-refused by name before anything is written, and no other module reads an
-array's flags.
+passes in for the callee to write into: it must be a numpy array,
+complex, of exactly the shape the callee states, C-contiguous, writable,
+and share no memory with the input it is lent beside.  Five arrays are
+lent: ``contract``'s ``out`` and, whenever ``out`` is given, its ``psi``,
+which then becomes scratch; the run's buffer pair
+(``evolution.propagate_in_pair``); the stabilizers' K_i psi buffer; and
+the cluster oracle's ``out``.  Each is refused by name before anything is
+written, and no other module reads an array's flags.
 
 ``CompositeState`` is where a state enters: it checks the length and
 finiteness of the amplitudes once.  The kernel ``contract`` is the one way an
@@ -129,36 +140,46 @@ def check_index(name, value, low, high=None, *, error=ValueError):
     """Return ``value`` if it is an ``int`` in [low, high]; else raise ``error``.
 
     A ``bool`` is not an index, and no value is converted, so 1.7 is
-    refused rather than read as 1.  ``high`` None leaves no upper bound.
+    refused rather than read as 1.  ``high`` None leaves no upper bound,
+    and ``high`` equal to ``low`` states an exact size ("equal to low").
     """
     if isinstance(value, int) and not isinstance(value, bool):
         if low <= value and (high is None or value <= high):
             return value
     rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+    if low == high:
+        rule = f"equal to {low}"
     raise error(f"{name} must be an integer {rule}, got {name}={value!r}")
 
 
 def check_buffer(name, array, shape, apart=None):
     """Return ``array`` if a callee may write into it; else raise ``ValueError``.
 
-    A lent buffer is a complex array of exactly ``shape``, C-contiguous
-    and writable, that shares no memory with ``apart`` (when given).  The
-    message names the buffer, the first property it lacks and the shape.
+    A lent buffer is a numpy array, complex, of exactly ``shape``,
+    C-contiguous and writable, that shares no memory with ``apart`` (when
+    given).  The message names the buffer, the first property it lacks and
+    the shape.
     """
-    for failed, fault in (
-        (array.dtype != complex, "is not complex"),
-        (array.shape != shape, "is not of that shape"),
-        (not array.flags.c_contiguous, "is not C-contiguous"),
-        (not array.flags.writeable, "is read-only"),
-        (apart is not None and np.may_share_memory(array, apart), "shares memory with its input"),
-    ):
-        if failed:
-            raise ValueError(
-                f"{name} must be a C-contiguous, writable complex array of shape {shape}"
-                f"{'' if apart is None else ' apart from its input'}, but it {fault}: "
-                f"got {array.dtype} of shape {array.shape}"
-            )
-    return array
+    is_array = isinstance(array, np.ndarray)
+    if not is_array:
+        fault = "is not a numpy array"
+    elif array.dtype != complex:
+        fault = "is not complex"
+    elif array.shape != shape:
+        fault = "is not of that shape"
+    elif not array.flags.c_contiguous:
+        fault = "is not C-contiguous"
+    elif not array.flags.writeable:
+        fault = "is read-only"
+    elif apart is not None and np.may_share_memory(array, apart):
+        fault = "shares memory with its input"
+    else:
+        return array
+    got = f"{array.dtype} of shape {array.shape}" if is_array else type(array).__name__
+    raise ValueError(
+        f"{name} must be a C-contiguous, writable complex array of shape {shape}"
+        f"{'' if apart is None else ' apart from its input'}, but it {fault}: got {got}"
+    )
 
 
 @dataclass(frozen=True)
@@ -203,11 +224,11 @@ class SpaceLayout:
         """
         factors = self.resolve_sites(op.sites)
         dims = tuple(self.dims[f] for f in factors)
-        if op.dim != math.prod(dims):
-            raise ValueError(
-                f"operator on sites {op.sites} has dimension {op.dim}, the layout "
-                f"gives them dimensions {dims} (product {math.prod(dims)})"
-            )
+        n = math.prod(dims)
+        # the name is formatted only for a refusal: the plan and every
+        # ``contract`` call pass here
+        if op.dim != n:
+            check_index(f"matrix size on sites {op.sites} of dimensions {dims}", op.dim, n, n)
         return factors, dims
 
 
@@ -227,11 +248,8 @@ class CompositeState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.size != self.layout.total_dim:
-            raise ValueError(
-                f"amplitude vector has length {amp.size}, "
-                f"layout dimension is {self.layout.total_dim}"
-            )
+        n = self.layout.total_dim
+        check_index("amplitude vector length", amp.size, n, n)
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes contain NaN or Inf")
         amp = amp.view()
@@ -250,10 +268,7 @@ def basis_index(layout: SpaceLayout, levels, photons: int = 0) -> int:
     in range before numpy, which would read ``True`` as 1, sees it.
     """
     levels = tuple(levels)
-    if len(levels) != layout.n_squids:
-        raise ValueError(
-            f"expected {layout.n_squids} levels, got {len(levels)}"
-        )
+    check_index("number of levels", len(levels), layout.n_squids, layout.n_squids)
     for i, v in enumerate(levels):
         check_index(f"level of SQUID {i}", v, 0, SQUID_DIM - 1)
     check_index("photons", photons, 0, layout.fock_cutoff)
@@ -339,7 +354,8 @@ def contract(
     the full ranges' gemm may leave a row of -0.0, and a later call over
     the full ranges can sum such a -0.0 into its block.
 
-    Without ``out`` the result is a new array and ``psi`` is only read.
+    Without ``out`` the result is a new array and ``psi``, whose rows
+    must be the layout's amplitudes, is only read.
     ``out`` receives the result and is returned, and ``psi`` is then
     scratch, so both are lent buffers (``check_buffer``), checked before
     either is written: ``psi`` of shape (total_dim[, batch]), ``out`` of
@@ -349,15 +365,14 @@ def contract(
     """
     sites, _ = layout.operator_dims(op)
     dims = layout.dims
-    if ranges is None:
-        ranges = [(0, d) for d in dims]
-    elif len(ranges) != len(dims):
-        raise ValueError(f"ranges give {len(ranges)} factors, the layout has {len(dims)}")
+    ranges = [(0, d) for d in dims] if ranges is None else ranges
+    check_index("number of ranges", len(ranges), len(dims), len(dims))
     if out is None:
+        check_index("rows of psi", len(psi), layout.total_dim, layout.total_dim)
         out = np.zeros(psi.shape, complex)
         scratch = None
     else:
-        scratch = check_buffer("psi", psi, (layout.total_dim, *psi.shape[1:]))
+        scratch = check_buffer("psi", psi, (layout.total_dim, *np.shape(psi)[1:]))
         check_buffer("out", out, psi.shape, apart=psi)
     if sites and sites == tuple(range(sites[0], sites[0] + len(sites))):
         left = dims[: sites[0]]

@@ -416,7 +416,8 @@ def test_decoherence_refuses_an_oversized_sweep(tmp_path, capsys, monkeypatch, r
     out = tmp_path / "out"
     assert main(["decoherence", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and f"limit of {MAX_SWEEP_VALUES}" in err
+    assert "configuration error" in err
+    assert f"sweep values count must be an integer in [1, {MAX_SWEEP_VALUES}]" in err
     assert built == []
     assert not out.exists()
 

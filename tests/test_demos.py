@@ -107,6 +107,23 @@ def test_the_cavity_site_is_written_as_its_name():
     assert literal == []
 
 
+def test_only_hilbert_states_a_bound_by_hand():
+    # a tolerance, limit or size goes through hilbert.check_number or
+    # check_index; the NaN-safe idiom ``if not x <= bound: raise`` is theirs
+    own = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "squidcavity").glob("*.py"))
+        if path.name != "hilbert.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.UnaryOp)
+        and isinstance(node.test.op, ast.Not)
+        and isinstance(node.test.operand, ast.Compare)
+        and any(isinstance(part, ast.Raise) for stmt in node.body for part in ast.walk(stmt))
+    ]
+    assert own == []
+
+
 def test_only_hilbert_reads_a_buffers_flags():
     # a buffer lent for writing has one rule, hilbert.check_buffer; no other
     # module checks contiguity, writability or overlap on its own

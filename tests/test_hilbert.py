@@ -198,8 +198,8 @@ def test_apply_local_site_errors():
     # fit them is refused, naming the sites and the dimensions
     for sites, size, dims in (((0,), 2, (3,)), ((-1,), 4, (3,)), ((0, 1), 27, (3, 3))):
         message = (
-            f"operator on sites {sites} has dimension {size}, the layout gives them "
-            f"dimensions {dims} (product {math.prod(dims)})"
+            f"matrix size on sites {sites} of dimensions {dims} must be an integer equal to "
+            f"{math.prod(dims)}, got matrix size on sites {sites} of dimensions {dims}={size}"
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             contract(layout, LocalOperator(sites, np.eye(size)), psi)
@@ -304,12 +304,23 @@ def test_contract_refuses_a_psi_it_cannot_use_as_scratch_before_writing_out():
         assert not out.any()
 
 
+def test_contract_without_out_refuses_psi_of_other_rows():
+    # with no buffer lent, nothing else reads psi's rows: one amplitude too
+    # many is refused by name on the gather route and the single-run route,
+    # for a vector and a block alike, not left to numpy's reshape or matmul
+    layout = SpaceLayout(2, 2)
+    for op in (LocalOperator((0, -1), np.eye(9)), LocalOperator((1,), np.eye(3))):
+        for shape in ((28,), (28, 2)):
+            with pytest.raises(ValueError, match="^rows of psi must be an integer equal to 27, "):
+                contract(layout, op, np.zeros(shape, complex))
+
+
 def test_contract_refuses_ranges_of_another_layout():
     # one (lo, hi) per factor: a shorter tuple would leave factors unbounded
     layout = SpaceLayout(2, 2)
     psi = basis_state(layout, (0, 0)).amplitudes
     op = LocalOperator((0,), np.eye(3))
     for ranges in (((0, 3),), ((0, 3),) * 4):
-        message = f"ranges give {len(ranges)} factors, the layout has 3"
+        message = rf"^number of ranges must be an integer equal to 3, got .*={len(ranges)}$"
         with pytest.raises(ValueError, match=message):
             contract(layout, op, psi, ranges=ranges)

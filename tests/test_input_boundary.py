@@ -640,6 +640,8 @@ def _overlapping(shape):
 # (case, the fault the message names, build(shape) -> (buffer, the input
 # it must stay apart from, or None for |0, 0> in vacuum))
 BAD_BUFFERS = [
+    # a list of the right shape and type, which a write would not reach
+    ("list", "is not a numpy array", lambda shape: (np.full(shape, _SENTINEL).tolist(), None)),
     ("dtype", "is not complex", lambda shape: (np.full(shape, 7.0), None)),
     (
         "shape",
@@ -673,9 +675,9 @@ def test_every_lent_buffer_is_refused_by_the_one_rule_before_a_write(
         given = np.zeros(shape, complex)
         given.reshape(-1)[0] = 1
     call, written = lend(buffer, given)
-    before = [array.copy() for array in (buffer, given, *written)]
+    before = [np.array(array) for array in (buffer, given, *written)]
     rule = f"{name} must be a C-contiguous, writable complex array of shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(rule)}.*, but it {re.escape(fault)}"):
         call()
     for was, array in zip(before, (buffer, given, *written)):
-        assert array.tobytes() == was.tobytes()
+        assert np.array(array).tobytes() == was.tobytes()

@@ -26,6 +26,7 @@ from squidcavity import (
 from squidcavity.verification import (
     COMPUTATIONAL_BASIS,
     CZ_DIAG,
+    STATE_NORM_TOL,
     cavity_vacuum_population,
     computational_propagator,
 )
@@ -117,8 +118,29 @@ def test_state_fidelity_examples():
     with pytest.raises(ValueError, match="layout"):
         state_fidelity(a, basis_state(SpaceLayout(1, fock_cutoff=2), (0,)))
     bad = CompositeState(layout, np.array([0.5, 0, 0, 0, 0, 0], dtype=complex))
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match="^second state's norm - 1 must be finite"):
         state_fidelity(a, bad)
+
+
+def test_state_fidelity_checks_the_norm_at_its_bound():
+    # one non-zero amplitude is the state's exact norm, and its distance
+    # from 1 is exact too: on either side, the amplitude furthest from 1
+    # within STATE_NORM_TOL is accepted and the next float out is refused
+    layout = SpaceLayout(1, fock_cutoff=1)
+    a = basis_state(layout, (0,))
+    for side in (1.0, -1.0):
+        edge = 1.0 + side * STATE_NORM_TOL
+        if abs(edge - 1.0) > STATE_NORM_TOL:
+            edge = math.nextafter(edge, 1.0)
+        past = math.nextafter(edge, 1.0 + side)
+        assert abs(edge - 1.0) <= STATE_NORM_TOL < abs(past - 1.0)
+        at = CompositeState(layout, np.array([edge, 0, 0, 0, 0, 0], dtype=complex))
+        assert at.norm() == edge
+        assert state_fidelity(a, at) == abs(edge) ** 2
+        over = CompositeState(layout, np.array([past, 0, 0, 0, 0, 0], dtype=complex))
+        assert over.norm() == past
+        with pytest.raises(ValueError, match="^second state's norm - 1 must be finite"):
+            state_fidelity(a, over)
 
 
 def test_state_fidelity_refuses_a_nan_written_after_construction():
@@ -128,7 +150,7 @@ def test_state_fidelity_refuses_a_nan_written_after_construction():
     amplitudes = np.array([1, 0, 0, 0, 0, 0], dtype=complex)
     state = CompositeState(layout, amplitudes)
     amplitudes[1] = np.nan
-    with pytest.raises(ValueError, match=r"second state is not normalized \(norm nan\)"):
+    with pytest.raises(ValueError, match="^second state's norm - 1 .*=nan$"):
         state_fidelity(basis_state(layout, (0,)), state)
 
 
